@@ -85,7 +85,7 @@ pub fn similarity_order_timed(
 ) -> (Vec<usize>, RearrangeReport) {
     let mut report = RearrangeReport::default();
     let t0 = Instant::now();
-    let normalized: Vec<Vec<bool>> = parallel_map(forest.n_trees(), |t| {
+    let checksums: Vec<simhash::Checksum> = parallel_map(forest.n_trees(), |t| {
         let mut tokens = tokenize::tokenize(&forest.trees()[t], params.t_nodes);
         if !params.weighted {
             for tok in &mut tokens {
@@ -96,8 +96,8 @@ pub fn similarity_order_timed(
     });
     report.simhash_ns = t0.elapsed().as_nanos() as u64;
     let t1 = Instant::now();
-    let counts = lsh::count_collisions(&normalized, params.m_chunks);
-    let order = order::order_by_similarity(forest.n_trees(), &counts);
+    let counts = lsh::count_collisions(&checksums, params.m_chunks);
+    let order = order::order_by_similarity(&counts);
     report.lsh_ns = t1.elapsed().as_nanos() as u64;
     (order, report)
 }
@@ -174,6 +174,110 @@ mod tests {
             approx_score >= 0.3 * exact_score,
             "LSH order ({approx_score}) too far below exact ({exact_score})"
         );
+    }
+
+    #[test]
+    fn tree_orders_are_pinned() {
+        // Orders produced by the first implementation: unpacked checksums,
+        // Rabin–Karp chunk buckets, hash-map counts and a comparison-sorted
+        // pair list. The packed, dense and bucketed pipeline must reproduce
+        // them exactly, for the defaults and for chunks that are 1 and 28
+        // bits wide with trailing bits left over.
+        let variants = [
+            SimilarityParams::default(),
+            SimilarityParams {
+                t_nodes: 2,
+                l_hash: 64,
+                m_chunks: 16,
+                weighted: false,
+            },
+            SimilarityParams {
+                t_nodes: 3,
+                l_hash: 200,
+                m_chunks: 7,
+                weighted: true,
+            },
+        ];
+        let expected: [(&str, [&[usize]; 3]); 5] = [
+            (
+                "letter",
+                [
+                    &[
+                        22, 28, 31, 35, 25, 33, 39, 38, 10, 24, 1, 0, 13, 6, 12, 5, 16, 14, 4, 21,
+                        20, 26, 23, 34, 19, 7, 30, 3, 2, 27, 8, 32, 17, 18, 15, 9, 11, 29, 37, 36,
+                    ][..],
+                    &[
+                        22, 28, 13, 6, 3, 20, 32, 23, 26, 34, 12, 2, 1, 10, 25, 33, 39, 21, 37, 31,
+                        5, 15, 30, 4, 27, 8, 14, 11, 19, 29, 35, 9, 7, 17, 18, 16, 0, 36, 38, 24,
+                    ][..],
+                    &[
+                        22, 28, 33, 39, 25, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+                        16, 17, 18, 19, 20, 21, 23, 24, 26, 27, 29, 30, 31, 32, 34, 35, 36, 37, 38,
+                    ][..],
+                ],
+            ),
+            (
+                "higgs",
+                [
+                    &[
+                        0, 11, 8, 7, 39, 4, 37, 15, 19, 27, 28, 6, 5, 1, 26, 3, 30, 38, 36, 20, 34,
+                        31, 18, 16, 14, 23, 33, 24, 17, 9, 35, 10, 12, 21, 32, 29, 22, 13, 2, 25,
+                    ][..],
+                    &[
+                        2, 39, 34, 12, 0, 11, 5, 8, 7, 13, 9, 15, 37, 20, 19, 10, 1, 17, 36, 18,
+                        24, 33, 23, 21, 35, 14, 38, 22, 30, 4, 16, 27, 28, 25, 3, 29, 6, 26, 31,
+                        32,
+                    ][..],
+                    &[
+                        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+                        21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39,
+                    ][..],
+                ],
+            ),
+            (
+                "covtype",
+                [
+                    &[
+                        1, 6, 7, 13, 39, 16, 5, 11, 33, 24, 31, 14, 23, 9, 15, 35, 2, 28, 19, 18,
+                        30, 3, 8, 29, 0, 20, 4, 26, 21, 12, 38, 32, 34, 17, 25, 10, 22, 27, 36, 37,
+                    ][..],
+                    &[
+                        1, 6, 13, 39, 7, 10, 22, 37, 38, 17, 8, 11, 33, 32, 12, 4, 0, 21, 28, 25,
+                        29, 31, 19, 24, 16, 15, 26, 18, 23, 3, 27, 36, 9, 20, 35, 5, 34, 30, 2, 14,
+                    ][..],
+                    &[
+                        1, 6, 7, 13, 39, 0, 2, 3, 4, 5, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19,
+                        20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38,
+                    ][..],
+                ],
+            ),
+            (
+                "ijcnn1",
+                [
+                    &[1, 9, 6, 5, 2, 8, 3, 4, 0, 7][..],
+                    &[0, 9, 1, 4, 3, 2, 8, 7, 6, 5][..],
+                    &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9][..],
+                ],
+            ),
+            (
+                "phishing",
+                [
+                    &[7, 14, 1, 3, 4, 12, 13, 2, 8, 5, 0, 6, 10, 9, 11][..],
+                    &[0, 8, 5, 11, 1, 3, 6, 2, 12, 4, 10, 14, 7, 9, 13][..],
+                    &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14][..],
+                ],
+            ),
+        ];
+        for (name, orders) in expected {
+            let forest = trained(name);
+            for (params, order) in variants.iter().zip(orders) {
+                assert_eq!(
+                    similarity_order(&forest, params),
+                    order,
+                    "{name} {params:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,60 @@
 //! `-weight` to the corresponding checksum component, where the weight is the
 //! node probability of the token's last node ("Adding this weight is
 //! necessary to increase the effectiveness of LSH", §4.2). The checksum is
-//! then normalized to a bit vector for the LSH stage.
+//! then normalized to a bit vector for the LSH stage, packed 64 bits to a
+//! word so that comparing two checksums is XOR + popcount.
 
 use super::sha1::hash_bits;
 use super::tokenize::Token;
+
+/// A normalized SimHash checksum, packed 64 bits to a word: bit `i` is
+/// `(words[i / 64] >> (i % 64)) & 1`, and the bits past `len` are zero.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Checksum {
+    len: usize,
+    words: Vec<u64>,
+}
+
+impl Checksum {
+    /// Packs a bit sequence.
+    #[must_use]
+    pub fn from_bits(bits: impl IntoIterator<Item = bool>) -> Self {
+        let mut checksum = Self::default();
+        for bit in bits {
+            if checksum.len % 64 == 0 {
+                checksum.words.push(0);
+            }
+            if bit {
+                checksum.words[checksum.len / 64] |= 1 << (checksum.len % 64);
+            }
+            checksum.len += 1;
+        }
+        checksum
+    }
+
+    /// Number of bits.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the checksum has no bits.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bit `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len`.
+    #[must_use]
+    pub fn bit(&self, i: usize) -> bool {
+        assert!(i < self.len, "bit {i} out of range {}", self.len);
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+}
 
 /// Accumulates the weighted SimHash checksum of a token set.
 #[must_use]
@@ -15,11 +65,12 @@ pub fn simhash(tokens: &[Token], l_hash: usize) -> Vec<f32> {
     let mut checksum = vec![0.0f32; l_hash];
     for token in tokens {
         let bits = hash_bits(&token.bytes, l_hash);
-        for (acc, bit) in checksum.iter_mut().zip(bits) {
-            if bit {
-                *acc += token.weight;
-            } else {
-                *acc -= token.weight;
+        // `acc + (-w)` is `acc - w` exactly; selecting the addend instead of
+        // branching on a random bit keeps the loop free of mispredictions.
+        let (plus, minus) = (token.weight, -token.weight);
+        for (accs, word) in checksum.chunks_mut(64).zip(bits) {
+            for (j, acc) in accs.iter_mut().enumerate() {
+                *acc += if (word >> j) & 1 == 1 { plus } else { minus };
             }
         }
     }
@@ -29,8 +80,8 @@ pub fn simhash(tokens: &[Token], l_hash: usize) -> Vec<f32> {
 /// Normalizes a checksum to bits: `>= 0 → 1`, `< 0 → 0` (paper §4.2,
 /// "Applying LSH", representation normalization).
 #[must_use]
-pub fn normalize(checksum: &[f32]) -> Vec<bool> {
-    checksum.iter().map(|&v| v >= 0.0).collect()
+pub fn normalize(checksum: &[f32]) -> Checksum {
+    Checksum::from_bits(checksum.iter().map(|&v| v >= 0.0))
 }
 
 /// Hamming similarity between two normalized checksums (diagnostic).
@@ -39,13 +90,18 @@ pub fn normalize(checksum: &[f32]) -> Vec<bool> {
 ///
 /// Panics if lengths differ.
 #[must_use]
-pub fn hamming_similarity(a: &[bool], b: &[bool]) -> f64 {
+pub fn hamming_similarity(a: &Checksum, b: &Checksum) -> f64 {
     assert_eq!(a.len(), b.len(), "checksum lengths differ");
     if a.is_empty() {
         return 1.0;
     }
-    let same = a.iter().zip(b).filter(|(x, y)| x == y).count();
-    same as f64 / a.len() as f64
+    let differ: u32 = a
+        .words
+        .iter()
+        .zip(&b.words)
+        .map(|(x, y)| (x ^ y).count_ones())
+        .sum();
+    1.0 - f64::from(differ) / a.len() as f64
 }
 
 #[cfg(test)]
@@ -60,11 +116,22 @@ mod tests {
     }
 
     #[test]
+    fn packing_round_trips_bits() {
+        let bits: Vec<bool> = (0..130).map(|i| i % 3 == 0 || i == 129).collect();
+        let c = Checksum::from_bits(bits.iter().copied());
+        assert_eq!(c.len(), 130);
+        assert_eq!(c.words.len(), 3);
+        assert_eq!((0..130).map(|i| c.bit(i)).collect::<Vec<_>>(), bits);
+        // Bits past `len` stay zero, so XOR + popcount never counts them.
+        assert_eq!(c.words[2] >> 2, 0);
+    }
+
+    #[test]
     fn empty_token_set_gives_zero_checksum() {
         let c = simhash(&[], 16);
         assert_eq!(c, vec![0.0; 16]);
         // Zero normalizes to all-ones (>= 0).
-        assert_eq!(normalize(&c), vec![true; 16]);
+        assert_eq!(normalize(&c), Checksum::from_bits([true; 16]));
     }
 
     #[test]
@@ -83,11 +150,14 @@ mod tests {
     fn similar_sets_are_closer_than_dissimilar() {
         // Sets sharing most tokens must have more similar checksums than
         // disjoint sets — the core SimHash property.
-        let base: Vec<Token> = (0..40).map(|i| token(format!("t{i}").as_bytes(), 1.0)).collect();
+        let base: Vec<Token> = (0..40)
+            .map(|i| token(format!("t{i}").as_bytes(), 1.0))
+            .collect();
         let mut near = base.clone();
         near[0] = token(b"mutated", 1.0);
-        let far: Vec<Token> =
-            (0..40).map(|i| token(format!("u{i}").as_bytes(), 1.0)).collect();
+        let far: Vec<Token> = (0..40)
+            .map(|i| token(format!("u{i}").as_bytes(), 1.0))
+            .collect();
         let l = 128;
         let nb = normalize(&simhash(&base, l));
         let nn = normalize(&simhash(&near, l));
@@ -114,9 +184,9 @@ mod tests {
 
     #[test]
     fn hamming_similarity_bounds() {
-        let a = vec![true, false, true];
+        let a = Checksum::from_bits([true, false, true]);
         assert!((hamming_similarity(&a, &a) - 1.0).abs() < 1e-12);
-        let b = vec![false, true, false];
+        let b = Checksum::from_bits([false, true, false]);
         assert!(hamming_similarity(&a, &b).abs() < 1e-12);
     }
 }

@@ -8,8 +8,6 @@
 //! is the paper's definition of similar trees ("traversed using the similar
 //! paths and accessing similar attributes").
 
-use std::collections::HashSet;
-
 use tahoe_forest::{Node, Tree};
 
 /// One token: serialized window content plus its SimHash weight.
@@ -33,22 +31,25 @@ pub fn tokenize(tree: &Tree, t_nodes: usize) -> Vec<Token> {
     assert!(t_nodes >= 2, "a token needs at least two nodes");
     let probs = tree.node_probabilities();
     let positions = crate::format::layout::heap_positions(tree, &vec![false; tree.n_nodes()]);
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
+    // A window is determined by its last node: windows start at depths that
+    // are multiples of the stride, and only a path's final window ends at a
+    // leaf. So emitted windows are marked by their last node.
+    let mut emitted = vec![false; tree.n_nodes()];
     let mut tokens = Vec::new();
-    // Enumerate root-to-leaf paths depth-first.
-    let mut stack: Vec<(u32, Vec<u32>)> = vec![(0, vec![0])];
-    while let Some((id, path)) = stack.pop() {
+    // Enumerate root-to-leaf paths depth-first; `path` holds the ancestors
+    // of the node being visited.
+    let mut path: Vec<u32> = Vec::new();
+    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
+    while let Some((id, depth)) = stack.pop() {
+        path.truncate(depth);
+        path.push(id);
         match tree.node(id) {
             Node::Decision { left, right, .. } => {
-                let mut lp = path.clone();
-                lp.push(*left);
-                stack.push((*left, lp));
-                let mut rp = path;
-                rp.push(*right);
-                stack.push((*right, rp));
+                stack.push((*left, depth + 1));
+                stack.push((*right, depth + 1));
             }
             Node::Leaf { .. } => {
-                emit_windows(tree, &path, &probs, &positions, t_nodes, &mut seen, &mut tokens);
+                emit_windows(tree, &path, &probs, &positions, t_nodes, &mut emitted, &mut tokens);
             }
         }
     }
@@ -61,7 +62,7 @@ fn emit_windows(
     probs: &[f32],
     positions: &[u64],
     t_nodes: usize,
-    seen: &mut HashSet<(u32, u32)>,
+    emitted: &mut [bool],
     tokens: &mut Vec<Token>,
 ) {
     let stride = t_nodes - 1;
@@ -72,8 +73,9 @@ fn emit_windows(
             break;
         }
         let window = &path[start..end];
-        let key = (window[0], window[window.len() - 1]);
-        if seen.insert(key) {
+        let last = window[window.len() - 1] as usize;
+        if !emitted[last] {
+            emitted[last] = true;
             let mut bytes = Vec::with_capacity(window.len() * 12);
             for &id in window {
                 bytes.extend_from_slice(&positions[id as usize].to_le_bytes());
@@ -82,7 +84,7 @@ fn emit_windows(
             }
             tokens.push(Token {
                 bytes,
-                weight: probs[window[window.len() - 1] as usize],
+                weight: probs[last],
             });
         }
         if end == path.len() {
@@ -95,6 +97,7 @@ fn emit_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use tahoe_forest::Node as HNode;
 
     /// Fig. 3's example shape: full binary tree of depth 2 (7 nodes).

@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use tahoe::perfmodel::{predict, rank, ModelInputs};
-use tahoe::strategy::{self, Strategy};
+use tahoe::perfmodel::ModelInputs;
+use tahoe::{strategy, tune};
 use tahoe_datasets::{DatasetSpec, Scale};
 use tahoe_forest::train_for_spec;
 use tahoe_gpu_sim::device::DeviceSpec;
@@ -48,12 +48,10 @@ fn bench_model(c: &mut Criterion) {
         telemetry: tahoe::telemetry::TelemetryCtx::disabled(),
     };
     let inputs = ModelInputs::gather(&forest, &stats, &samples);
-    c.bench_function("model_predict_one", |b| {
-        let geo = strategy::geometry(Strategy::SharedData, &ctx).expect("always feasible");
-        b.iter(|| predict(Strategy::SharedData, &inputs, &hw, &geo, &device));
-    });
+    // The whole Algorithm 1 model evaluation: every strategy × block-size
+    // rung costed, then ranked.
     c.bench_function("model_rank_all", |b| {
-        b.iter(|| rank(&ctx, &inputs, &hw));
+        b.iter(|| tune::sweep(&ctx, &inputs, &hw).ranked(None));
     });
 }
 

@@ -5,9 +5,10 @@
 //! slow?* and *why did Algorithm 1 pick this plan?*
 //!
 //! - [`DecisionRecord`] — one entry per engine tuning event: every
-//!   `(strategy, block size)` candidate the tuner swept with its predicted
+//!   `(strategy, block size)` rung of the tuner's ladder with its predicted
 //!   cost (or the rejection reason), the chosen plan, and the post-hoc
-//!   simulated cost + model drift for the launch that actually ran.
+//!   simulated cost + model drift for the launch that actually ran. The
+//!   profiler's drift export is read back from these records.
 //! - [`RequestPathRecord`] — one entry per serving request: the critical-path
 //!   breakdown (batch formation wait, queue wait behind a busy device,
 //!   execution) whose components sum *bitwise* to the request's end-to-end
@@ -32,6 +33,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::profile::DriftRecord;
 use crate::telemetry::TelemetrySink;
 
 /// One `(strategy, block size)` candidate Algorithm 1 evaluated.
@@ -71,17 +73,17 @@ pub struct DecisionRecord {
     pub predicted_ns: f64,
     /// Simulated kernel time of the launch (ns).
     pub simulated_ns: f64,
-    /// `(predicted − simulated) / simulated` (0 when simulated is 0) — the
-    /// same value as the launch's `DriftRecord`.
+    /// `(predicted − simulated) / simulated` (0 when simulated is 0), as
+    /// [`DriftRecord::new`] derives it.
     pub relative_error: f64,
     /// Calibration generation the predictions were made under (0 = the raw
     /// §6 constants; bumps when the engine's calibrator refits and moves a
     /// scale).
     pub calibration_generation: u64,
-    /// Whether the tuned plan list came from the engine's tuning-decision
-    /// cache instead of a fresh `tune_all` sweep.
+    /// Whether the tuning ladder came from the engine's tuning-decision
+    /// cache instead of a fresh `tune::sweep`.
     pub cache_hit: bool,
-    /// Every candidate the tuner swept, in sweep order (strategy-major,
+    /// Every rung of the tuning ladder, in sweep order (strategy-major,
     /// ascending block size).
     pub candidates: Vec<DecisionCandidate>,
 }
@@ -143,6 +145,21 @@ impl DecisionStore {
             decisions: self.decisions.clone(),
             requests: self.requests.clone(),
         }
+    }
+
+    /// The launches' model-vs-simulator drift, one record per decision in
+    /// launch order — the profiler export's `drift` view.
+    pub(crate) fn drift(&self) -> Vec<DriftRecord> {
+        self.decisions
+            .iter()
+            .map(|d| DriftRecord {
+                strategy: d.chosen_strategy.clone(),
+                n_samples: d.n_samples,
+                predicted_ns: d.predicted_ns,
+                simulated_ns: d.simulated_ns,
+                relative_error: d.relative_error,
+            })
+            .collect()
     }
 }
 

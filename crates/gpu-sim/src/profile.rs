@@ -510,7 +510,6 @@ pub struct ProfileStore {
     kernels: Vec<KernelProfile>,
     kernel_durations: LatencyHistogram,
     serving_latencies: LatencyHistogram,
-    drift: Vec<DriftRecord>,
 }
 
 impl ProfileStore {
@@ -521,15 +520,14 @@ impl ProfileStore {
         self.kernels.append(&mut other.kernels);
         self.kernel_durations.merge(&other.kernel_durations);
         self.serving_latencies.merge(&other.serving_latencies);
-        self.drift.append(&mut other.drift);
     }
 
-    fn export(&self) -> ProfilesExport {
+    fn export(&self, drift: Vec<DriftRecord>) -> ProfilesExport {
         ProfilesExport {
             kernels: self.kernels.clone(),
             kernel_durations: self.kernel_durations.export(),
             serving_latencies: self.serving_latencies.export(),
-            drift: self.drift.clone(),
+            drift,
         }
     }
 }
@@ -543,7 +541,8 @@ pub struct ProfilesExport {
     pub kernel_durations: HistogramExport,
     /// Histogram of serving request latencies.
     pub serving_latencies: HistogramExport,
-    /// Model-vs-simulator drift records, in launch order.
+    /// Model-vs-simulator drift records, in launch order — read back from
+    /// the sink's decision records at export time, one per decision.
     pub drift: Vec<DriftRecord>,
 }
 
@@ -582,19 +581,17 @@ impl TelemetrySink {
         }
     }
 
-    /// Records one model-vs-simulator drift observation.
-    pub fn push_drift(&self, record: DriftRecord) {
-        if let TelemetrySink::Recording(inner) = self {
-            inner.profiles.lock().drift.push(record);
-        }
-    }
-
-    /// Snapshot of the recorded profiles (empty when disabled).
+    /// Snapshot of the recorded profiles (empty when disabled). The drift
+    /// records are the decision records' predicted-vs-simulated fields
+    /// (DESIGN.md §2.10), so the two exports cannot disagree.
     #[must_use]
     pub fn profiles(&self) -> ProfilesExport {
         match self {
-            TelemetrySink::Disabled => ProfileStore::default().export(),
-            TelemetrySink::Recording(inner) => inner.profiles.lock().export(),
+            TelemetrySink::Disabled => ProfileStore::default().export(Vec::new()),
+            TelemetrySink::Recording(inner) => {
+                let drift = inner.decisions.lock().drift();
+                inner.profiles.lock().export(drift)
+            }
         }
     }
 
@@ -827,7 +824,6 @@ mod tests {
             &AccessStats::default(),
             &AccessStats::default(),
         )));
-        sink.push_drift(DriftRecord::new("direct", 1, 1.0, 1.0));
         sink.record_serving_latencies(&[1.0, 2.0]);
         let e = sink.profiles();
         assert!(e.kernels.is_empty());
@@ -847,13 +843,27 @@ mod tests {
         };
         let smem = AccessStats::default();
         sink.push_kernel_profile(KernelProfile::from_launch(&stats(&d, &gmem, &smem)));
-        sink.push_drift(DriftRecord::new("shared data", 64, 900.0, 1_000.0));
+        let drift = DriftRecord::new("shared data", 64, 900.0, 1_000.0);
+        sink.push_decision(crate::decision::DecisionRecord {
+            device: 0,
+            batch: 1,
+            n_samples: drift.n_samples,
+            forced: false,
+            chosen_strategy: drift.strategy.clone(),
+            chosen_block_threads: 256,
+            predicted_ns: drift.predicted_ns,
+            simulated_ns: drift.simulated_ns,
+            relative_error: drift.relative_error,
+            calibration_generation: 0,
+            cache_hit: false,
+            candidates: Vec::new(),
+        });
         sink.record_serving_latencies(&[10.0, 20.0, 30.0]);
         let e = sink.profiles();
         assert_eq!(e.kernels.len(), 1);
         assert_eq!(e.kernel_durations.count, 1);
         assert_eq!(e.serving_latencies.count, 3);
-        assert_eq!(e.drift.len(), 1);
+        assert_eq!(e.drift, vec![drift], "drift is read back from the decision");
         let text = sink.profiles_json();
         let back: ProfilesExport = serde_json::from_str(&text).expect("export parses");
         assert_eq!(back, e, "round-trip must be lossless");

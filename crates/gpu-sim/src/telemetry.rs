@@ -123,10 +123,10 @@ pub enum Counter {
     /// Approximate bytes of cached block results held by per-launch memo
     /// caches, summed over launches.
     MemoBytes,
-    /// Engine batches whose tuned plan list came from the tuning-decision
-    /// cache instead of a fresh `tune_all` sweep (DESIGN.md §2.16).
+    /// Engine batches whose tuning ladder came from the tuning-decision
+    /// cache instead of a fresh `tune::sweep` (DESIGN.md §2.16).
     TuningCacheHits,
-    /// Engine batches that ran a fresh `tune_all` sweep and populated the
+    /// Engine batches that ran a fresh `tune::sweep` and populated the
     /// tuning-decision cache.
     TuningCacheMisses,
 }
@@ -339,14 +339,15 @@ pub struct SinkInner {
     counters: Mutex<CounterRegistry>,
     spans: Mutex<Vec<SpanEvent>>,
     process_names: Mutex<BTreeMap<u32, String>>,
-    /// Per-kernel profiles, latency histograms, and drift records; the
-    /// recording methods live in [`crate::profile`].
+    /// Per-kernel profiles and latency histograms; the recording methods
+    /// live in [`crate::profile`].
     pub(crate) profiles: Mutex<crate::profile::ProfileStore>,
     /// Windowed time-series samples; the recording methods live in
     /// [`crate::timeseries`].
     pub(crate) timeseries: Mutex<crate::timeseries::TimeSeriesStore>,
-    /// Tuning decisions and per-request critical paths; the recording
-    /// methods live in [`crate::decision`].
+    /// Tuning decisions (which also back the profiler's drift view) and
+    /// per-request critical paths; the recording methods live in
+    /// [`crate::decision`].
     pub(crate) decisions: Mutex<crate::decision::DecisionStore>,
 }
 
@@ -453,7 +454,7 @@ impl TelemetrySink {
     /// Monotonic counters are added and reset on `source`; gauges are left
     /// untouched (the caller recomputes cluster-wide footprints from the
     /// live allocators — see [`Counter::is_gauge`]). Kernel profiles,
-    /// histograms, and drift records move over wholesale. Spans on the
+    /// histograms, and decision records move over wholesale. Spans on the
     /// engine's *host* track ([`PID_ENGINE`] tid 0: rearrange/convert/tune)
     /// are wall-clock measured and vary run to run, so they are dropped —
     /// this is what keeps cluster exports byte-identical at any

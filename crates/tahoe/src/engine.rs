@@ -18,7 +18,7 @@ use tahoe_gpu_sim::memory::{DeviceMemory, OomError, ALLOC_ALIGN, GLOBAL_BASE};
 use tahoe_gpu_sim::{measure, GlobalBuffer, MeasuredParams};
 
 use crate::format::{DeviceForest, FormatConfig, LayoutPlan, NodeEncoding};
-use crate::perfmodel::{self, Calibrator, ModelInputs, Prediction};
+use crate::perfmodel::{Calibrator, ModelInputs, Prediction};
 use crate::profile::DriftRecord;
 use crate::rearrange::{self, RearrangeReport, SimilarityParams};
 use crate::strategy::common::THREADS_PER_BLOCK;
@@ -203,7 +203,7 @@ pub struct Engine {
     /// present; folded into and applied to selections only when
     /// `options.calibration` is on.
     calibrator: Calibrator,
-    /// Memoized `tune_all` plan lists keyed by everything selection depends
+    /// Memoized `tune::sweep` ladders keyed by everything selection depends
     /// on (`tune::cache_key`); cleared on reconversion and on
     /// calibration-generation bumps.
     tuning_cache: tune::TuningCache,
@@ -419,7 +419,7 @@ impl Engine {
             "attribute count mismatch"
         );
         match self.ensure_sample_buf(sample_bytes(samples)) {
-            Ok(buf) => self.infer_batch(samples, force, buf),
+            Ok(buf) => self.infer_batch(samples, force, None, buf),
             Err(_) => self.infer_chunked(samples, force),
         }
     }
@@ -441,10 +441,13 @@ impl Engine {
     }
 
     /// One unsplit batch through model selection and the chosen strategy.
+    /// `force` is the caller's pin (recorded as `forced`); `pin` is the
+    /// chunked path's pin of later chunks to the first chunk's strategy.
     fn infer_batch(
         &mut self,
         samples: &SampleMatrix,
         force: Option<Strategy>,
+        pin: Option<Strategy>,
         sample_buf: GlobalBuffer,
     ) -> InferenceResult {
         let ctx = LaunchContext {
@@ -460,13 +463,13 @@ impl Engine {
         let cal_enabled = self.options.calibration;
         let cal = cal_enabled.then_some(&self.calibrator);
         // Model evaluation: consult the tuning-decision cache (DESIGN.md
-        // §2.16), falling back to tuning each feasible strategy's block size
-        // (Algorithm 1 line 14) and ranking the tuned predictions (lines
-        // 8-13). The cached value is a pure function of its key material, so
-        // warm and cold runs select identically — only this host span and
-        // the cache accounting differ.
+        // §2.16), falling back to sweeping every strategy × block size
+        // (Algorithm 1 lines 8-14), then rank the ladder. The cached ladder
+        // is a pure function of its key material, so warm and cold runs
+        // select identically — only this host span and the cache accounting
+        // differ.
         let t0 = Instant::now();
-        let (tuned, cache_hit) = if tune::tune_cache_enabled() {
+        let (ladder, cache_hit) = if tune::tune_cache_enabled() {
             let key = tune::cache_key(
                 &self.device_forest,
                 &self.device,
@@ -477,14 +480,15 @@ impl Engine {
             match self.tuning_cache.get(&key) {
                 Some(cached) => (cached.clone(), true),
                 None => {
-                    let fresh = tune::tune_all_with(&ctx, &inputs, &self.hw, cal);
+                    let fresh = tune::sweep(&ctx, &inputs, &self.hw);
                     self.tuning_cache.insert(key, fresh.clone());
                     (fresh, false)
                 }
             }
         } else {
-            (tune::tune_all_with(&ctx, &inputs, &self.hw, cal), false)
+            (tune::sweep(&ctx, &inputs, &self.hw), false)
         };
+        let tuned = ladder.ranked(cal);
         let model_eval_ns = t0.elapsed().as_nanos() as u64;
         // Cache accounting only when the cache was consulted, mirroring the
         // block-memo counters: turning the cache off zeroes these counters
@@ -500,25 +504,7 @@ impl Engine {
             );
         }
         let ranked: Vec<Prediction> = tuned.iter().map(|&(_, _, p)| p).collect();
-        // Decision audit (DESIGN.md §2.15): replay the tuner's sweep keeping
-        // rejected candidates and their reasons, under the same calibration
-        // the selection used. Recording-only, and outside the timed section
-        // above, so selection and `model_eval_ns` are untouched when
-        // telemetry is off.
-        let audit_candidates: Option<Vec<DecisionCandidate>> =
-            self.sink.is_enabled().then(|| {
-                let n = samples.n_samples() as f64;
-                tune::sweep_candidates_with(&ctx, &inputs, &self.hw, cal)
-                    .into_iter()
-                    .map(|c| DecisionCandidate {
-                        strategy: c.strategy.name().to_string(),
-                        block_threads: c.block_threads as u64,
-                        predicted_ns: c.outcome.as_ref().ok().map(|p| p.total() * n),
-                        rejection: c.outcome.err().map(str::to_string),
-                    })
-                    .collect()
-            });
-        let strategy = force.unwrap_or_else(|| {
+        let strategy = force.or(pin).unwrap_or_else(|| {
             if self.options.model_selection {
                 tuned
                     .first()
@@ -545,22 +531,42 @@ impl Engine {
         let run = strategy::run(strategy, &run_ctx)
             .unwrap_or_else(|| panic!("strategy {strategy} infeasible for this forest/device"));
         self.sink.add(Counter::EngineBatches, 1);
-        // Drift replay (DESIGN.md §2.10): the launch through the §6 model
-        // with the geometry actually launched. The calibrator folds the
-        // *raw* prediction (the fit is always against the uncalibrated
-        // model); telemetry records the *applied* one — the cost selection
-        // actually compared.
-        let replay = (cal_enabled || self.sink.is_enabled()).then(|| {
-            let n = samples.n_samples() as f64;
-            let raw = perfmodel::predict(strategy, &inputs, &self.hw, &run.geometry, &self.device);
-            let applied = cal.map_or(raw, |c| c.apply(raw));
+        // The launch's drift observation (DESIGN.md §2.10) is the ladder's
+        // rung at the launched plan — `strategy::run` launches the geometry
+        // the sweep costed. The calibrator folds the *raw* rung (the fit is
+        // always against the uncalibrated model); telemetry records the
+        // *applied* one — the cost selection actually compared.
+        let n = samples.n_samples() as f64;
+        let launched = || {
+            ladder
+                .raw(strategy, block_threads)
+                .expect("the launched plan is a feasible ladder rung")
+        };
+        if self.sink.is_enabled() {
+            let applied = cal.map_or(launched(), |c| c.apply(launched()));
             debug_assert!(
                 applied.total().is_finite(),
-                "non-finite drift-replay prediction for {strategy} ({n} samples)"
+                "non-finite launched-plan prediction for {strategy} ({n} samples)"
             );
-            (raw.total() * n, applied.total() * n)
-        });
-        if self.sink.is_enabled() {
+            let drift = DriftRecord::new(
+                strategy.name(),
+                samples.n_samples(),
+                applied.total() * n,
+                run.kernel.total_ns,
+            );
+            let candidates = ladder
+                .rungs()
+                .iter()
+                .map(|r| DecisionCandidate {
+                    strategy: r.strategy.name().to_string(),
+                    block_threads: r.block_threads as u64,
+                    predicted_ns: r
+                        .outcome
+                        .ok()
+                        .map(|p| cal.map_or(p, |c| c.apply(p)).total() * n),
+                    rejection: r.outcome.err().map(str::to_string),
+                })
+                .collect();
             self.sink.name_process(PID_ENGINE, "engine");
             self.host_span("tune", model_eval_ns as f64);
             self.sink.span(
@@ -570,16 +576,8 @@ impl Engine {
                 self.clock_ns,
                 run.kernel.total_ns,
             );
-            let (_, applied_ns) = replay.expect("replayed when the sink records");
-            let drift = DriftRecord::new(
-                strategy.name(),
-                samples.n_samples(),
-                applied_ns,
-                run.kernel.total_ns,
-            );
-            // The decision record joins the sweep to the launch it produced;
-            // its predicted/simulated/error fields are the drift record's,
-            // so the two exports always agree (`tests/decision_schema.rs`).
+            // The decision record joins the ladder to the launch it produced;
+            // the profiler's drift export is read back from it.
             self.sink.push_decision(DecisionRecord {
                 device: 0,
                 batch: self.sink.counter_value(Counter::EngineBatches),
@@ -592,9 +590,8 @@ impl Engine {
                 relative_error: drift.relative_error,
                 calibration_generation: self.calibrator.generation(),
                 cache_hit,
-                candidates: audit_candidates.unwrap_or_default(),
+                candidates,
             });
-            self.sink.push_drift(drift);
             // DRAM footprint gauges at the batch's simulated completion time
             // (DESIGN.md §2.14), still on the caller thread.
             let done_ns = self.clock_ns + run.kernel.total_ns;
@@ -618,8 +615,8 @@ impl Engine {
         // generation bump invalidates the tuning cache — by dropping
         // entries, never by mutating them.
         if cal_enabled {
-            let (raw_ns, _) = replay.expect("replayed when calibration is on");
-            self.calibrator.observe(strategy, raw_ns, run.kernel.total_ns);
+            self.calibrator
+                .observe(strategy, launched().total() * n, run.kernel.total_ns);
             if self.calibrator.maybe_recalibrate() {
                 self.tuning_cache.clear();
             }
@@ -678,8 +675,10 @@ impl Engine {
             let buf = self
                 .ensure_sample_buf(sample_bytes(&chunk))
                 .expect("chunk was sized to fit the remaining DRAM");
-            let force_now = force.or_else(|| merged.as_ref().map(|m| m.strategy));
-            let r = self.infer_batch(&chunk, force_now, buf);
+            // Later chunks are pinned to the first chunk's strategy, but only
+            // the caller's `force` is recorded as forced.
+            let pin = merged.as_ref().map(|m| m.strategy);
+            let r = self.infer_batch(&chunk, force, pin, buf);
             merged = Some(match merged {
                 None => r,
                 Some(m) => merge_chunk_results(m, r),

@@ -1,11 +1,12 @@
 //! Performance models for the four inference strategies (paper §6.1,
-//! Eq. 1–7) and model-guided strategy selection (§6.2).
+//! Eq. 1–7); model-guided selection (§6.2) ranks them in [`crate::tune`].
 //!
 //! The models consume the Table 1 notation: sample/forest parameters gathered
 //! from the workload ([`ModelInputs`]) and hardware parameters measured
 //! offline by microbenchmarks ([`tahoe_gpu_sim::microbench::measure`],
 //! Algorithm 1 line 4). They predict a per-sample cost for each strategy;
-//! the engine runs the cheapest.
+//! [`crate::tune::sweep`] evaluates them over every launch shape and the
+//! engine runs the cheapest.
 //!
 //! # Extensions over the paper's Eq. 1–7 (documented in `DESIGN.md`)
 //!
@@ -40,7 +41,7 @@ use tahoe_gpu_sim::occupancy::concurrent_blocks;
 use tahoe_gpu_sim::MeasuredParams;
 
 use crate::format::DeviceForest;
-use crate::strategy::{Geometry, LaunchContext, Strategy};
+use crate::strategy::{Geometry, Strategy};
 
 /// Workload parameters of Table 1 (sample + forest rows).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -227,36 +228,6 @@ pub fn predict(
     }
 }
 
-/// Predicts every feasible strategy, cheapest first (ties break in
-/// [`Strategy::ALL`] order for determinism).
-#[must_use]
-pub fn rank(ctx: &LaunchContext<'_>, inputs: &ModelInputs, hw: &MeasuredParams) -> Vec<Prediction> {
-    let mut out: Vec<Prediction> = Strategy::ALL
-        .into_iter()
-        .filter_map(|s| {
-            crate::strategy::geometry(s, ctx).map(|g| predict(s, inputs, hw, &g, ctx.device))
-        })
-        .collect();
-    // `total_cmp` keeps the sort total even if a fitted constant ever turns a
-    // prediction non-finite: NaN sorts last instead of panicking mid-batch.
-    out.sort_by(|a, b| a.total().total_cmp(&b.total()));
-    out
-}
-
-/// Selects the predicted-best strategy (Algorithm 1 line 15).
-///
-/// # Panics
-///
-/// Panics if no strategy is feasible (cannot happen: shared data and direct
-/// are always feasible).
-#[must_use]
-pub fn select(ctx: &LaunchContext<'_>, inputs: &ModelInputs, hw: &MeasuredParams) -> Strategy {
-    rank(ctx, inputs, hw)
-        .first()
-        .expect("shared data and direct are always feasible")
-        .strategy
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,32 +273,6 @@ mod tests {
             assert_eq!(p.t_b_redu > 0.0, s.has_block_reduction(), "{s}");
             assert_eq!(p.t_g_redu > 0.0, s.has_global_reduction(), "{s}");
         }
-    }
-
-    #[test]
-    fn rank_is_sorted_and_select_returns_head() {
-        let (fx, inputs, hw) = setup("ijcnn1");
-        let ctx = context(&fx, Detail::Sampled(1));
-        let ranked = rank(&ctx, &inputs, &hw);
-        assert!(!ranked.is_empty());
-        for w in ranked.windows(2) {
-            assert!(w[0].total() <= w[1].total());
-        }
-        assert_eq!(select(&ctx, &inputs, &hw), ranked[0].strategy);
-    }
-
-    #[test]
-    fn infeasible_strategies_are_excluded_from_rank() {
-        let (fx, inputs, hw) = setup("letter");
-        let mut ctx = context(&fx, Detail::Sampled(1));
-        let mut tiny = ctx.device.clone();
-        tiny.shared_mem_per_block = 256;
-        tiny.shared_mem_per_sm = 256;
-        ctx.device = &tiny;
-        let ranked = rank(&ctx, &inputs, &hw);
-        assert!(ranked.iter().all(|p| p.strategy != Strategy::SharedForest));
-        // Shared data and direct always remain.
-        assert!(ranked.len() >= 2);
     }
 
     #[test]

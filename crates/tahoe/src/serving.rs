@@ -224,9 +224,7 @@ impl ServingReport {
 /// Arrival instant and policy-ready dispatch instant of the batch whose
 /// oldest request is `first`: the batch is ready once either `max_batch`
 /// requests have arrived or the oldest one hits its deadline (never before
-/// it arrives). Shared verbatim by the single-engine and cluster
-/// dispatchers so a 1-device cluster reproduces [`ServingSim`]'s floats
-/// bit-for-bit.
+/// it arrives).
 fn batch_ready_at(
     first: usize,
     n_requests: usize,
@@ -364,8 +362,6 @@ struct BatchPathCtx {
 /// critical-path components sum to it bitwise in the flight-recorder export
 /// (DESIGN.md §2.15). Each component is non-negative: `dispatch_at ≥
 /// ready_at` and rounding is monotone, so `fl(dispatch − arrival) ≥ form`.
-/// Shared verbatim by the single-engine and cluster dispatchers so a
-/// 1-device cluster reproduces [`ServingSim`]'s floats bit-for-bit.
 /// Records land in `sink` only when it is enabled; the latency arithmetic
 /// runs either way.
 fn record_request_paths(
@@ -445,90 +441,17 @@ impl<'e> ServingSim<'e> {
         interarrival_ns: f64,
         deadline_ns: Option<f64>,
     ) -> ServingReport {
-        assert!(samples.n_samples() > 0, "need request payloads");
-        assert!(n_requests > 0, "need at least one request");
-        self.policy.validate();
-        let n_payloads = samples.n_samples();
         let sink = self.engine.telemetry().clone();
-        sink.name_process(PID_SERVING, "serving");
-        let mut batches = Vec::new();
-        let mut latencies = vec![0.0f64; n_requests];
-        let mut gpu_free_at = 0.0f64;
-        let mut next_request = 0usize;
-        while next_request < n_requests {
-            // Collect the next batch: wait until either max_batch requests
-            // have arrived, or the oldest waiting request hits the deadline
-            // (whichever dispatch instant is earliest once the GPU is free).
-            let first = next_request;
-            let (first_arrival, ready_at) =
-                batch_ready_at(first, n_requests, interarrival_ns, &self.policy);
-            // The policy is ready to dispatch at `ready_at`; an earlier batch
-            // still on the GPU delays the actual dispatch past it.
-            let dispatch_at = ready_at.max(gpu_free_at);
-            // Everything that has arrived by the dispatch instant (capped at
-            // max_batch) rides this batch.
-            let last_arrived = last_arrival_by(dispatch_at, first, n_requests, interarrival_ns);
-            let last = (last_arrived + 1).min(first + self.policy.max_batch);
-            let size = last - first;
-            let rows: Vec<usize> = (first..last).map(|r| r % n_payloads).collect();
-            let batch = samples.select(&rows);
-            // Pin the engine's simulated clock to the dispatch instant so the
-            // batch's kernel/engine spans land where the batch actually ran.
-            self.engine.set_sim_clock_ns(dispatch_at);
-            let result = self.engine.infer(&batch);
-            let gpu_ns = result.run.kernel.total_ns;
-            let finished_at = dispatch_at + gpu_ns;
-            sink.add(Counter::ServingBatches, 1);
-            sink.add(Counter::ServingRequests, size as u64);
-            let record = BatchRecord {
-                size,
-                dispatched_at_ns: dispatch_at,
-                gpu_ns,
-                strategy: result.strategy,
-                chunks: result.chunks,
-                mem_in_use_bytes: result.mem_in_use_bytes,
-            };
-            batch_spans(&sink, batches.len(), &record, first_arrival, ready_at);
-            batch_timeseries(&sink, &record, ready_at);
-            sink.ts_gauge(
-                0,
-                timeseries::QUEUE_DEPTH,
-                dispatch_at,
-                (last_arrived + 1 - last) as f64,
-            );
-            record_request_paths(
-                &sink,
-                &mut latencies,
-                first,
-                last,
-                interarrival_ns,
-                &BatchPathCtx {
-                    ready_at,
-                    dispatch_at,
-                    gpu_ns,
-                    reduction_ns: result.run.kernel.block_reduction_wall_ns
-                        + result.run.kernel.global_reduction_ns,
-                    batch: batches.len() as u64,
-                    device: 0,
-                },
-            );
-            request_windows(&sink, &latencies, first, last, finished_at, deadline_ns);
-            batches.push(record);
-            gpu_free_at = finished_at;
-            next_request = last;
-        }
-        // Request latencies feed the profiler's serving histogram; recorded
-        // once from this (caller) thread, so the export stays deterministic.
-        if sink.is_enabled() {
-            sink.record_serving_latencies(&latencies);
-        }
-        ServingReport::new(
-            batches,
-            latencies,
-            gpu_free_at,
-            self.engine.memory().high_water_bytes(),
+        dispatch(
+            std::slice::from_mut(self.engine),
+            &sink,
+            &self.policy,
+            samples,
+            n_requests,
+            interarrival_ns,
+            deadline_ns,
         )
-        .with_deadline(deadline_ns)
+        .report
     }
 }
 
@@ -565,10 +488,10 @@ pub struct ClusterServingReport {
 
 /// Multi-GPU serving: one batching queue feeding N device engines.
 ///
-/// Batch formation follows the same policy arithmetic as [`ServingSim`];
-/// each ready batch is dispatched to the device that frees up earliest,
-/// with the lowest index winning ties — a deterministic rule, so the
-/// device assignment is a pure function of the trace. Devices execute
+/// Runs the same serving loop as [`ServingSim`]: each ready batch is
+/// dispatched to the device that frees up earliest, with the lowest index
+/// winning ties — a deterministic rule, so the device assignment is a pure
+/// function of the trace. Devices execute
 /// batches concurrently on the simulated timeline (each tracks its own
 /// `free_at` clock) while the simulation itself stays sequential on the
 /// caller thread.
@@ -623,126 +546,164 @@ impl<'c> ClusterServingSim<'c> {
         interarrival_ns: f64,
         deadline_ns: Option<f64>,
     ) -> ClusterServingReport {
-        assert!(samples.n_samples() > 0, "need request payloads");
-        assert!(n_requests > 0, "need at least one request");
-        self.policy.validate();
-        let n_payloads = samples.n_samples();
-        let n_devices = self.cluster.n_devices();
-        for d in 0..n_devices {
-            self.cluster.device_sink(d).name_process(PID_SERVING, "serving");
-        }
-        let mut batches = Vec::new();
-        let mut batch_devices = Vec::new();
-        let mut latencies = vec![0.0f64; n_requests];
-        let mut free_at = vec![0.0f64; n_devices];
-        let mut dev_batches = vec![0usize; n_devices];
-        let mut dev_requests = vec![0usize; n_devices];
-        let mut dev_busy_ns = vec![0.0f64; n_devices];
-        let mut next_request = 0usize;
-        while next_request < n_requests {
-            let first = next_request;
-            let (first_arrival, ready_at) =
-                batch_ready_at(first, n_requests, interarrival_ns, &self.policy);
-            // Earliest-free device; ascending scan with strict `<` keeps the
-            // lowest index on ties, so the assignment is deterministic.
-            let mut dev = 0usize;
-            for (i, &f) in free_at.iter().enumerate().skip(1) {
-                if f < free_at[dev] {
-                    dev = i;
-                }
-            }
-            let dispatch_at = ready_at.max(free_at[dev]);
-            let last_arrived = last_arrival_by(dispatch_at, first, n_requests, interarrival_ns);
-            let last = (last_arrived + 1).min(first + self.policy.max_batch);
-            let size = last - first;
-            let rows: Vec<usize> = (first..last).map(|r| r % n_payloads).collect();
-            let batch = samples.select(&rows);
-            let engine = self.cluster.engine_mut(dev);
-            engine.set_sim_clock_ns(dispatch_at);
-            let result = engine.infer(&batch);
-            let gpu_ns = result.run.kernel.total_ns;
-            let finished_at = dispatch_at + gpu_ns;
-            let dsink = self.cluster.device_sink(dev);
-            dsink.add(Counter::ServingBatches, 1);
-            dsink.add(Counter::ServingRequests, size as u64);
-            let record = BatchRecord {
-                size,
-                dispatched_at_ns: dispatch_at,
-                gpu_ns,
-                strategy: result.strategy,
-                chunks: result.chunks,
-                mem_in_use_bytes: result.mem_in_use_bytes,
-            };
-            batch_spans(dsink, batches.len(), &record, first_arrival, ready_at);
-            batch_timeseries(dsink, &record, ready_at);
-            self.cluster.telemetry().ts_gauge(
-                0,
-                timeseries::QUEUE_DEPTH,
-                dispatch_at,
-                (last_arrived + 1 - last) as f64,
-            );
-            // Request paths are a queue-level statistic like the latency
-            // windows: recorded into the cluster sink with an explicit
-            // device index, in global dispatch order.
-            record_request_paths(
-                self.cluster.telemetry(),
-                &mut latencies,
-                first,
-                last,
-                interarrival_ns,
-                &BatchPathCtx {
-                    ready_at,
-                    dispatch_at,
-                    gpu_ns,
-                    reduction_ns: result.run.kernel.block_reduction_wall_ns
-                        + result.run.kernel.global_reduction_ns,
-                    batch: batches.len() as u64,
-                    device: dev as u32,
-                },
-            );
-            request_windows(
-                self.cluster.telemetry(),
-                &latencies,
-                first,
-                last,
-                finished_at,
-                deadline_ns,
-            );
-            batches.push(record);
-            batch_devices.push(dev);
-            dev_batches[dev] += 1;
-            dev_requests[dev] += size;
-            dev_busy_ns[dev] += gpu_ns;
-            free_at[dev] = finished_at;
-            next_request = last;
-        }
-        let makespan_ns = free_at.iter().copied().fold(0.0f64, f64::max);
-        // Latencies are a cluster-level statistic: recorded once into the
-        // cluster sink (after the device absorb below they sit next to the
-        // devices' kernel histograms in one export).
-        if self.cluster.telemetry().is_enabled() {
-            self.cluster.telemetry().record_serving_latencies(&latencies);
-        }
+        let sink = self.cluster.telemetry().clone();
+        let report = dispatch(
+            self.cluster.engines_mut(),
+            &sink,
+            &self.policy,
+            samples,
+            n_requests,
+            interarrival_ns,
+            deadline_ns,
+        );
         self.cluster.flush_telemetry();
-        let per_device = (0..n_devices)
-            .map(|d| DeviceServingStats {
-                device: d,
-                device_name: self.cluster.engine(d).device().name.to_string(),
-                batches: dev_batches[d],
-                requests: dev_requests[d],
-                busy_ns: dev_busy_ns[d],
-                mem_high_water_bytes: self.cluster.engine(d).memory().high_water_bytes(),
-            })
-            .collect();
-        let mem_high_water_bytes: u64 = (0..n_devices)
-            .map(|d| self.cluster.engine(d).memory().high_water_bytes())
-            .sum();
-        ClusterServingReport {
-            report: ServingReport::new(batches, latencies, makespan_ns, mem_high_water_bytes)
-                .with_deadline(deadline_ns),
-            batch_devices,
-            per_device,
+        report
+    }
+}
+
+/// The serving loop shared by [`ServingSim`] (one engine) and
+/// [`ClusterServingSim`] (N engines): one batching queue feeding `engines`.
+///
+/// Each ready batch goes to the engine that frees up earliest, the lowest
+/// index winning ties. Device-level telemetry (serving counters, batch
+/// spans, dispatch series) lands in the executing engine's sink;
+/// queue-level telemetry (queue depth, request paths, latency and SLO
+/// windows, the serving-latency histogram) lands in `queue_sink`. A bare
+/// engine passes its own sink as `queue_sink`, so every event lands in one
+/// sink in dispatch order, and a 1-device cluster reproduces a bare
+/// engine's floats bit-for-bit.
+///
+/// # Panics
+///
+/// Panics if the sample matrix is empty, `n_requests == 0`, or the policy
+/// fails validation.
+fn dispatch(
+    engines: &mut [Engine],
+    queue_sink: &TelemetrySink,
+    policy: &BatchingPolicy,
+    samples: &SampleMatrix,
+    n_requests: usize,
+    interarrival_ns: f64,
+    deadline_ns: Option<f64>,
+) -> ClusterServingReport {
+    assert!(samples.n_samples() > 0, "need request payloads");
+    assert!(n_requests > 0, "need at least one request");
+    policy.validate();
+    let n_payloads = samples.n_samples();
+    let n_devices = engines.len();
+    for engine in engines.iter() {
+        engine.telemetry().name_process(PID_SERVING, "serving");
+    }
+    let mut batches = Vec::new();
+    let mut batch_devices = Vec::new();
+    let mut latencies = vec![0.0f64; n_requests];
+    let mut free_at = vec![0.0f64; n_devices];
+    let mut dev_batches = vec![0usize; n_devices];
+    let mut dev_requests = vec![0usize; n_devices];
+    let mut dev_busy_ns = vec![0.0f64; n_devices];
+    let mut next_request = 0usize;
+    while next_request < n_requests {
+        // Collect the next batch: wait until either max_batch requests have
+        // arrived, or the oldest waiting request hits the deadline.
+        let first = next_request;
+        let (first_arrival, ready_at) =
+            batch_ready_at(first, n_requests, interarrival_ns, policy);
+        // Earliest-free device; ascending scan with strict `<` keeps the
+        // lowest index on ties, so the assignment is deterministic.
+        let mut dev = 0usize;
+        for (i, &f) in free_at.iter().enumerate().skip(1) {
+            if f < free_at[dev] {
+                dev = i;
+            }
         }
+        // The policy is ready to dispatch at `ready_at`; an earlier batch
+        // still on the device delays the actual dispatch past it.
+        let dispatch_at = ready_at.max(free_at[dev]);
+        // Everything that has arrived by the dispatch instant (capped at
+        // max_batch) rides this batch.
+        let last_arrived = last_arrival_by(dispatch_at, first, n_requests, interarrival_ns);
+        let last = (last_arrived + 1).min(first + policy.max_batch);
+        let size = last - first;
+        let rows: Vec<usize> = (first..last).map(|r| r % n_payloads).collect();
+        let batch = samples.select(&rows);
+        // Pin the engine's simulated clock to the dispatch instant so the
+        // batch's kernel/engine spans land where the batch actually ran.
+        let engine = &mut engines[dev];
+        engine.set_sim_clock_ns(dispatch_at);
+        let result = engine.infer(&batch);
+        let gpu_ns = result.run.kernel.total_ns;
+        let finished_at = dispatch_at + gpu_ns;
+        let dsink = engine.telemetry();
+        dsink.add(Counter::ServingBatches, 1);
+        dsink.add(Counter::ServingRequests, size as u64);
+        let record = BatchRecord {
+            size,
+            dispatched_at_ns: dispatch_at,
+            gpu_ns,
+            strategy: result.strategy,
+            chunks: result.chunks,
+            mem_in_use_bytes: result.mem_in_use_bytes,
+        };
+        batch_spans(dsink, batches.len(), &record, first_arrival, ready_at);
+        batch_timeseries(dsink, &record, ready_at);
+        queue_sink.ts_gauge(
+            0,
+            timeseries::QUEUE_DEPTH,
+            dispatch_at,
+            (last_arrived + 1 - last) as f64,
+        );
+        // Request paths are a queue-level statistic like the latency
+        // windows: recorded with an explicit device index, in global
+        // dispatch order.
+        record_request_paths(
+            queue_sink,
+            &mut latencies,
+            first,
+            last,
+            interarrival_ns,
+            &BatchPathCtx {
+                ready_at,
+                dispatch_at,
+                gpu_ns,
+                reduction_ns: result.run.kernel.block_reduction_wall_ns
+                    + result.run.kernel.global_reduction_ns,
+                batch: batches.len() as u64,
+                device: dev as u32,
+            },
+        );
+        request_windows(queue_sink, &latencies, first, last, finished_at, deadline_ns);
+        batches.push(record);
+        batch_devices.push(dev);
+        dev_batches[dev] += 1;
+        dev_requests[dev] += size;
+        dev_busy_ns[dev] += gpu_ns;
+        free_at[dev] = finished_at;
+        next_request = last;
+    }
+    let makespan_ns = free_at.iter().copied().fold(0.0f64, f64::max);
+    // Request latencies feed the profiler's serving histogram; recorded once
+    // from this (caller) thread, so the export stays deterministic.
+    if queue_sink.is_enabled() {
+        queue_sink.record_serving_latencies(&latencies);
+    }
+    let per_device: Vec<DeviceServingStats> = engines
+        .iter()
+        .enumerate()
+        .map(|(d, engine)| DeviceServingStats {
+            device: d,
+            device_name: engine.device().name.to_string(),
+            batches: dev_batches[d],
+            requests: dev_requests[d],
+            busy_ns: dev_busy_ns[d],
+            mem_high_water_bytes: engine.memory().high_water_bytes(),
+        })
+        .collect();
+    let mem_high_water_bytes = per_device.iter().map(|d| d.mem_high_water_bytes).sum();
+    ClusterServingReport {
+        report: ServingReport::new(batches, latencies, makespan_ns, mem_high_water_bytes)
+            .with_deadline(deadline_ns),
+        batch_devices,
+        per_device,
     }
 }
 

@@ -3,13 +3,14 @@
 //!
 //! Block size trades occupancy against per-block resources: bigger blocks
 //! amortize staging and widen reductions; smaller blocks raise residency.
-//! The tuner evaluates the performance model over a candidate block-size
-//! ladder for each strategy and keeps the cheapest — the grid size follows
-//! from each strategy's geometry (one wave target, occupancy-aware).
+//! [`sweep`] evaluates the performance model over a candidate block-size
+//! ladder for every strategy — the grid size follows from each strategy's
+//! geometry (one wave target, occupancy-aware) — and [`Ladder::ranked`]
+//! keeps each strategy's cheapest rung.
 //!
 //! Repeat-serving workloads re-tune the same shape over and over, so the
-//! engine consults a [`TuningCache`] first (DESIGN.md §2.16): the full
-//! cheapest-first plan list is memoized under a [`cache_key`] covering
+//! engine consults a [`TuningCache`] first (DESIGN.md §2.16): the ladder is
+//! memoized under a [`cache_key`] covering
 //! everything selection depends on — node encoding, batch shape, device
 //! spec, simulation detail, and the calibration generation. The key follows
 //! the false-sharing discipline of `gpu-sim/src/memo.rs`: exact bit
@@ -30,90 +31,79 @@ use crate::strategy::{self, LaunchContext, Strategy};
 /// Candidate block sizes (whole warps; clamped to the device limit).
 pub const THREAD_CANDIDATES: [usize; 5] = [64, 128, 256, 512, 1024];
 
-/// The model-predicted best block size for one strategy, with its prediction.
-///
-/// Returns `None` when the strategy is infeasible on this context.
-#[must_use]
-pub fn tune_strategy(
-    strategy: Strategy,
-    ctx: &LaunchContext<'_>,
-    inputs: &ModelInputs,
-    hw: &MeasuredParams,
-) -> Option<(usize, Prediction)> {
-    tune_strategy_with(strategy, ctx, inputs, hw, None)
-}
-
-/// [`tune_strategy`] with an optional calibrator applied to every
-/// prediction before comparison, so calibrated corrections can re-order the
-/// block-size ladder, not just rescale the winner.
-#[must_use]
-pub fn tune_strategy_with(
-    strategy: Strategy,
-    ctx: &LaunchContext<'_>,
-    inputs: &ModelInputs,
-    hw: &MeasuredParams,
-    cal: Option<&Calibrator>,
-) -> Option<(usize, Prediction)> {
-    let mut best: Option<(usize, Prediction)> = None;
-    for &threads in &THREAD_CANDIDATES {
-        if threads > ctx.device.max_threads_per_block as usize {
-            continue;
-        }
-        let candidate = LaunchContext {
-            block_threads: threads,
-            ..*ctx
-        };
-        let Some(geometry) = strategy::geometry(strategy, &candidate) else {
-            continue;
-        };
-        let p = predict(strategy, inputs, hw, &geometry, ctx.device);
-        let p = cal.map_or(p, |c| c.apply(p));
-        if best
-            .as_ref()
-            .is_none_or(|(_, b)| p.total() < b.total())
-        {
-            best = Some((threads, p));
-        }
-    }
-    best
-}
-
-/// One audited sweep entry: a `(strategy, block size)` candidate with its
-/// prediction, or the reason the tuner skipped it.
-#[derive(Clone, Debug)]
-pub struct CandidateEval {
+/// One rung of the tuning ladder: a `(strategy, block size)` candidate with
+/// its *raw* (uncalibrated) prediction, or the reason the sweep rejected it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Rung {
     /// Strategy the candidate belongs to.
-    pub strategy: Strategy,
+    pub(crate) strategy: Strategy,
     /// Candidate threads per block.
-    pub block_threads: usize,
-    /// The model's prediction, or a static rejection reason.
-    pub outcome: Result<Prediction, &'static str>,
+    pub(crate) block_threads: usize,
+    /// The raw model prediction, or a static rejection reason.
+    pub(crate) outcome: Result<Prediction, &'static str>,
 }
 
-/// Replays the exact sweep [`tune_all`] performs — every strategy crossed
-/// with [`THREAD_CANDIDATES`], in that order — but keeps the rejected
-/// candidates with their reasons instead of dropping them. Feeds the
-/// decision audit (DESIGN.md §2.15); selection stays with `tune_all`, so
-/// this runs only when telemetry is recording.
-#[must_use]
-pub fn sweep_candidates(
-    ctx: &LaunchContext<'_>,
-    inputs: &ModelInputs,
-    hw: &MeasuredParams,
-) -> Vec<CandidateEval> {
-    sweep_candidates_with(ctx, inputs, hw, None)
+/// Every [`Strategy::ALL`] × [`THREAD_CANDIDATES`] candidate of one sweep,
+/// in sweep order (strategy-major, ascending block size).
+///
+/// The ladder is the one record of a tuning decision (DESIGN.md §2.15):
+/// selection ranks it ([`Ladder::ranked`]), the decision audit lists it, and
+/// the drift observation of a launch is its rung at the launched
+/// `(strategy, block size)` (`Ladder::raw`). Predictions are stored raw so
+/// one cached ladder serves every calibration of the same generation.
+#[derive(Clone, Debug)]
+pub struct Ladder {
+    rungs: Vec<Rung>,
 }
 
-/// [`sweep_candidates`] under an optional calibrator, so audited predictions
-/// match what the (possibly cached) selection actually compared.
+impl Ladder {
+    /// Every rung, in sweep order.
+    #[must_use]
+    pub(crate) fn rungs(&self) -> &[Rung] {
+        &self.rungs
+    }
+
+    /// The raw prediction at `(strategy, block_threads)`; `None` when that
+    /// candidate was rejected or is not a rung.
+    #[must_use]
+    pub(crate) fn raw(&self, strategy: Strategy, block_threads: usize) -> Option<Prediction> {
+        self.rungs
+            .iter()
+            .find(|r| r.strategy == strategy && r.block_threads == block_threads)
+            .and_then(|r| r.outcome.ok())
+    }
+
+    /// The selection: for each strategy with a feasible rung, the first
+    /// rung with the minimum total under `cal`, as `(strategy, block size,
+    /// calibrated prediction)` sorted cheapest-first.
+    #[must_use]
+    pub fn ranked(&self, cal: Option<&Calibrator>) -> Vec<(Strategy, usize, Prediction)> {
+        let mut out: Vec<(Strategy, usize, Prediction)> = Vec::new();
+        for rung in &self.rungs {
+            let Ok(raw) = rung.outcome else { continue };
+            let p = cal.map_or(raw, |c| c.apply(raw));
+            match out.iter_mut().find(|(s, _, _)| *s == rung.strategy) {
+                Some(best) if p.total() < best.2.total() => {
+                    *best = (rung.strategy, rung.block_threads, p);
+                }
+                Some(_) => {}
+                None => out.push((rung.strategy, rung.block_threads, p)),
+            }
+        }
+        // `total_cmp` keeps the sort total even when a prediction goes
+        // non-finite (a poisoned measured constant, a fitted scale gone
+        // wrong): NaN sorts last instead of panicking the engine mid-batch.
+        out.sort_by(|a, b| a.2.total().total_cmp(&b.2.total()));
+        out
+    }
+}
+
+/// Sweeps the performance model over every strategy crossed with
+/// [`THREAD_CANDIDATES`] (Algorithm 1 lines 8–14): the grid size follows
+/// from each strategy's geometry at the candidate block size.
 #[must_use]
-pub fn sweep_candidates_with(
-    ctx: &LaunchContext<'_>,
-    inputs: &ModelInputs,
-    hw: &MeasuredParams,
-    cal: Option<&Calibrator>,
-) -> Vec<CandidateEval> {
-    let mut out = Vec::with_capacity(Strategy::ALL.len() * THREAD_CANDIDATES.len());
+pub fn sweep(ctx: &LaunchContext<'_>, inputs: &ModelInputs, hw: &MeasuredParams) -> Ladder {
+    let mut rungs = Vec::with_capacity(Strategy::ALL.len() * THREAD_CANDIDATES.len());
     for strategy in Strategy::ALL {
         for &threads in &THREAD_CANDIDATES {
             let outcome = if threads > ctx.device.max_threads_per_block as usize {
@@ -123,32 +113,18 @@ pub fn sweep_candidates_with(
                     block_threads: threads,
                     ..*ctx
                 };
-                match strategy::geometry(strategy, &candidate) {
-                    Some(geometry) => {
-                        let p = predict(strategy, inputs, hw, &geometry, ctx.device);
-                        Ok(cal.map_or(p, |c| c.apply(p)))
-                    }
-                    None => Err("geometry infeasible"),
-                }
+                strategy::geometry(strategy, &candidate)
+                    .map(|geometry| predict(strategy, inputs, hw, &geometry, ctx.device))
+                    .ok_or("geometry infeasible")
             };
-            out.push(CandidateEval { strategy, block_threads: threads, outcome });
+            rungs.push(Rung { strategy, block_threads: threads, outcome });
         }
     }
-    out
+    Ladder { rungs }
 }
 
-/// Tunes every feasible strategy; returns `(strategy, block size,
-/// prediction)` triples sorted cheapest-first.
-#[must_use]
-pub fn tune_all(
-    ctx: &LaunchContext<'_>,
-    inputs: &ModelInputs,
-    hw: &MeasuredParams,
-) -> Vec<(Strategy, usize, Prediction)> {
-    tune_all_with(ctx, inputs, hw, None)
-}
-
-/// [`tune_all`] under an optional calibrator.
+/// [`sweep`] ranked under an optional calibrator: every feasible strategy's
+/// tuned `(strategy, block size, prediction)`, cheapest first.
 #[must_use]
 pub fn tune_all_with(
     ctx: &LaunchContext<'_>,
@@ -156,15 +132,7 @@ pub fn tune_all_with(
     hw: &MeasuredParams,
     cal: Option<&Calibrator>,
 ) -> Vec<(Strategy, usize, Prediction)> {
-    let mut out: Vec<(Strategy, usize, Prediction)> = Strategy::ALL
-        .into_iter()
-        .filter_map(|s| tune_strategy_with(s, ctx, inputs, hw, cal).map(|(t, p)| (s, t, p)))
-        .collect();
-    // `total_cmp` keeps the sort total even when a prediction goes
-    // non-finite (a poisoned measured constant, a fitted scale gone wrong):
-    // NaN sorts last instead of panicking the engine mid-batch.
-    out.sort_by(|a, b| a.2.total().total_cmp(&b.2.total()));
-    out
+    sweep(ctx, inputs, hw).ranked(cal)
 }
 
 /// Process-wide tuning-cache override: 0 = unset, 1 = forced off,
@@ -233,7 +201,8 @@ fn parse_cache_env(raw: &str) -> Result<Option<bool>, ()> {
     Err(())
 }
 
-/// Fingerprints everything `tune_all` depends on for one engine batch.
+/// Fingerprints everything [`sweep`] and its ranking depend on for one
+/// engine batch.
 ///
 /// Key material, in stream order:
 ///
@@ -318,7 +287,7 @@ pub fn cache_key(
     h.finish()
 }
 
-/// Memoized `tune_all` results, one entry per distinct [`cache_key`].
+/// Memoized [`sweep`] ladders, one entry per distinct [`cache_key`].
 ///
 /// Owned per engine (never shared across devices — replicas get a fresh
 /// cache because their downclocked specs differ), consulted and filled only
@@ -326,7 +295,7 @@ pub fn cache_key(
 /// rebuilt or the calibration generation bumps.
 #[derive(Clone, Debug, Default)]
 pub struct TuningCache {
-    entries: HashMap<BlockKey, Vec<(Strategy, usize, Prediction)>>,
+    entries: HashMap<BlockKey, Ladder>,
 }
 
 impl TuningCache {
@@ -336,15 +305,15 @@ impl TuningCache {
         Self::default()
     }
 
-    /// The cached plan list for `key`, if present.
+    /// The cached ladder for `key`, if present.
     #[must_use]
-    pub fn get(&self, key: &BlockKey) -> Option<&Vec<(Strategy, usize, Prediction)>> {
+    pub fn get(&self, key: &BlockKey) -> Option<&Ladder> {
         self.entries.get(key)
     }
 
-    /// Stores a plan list under `key`.
-    pub fn insert(&mut self, key: BlockKey, tuned: Vec<(Strategy, usize, Prediction)>) {
-        self.entries.insert(key, tuned);
+    /// Stores a ladder under `key`.
+    pub fn insert(&mut self, key: BlockKey, ladder: Ladder) {
+        self.entries.insert(key, ladder);
     }
 
     /// Drops every entry (forest rebuilt, or calibration generation bumped).
@@ -382,7 +351,7 @@ mod tests {
     fn tuned_threads_are_valid_block_sizes() {
         let (fx, inputs, hw) = setup();
         let ctx = context(&fx, Detail::Sampled(1));
-        for (s, threads, _) in tune_all(&ctx, &inputs, &hw) {
+        for (s, threads, _) in sweep(&ctx, &inputs, &hw).ranked(None) {
             assert!(THREAD_CANDIDATES.contains(&threads), "{s}: {threads}");
             assert!(threads <= fx.device.max_threads_per_block as usize);
         }
@@ -392,10 +361,7 @@ mod tests {
     fn tuned_prediction_never_worse_than_default() {
         let (fx, inputs, hw) = setup();
         let ctx = context(&fx, Detail::Sampled(1));
-        for s in Strategy::ALL {
-            let Some((_, tuned)) = tune_strategy(s, &ctx, &inputs, &hw) else {
-                continue;
-            };
+        for (s, _, tuned) in sweep(&ctx, &inputs, &hw).ranked(None) {
             let default_geo = strategy::geometry(s, &ctx).expect("feasible");
             let default = predict(s, &inputs, &hw, &default_geo, ctx.device);
             assert!(
@@ -408,10 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn tune_all_is_sorted_and_covers_feasible_strategies() {
+    fn ranking_is_sorted_and_covers_feasible_strategies() {
         let (fx, inputs, hw) = setup();
         let ctx = context(&fx, Detail::Sampled(1));
-        let tuned = tune_all(&ctx, &inputs, &hw);
+        let tuned = sweep(&ctx, &inputs, &hw).ranked(None);
         assert!(tuned.len() >= 2, "shared data and direct are always feasible");
         for w in tuned.windows(2) {
             assert!(w[0].2.total() <= w[1].2.total());
@@ -419,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_candidate_does_not_panic_tune_all() {
+    fn poisoned_candidate_does_not_panic_the_ranking() {
         // A NaN measured constant poisons every prediction that touches it.
         // Selection must survive: `total_cmp` sorts NaN totals last, so the
         // engine keeps running on whichever candidates stayed finite.
@@ -429,7 +395,7 @@ mod tests {
             lat_gmem: f64::NAN,
             ..hw
         };
-        let tuned = tune_all(&ctx, &inputs, &poisoned);
+        let tuned = sweep(&ctx, &inputs, &poisoned).ranked(None);
         assert!(!tuned.is_empty(), "the sweep itself must not panic");
         // NaN totals, if any, are ordered after every finite total.
         let first_nan = tuned
@@ -440,9 +406,6 @@ mod tests {
             tuned[first_nan..].iter().all(|(_, _, p)| p.total().is_nan()),
             "NaN predictions sort last"
         );
-        // The ranked sweep in perfmodel shares the fix.
-        let ranked = crate::perfmodel::rank(&ctx, &inputs, &poisoned);
-        assert!(!ranked.is_empty());
     }
 
     #[test]
@@ -450,44 +413,52 @@ mod tests {
         use crate::perfmodel::calibrate::RECALIBRATE_INTERVAL;
         let (fx, inputs, hw) = setup();
         let ctx = context(&fx, Detail::Sampled(1));
-        let baseline = tune_all(&ctx, &inputs, &hw);
+        let ladder = sweep(&ctx, &inputs, &hw);
         let mut cal = Calibrator::new();
         for _ in 0..RECALIBRATE_INTERVAL {
             cal.observe(Strategy::Direct, 100.0, 300.0);
         }
         assert!(cal.maybe_recalibrate());
         let calibrated = tune_all_with(&ctx, &inputs, &hw, Some(&cal));
-        let raw_direct = baseline
+        let (_, threads, scaled) = calibrated
             .iter()
             .find(|(s, _, _)| *s == Strategy::Direct)
-            .map(|(_, _, p)| p.total());
-        let cal_direct = calibrated
-            .iter()
-            .find(|(s, _, _)| *s == Strategy::Direct)
-            .map(|(_, _, p)| p.total());
-        if let (Some(raw), Some(scaled)) = (raw_direct, cal_direct) {
-            assert!(
-                (scaled - raw * cal.scale(Strategy::Direct)).abs() <= raw * 1e-9,
-                "calibrated total is the raw total times the fitted scale"
-            );
-        }
+            .copied()
+            .expect("direct is always feasible");
+        // The ladder keeps the raw rung; ranking applies the fitted scale.
+        let raw = ladder.raw(Strategy::Direct, threads).expect("tuned rung");
+        assert_eq!(
+            scaled.total().to_bits(),
+            cal.apply(raw).total().to_bits(),
+            "the ranked prediction is the calibrated rung"
+        );
+        assert!(
+            (scaled.total() - raw.total() * cal.scale(Strategy::Direct)).abs()
+                <= raw.total() * 1e-9,
+            "calibrated total is the raw total times the fitted scale"
+        );
     }
 
     #[test]
-    fn sweep_covers_the_full_ladder_and_agrees_with_tune_strategy() {
+    fn ranking_keeps_each_strategys_first_minimum_rung() {
         let (fx, inputs, hw) = setup();
         let ctx = context(&fx, Detail::Sampled(1));
-        let sweep = sweep_candidates(&ctx, &inputs, &hw);
-        assert_eq!(sweep.len(), Strategy::ALL.len() * THREAD_CANDIDATES.len());
+        let ladder = sweep(&ctx, &inputs, &hw);
+        assert_eq!(
+            ladder.rungs().len(),
+            Strategy::ALL.len() * THREAD_CANDIDATES.len()
+        );
+        let ranked = ladder.ranked(None);
         for s in Strategy::ALL {
-            let best = sweep
+            let best = ladder
+                .rungs()
                 .iter()
-                .filter(|c| c.strategy == s)
-                .filter_map(|c| c.outcome.as_ref().ok().map(|p| (c.block_threads, p)))
+                .filter(|r| r.strategy == s)
+                .filter_map(|r| r.outcome.ok().map(|p| (r.block_threads, p)))
                 .min_by(|a, b| a.1.total().total_cmp(&b.1.total()));
-            match tune_strategy(s, &ctx, &inputs, &hw) {
-                Some((threads, p)) => {
-                    let (bt, bp) = best.expect("tuned strategy must have feasible candidates");
+            match ranked.iter().find(|(rs, _, _)| *rs == s) {
+                Some(&(_, threads, p)) => {
+                    let (bt, bp) = best.expect("ranked strategy must have feasible rungs");
                     assert_eq!(bt, threads, "{s}");
                     assert_eq!(bp.total().to_bits(), p.total().to_bits(), "{s}");
                 }
@@ -505,26 +476,23 @@ mod tests {
         tiny.shared_mem_per_sm = 64;
         tiny.max_threads_per_block = 512;
         ctx.device = &tiny;
-        let sweep = sweep_candidates(&ctx, &inputs, &hw);
-        assert!(sweep
+        let ladder = sweep(&ctx, &inputs, &hw);
+        assert!(ladder
+            .rungs()
             .iter()
-            .filter(|c| c.block_threads > 512)
-            .all(|c| c.outcome == Err("exceeds max threads per block")));
-        assert!(sweep
+            .filter(|r| r.block_threads > 512)
+            .all(|r| r.outcome.err() == Some("exceeds max threads per block")));
+        assert!(ladder
+            .rungs()
             .iter()
-            .filter(|c| c.strategy == Strategy::SharedForest && c.block_threads <= 512)
-            .all(|c| c.outcome == Err("geometry infeasible")));
-    }
-
-    #[test]
-    fn infeasible_strategy_returns_none() {
-        let (fx, inputs, hw) = setup();
-        let mut ctx = context(&fx, Detail::Sampled(1));
-        let mut tiny = ctx.device.clone();
-        tiny.shared_mem_per_block = 64;
-        tiny.shared_mem_per_sm = 64;
-        ctx.device = &tiny;
-        assert!(tune_strategy(Strategy::SharedForest, &ctx, &inputs, &hw).is_none());
+            .filter(|r| r.strategy == Strategy::SharedForest && r.block_threads <= 512)
+            .all(|r| r.outcome.err() == Some("geometry infeasible")));
+        // A rejected strategy has no raw rung and never enters the ranking.
+        assert!(ladder.raw(Strategy::SharedForest, 256).is_none());
+        assert!(ladder
+            .ranked(None)
+            .iter()
+            .all(|(s, _, _)| *s != Strategy::SharedForest));
     }
 
     #[test]

@@ -8,6 +8,10 @@ set -eu
 cargo build --workspace --release
 cargo clippy --workspace --all-targets --release -- -D warnings
 cargo test --workspace --release
+# The benchmark (bench-ledger/, run by BENCHMARK.json) is a workspace of its
+# own that nothing above compiles; build it and run its toy-size tests so an
+# API change in the crates it drives fails here, not in the benchmark run.
+cargo test --release --offline --manifest-path bench-ledger/Cargo.toml
 
 # The parallel block-simulation driver must be bit-identical at any worker
 # count and with the block-memo cache on or off (DESIGN.md §2.12); exercise
@@ -108,8 +112,8 @@ grep -q '"calibration_generation"' "$FIG9_W1/serve_decisions.json"
 # Closed tuning loop (DESIGN.md §2.16). Warm (cache on, the default) vs
 # cold (TAHOE_TUNE_CACHE=0) decision exports may differ only in the
 # per-record cache_hit flags: with those lines stripped the two files must
-# be byte-identical — the cache replays the exact tune_all output, it never
-# re-derives it.
+# be byte-identical — the cache replays the exact tune::sweep ladder, it
+# never re-derives it.
 TUNE_TMP=$(mktemp -d)
 TAHOE_TUNE_CACHE=1 cargo run --release --bin tahoe-cli -- serve \
     --data letter --scale smoke --model "$FIG9_W1/model.json" \

@@ -3,7 +3,7 @@
 //! `decisions_json()` is a public payload (`--decisions <path>` on every
 //! bench binary and `tahoe-cli infer|bench|serve`, plus `tahoe-cli explain`
 //! and `report_md`'s worst-p99 attribution): every decision record must carry
-//! the pinned keys and the complete candidate ladder `tune_all` swept; every
+//! the pinned keys and the complete ladder `tune::sweep` costed; every
 //! request-path record's components must sum bitwise to the request's
 //! end-to-end latency; the export must survive a serde round-trip unchanged;
 //! and a `Disabled` sink must store nothing.
@@ -11,6 +11,7 @@
 use serde_json::Value;
 use tahoe::engine::{Engine, EngineOptions};
 use tahoe::serving::{BatchingPolicy, ServingReport, ServingSim};
+use tahoe::strategy::common::THREADS_PER_BLOCK;
 use tahoe::strategy::testutil::Fixture;
 use tahoe::strategy::Strategy;
 use tahoe::telemetry::TelemetrySink;
@@ -48,15 +49,64 @@ fn served_run() -> (TelemetrySink, ServingReport) {
     (sink, report)
 }
 
+/// Recorded runs whose launched plan is *not* the tuned winner, with the
+/// `forced` flag each decision must carry: a `model_selection: false` engine
+/// (fixed shared data at [`THREADS_PER_BLOCK`]), and a tuned engine whose
+/// second batch is forced onto a strategy the model did not pick.
+fn off_tuned_path_runs() -> Vec<(TelemetrySink, Vec<bool>)> {
+    let fx = Fixture::trained("letter");
+    let untuned = TelemetrySink::recording();
+    let options = EngineOptions {
+        model_selection: false,
+        ..EngineOptions::tahoe()
+    };
+    let mut engine = Engine::with_telemetry(
+        DeviceSpec::tesla_p100(),
+        fx.forest.clone(),
+        options,
+        untuned.clone(),
+    );
+    let r = engine.infer(&fx.samples);
+    assert_eq!(r.strategy, Strategy::SharedData);
+    let d = &untuned.decisions().decisions[0];
+    assert_eq!(d.chosen_block_threads, THREADS_PER_BLOCK as u64);
+
+    let forced = TelemetrySink::recording();
+    let mut engine = Engine::with_telemetry(
+        DeviceSpec::tesla_p100(),
+        fx.forest.clone(),
+        EngineOptions::tahoe(),
+        forced.clone(),
+    );
+    let winner = engine.infer(&fx.samples).strategy;
+    // Direct and shared data are always feasible, so one of them loses.
+    let loser = if winner == Strategy::Direct {
+        Strategy::SharedData
+    } else {
+        Strategy::Direct
+    };
+    assert_eq!(engine.infer_with(&fx.samples, Some(loser)).strategy, loser);
+    vec![(untuned, vec![false]), (forced, vec![false, true])]
+}
+
 #[test]
 fn decisions_export_matches_the_golden_schema() {
-    let sink = recorded_run();
+    let runs = std::iter::once((recorded_run(), vec![false])).chain(off_tuned_path_runs());
+    for (sink, forced) in runs {
+        check_golden_schema(&sink, &forced);
+    }
+}
+
+/// The golden-schema checks on one recorded sink whose decisions carry the
+/// given `forced` flags, in order.
+fn check_golden_schema(sink: &TelemetrySink, forced: &[bool]) {
     let text = sink.decisions_json();
     let doc: Value = serde_json::from_str(&text).expect("decisions are valid JSON");
 
     let decisions = doc["decisions"].as_array().expect("decisions array");
-    assert!(!decisions.is_empty(), "an engine run must record a decision");
-    for d in decisions {
+    assert_eq!(decisions.len(), forced.len(), "one decision per batch");
+    for (d, &forced) in decisions.iter().zip(forced) {
+        assert_eq!(d["forced"].as_bool(), Some(forced), "forced flag: {d:?}");
         for key in [
             "device",
             "batch",
@@ -122,7 +172,7 @@ fn decision_drift_fields_are_internally_consistent() {
     assert_eq!(
         export.decisions.len(),
         drift.len(),
-        "one decision per drift record — they are written together"
+        "one drift record per decision — drift is read back from them"
     );
     for (d, dr) in export.decisions.iter().zip(&drift) {
         assert_eq!(d.chosen_strategy, dr.strategy);

@@ -12,6 +12,7 @@ use tahoe_repro::datasets::{DatasetSpec, Scale, SampleMatrix};
 use tahoe_repro::engine::engine::{Engine, EngineOptions, NodeEncodingChoice};
 use tahoe_repro::engine::serving::{BatchingPolicy, ServingSim};
 use tahoe_repro::engine::strategy::Strategy;
+use tahoe_repro::engine::telemetry::TelemetrySink;
 use tahoe_repro::forest::{predict_dataset, train_for_spec, Forest};
 use tahoe_repro::gpu::device::DeviceSpec;
 
@@ -178,6 +179,16 @@ fn allocations_respect_dram_on_every_paper_device() {
 /// the probe engine measures the image's aligned span on a full-size device
 /// first.
 fn tiny_dram_engine(forest: &Forest, margin: u64, functional: bool) -> Engine {
+    tiny_dram_engine_recording(forest, margin, functional, TelemetrySink::Disabled)
+}
+
+/// [`tiny_dram_engine`] recording into `sink`.
+fn tiny_dram_engine_recording(
+    forest: &Forest,
+    margin: u64,
+    functional: bool,
+    sink: TelemetrySink,
+) -> Engine {
     let probe = Engine::tahoe(DeviceSpec::tesla_p100(), forest.clone());
     let image_span = probe.memory().in_use_bytes();
     let mut device = DeviceSpec::tesla_p100();
@@ -186,7 +197,7 @@ fn tiny_dram_engine(forest: &Forest, margin: u64, functional: bool) -> Engine {
         functional,
         ..EngineOptions::tahoe()
     };
-    Engine::new(device, forest.clone(), options)
+    Engine::with_telemetry(device, forest.clone(), options, sink)
 }
 
 #[test]
@@ -248,4 +259,28 @@ fn chunked_serving_still_serves_every_request() {
     // must have split, and the report surfaces it.
     assert!(report.split_batches() > 0);
     assert!(report.mem_high_water_bytes <= engine.memory().capacity_bytes());
+}
+
+#[test]
+fn chunks_of_an_unforced_batch_are_not_recorded_as_forced() {
+    // Later chunks are pinned to the first chunk's strategy so the merged
+    // result is coherent, but `forced` means "forced by the caller": only a
+    // caller-forced batch may record it.
+    let (forest, samples) = setup("letter");
+    let sink = TelemetrySink::recording();
+    let mut engine = tiny_dram_engine_recording(&forest, 2_048, false, sink.clone());
+    let result = engine.infer(&samples);
+    assert!(result.chunks > 1, "the batch must split");
+    let decisions = sink.decisions().decisions;
+    assert_eq!(decisions.len(), result.chunks, "one decision per chunk");
+    for d in &decisions {
+        assert!(!d.forced, "chunk {} of an unforced batch marked forced", d.batch);
+        assert_eq!(d.chosen_strategy, result.strategy.name(), "chunks share a strategy");
+    }
+    // A caller-forced batch records every chunk as forced.
+    let forced = engine.infer_with(&samples, Some(Strategy::Direct));
+    assert!(forced.chunks > 1);
+    let decisions = sink.decisions().decisions;
+    assert_eq!(decisions.len(), result.chunks + forced.chunks);
+    assert!(decisions[result.chunks..].iter().all(|d| d.forced));
 }

@@ -1,12 +1,13 @@
 //! Model-vs-simulator drift gate (DESIGN.md §2.10).
 //!
-//! The engine replays every launch through the §6 performance model and
-//! records a `DriftRecord` (predicted vs. simulated total time). The model
-//! is an analytic approximation, so it will not match the trace simulator
-//! exactly — but if it drifts past ~50% the strategy ranking it drives
-//! becomes untrustworthy, so this test pins a coarse agreement bound on the
-//! smoke-scale forests. Observed drift at the time of writing is 3–16%;
-//! the 50% tolerance leaves room for model retuning without flakiness.
+//! Every launch's `DriftRecord` pairs the §6 performance model's prediction
+//! for the launched plan (its tuning-ladder rung) with the simulated total
+//! time. The model is an analytic approximation, so it will not match the
+//! trace simulator exactly — but if it drifts past ~50% the strategy
+//! ranking it drives becomes untrustworthy, so this test pins a coarse
+//! agreement bound on the smoke-scale forests. Observed drift at the time
+//! of writing is 3–16%; the 50% tolerance leaves room for model retuning
+//! without flakiness.
 
 use tahoe::engine::{Engine, EngineOptions};
 use tahoe::strategy::{testutil::Fixture, Strategy};

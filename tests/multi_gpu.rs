@@ -7,6 +7,7 @@ use tahoe::cluster::GpuCluster;
 use tahoe::engine::{Engine, EngineOptions};
 use tahoe::serving::{BatchingPolicy, ClusterServingSim, ServingSim};
 use tahoe::strategy::testutil::Fixture;
+use tahoe::telemetry::TelemetrySink;
 use tahoe_forest::predict_dataset;
 use tahoe_gpu_sim::device::DeviceSpec;
 
@@ -81,11 +82,23 @@ fn one_device_cluster_reproduces_single_engine_serving_exactly() {
     let n_requests = 400;
     let interarrival_ns = 150.0;
 
-    let mut engine = Engine::new(device.clone(), fx.forest.clone(), EngineOptions::tahoe());
+    let engine_sink = TelemetrySink::recording();
+    let mut engine = Engine::with_telemetry(
+        device.clone(),
+        fx.forest.clone(),
+        EngineOptions::tahoe(),
+        engine_sink.clone(),
+    );
     let single = ServingSim::new(&mut engine, policy)
         .run_uniform_trace(&fx.samples, n_requests, interarrival_ns);
 
-    let mut cluster = GpuCluster::homogeneous(&device, 1, &fx.forest, EngineOptions::tahoe());
+    let cluster_sink = TelemetrySink::recording();
+    let mut cluster = GpuCluster::with_telemetry(
+        vec![device],
+        &fx.forest,
+        EngineOptions::tahoe(),
+        cluster_sink.clone(),
+    );
     let clustered = ClusterServingSim::new(&mut cluster, policy)
         .run_uniform_trace(&fx.samples, n_requests, interarrival_ns);
 
@@ -110,6 +123,11 @@ fn one_device_cluster_reproduces_single_engine_serving_exactly() {
         "memory high water"
     );
     assert!(clustered.batch_devices.iter().all(|&d| d == 0));
+    // Both run one serving loop, so the flushed 1-device cluster's flight
+    // recorder is byte-identical to the bare engine's.
+    let decisions = engine_sink.decisions_json();
+    assert!(decisions.contains("\"chosen_strategy\""), "decisions were recorded");
+    assert_eq!(cluster_sink.decisions_json(), decisions, "decisions export");
 }
 
 /// Device assignment is a pure function of the trace: replaying the same

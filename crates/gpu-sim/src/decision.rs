@@ -140,6 +140,11 @@ impl DecisionStore {
         }));
     }
 
+    /// The recorded request paths, in record order.
+    pub(crate) fn requests(&self) -> &[RequestPathRecord] {
+        &self.requests
+    }
+
     fn export(&self) -> DecisionsExport {
         DecisionsExport {
             decisions: self.decisions.clone(),

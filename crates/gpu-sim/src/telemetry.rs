@@ -38,6 +38,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use serde_json::{Number, Value};
 
 /// Chrome-trace process id for simulated-GPU spans (kernel/block/warp).
 pub const PID_GPU: u32 = 1;
@@ -438,6 +439,24 @@ impl TelemetrySink {
         }
     }
 
+    /// Snapshot of the recorded spans, in record order (empty when disabled).
+    #[must_use]
+    pub fn spans(&self) -> Vec<SpanEvent> {
+        match self {
+            TelemetrySink::Disabled => Vec::new(),
+            TelemetrySink::Recording(inner) => inner.spans.lock().clone(),
+        }
+    }
+
+    /// Snapshot of the named process tracks (empty when disabled).
+    #[must_use]
+    pub fn process_names(&self) -> BTreeMap<u32, String> {
+        match self {
+            TelemetrySink::Disabled => BTreeMap::new(),
+            TelemetrySink::Recording(inner) => inner.process_names.lock().clone(),
+        }
+    }
+
     /// Current value of one counter (0 when disabled).
     #[must_use]
     pub fn counter_value(&self, c: Counter) -> u64 {
@@ -566,117 +585,163 @@ impl TelemetrySink {
     /// into the executing device's batch-execute track. Pure functions of
     /// the recorded [`crate::decision::RequestPathRecord`]s, so the same
     /// byte-identity guarantee applies.
+    ///
+    /// The document is streamed: each event is formed as one small
+    /// [`serde_json::Value`], pretty-printed and appended at once, so the
+    /// export's memory is the output text itself, not a whole-document
+    /// value tree several times its size. The bytes are what pretty-printing
+    /// the whole `{"traceEvents": [...], "displayTimeUnit": "ns"}` document
+    /// gives (`tests/telemetry_schema.rs` pins the equality).
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
-        let timeseries = self.timeseries();
-        let decisions = self.decisions();
-        let (mut spans, names) = match self {
-            TelemetrySink::Disabled => (Vec::new(), BTreeMap::new()),
-            TelemetrySink::Recording(inner) => {
-                (inner.spans.lock().clone(), inner.process_names.lock().clone())
+        let mut out = TraceWriter::default();
+        if let TelemetrySink::Recording(inner) = self {
+            let timeseries = self.timeseries();
+            let names = inner.process_names.lock();
+            let recorded = inner.spans.lock();
+            let mut spans: Vec<&SpanEvent> = recorded.iter().collect();
+            spans.sort_by(|a, b| {
+                (a.pid, a.tid)
+                    .cmp(&(b.pid, b.tid))
+                    .then(a.start_ns.total_cmp(&b.start_ns))
+                    .then(b.dur_ns.total_cmp(&a.dur_ns))
+            });
+            for (pid, name) in names.iter() {
+                out.event(vec![
+                    ("ph", str_val("M")),
+                    ("ts", num(0.0)),
+                    ("pid", uint(u64::from(*pid))),
+                    ("tid", uint(0)),
+                    ("name", str_val("process_name")),
+                    ("args", Value::Object(vec![("name".into(), str_val(name))])),
+                ]);
             }
-        };
-        spans.sort_by(|a, b| {
-            (a.pid, a.tid)
-                .cmp(&(b.pid, b.tid))
-                .then(a.start_ns.total_cmp(&b.start_ns))
-                .then(b.dur_ns.total_cmp(&a.dur_ns))
-        });
-        use serde_json::{Number, Value};
-        let str_val = |s: &str| Value::String(s.to_string());
-        let num = |x: f64| Value::Number(Number::Float(x));
-        let uint = |x: u64| Value::Number(Number::PosInt(x));
-        let mut events = Vec::with_capacity(spans.len() + names.len());
-        for (pid, name) in &names {
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("M")),
-                ("ts".into(), num(0.0)),
-                ("pid".into(), uint(u64::from(*pid))),
-                ("tid".into(), uint(0)),
-                ("name".into(), str_val("process_name")),
-                (
-                    "args".into(),
-                    Value::Object(vec![("name".into(), str_val(name))]),
-                ),
-            ]));
-        }
-        for s in &spans {
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("X")),
-                ("ts".into(), num(s.start_ns / 1_000.0)),
-                ("dur".into(), num(s.dur_ns / 1_000.0)),
-                ("pid".into(), uint(u64::from(s.pid))),
-                ("tid".into(), uint(u64::from(s.tid))),
-                ("name".into(), str_val(&s.name)),
-            ]));
-        }
-        for series in &timeseries.series {
-            if crate::timeseries::is_memo_series(&series.name) {
-                continue;
+            for s in spans {
+                out.event(vec![
+                    ("ph", str_val("X")),
+                    ("ts", num(s.start_ns / 1_000.0)),
+                    ("dur", num(s.dur_ns / 1_000.0)),
+                    ("pid", uint(u64::from(s.pid))),
+                    ("tid", uint(u64::from(s.tid))),
+                    ("name", str_val(&s.name)),
+                ]);
             }
-            for p in &series.points {
-                events.push(Value::Object(vec![
-                    ("ph".into(), str_val("C")),
-                    ("ts".into(), num(p.start_ns as f64 / 1_000.0)),
-                    ("pid".into(), uint(u64::from(device_pid(PID_GPU, series.device as usize)))),
-                    ("tid".into(), uint(0)),
-                    ("name".into(), str_val(&series.name)),
-                    (
-                        "args".into(),
-                        Value::Object(vec![("value".into(), num(p.value))]),
-                    ),
-                ]));
+            for series in &timeseries.series {
+                if crate::timeseries::is_memo_series(&series.name) {
+                    continue;
+                }
+                let pid = u64::from(device_pid(PID_GPU, series.device as usize));
+                for p in &series.points {
+                    out.event(vec![
+                        ("ph", str_val("C")),
+                        ("ts", num(p.start_ns as f64 / 1_000.0)),
+                        ("pid", uint(pid)),
+                        ("tid", uint(0)),
+                        ("name", str_val(&series.name)),
+                        ("args", Value::Object(vec![("value".into(), num(p.value))])),
+                    ]);
+                }
             }
-        }
-        for r in &decisions.requests {
             let queue_pid = u64::from(device_pid(PID_SERVING, 0));
-            let exec_pid = u64::from(device_pid(PID_SERVING, r.device as usize));
-            let dispatch_ns = r.arrival_ns + r.form_ns + r.queue_ns;
-            let end_ns = r.arrival_ns + r.total_ns;
-            let name = format!("request {}", r.request);
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("b")),
-                ("cat".into(), str_val("request")),
-                ("id".into(), uint(r.request)),
-                ("ts".into(), num(r.arrival_ns / 1_000.0)),
-                ("pid".into(), uint(queue_pid)),
-                ("tid".into(), uint(0)),
-                ("name".into(), str_val(&name)),
-            ]));
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("e")),
-                ("cat".into(), str_val("request")),
-                ("id".into(), uint(r.request)),
-                ("ts".into(), num(end_ns / 1_000.0)),
-                ("pid".into(), uint(queue_pid)),
-                ("tid".into(), uint(0)),
-                ("name".into(), str_val(&name)),
-            ]));
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("s")),
-                ("id".into(), uint(r.request)),
-                ("ts".into(), num(r.arrival_ns / 1_000.0)),
-                ("pid".into(), uint(queue_pid)),
-                ("tid".into(), uint(0)),
-                ("name".into(), str_val("request path")),
-            ]));
-            events.push(Value::Object(vec![
-                ("ph".into(), str_val("f")),
-                ("bp".into(), str_val("e")),
-                ("id".into(), uint(r.request)),
-                ("ts".into(), num(dispatch_ns / 1_000.0)),
-                ("pid".into(), uint(exec_pid)),
-                ("tid".into(), uint(2)),
-                ("name".into(), str_val("request path")),
-            ]));
+            for r in inner.decisions.lock().requests() {
+                let exec_pid = u64::from(device_pid(PID_SERVING, r.device as usize));
+                let dispatch_ns = r.arrival_ns + r.form_ns + r.queue_ns;
+                let end_ns = r.arrival_ns + r.total_ns;
+                let name = format!("request {}", r.request);
+                for (ph, ts_ns) in [("b", r.arrival_ns), ("e", end_ns)] {
+                    out.event(vec![
+                        ("ph", str_val(ph)),
+                        ("cat", str_val("request")),
+                        ("id", uint(r.request)),
+                        ("ts", num(ts_ns / 1_000.0)),
+                        ("pid", uint(queue_pid)),
+                        ("tid", uint(0)),
+                        ("name", str_val(&name)),
+                    ]);
+                }
+                out.event(vec![
+                    ("ph", str_val("s")),
+                    ("id", uint(r.request)),
+                    ("ts", num(r.arrival_ns / 1_000.0)),
+                    ("pid", uint(queue_pid)),
+                    ("tid", uint(0)),
+                    ("name", str_val("request path")),
+                ]);
+                out.event(vec![
+                    ("ph", str_val("f")),
+                    ("bp", str_val("e")),
+                    ("id", uint(r.request)),
+                    ("ts", num(dispatch_ns / 1_000.0)),
+                    ("pid", uint(exec_pid)),
+                    ("tid", uint(2)),
+                    ("name", str_val("request path")),
+                ]);
+            }
         }
-        let doc = Value::Object(vec![
-            ("traceEvents".into(), Value::Array(events)),
-            ("displayTimeUnit".into(), str_val("ns")),
-        ]);
-        let mut text = serde_json::to_string_pretty(&doc).expect("trace serializes");
-        text.push('\n');
-        text
+        out.finish()
+    }
+}
+
+fn str_val(s: &str) -> Value {
+    Value::String(s.to_string())
+}
+
+fn num(x: f64) -> Value {
+    Value::Number(Number::Float(x))
+}
+
+fn uint(x: u64) -> Value {
+    Value::Number(Number::PosInt(x))
+}
+
+/// Streams a Chrome trace document one event at a time, writing the bytes
+/// `serde_json::to_string_pretty` gives for the whole document (plus a
+/// trailing newline).
+struct TraceWriter {
+    text: String,
+    events: usize,
+}
+
+impl Default for TraceWriter {
+    fn default() -> Self {
+        TraceWriter {
+            text: String::from("{\n  \"traceEvents\": ["),
+            events: 0,
+        }
+    }
+}
+
+impl TraceWriter {
+    /// Appends one event. It is printed at nesting level 0 and re-indented
+    /// to its level-2 place in the array; escaped strings never contain a
+    /// raw newline, so every `'\n'` is a line break of the printer's.
+    fn event(&mut self, fields: Vec<(&str, Value)>) {
+        let event = Value::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        );
+        let pretty = serde_json::to_string_pretty(&event).expect("trace event serializes");
+        self.text.push_str(if self.events == 0 {
+            "\n    "
+        } else {
+            ",\n    "
+        });
+        for (i, line) in pretty.split('\n').enumerate() {
+            if i > 0 {
+                self.text.push_str("\n    ");
+            }
+            self.text.push_str(line);
+        }
+        self.events += 1;
+    }
+
+    fn finish(mut self) -> String {
+        self.text
+            .push_str(if self.events == 0 { "]" } else { "\n  ]" });
+        self.text.push_str(",\n  \"displayTimeUnit\": \"ns\"\n}\n");
+        self.text
     }
 }
 

@@ -3,12 +3,17 @@
 //! The Chrome trace must stay loadable by `chrome://tracing` / Perfetto:
 //! every event carries the required keys, durations are non-negative, and
 //! events are ordered by start time within each (pid, tid) track. The
-//! metrics snapshot must survive a serde round-trip unchanged.
+//! streamed trace must equal, byte for byte, the whole-document tree it
+//! replaced. The metrics snapshot must survive a serde round-trip unchanged.
 
-use serde_json::Value;
+use serde_json::{Number, Value};
+use tahoe::cluster::GpuCluster;
 use tahoe::engine::{Engine, EngineOptions};
+use tahoe::serving::{BatchingPolicy, ClusterServingSim};
 use tahoe::strategy::testutil::Fixture;
-use tahoe::telemetry::{MetricsSnapshot, TelemetrySink};
+use tahoe::telemetry::{
+    device_pid, timeseries, MetricsSnapshot, TelemetrySink, PID_GPU, PID_SERVING,
+};
 use tahoe_gpu_sim::device::DeviceSpec;
 
 /// Runs one engine batch against a recording sink and returns it.
@@ -121,4 +126,200 @@ fn metrics_snapshot_round_trips_through_serde() {
         doc["span_count"].as_u64(),
         Some(snapshot.span_count as u64)
     );
+}
+
+/// The trace as one whole-document `Value` tree, pretty-printed in one go:
+/// the exporter's earlier implementation, kept as the byte-level reference
+/// for the streamed one.
+fn whole_tree_trace(sink: &TelemetrySink) -> String {
+    let timeseries = sink.timeseries();
+    let decisions = sink.decisions();
+    let names = sink.process_names();
+    let mut spans = sink.spans();
+    spans.sort_by(|a, b| {
+        (a.pid, a.tid)
+            .cmp(&(b.pid, b.tid))
+            .then(a.start_ns.total_cmp(&b.start_ns))
+            .then(b.dur_ns.total_cmp(&a.dur_ns))
+    });
+    let str_val = |s: &str| Value::String(s.to_string());
+    let num = |x: f64| Value::Number(Number::Float(x));
+    let uint = |x: u64| Value::Number(Number::PosInt(x));
+    let mut events = Vec::new();
+    for (pid, name) in &names {
+        events.push(Value::Object(vec![
+            ("ph".into(), str_val("M")),
+            ("ts".into(), num(0.0)),
+            ("pid".into(), uint(u64::from(*pid))),
+            ("tid".into(), uint(0)),
+            ("name".into(), str_val("process_name")),
+            (
+                "args".into(),
+                Value::Object(vec![("name".into(), str_val(name))]),
+            ),
+        ]));
+    }
+    for s in &spans {
+        events.push(Value::Object(vec![
+            ("ph".into(), str_val("X")),
+            ("ts".into(), num(s.start_ns / 1_000.0)),
+            ("dur".into(), num(s.dur_ns / 1_000.0)),
+            ("pid".into(), uint(u64::from(s.pid))),
+            ("tid".into(), uint(u64::from(s.tid))),
+            ("name".into(), str_val(&s.name)),
+        ]));
+    }
+    for series in &timeseries.series {
+        if timeseries::is_memo_series(&series.name) {
+            continue;
+        }
+        for p in &series.points {
+            events.push(Value::Object(vec![
+                ("ph".into(), str_val("C")),
+                ("ts".into(), num(p.start_ns as f64 / 1_000.0)),
+                (
+                    "pid".into(),
+                    uint(u64::from(device_pid(PID_GPU, series.device as usize))),
+                ),
+                ("tid".into(), uint(0)),
+                ("name".into(), str_val(&series.name)),
+                (
+                    "args".into(),
+                    Value::Object(vec![("value".into(), num(p.value))]),
+                ),
+            ]));
+        }
+    }
+    for r in &decisions.requests {
+        let queue_pid = u64::from(device_pid(PID_SERVING, 0));
+        let exec_pid = u64::from(device_pid(PID_SERVING, r.device as usize));
+        let dispatch_ns = r.arrival_ns + r.form_ns + r.queue_ns;
+        let end_ns = r.arrival_ns + r.total_ns;
+        let name = format!("request {}", r.request);
+        events.push(Value::Object(vec![
+            ("ph".into(), str_val("b")),
+            ("cat".into(), str_val("request")),
+            ("id".into(), uint(r.request)),
+            ("ts".into(), num(r.arrival_ns / 1_000.0)),
+            ("pid".into(), uint(queue_pid)),
+            ("tid".into(), uint(0)),
+            ("name".into(), str_val(&name)),
+        ]));
+        events.push(Value::Object(vec![
+            ("ph".into(), str_val("e")),
+            ("cat".into(), str_val("request")),
+            ("id".into(), uint(r.request)),
+            ("ts".into(), num(end_ns / 1_000.0)),
+            ("pid".into(), uint(queue_pid)),
+            ("tid".into(), uint(0)),
+            ("name".into(), str_val(&name)),
+        ]));
+        events.push(Value::Object(vec![
+            ("ph".into(), str_val("s")),
+            ("id".into(), uint(r.request)),
+            ("ts".into(), num(r.arrival_ns / 1_000.0)),
+            ("pid".into(), uint(queue_pid)),
+            ("tid".into(), uint(0)),
+            ("name".into(), str_val("request path")),
+        ]));
+        events.push(Value::Object(vec![
+            ("ph".into(), str_val("f")),
+            ("bp".into(), str_val("e")),
+            ("id".into(), uint(r.request)),
+            ("ts".into(), num(dispatch_ns / 1_000.0)),
+            ("pid".into(), uint(exec_pid)),
+            ("tid".into(), uint(2)),
+            ("name".into(), str_val("request path")),
+        ]));
+    }
+    let doc = Value::Object(vec![
+        ("traceEvents".into(), Value::Array(events)),
+        ("displayTimeUnit".into(), str_val("ns")),
+    ]);
+    let mut text = serde_json::to_string_pretty(&doc).expect("trace serializes");
+    text.push('\n');
+    text
+}
+
+/// Asserts byte equality without dumping two multi-megabyte strings.
+fn assert_same_bytes(streamed: &str, reference: &str, what: &str) {
+    let first_diff = streamed
+        .bytes()
+        .zip(reference.bytes())
+        .position(|(a, b)| a != b)
+        .unwrap_or(streamed.len().min(reference.len()));
+    assert!(
+        streamed == reference,
+        "{what}: streamed trace ({} bytes) differs from the whole-tree \
+         reference ({} bytes) at byte {first_diff}",
+        streamed.len(),
+        reference.len(),
+    );
+}
+
+#[test]
+fn streamed_trace_equals_the_whole_tree_document() {
+    let fx = Fixture::trained("letter");
+    let sink = TelemetrySink::recording();
+    let mut cluster = GpuCluster::with_telemetry(
+        vec![
+            DeviceSpec::tesla_k80(),
+            DeviceSpec::tesla_p100(),
+            DeviceSpec::tesla_v100(),
+        ],
+        &fx.forest,
+        EngineOptions::tahoe(),
+        sink.clone(),
+    );
+    let _ = ClusterServingSim::new(&mut cluster, BatchingPolicy::new(16, 10_000.0))
+        .run_uniform_trace(&fx.samples, 120, 50.0);
+    // A memo series, which the trace must leave out, and a span whose name
+    // needs every kind of escape.
+    sink.ts_add(0, timeseries::MEMO_HITS, 1_000.0, 3.0);
+    sink.span(
+        "odd \"name\" \\ line\nbreak \u{1} é€",
+        PID_GPU,
+        0,
+        250.0,
+        125.5,
+    );
+
+    assert!(!sink.spans().is_empty(), "the run records spans");
+    assert!(
+        !sink.process_names().is_empty(),
+        "the run names process tracks"
+    );
+    let series = sink.timeseries().series;
+    assert!(
+        series.iter().any(|s| !timeseries::is_memo_series(&s.name)),
+        "the run records counter series"
+    );
+    assert!(series.iter().any(|s| s.name == timeseries::MEMO_HITS));
+    assert!(
+        !sink.decisions().requests.is_empty(),
+        "the run records request paths"
+    );
+
+    let streamed = sink.chrome_trace_json();
+    assert!(
+        !streamed.contains(timeseries::MEMO_HITS),
+        "memo series stay out"
+    );
+    assert!(streamed.contains(r#""odd \"name\" \\ line\nbreak \u0001 é€""#));
+    assert_same_bytes(&streamed, &whole_tree_trace(&sink), "recorded cluster run");
+}
+
+#[test]
+fn streamed_trace_of_an_empty_sink_equals_the_whole_tree_document() {
+    for (sink, what) in [
+        (TelemetrySink::recording(), "empty recording sink"),
+        (TelemetrySink::Disabled, "disabled sink"),
+    ] {
+        let streamed = sink.chrome_trace_json();
+        assert_eq!(
+            streamed,
+            "{\n  \"traceEvents\": [],\n  \"displayTimeUnit\": \"ns\"\n}\n"
+        );
+        assert_same_bytes(&streamed, &whole_tree_trace(&sink), what);
+    }
 }

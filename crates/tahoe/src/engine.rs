@@ -179,6 +179,10 @@ pub struct Engine {
     forest: Forest,
     stats: ForestStats,
     device_forest: DeviceForest,
+    /// The §4 layout the image was built from. It is a function of the
+    /// forest and options alone, so [`Engine::retarget`] reuses it on other
+    /// device models instead of rearranging again.
+    plan: LayoutPlan,
     mem: DeviceMemory,
     /// Live allocations holding the forest image — one per node lane (the
     /// classic encoding has one, packed two or three); freed on
@@ -234,48 +238,73 @@ impl Engine {
         options: EngineOptions,
         sink: TelemetrySink,
     ) -> Self {
+        let mut engine = Self::assemble(device, forest, options, sink);
+        engine.convert();
+        engine
+    }
+
+    /// Builds an engine for another device model from this one's forest,
+    /// options and layout plan: it runs the device's own microbenchmarks and
+    /// builds a fresh image in the device's own memory, but skips the §4
+    /// rearrangement, which depends on the forest alone. The result matches
+    /// an [`Engine::with_telemetry`] built on `device` except that its
+    /// [`Engine::conversion`] reports no rearrangement time.
+    pub(crate) fn retarget(&self, device: DeviceSpec, sink: TelemetrySink) -> Self {
+        let mut engine = Self::assemble(device, self.forest.clone(), self.options, sink);
+        engine.build_image(self.plan.clone(), RearrangeReport::default());
+        engine
+    }
+
+    /// An engine with measured hardware parameters and an empty device
+    /// memory, awaiting its first image build.
+    fn assemble(
+        device: DeviceSpec,
+        forest: Forest,
+        options: EngineOptions,
+        sink: TelemetrySink,
+    ) -> Self {
         device.validate().expect("valid device spec");
         let hw = measure(&device);
         let mut mem = DeviceMemory::for_device(&device);
         mem.attach_telemetry(&sink);
-        let mut engine = Self {
+        Self {
             stats: forest.stats(),
+            counter: options.track_probabilities.then(|| EdgeCounter::new(&forest)),
             device,
             hw,
             options,
             forest,
             device_forest: placeholder_device_forest(),
+            plan: LayoutPlan {
+                tree_order: Vec::new(),
+                swaps: Vec::new(),
+            },
             mem,
             forest_bufs: Vec::new(),
             sample_buf: None,
             conversion: ConversionReport::default(),
-            counter: None,
             sink,
             clock_ns: 0.0,
             host_cursor_ns: 0.0,
             calibrator: Calibrator::new(),
             tuning_cache: tune::TuningCache::new(),
-        };
-        if engine.options.track_probabilities {
-            engine.counter = Some(EdgeCounter::new(&engine.forest));
         }
-        engine.convert();
-        engine
     }
 
     /// Clones a fully converted engine for another device slot of the same
     /// device model, executing on `device` (the slot's possibly
     /// clock-perturbed spec), attaching `sink` as its telemetry handle and
     /// zeroing the simulated clocks. The template's calibration (`hw`,
-    /// conversion, strategy stats) carries over — fleets calibrate once per
-    /// SKU, not per board.
+    /// layout plan, conversion, strategy stats) carries over — fleets
+    /// calibrate once per SKU, not per board.
     ///
     /// The clone shares nothing mutable with `self`: the capacity-modeled
     /// `DeviceMemory` (with the forest image and any cached staging buffer
     /// still resident) is copied wholesale, so each replica has independent
-    /// in-use/high-water accounting. Used by the multi-GPU cluster to avoid
-    /// re-running the CPU-side rearrange/convert/microbench pipeline once
-    /// per device on homogeneous clusters.
+    /// in-use/high-water accounting. It is the multi-GPU cluster's only
+    /// same-model path; a new model reuses just the layout plan (via
+    /// `Engine::retarget`). A cluster thus rearranges once per forest,
+    /// microbenchmarks once per device model and holds one image per board.
     #[must_use]
     pub fn replicate(&self, device: DeviceSpec, sink: TelemetrySink) -> Self {
         let mut mem = self.mem.clone();
@@ -287,6 +316,7 @@ impl Engine {
             forest: self.forest.clone(),
             stats: self.stats,
             device_forest: self.device_forest.clone(),
+            plan: self.plan.clone(),
             mem,
             forest_bufs: self.forest_bufs.clone(),
             sample_buf: self.sample_buf,
@@ -315,40 +345,45 @@ impl Engine {
         Self::new(device, forest, EngineOptions::fil())
     }
 
-    /// (Re)builds the device forest from the current host forest.
+    /// (Re)plans the layout and rebuilds the device forest from the current
+    /// host forest.
     fn convert(&mut self) {
+        let (plan, rearrange) = self.plan_layout();
+        self.build_image(plan, rearrange);
+    }
+
+    /// The §4 rearrangement the options ask for, with its stage timings.
+    fn plan_layout(&self) -> (LayoutPlan, RearrangeReport) {
+        let (forest, similarity) = (&self.forest, &self.options.similarity);
+        match (self.options.node_rearrange, self.options.tree_rearrange) {
+            (true, true) => rearrange::adaptive_plan_timed(forest, similarity),
+            (true, false) => {
+                let t0 = Instant::now();
+                let swaps = rearrange::node_swap::forest_swaps(forest);
+                let report = RearrangeReport {
+                    node_swap_ns: t0.elapsed().as_nanos() as u64,
+                    ..RearrangeReport::default()
+                };
+                let tree_order = (0..forest.n_trees()).collect();
+                (LayoutPlan { tree_order, swaps }, report)
+            }
+            (false, true) => {
+                let (tree_order, report) = rearrange::similarity_order_timed(forest, similarity);
+                let swaps = LayoutPlan::identity(forest).swaps;
+                (LayoutPlan { tree_order, swaps }, report)
+            }
+            (false, false) => (LayoutPlan::identity(forest), RearrangeReport::default()),
+        }
+    }
+
+    /// Replaces the device image with one built from the host forest and
+    /// `plan`, recording `rearrange` (the planning cost, zero when the plan
+    /// was reused) alongside the build time.
+    fn build_image(&mut self, plan: LayoutPlan, rearrange: RearrangeReport) {
         // The cache keys per-forest statistics but not the per-tree layout;
         // its validity contract is that the forest image is fixed within one
         // cache lifetime, so a rebuild drops every entry (DESIGN.md §2.16).
         self.tuning_cache.clear();
-        let mut report = ConversionReport::default();
-        let plan = match (self.options.node_rearrange, self.options.tree_rearrange) {
-            (true, true) => {
-                let (plan, r) =
-                    rearrange::adaptive_plan_timed(&self.forest, &self.options.similarity);
-                report.rearrange = r;
-                plan
-            }
-            (true, false) => {
-                let t0 = Instant::now();
-                let swaps = rearrange::node_swap::forest_swaps(&self.forest);
-                report.rearrange.node_swap_ns = t0.elapsed().as_nanos() as u64;
-                LayoutPlan {
-                    tree_order: (0..self.forest.n_trees()).collect(),
-                    swaps,
-                }
-            }
-            (false, true) => {
-                let (order, r) =
-                    rearrange::similarity_order_timed(&self.forest, &self.options.similarity);
-                report.rearrange = r;
-                LayoutPlan {
-                    tree_order: order,
-                    swaps: LayoutPlan::identity(&self.forest).swaps,
-                }
-            }
-            (false, false) => LayoutPlan::identity(&self.forest),
-        };
         let config = FormatConfig {
             varlen_attr: self.options.varlen_attr,
             mode: None,
@@ -364,7 +399,10 @@ impl Engine {
         self.device_forest = DeviceForest::try_build(&self.forest, &plan, config, &mut self.mem)
             .unwrap_or_else(|e| panic!("forest image exceeds device DRAM: {e}"));
         self.forest_bufs = self.device_forest.buffers();
-        report.convert_ns = t0.elapsed().as_nanos() as u64;
+        let report = ConversionReport {
+            rearrange,
+            convert_ns: t0.elapsed().as_nanos() as u64,
+        };
         self.stats = self.forest.stats();
         if self.sink.is_enabled() {
             self.sink.name_process(PID_ENGINE, "engine");
@@ -375,6 +413,7 @@ impl Engine {
             self.host_span("convert", report.convert_ns as f64);
         }
         self.conversion = report;
+        self.plan = plan;
     }
 
     /// Emits one wall-clock-measured engine-phase span and advances the host

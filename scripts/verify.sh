@@ -60,7 +60,9 @@ rm -rf "$PROFILE_TMP"
 # Multi-GPU determinism end-to-end (DESIGN.md S2.11): the fig9 cluster
 # experiment and a heterogeneous serving trace must produce byte-identical
 # records and telemetry exports at 1 and 4 simulation workers. Each run gets
-# its own results dir so the byte-compare covers the JSON record itself.
+# its own results dir so the byte-compare covers the JSON record itself. The
+# serving mix repeats the P100, so its cluster builds slots both ways: new
+# models from slot 0's layout plan and the repeat as a replica of its twin.
 FIG9_W1=$(mktemp -d)
 FIG9_W4=$(mktemp -d)
 TAHOE_SIM_THREADS=1 TAHOE_RESULTS_DIR="$FIG9_W1" \
@@ -83,13 +85,13 @@ cargo run --release --bin tahoe-cli -- train \
     --data letter --scale smoke --model "$FIG9_W1/model.json"
 TAHOE_SIM_THREADS=1 cargo run --release --bin tahoe-cli -- serve \
     --data letter --scale smoke --model "$FIG9_W1/model.json" \
-    --devices k80,p100,v100 --requests 200 --interarrival 50 --slo-ns 500000 \
+    --devices k80,p100,v100,p100 --requests 200 --interarrival 50 --slo-ns 500000 \
     --trace "$FIG9_W1/serve_trace.json" --metrics "$FIG9_W1/serve_metrics.json" \
     --timeseries "$FIG9_W1/serve_timeseries.json" \
     --decisions "$FIG9_W1/serve_decisions.json"
 TAHOE_SIM_THREADS=4 cargo run --release --bin tahoe-cli -- serve \
     --data letter --scale smoke --model "$FIG9_W1/model.json" \
-    --devices k80,p100,v100 --requests 200 --interarrival 50 --slo-ns 500000 \
+    --devices k80,p100,v100,p100 --requests 200 --interarrival 50 --slo-ns 500000 \
     --trace "$FIG9_W4/serve_trace.json" --metrics "$FIG9_W4/serve_metrics.json" \
     --timeseries "$FIG9_W4/serve_timeseries.json" \
     --decisions "$FIG9_W4/serve_decisions.json"

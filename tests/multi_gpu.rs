@@ -1,7 +1,10 @@
 //! Cross-crate integration tests for the multi-GPU cluster layer (§7.5):
 //! functional equivalence with the CPU reference, request conservation in
 //! cluster serving, exact 1-device equivalence with the single-engine
-//! serving path, and deterministic heterogeneous dispatch.
+//! serving path, and deterministic heterogeneous dispatch. The heterogeneous
+//! tests run two mixes: three distinct models, and a mix that repeats one
+//! model, so a single cluster builds slots both by reusing the first
+//! engine's layout plan (a new model) and by replicating a twin (a repeat).
 
 use tahoe::cluster::GpuCluster;
 use tahoe::engine::{Engine, EngineOptions};
@@ -11,11 +14,19 @@ use tahoe::telemetry::TelemetrySink;
 use tahoe_forest::predict_dataset;
 use tahoe_gpu_sim::device::DeviceSpec;
 
-fn hetero_devices() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::tesla_k80(),
-        DeviceSpec::tesla_p100(),
-        DeviceSpec::tesla_v100(),
+fn hetero_mixes() -> [Vec<DeviceSpec>; 2] {
+    [
+        vec![
+            DeviceSpec::tesla_k80(),
+            DeviceSpec::tesla_p100(),
+            DeviceSpec::tesla_v100(),
+        ],
+        vec![
+            DeviceSpec::tesla_k80(),
+            DeviceSpec::tesla_p100(),
+            DeviceSpec::tesla_v100(),
+            DeviceSpec::tesla_p100(),
+        ],
     ]
 }
 
@@ -26,21 +37,24 @@ fn hetero_devices() -> Vec<DeviceSpec> {
 fn heterogeneous_partitioned_inference_matches_cpu_reference() {
     let fx = Fixture::trained("ijcnn1");
     let expected = predict_dataset(&fx.forest, &fx.samples);
-    let mut cluster = GpuCluster::new(hetero_devices(), &fx.forest, EngineOptions::tahoe());
-    let run = cluster.infer_partitioned(&fx.samples);
-    assert_eq!(run.predictions.len(), expected.len());
-    for (i, (got, want)) in run.predictions.iter().zip(&expected).enumerate() {
-        assert!(
-            (got - want).abs() < 1e-4,
-            "sample {i}: cluster {got} vs reference {want}"
-        );
-    }
-    assert_eq!(run.per_device.len(), 3, "all three devices participate");
-    let total: usize = run.per_device.iter().map(|d| d.n_samples).sum();
-    assert_eq!(total, fx.samples.n_samples(), "partitions cover the batch");
-    for d in &run.per_device {
-        assert!(d.elapsed_ns.is_finite() && d.elapsed_ns > 0.0);
-        assert!(run.total_ns >= d.elapsed_ns, "end-to-end is the slowest device");
+    for devices in hetero_mixes() {
+        let n = devices.len();
+        let mut cluster = GpuCluster::new(devices, &fx.forest, EngineOptions::tahoe());
+        let run = cluster.infer_partitioned(&fx.samples);
+        assert_eq!(run.predictions.len(), expected.len());
+        for (i, (got, want)) in run.predictions.iter().zip(&expected).enumerate() {
+            assert!(
+                (got - want).abs() < 1e-4,
+                "{n} devices, sample {i}: cluster {got} vs reference {want}"
+            );
+        }
+        assert_eq!(run.per_device.len(), n, "all devices participate");
+        let total: usize = run.per_device.iter().map(|d| d.n_samples).sum();
+        assert_eq!(total, fx.samples.n_samples(), "partitions cover the batch");
+        for d in &run.per_device {
+            assert!(d.elapsed_ns.is_finite() && d.elapsed_ns > 0.0);
+            assert!(run.total_ns >= d.elapsed_ns, "end-to-end is the slowest device");
+        }
     }
 }
 
@@ -50,23 +64,26 @@ fn heterogeneous_partitioned_inference_matches_cpu_reference() {
 #[test]
 fn cluster_serving_conserves_requests_across_devices() {
     let fx = Fixture::trained("letter");
-    let mut cluster = GpuCluster::new(hetero_devices(), &fx.forest, EngineOptions::tahoe());
     let n_requests = 500;
-    let report = ClusterServingSim::new(&mut cluster, BatchingPolicy::new(32, 20_000.0))
-        .run_uniform_trace(&fx.samples, n_requests, 50.0);
-    let r = &report.report;
-    assert_eq!(r.n_requests(), n_requests);
-    assert_eq!(r.batches.iter().map(|b| b.size).sum::<usize>(), n_requests);
-    assert_eq!(report.batch_devices.len(), r.batches.len());
-    assert!(report.batch_devices.iter().all(|&d| d < 3));
-    assert_eq!(report.per_device.len(), 3);
-    assert_eq!(report.per_device.iter().map(|d| d.requests).sum::<usize>(), n_requests);
-    assert_eq!(
-        report.per_device.iter().map(|d| d.batches).sum::<usize>(),
-        r.batches.len()
-    );
-    for lat in &r.latencies_ns {
-        assert!(lat.is_finite() && *lat > 0.0, "every request has a latency");
+    for devices in hetero_mixes() {
+        let n = devices.len();
+        let mut cluster = GpuCluster::new(devices, &fx.forest, EngineOptions::tahoe());
+        let report = ClusterServingSim::new(&mut cluster, BatchingPolicy::new(32, 20_000.0))
+            .run_uniform_trace(&fx.samples, n_requests, 50.0);
+        let r = &report.report;
+        assert_eq!(r.n_requests(), n_requests);
+        assert_eq!(r.batches.iter().map(|b| b.size).sum::<usize>(), n_requests);
+        assert_eq!(report.batch_devices.len(), r.batches.len());
+        assert!(report.batch_devices.iter().all(|&d| d < n));
+        assert_eq!(report.per_device.len(), n);
+        assert_eq!(report.per_device.iter().map(|d| d.requests).sum::<usize>(), n_requests);
+        assert_eq!(
+            report.per_device.iter().map(|d| d.batches).sum::<usize>(),
+            r.batches.len()
+        );
+        for lat in &r.latencies_ns {
+            assert!(lat.is_finite() && *lat > 0.0, "every request has a latency");
+        }
     }
 }
 
@@ -137,26 +154,30 @@ fn one_device_cluster_reproduces_single_engine_serving_exactly() {
 #[test]
 fn heterogeneous_dispatch_is_deterministic_and_spreads_load() {
     let fx = Fixture::trained("letter");
-    let run = || {
-        let mut cluster = GpuCluster::new(hetero_devices(), &fx.forest, EngineOptions::tahoe());
-        ClusterServingSim::new(&mut cluster, BatchingPolicy::new(16, 5_000.0))
-            .run_uniform_trace(&fx.samples, 600, 20.0)
-    };
-    let first = run();
-    let second = run();
-    assert_eq!(first.batch_devices, second.batch_devices, "dispatch sequence");
-    assert_eq!(
-        first.report.makespan_ns.to_bits(),
-        second.report.makespan_ns.to_bits()
-    );
-    assert_eq!(first.report.batches, second.report.batches);
-    // The first batch goes to device 0 (all free, lowest index wins); a
-    // saturating trace then pulls in every device.
-    assert_eq!(first.batch_devices[0], 0);
-    for d in 0..3 {
-        assert!(
-            first.batch_devices.contains(&d),
-            "device {d} never dispatched in a saturating trace"
+    for devices in hetero_mixes() {
+        let n = devices.len();
+        let run = || {
+            let mut cluster =
+                GpuCluster::new(devices.clone(), &fx.forest, EngineOptions::tahoe());
+            ClusterServingSim::new(&mut cluster, BatchingPolicy::new(16, 5_000.0))
+                .run_uniform_trace(&fx.samples, 600, 20.0)
+        };
+        let first = run();
+        let second = run();
+        assert_eq!(first.batch_devices, second.batch_devices, "dispatch sequence");
+        assert_eq!(
+            first.report.makespan_ns.to_bits(),
+            second.report.makespan_ns.to_bits()
         );
+        assert_eq!(first.report.batches, second.report.batches);
+        // The first batch goes to device 0 (all free, lowest index wins); a
+        // saturating trace then pulls in every device.
+        assert_eq!(first.batch_devices[0], 0);
+        for d in 0..n {
+            assert!(
+                first.batch_devices.contains(&d),
+                "{n} devices: device {d} never dispatched in a saturating trace"
+            );
+        }
     }
 }

@@ -34,7 +34,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::profile::DriftRecord;
-use crate::telemetry::TelemetrySink;
+use crate::telemetry::{DocWriter, TelemetrySink};
 
 /// One `(strategy, block size)` candidate Algorithm 1 evaluated.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -221,16 +221,37 @@ impl TelemetrySink {
     /// The flight-recorder export as pretty JSON (the `--decisions <path>`
     /// payload).
     ///
+    /// The document is streamed from the locked store: each decision, then
+    /// each request path, is pretty-printed on its own and appended, so the
+    /// export neither clones the records nor builds a whole-document value
+    /// tree; its memory is the output text. The bytes are what
+    /// pretty-printing [`Self::decisions`] gives, plus a trailing newline
+    /// (`tests/decision_schema.rs` pins the equality).
+    ///
     /// # Panics
     ///
-    /// Never panics in practice: the export is plain data that always
-    /// serializes.
+    /// Never panics in practice: the records are plain data that always
+    /// serialize.
     #[must_use]
     pub fn decisions_json(&self) -> String {
-        let mut s =
-            serde_json::to_string_pretty(&self.decisions()).expect("decisions serialize");
-        s.push('\n');
-        s
+        let empty = DecisionStore::default();
+        let guard = match self {
+            TelemetrySink::Disabled => None,
+            TelemetrySink::Recording(inner) => Some(inner.decisions.lock()),
+        };
+        let store = guard.as_deref().unwrap_or(&empty);
+        let mut doc = DocWriter::default();
+        doc.open_array("decisions");
+        for d in &store.decisions {
+            doc.item(d);
+        }
+        doc.close_array();
+        doc.open_array("requests");
+        for r in &store.requests {
+            doc.item(r);
+        }
+        doc.close_array();
+        doc.finish()
     }
 }
 

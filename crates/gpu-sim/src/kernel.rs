@@ -41,7 +41,7 @@ use crate::memo::{sim_memo, BlockKey, MemoStats};
 use crate::occupancy::{concurrent_blocks, waves};
 use crate::parallel::parallel_map;
 use crate::profile::{KernelProfile, LaunchStats};
-use crate::telemetry::{Counter, SpanEvent, TelemetrySink, PID_GPU};
+use crate::telemetry::{Counter, SpanEvent, SpanName, TelemetrySink, PID_GPU};
 use crate::warp::LevelStats;
 
 /// How many blocks to simulate in detail.
@@ -554,7 +554,7 @@ fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
     let n_events: usize = 2 + t.span_data.iter().map(|(_, _, w)| w.len() + 2).sum::<usize>();
     let mut events = Vec::with_capacity(n_events);
     events.push(SpanEvent {
-        name: t.trace.label.clone(),
+        name: SpanName::Text(t.trace.label.clone()),
         pid: PID_GPU,
         tid: 0,
         start_ns: t0,
@@ -562,7 +562,7 @@ fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
     });
     if t.global_reduction_ns > 0.0 {
         events.push(SpanEvent {
-            name: format!("{}: global reduce", t.trace.label),
+            name: SpanName::Text(format!("{}: global reduce", t.trace.label)),
             pid: PID_GPU,
             tid: 0,
             start_ns: t0 + t.scheduled,
@@ -576,8 +576,9 @@ fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
         // Track 0 is the kernel's own; block slots start at 1.
         let tid = (g % resident) as u32 + 1;
         let start = t0 + wave as f64 * t.mean_wall;
+        let block = u32::try_from(g).expect("a grid has at most 2^31 - 1 blocks");
         events.push(SpanEvent {
-            name: format!("block {g}"),
+            name: SpanName::Block(block),
             pid: PID_GPU,
             tid,
             start_ns: start,
@@ -585,7 +586,7 @@ fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
         });
         for (w, serial) in warp_serials.iter().enumerate() {
             events.push(SpanEvent {
-                name: format!("block {g} warp {w}"),
+                name: SpanName::Warp(block, w as u32),
                 pid: PID_GPU,
                 tid,
                 start_ns: start,
@@ -594,7 +595,7 @@ fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
         }
         if *reduction_ns > 0.0 {
             events.push(SpanEvent {
-                name: format!("block {g} reduce"),
+                name: SpanName::Reduce(block),
                 pid: PID_GPU,
                 tid,
                 start_ns: start + wall - reduction_ns,

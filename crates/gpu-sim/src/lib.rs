@@ -93,7 +93,9 @@ pub use profile::{
     DriftRecord, HistogramExport, KernelProfile, LatencyHistogram, OccupancyLimiter,
     ProfilesExport, TimeBreakdown,
 };
-pub use telemetry::{Counter, CounterRegistry, MetricsSnapshot, SpanEvent, TelemetrySink};
+pub use telemetry::{
+    Counter, CounterRegistry, MetricsSnapshot, SpanEvent, SpanName, TelemetrySink,
+};
 pub use timeseries::{
     LatencyWindowExport, SeriesExport, SeriesPoint, SloWindowExport, TimeSeriesExport,
     DEFAULT_WINDOW_NS,

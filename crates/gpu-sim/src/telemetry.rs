@@ -14,8 +14,11 @@
 //! - [`Counter`] / [`CounterRegistry`] — a typed registry of monotonic
 //!   counters (plus two gauge-style entries maintained with `set`/`max`),
 //!   stored as a fixed array so increments are a single indexed add.
-//! - [`SpanEvent`] — a flat span (name, track, start, duration) in
-//!   *simulated* nanoseconds; exported as Chrome trace-event JSON
+//! - [`SpanEvent`] — a flat span (label, track, start, duration) in
+//!   *simulated* nanoseconds. Its label is a typed [`SpanName`]: a launch's
+//!   block/warp/reduce spans store their indices and the exporter renders
+//!   the text, so recording them allocates nothing per span. Exported as
+//!   Chrome trace-event JSON
 //!   ([`TelemetrySink::chrome_trace_json`]) loadable in Perfetto /
 //!   `chrome://tracing`, one process per layer and one track per concurrent
 //!   block slot.
@@ -34,6 +37,7 @@
 //! run to run; they live on their own process track.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -251,11 +255,38 @@ impl CounterRegistry {
     }
 }
 
+/// A span's label, kept typed while recorded and rendered only when the
+/// trace is exported, so a launch's block/warp/reduce spans cost no heap
+/// allocation each.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SpanName {
+    /// A free-form label (host phases, serving spans, a kernel's own span).
+    Text(String),
+    /// Block `g` of a launch: `"block {g}"`.
+    Block(u32),
+    /// Warp `w` of block `g`: `"block {g} warp {w}"`.
+    Warp(u32, u32),
+    /// Block `g`'s block-wide reduction: `"block {g} reduce"`.
+    Reduce(u32),
+}
+
+impl fmt::Display for SpanName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpanName::Text(s) => f.write_str(s),
+            SpanName::Block(g) => write!(f, "block {g}"),
+            SpanName::Warp(g, w) => write!(f, "block {g} warp {w}"),
+            SpanName::Reduce(g) => write!(f, "block {g} reduce"),
+        }
+    }
+}
+
 /// One completed span on the simulated (or host) timeline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanEvent {
-    /// Human-readable span name (the Chrome trace `name`).
-    pub name: String,
+    /// Span label; its [`Display`](fmt::Display) form is the Chrome trace
+    /// `name`.
+    pub name: SpanName,
     /// Process track (one per layer; see [`PID_GPU`] etc.).
     pub pid: u32,
     /// Thread track within the process (e.g. one per concurrent block slot).
@@ -412,7 +443,7 @@ impl TelemetrySink {
     ) {
         if let TelemetrySink::Recording(inner) = self {
             inner.spans.lock().push(SpanEvent {
-                name: name.into(),
+                name: SpanName::Text(name.into()),
                 pid,
                 tid,
                 start_ns,
@@ -586,15 +617,17 @@ impl TelemetrySink {
     /// the recorded [`crate::decision::RequestPathRecord`]s, so the same
     /// byte-identity guarantee applies.
     ///
-    /// The document is streamed: each event is formed as one small
-    /// [`serde_json::Value`], pretty-printed and appended at once, so the
-    /// export's memory is the output text itself, not a whole-document
-    /// value tree several times its size. The bytes are what pretty-printing
-    /// the whole `{"traceEvents": [...], "displayTimeUnit": "ns"}` document
+    /// The document is streamed through `DocWriter`: each event is formed
+    /// as one small [`serde_json::Value`], pretty-printed and appended at
+    /// once, and span labels are rendered as they are written, so the
+    /// export's memory is the output text itself, not a whole-document value
+    /// tree several times its size. The bytes are what pretty-printing the
+    /// whole `{"traceEvents": [...], "displayTimeUnit": "ns"}` document
     /// gives (`tests/telemetry_schema.rs` pins the equality).
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = TraceWriter::default();
+        let mut out = DocWriter::default();
+        out.open_array("traceEvents");
         if let TelemetrySink::Recording(inner) = self {
             let timeseries = self.timeseries();
             let names = inner.process_names.lock();
@@ -607,24 +640,24 @@ impl TelemetrySink {
                     .then(b.dur_ns.total_cmp(&a.dur_ns))
             });
             for (pid, name) in names.iter() {
-                out.event(vec![
+                out.item(&event(vec![
                     ("ph", str_val("M")),
                     ("ts", num(0.0)),
                     ("pid", uint(u64::from(*pid))),
                     ("tid", uint(0)),
                     ("name", str_val("process_name")),
                     ("args", Value::Object(vec![("name".into(), str_val(name))])),
-                ]);
+                ]));
             }
             for s in spans {
-                out.event(vec![
+                out.item(&event(vec![
                     ("ph", str_val("X")),
                     ("ts", num(s.start_ns / 1_000.0)),
                     ("dur", num(s.dur_ns / 1_000.0)),
                     ("pid", uint(u64::from(s.pid))),
                     ("tid", uint(u64::from(s.tid))),
-                    ("name", str_val(&s.name)),
-                ]);
+                    ("name", Value::String(s.name.to_string())),
+                ]));
             }
             for series in &timeseries.series {
                 if crate::timeseries::is_memo_series(&series.name) {
@@ -632,14 +665,14 @@ impl TelemetrySink {
                 }
                 let pid = u64::from(device_pid(PID_GPU, series.device as usize));
                 for p in &series.points {
-                    out.event(vec![
+                    out.item(&event(vec![
                         ("ph", str_val("C")),
                         ("ts", num(p.start_ns as f64 / 1_000.0)),
                         ("pid", uint(pid)),
                         ("tid", uint(0)),
                         ("name", str_val(&series.name)),
                         ("args", Value::Object(vec![("value".into(), num(p.value))])),
-                    ]);
+                    ]));
                 }
             }
             let queue_pid = u64::from(device_pid(PID_SERVING, 0));
@@ -649,7 +682,7 @@ impl TelemetrySink {
                 let end_ns = r.arrival_ns + r.total_ns;
                 let name = format!("request {}", r.request);
                 for (ph, ts_ns) in [("b", r.arrival_ns), ("e", end_ns)] {
-                    out.event(vec![
+                    out.item(&event(vec![
                         ("ph", str_val(ph)),
                         ("cat", str_val("request")),
                         ("id", uint(r.request)),
@@ -657,17 +690,17 @@ impl TelemetrySink {
                         ("pid", uint(queue_pid)),
                         ("tid", uint(0)),
                         ("name", str_val(&name)),
-                    ]);
+                    ]));
                 }
-                out.event(vec![
+                out.item(&event(vec![
                     ("ph", str_val("s")),
                     ("id", uint(r.request)),
                     ("ts", num(r.arrival_ns / 1_000.0)),
                     ("pid", uint(queue_pid)),
                     ("tid", uint(0)),
                     ("name", str_val("request path")),
-                ]);
-                out.event(vec![
+                ]));
+                out.item(&event(vec![
                     ("ph", str_val("f")),
                     ("bp", str_val("e")),
                     ("id", uint(r.request)),
@@ -675,11 +708,23 @@ impl TelemetrySink {
                     ("pid", uint(exec_pid)),
                     ("tid", uint(2)),
                     ("name", str_val("request path")),
-                ]);
+                ]));
             }
         }
+        out.close_array();
+        out.scalar("displayTimeUnit", "ns");
         out.finish()
     }
+}
+
+/// One trace event: a JSON object with `fields` in order.
+fn event(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn str_val(s: &str) -> Value {
@@ -694,53 +739,73 @@ fn uint(x: u64) -> Value {
     Value::Number(Number::PosInt(x))
 }
 
-/// Streams a Chrome trace document one event at a time, writing the bytes
-/// `serde_json::to_string_pretty` gives for the whole document (plus a
-/// trailing newline).
-struct TraceWriter {
+/// Streams a pretty-printed JSON document of the shape
+/// `{"<key>": [items…], "<key>": value, …}` one array item at a time.
+///
+/// The bytes are what `serde_json::to_string_pretty` gives for the whole
+/// document, plus a trailing newline. The memory is the text alone: each
+/// item is formed, printed and dropped before the next, so no export builds
+/// a whole-document value tree several times its text's size.
+#[derive(Default)]
+pub(crate) struct DocWriter {
     text: String,
-    events: usize,
+    /// Items written to the open array.
+    items: usize,
 }
 
-impl Default for TraceWriter {
-    fn default() -> Self {
-        TraceWriter {
-            text: String::from("{\n  \"traceEvents\": ["),
-            events: 0,
-        }
+impl DocWriter {
+    /// Opens the field `"<key>": [`; [`Self::item`] appends to it and
+    /// [`Self::close_array`] closes it.
+    pub(crate) fn open_array(&mut self, key: &str) {
+        self.key(key);
+        self.text.push('[');
+        self.items = 0;
     }
-}
 
-impl TraceWriter {
-    /// Appends one event. It is printed at nesting level 0 and re-indented
-    /// to its level-2 place in the array; escaped strings never contain a
+    /// Appends one item to the open array. It is printed at nesting level 0
+    /// and re-indented to its level-2 place; escaped strings never contain a
     /// raw newline, so every `'\n'` is a line break of the printer's.
-    fn event(&mut self, fields: Vec<(&str, Value)>) {
-        let event = Value::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        );
-        let pretty = serde_json::to_string_pretty(&event).expect("trace event serializes");
-        self.text.push_str(if self.events == 0 {
-            "\n    "
-        } else {
-            ",\n    "
-        });
+    pub(crate) fn item<T: Serialize + ?Sized>(&mut self, item: &T) {
+        let pretty = serde_json::to_string_pretty(item).expect("export item serializes");
+        self.text
+            .push_str(if self.items == 0 { "\n    " } else { ",\n    " });
         for (i, line) in pretty.split('\n').enumerate() {
             if i > 0 {
                 self.text.push_str("\n    ");
             }
             self.text.push_str(line);
         }
-        self.events += 1;
+        self.items += 1;
     }
 
-    fn finish(mut self) -> String {
+    /// Closes the open array (`[]` when it got no item).
+    pub(crate) fn close_array(&mut self) {
         self.text
-            .push_str(if self.events == 0 { "]" } else { "\n  ]" });
-        self.text.push_str(",\n  \"displayTimeUnit\": \"ns\"\n}\n");
+            .push_str(if self.items == 0 { "]" } else { "\n  ]" });
+    }
+
+    /// Appends the field `"<key>": value` for a scalar value (string,
+    /// number, bool or null), which prints on one line.
+    pub(crate) fn scalar<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        self.text
+            .push_str(&serde_json::to_string(value).expect("export scalar serializes"));
+    }
+
+    fn key(&mut self, key: &str) {
+        self.text.push_str(if self.text.is_empty() {
+            "{\n  "
+        } else {
+            ",\n  "
+        });
+        self.text
+            .push_str(&serde_json::to_string(key).expect("export key serializes"));
+        self.text.push_str(": ");
+    }
+
+    /// Closes the document, which holds at least one field.
+    pub(crate) fn finish(mut self) -> String {
+        self.text.push_str("\n}\n");
         self.text
     }
 }
@@ -870,6 +935,18 @@ mod tests {
             Some(u64::from(device_pid(PID_GPU, 1)))
         );
         assert!(!text.contains("memo_hits"));
+    }
+
+    #[test]
+    fn span_names_render_the_trace_labels() {
+        assert_eq!(SpanName::Block(7).to_string(), "block 7");
+        assert_eq!(SpanName::Warp(7, 3).to_string(), "block 7 warp 3");
+        assert_eq!(SpanName::Reduce(7).to_string(), "block 7 reduce");
+        assert_eq!(SpanName::Text("infer".into()).to_string(), "infer");
+        // `span` records free text.
+        let sink = TelemetrySink::recording();
+        sink.span("block 7", PID_GPU, 1, 0.0, 1.0);
+        assert_eq!(sink.spans()[0].name, SpanName::Text("block 7".into()));
     }
 
     #[test]

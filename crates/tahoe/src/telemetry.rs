@@ -6,7 +6,7 @@
 //! a [`crate::strategy::LaunchContext`] carries into every kernel launch.
 
 pub use tahoe_gpu_sim::telemetry::{
-    device_pid, Counter, CounterRegistry, MetricsSnapshot, SpanEvent, TelemetrySink,
+    device_pid, Counter, CounterRegistry, MetricsSnapshot, SpanEvent, SpanName, TelemetrySink,
     PID_DEVICE_STRIDE, PID_ENGINE, PID_GPU, PID_SERVING,
 };
 /// Windowed time-series sampler (series constants, export types, and the

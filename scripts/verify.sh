@@ -88,15 +88,19 @@ TAHOE_SIM_THREADS=1 cargo run --release --bin tahoe-cli -- serve \
     --devices k80,p100,v100,p100 --requests 200 --interarrival 50 --slo-ns 500000 \
     --trace "$FIG9_W1/serve_trace.json" --metrics "$FIG9_W1/serve_metrics.json" \
     --timeseries "$FIG9_W1/serve_timeseries.json" \
-    --decisions "$FIG9_W1/serve_decisions.json"
+    --decisions "$FIG9_W1/serve_decisions.json" \
+    --profile "$FIG9_W1/serve_profile.json"
 TAHOE_SIM_THREADS=4 cargo run --release --bin tahoe-cli -- serve \
     --data letter --scale smoke --model "$FIG9_W1/model.json" \
     --devices k80,p100,v100,p100 --requests 200 --interarrival 50 --slo-ns 500000 \
     --trace "$FIG9_W4/serve_trace.json" --metrics "$FIG9_W4/serve_metrics.json" \
     --timeseries "$FIG9_W4/serve_timeseries.json" \
-    --decisions "$FIG9_W4/serve_decisions.json"
+    --decisions "$FIG9_W4/serve_decisions.json" \
+    --profile "$FIG9_W4/serve_profile.json"
 cmp "$FIG9_W1/serve_trace.json" "$FIG9_W4/serve_trace.json"
 cmp "$FIG9_W1/serve_metrics.json" "$FIG9_W4/serve_metrics.json"
+# The cluster's kernel profiles, histograms and drift view too.
+cmp "$FIG9_W1/serve_profile.json" "$FIG9_W4/serve_profile.json"
 # Windowed time-series exports obey the same byte-identity guarantee
 # (DESIGN.md §2.14), SLO windows included.
 cmp "$FIG9_W1/serve_timeseries.json" "$FIG9_W4/serve_timeseries.json"

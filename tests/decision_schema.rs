@@ -6,17 +6,20 @@
 //! the pinned keys and the complete ladder `tune::sweep` costed; every
 //! request-path record's components must sum bitwise to the request's
 //! end-to-end latency; the export must survive a serde round-trip unchanged;
-//! and a `Disabled` sink must store nothing.
+//! the streamed export must equal, byte for byte, the whole-document one it
+//! replaced; and a `Disabled` sink must store nothing.
 
 use serde_json::Value;
+use tahoe::cluster::GpuCluster;
 use tahoe::engine::{Engine, EngineOptions};
-use tahoe::serving::{BatchingPolicy, ServingReport, ServingSim};
+use tahoe::serving::{BatchingPolicy, ClusterServingSim, ServingReport, ServingSim};
 use tahoe::strategy::common::THREADS_PER_BLOCK;
 use tahoe::strategy::testutil::Fixture;
 use tahoe::strategy::Strategy;
+use tahoe::telemetry::decision::DecisionCandidate;
 use tahoe::telemetry::TelemetrySink;
 use tahoe::tune::THREAD_CANDIDATES;
-use tahoe::DecisionsExport;
+use tahoe::{DecisionRecord, DecisionsExport};
 use tahoe_gpu_sim::device::DeviceSpec;
 
 /// Runs one engine batch against a recording sink and returns it.
@@ -267,4 +270,86 @@ fn disabled_sink_exports_an_empty_audit() {
         serde_json::from_str(&sink.decisions_json()).expect("empty export is valid JSON");
     assert_eq!(parsed["decisions"].as_array().map(Vec::len), Some(0));
     assert_eq!(parsed["requests"].as_array().map(Vec::len), Some(0));
+}
+
+/// The export as one whole-document tree, pretty-printed in one go: the
+/// exporter's earlier implementation, kept as the byte-level reference for
+/// the streamed one.
+fn whole_tree_decisions(sink: &TelemetrySink) -> String {
+    let mut text = serde_json::to_string_pretty(&sink.decisions()).expect("decisions serialize");
+    text.push('\n');
+    text
+}
+
+/// Asserts byte equality without dumping two multi-megabyte strings.
+fn assert_same_bytes(streamed: &str, reference: &str, what: &str) {
+    let first_diff = streamed
+        .bytes()
+        .zip(reference.bytes())
+        .position(|(a, b)| a != b)
+        .unwrap_or(streamed.len().min(reference.len()));
+    assert!(
+        streamed == reference,
+        "{what}: streamed decisions ({} bytes) differ from the whole-tree \
+         reference ({} bytes) at byte {first_diff}",
+        streamed.len(),
+        reference.len(),
+    );
+}
+
+#[test]
+fn streamed_decisions_equal_the_whole_tree_document() {
+    let fx = Fixture::trained("letter");
+    let cluster_sink = TelemetrySink::recording();
+    let mut cluster = GpuCluster::with_telemetry(
+        vec![
+            DeviceSpec::tesla_k80(),
+            DeviceSpec::tesla_p100(),
+            DeviceSpec::tesla_v100(),
+            DeviceSpec::tesla_p100(),
+        ],
+        &fx.forest,
+        EngineOptions::tahoe(),
+        cluster_sink.clone(),
+    );
+    let _ = ClusterServingSim::new(&mut cluster, BatchingPolicy::new(16, 10_000.0))
+        .run_uniform_trace(&fx.samples, 120, 50.0);
+    let export = cluster_sink.decisions();
+    assert!(!export.decisions.is_empty(), "the run records decisions");
+    assert!(!export.requests.is_empty(), "the run records request paths");
+    assert!(
+        export.decisions.iter().any(|d| d.device == 3),
+        "every device records decisions"
+    );
+
+    // A decision whose rejection reason needs every kind of escape.
+    let escaped = TelemetrySink::recording();
+    escaped.push_decision(DecisionRecord {
+        device: 0,
+        batch: 1,
+        n_samples: 8,
+        forced: true,
+        chosen_strategy: "direct".to_string(),
+        chosen_block_threads: 64,
+        predicted_ns: 120.5,
+        simulated_ns: 100.0,
+        relative_error: 0.205,
+        calibration_generation: 0,
+        cache_hit: false,
+        candidates: vec![DecisionCandidate {
+            strategy: "shared forest".to_string(),
+            block_threads: 1024,
+            predicted_ns: None,
+            rejection: Some("odd \"reason\" \\ line\nbreak \u{1} é€".to_string()),
+        }],
+    });
+
+    for (sink, what) in [
+        (cluster_sink, "K80/P100/V100/P100 cluster serving"),
+        (TelemetrySink::recording(), "empty recording sink"),
+        (TelemetrySink::Disabled, "disabled sink"),
+        (escaped, "escaped rejection reason"),
+    ] {
+        assert_same_bytes(&sink.decisions_json(), &whole_tree_decisions(&sink), what);
+    }
 }

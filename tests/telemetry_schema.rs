@@ -11,8 +11,9 @@ use tahoe::cluster::GpuCluster;
 use tahoe::engine::{Engine, EngineOptions};
 use tahoe::serving::{BatchingPolicy, ClusterServingSim};
 use tahoe::strategy::testutil::Fixture;
+use tahoe::strategy::Strategy;
 use tahoe::telemetry::{
-    device_pid, timeseries, MetricsSnapshot, TelemetrySink, PID_GPU, PID_SERVING,
+    device_pid, timeseries, MetricsSnapshot, SpanName, TelemetrySink, PID_GPU, PID_SERVING,
 };
 use tahoe_gpu_sim::device::DeviceSpec;
 
@@ -128,6 +129,40 @@ fn metrics_snapshot_round_trips_through_serde() {
     );
 }
 
+#[test]
+fn launch_spans_record_typed_block_warp_and_reduce_labels() {
+    // Every feasible strategy, so some launch has blocks that reduce and
+    // the run records all three per-block span kinds.
+    let fx = Fixture::trained("letter");
+    let sink = TelemetrySink::recording();
+    let mut engine = Engine::with_telemetry(
+        DeviceSpec::tesla_p100(),
+        fx.forest.clone(),
+        EngineOptions::tahoe(),
+        sink.clone(),
+    );
+    for strategy in Strategy::ALL {
+        if engine.feasible(strategy, &fx.samples) {
+            let _ = engine.infer_with(&fx.samples, Some(strategy));
+        }
+    }
+    let spans = sink.spans();
+    let count = |pred: fn(&SpanName) -> bool| spans.iter().filter(|s| pred(&s.name)).count();
+    assert!(
+        count(|n| matches!(n, SpanName::Block(_))) > 0,
+        "block spans"
+    );
+    assert!(count(|n| matches!(n, SpanName::Warp(..))) > 0, "warp spans");
+    assert!(
+        count(|n| matches!(n, SpanName::Reduce(_))) > 0,
+        "reduce spans"
+    );
+    // Per-block labels never fall back to free text; only the kernel's own
+    // spans and the host/serving layers record `Text`.
+    let text_blocks = count(|n| matches!(n, SpanName::Text(t) if t.starts_with("block ")));
+    assert_eq!(text_blocks, 0, "per-block spans are typed");
+}
+
 /// The trace as one whole-document `Value` tree, pretty-printed in one go:
 /// the exporter's earlier implementation, kept as the byte-level reference
 /// for the streamed one.
@@ -166,7 +201,7 @@ fn whole_tree_trace(sink: &TelemetrySink) -> String {
             ("dur".into(), num(s.dur_ns / 1_000.0)),
             ("pid".into(), uint(u64::from(s.pid))),
             ("tid".into(), uint(u64::from(s.tid))),
-            ("name".into(), str_val(&s.name)),
+            ("name".into(), str_val(&s.name.to_string())),
         ]));
     }
     for series in &timeseries.series {

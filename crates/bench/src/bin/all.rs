@@ -35,8 +35,8 @@ fn main() {
     let accuracy = exp::model_accuracy::run(&env);
     exp::model_accuracy::report(&accuracy);
 
-    let overhead = exp::overhead::run(&env);
-    exp::overhead::report(&overhead);
+    let (overhead, host) = exp::overhead::run(&env);
+    exp::overhead::report(&overhead, &host);
 
     let ablations = exp::ablations::run(&env);
     exp::ablations::report(&ablations);

@@ -2,6 +2,6 @@
 
 fn main() {
     let env = tahoe_bench::Env::from_args();
-    let result = tahoe_bench::experiments::overhead::run(&env);
-    tahoe_bench::experiments::overhead::report(&result);
+    let (result, host) = tahoe_bench::experiments::overhead::run(&env);
+    tahoe_bench::experiments::overhead::report(&result, &host);
 }

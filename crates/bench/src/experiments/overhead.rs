@@ -1,6 +1,8 @@
 //! §7.4 — overhead analysis: CPU-side conversion cost vs inference time, the
 //! SimHash+LSH vs pairwise-comparison speedup, the variable-length-index
 //! memory saving, and the runtime cost of evaluating the performance models.
+//! Only the deterministic quantities (simulated inference time, image sizes)
+//! go into `sec74_overhead.json`; the host-clock costs are printed.
 
 use std::time::Instant;
 
@@ -16,51 +18,47 @@ use crate::env::Env;
 use crate::experiments::{tahoe_opts, HIGH_BATCH};
 use crate::report::{f2, pct, write_json, Table};
 
-/// One dataset's overhead profile.
+/// One dataset's §7.4 record: simulated time and image sizes only, so the
+/// committed JSON is byte-identical on every run.
 #[derive(Clone, Debug, Serialize)]
 pub struct OverheadRow {
     /// Dataset name.
     pub dataset: String,
-    /// Host-side node-rearrangement time (ns).
-    pub node_swap_ns: u64,
-    /// Host-side SimHash time (ns).
-    pub simhash_ns: u64,
-    /// Host-side LSH + ordering time (ns).
-    pub lsh_ns: u64,
-    /// Host-side format-conversion time (ns).
-    pub convert_ns: u64,
     /// Simulated time of one high-parallelism batch inference (ns).
     pub inference_ns: f64,
-    /// Host-side time of the exact pairwise ordering (ns).
-    pub pairwise_ns: u64,
-    /// Host-side time of the SimHash+LSH ordering (ns).
-    pub lsh_total_ns: u64,
     /// Adaptive-format image size (bytes).
     pub adaptive_bytes: usize,
     /// Traditional (fixed 4-byte index) image size (bytes).
     pub traditional_bytes: usize,
-    /// Host-side performance-model evaluation time (ns).
-    pub model_eval_ns: u64,
 }
 
 impl OverheadRow {
-    /// Total CPU conversion time over one batch-inference time.
-    #[must_use]
-    pub fn cpu_over_inference(&self) -> f64 {
-        (self.node_swap_ns + self.simhash_ns + self.lsh_ns + self.convert_ns) as f64
-            / self.inference_ns
-    }
-
-    /// Pairwise-over-LSH host-time ratio (paper: > 37×).
-    #[must_use]
-    pub fn pairwise_speedup(&self) -> f64 {
-        self.pairwise_ns as f64 / self.lsh_total_ns.max(1) as f64
-    }
-
     /// Storage saved by the variable-length representation.
     #[must_use]
     pub fn storage_saving(&self) -> f64 {
         1.0 - self.adaptive_bytes as f64 / self.traditional_bytes as f64
+    }
+}
+
+/// Host wall-clock costs measured beside one [`OverheadRow`]. They vary run
+/// to run, so they are printed but never written to the record.
+#[derive(Clone, Copy, Debug)]
+pub struct HostCost {
+    /// Whole CPU part: node swaps + SimHash + LSH + format conversion (ns).
+    pub conversion_ns: u64,
+    /// Exact pairwise ordering (ns).
+    pub pairwise_ns: u64,
+    /// SimHash+LSH ordering (ns).
+    pub lsh_total_ns: u64,
+    /// Performance-model evaluation (ns).
+    pub model_eval_ns: u64,
+}
+
+impl HostCost {
+    /// Pairwise-over-LSH host-time ratio (paper: > 37×).
+    #[must_use]
+    pub fn pairwise_speedup(&self) -> f64 {
+        self.pairwise_ns as f64 / self.lsh_total_ns.max(1) as f64
     }
 }
 
@@ -71,11 +69,13 @@ pub struct OverheadResult {
     pub rows: Vec<OverheadRow>,
 }
 
-/// Runs the overhead analysis across the 15 datasets.
+/// Runs the overhead analysis across the 15 datasets: the record, plus the
+/// host costs measured beside each row.
 #[must_use]
-pub fn run(env: &Env) -> OverheadResult {
+pub fn run(env: &Env) -> (OverheadResult, Vec<HostCost>) {
     let prepared = prepare_all(env.scale);
     let mut rows = Vec::new();
+    let mut host = Vec::new();
     for p in &prepared {
         let device = tahoe_gpu_sim::device::DeviceSpec::tesla_p100();
         let mut engine = Engine::new(device, p.forest.clone(), tahoe_opts(env));
@@ -108,34 +108,37 @@ pub fn run(env: &Env) -> OverheadResult {
 
         rows.push(OverheadRow {
             dataset: p.spec.name.to_string(),
-            node_swap_ns: conversion.rearrange.node_swap_ns,
-            simhash_ns: conversion.rearrange.simhash_ns,
-            lsh_ns: conversion.rearrange.lsh_ns,
-            convert_ns: conversion.convert_ns,
             inference_ns: result.run.kernel.total_ns,
-            pairwise_ns,
-            lsh_total_ns: lsh_report.total_ns().max(1),
             adaptive_bytes: adaptive.image_bytes(),
             traditional_bytes: traditional.image_bytes(),
+        });
+        host.push(HostCost {
+            conversion_ns: conversion.rearrange.node_swap_ns
+                + conversion.rearrange.simhash_ns
+                + conversion.rearrange.lsh_ns
+                + conversion.convert_ns,
+            pairwise_ns,
+            lsh_total_ns: lsh_report.total_ns().max(1),
             model_eval_ns: result.model_eval_ns,
         });
     }
-    OverheadResult { rows }
+    (OverheadResult { rows }, host)
 }
 
-/// Prints the §7.4 tables and writes the record.
-pub fn report(result: &OverheadResult) {
+/// Prints the §7.4 tables and writes the record; `host` pairs with
+/// `result.rows`.
+pub fn report(result: &OverheadResult, host: &[HostCost]) {
     let mut t = Table::new(
         "§7.4 — conversion overhead relative to one batch inference",
         &["dataset", "cpu/inference", "pairwise/LSH", "storage saving", "model eval (ns)"],
     );
-    for r in &result.rows {
+    for (r, h) in result.rows.iter().zip(host) {
         t.row(vec![
             r.dataset.clone(),
-            format!("{:.1}x", r.cpu_over_inference()),
-            format!("{:.0}x", r.pairwise_speedup()),
+            format!("{:.1}x", h.conversion_ns as f64 / r.inference_ns),
+            format!("{:.0}x", h.pairwise_speedup()),
             pct(r.storage_saving()),
-            r.model_eval_ns.to_string(),
+            h.model_eval_ns.to_string(),
         ]);
     }
     t.print();
@@ -144,17 +147,17 @@ pub fn report(result: &OverheadResult) {
         .iter()
         .map(OverheadRow::storage_saving)
         .fold(0.0, f64::max);
-    let min_pairwise = result
-        .rows
+    let min_pairwise = host
         .iter()
-        .filter(|r| r.pairwise_ns > 1_000_000) // Ratios on trivial forests are noise.
-        .map(OverheadRow::pairwise_speedup)
+        .filter(|h| h.pairwise_ns > 1_000_000) // Ratios on trivial forests are noise.
+        .map(HostCost::pairwise_speedup)
         .fold(f64::INFINITY, f64::min);
     println!(
         "max storage saving: {} (paper: up to 23.6%); min pairwise/LSH ratio on\n\
          non-trivial forests: {} (paper: >37x). CPU part vs one inference —\n\
          paper: 28-57x (host wall-clock vs simulated GPU time here; see\n\
-         EXPERIMENTS.md for the cross-domain caveat)",
+         EXPERIMENTS.md for the cross-domain caveat). Host-clock columns are\n\
+         not recorded in the JSON",
         pct(max_saving),
         if min_pairwise.is_finite() { f2(min_pairwise) } else { "-".to_string() },
     );

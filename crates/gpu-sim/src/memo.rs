@@ -34,8 +34,8 @@ static MEMO_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// `Some(false)` forces every planned block to simulate (the keyed path
 /// degrades to [`crate::kernel::KernelSim::simulate_blocks`]); `Some(true)`
 /// forces memoization on; `None` restores the default resolution
-/// (`TAHOE_SIM_MEMO`, then on). Used by the determinism tests and the
-/// `host_perf` benchmark to compare both paths in one process.
+/// (`TAHOE_SIM_MEMO`, then on). Used by the determinism tests to compare
+/// both paths in one process, and by `bench-ledger` to pin the default.
 pub fn set_sim_memo(enabled: Option<bool>) {
     let v = match enabled {
         None => 0,

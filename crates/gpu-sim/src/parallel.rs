@@ -22,8 +22,9 @@ static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 ///
 /// `Some(n)` forces `n` workers (clamped to at least 1); `None` restores the
 /// default resolution (`TAHOE_SIM_THREADS`, then `available_parallelism`).
-/// Used by the determinism tests and the `host_perf` benchmark to compare a
-/// forced 1-thread run against a multi-worker run in one process.
+/// Used by the determinism tests to compare a forced 1-thread run against a
+/// multi-worker run in one process, and by `bench-ledger` to pin the worker
+/// count.
 pub fn set_sim_threads(workers: Option<usize>) {
     WORKER_OVERRIDE.store(workers.map_or(0, |w| w.max(1)), Ordering::SeqCst);
 }

@@ -141,8 +141,8 @@ static TUNE_CACHE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Overrides whether engines consult the tuning-decision cache,
 /// process-wide. `None` restores the default resolution
-/// (`TAHOE_TUNE_CACHE`, then on). Used by the determinism tests and the
-/// `host_perf` benchmark to time cold-vs-warm tuning in one process.
+/// (`TAHOE_TUNE_CACHE`, then on). Used by the determinism tests to compare
+/// cold and warm tuning in one process.
 pub fn set_tune_cache(enabled: Option<bool>) {
     let v = match enabled {
         None => 0,

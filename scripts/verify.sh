@@ -38,9 +38,24 @@ for workers in 1 4; do
     done
 done
 
-# Telemetry must be zero-cost when off: spot-check that a bench binary runs
-# with the default disabled sink (no --trace/--metrics/--profile) end-to-end.
-cargo run --release -p tahoe-bench --bin host_perf -- --scale smoke --detail 4
+# Regression gate: the committed results/ are the reference. Regenerate the
+# smoke suite and its digest into a scratch dir, then require every committed
+# record and SUMMARY.md to match byte for byte, with no file on only one
+# side. Every recorded quantity is simulated, so any change to a cost model,
+# a strategy or the JSON printer fails here. The run uses the default
+# disabled telemetry sink, so it also checks that telemetry-off runs end to
+# end. To re-baseline after an intended change, rerun both commands without
+# TAHOE_RESULTS_DIR and commit results/ (EXPERIMENTS.md, "Regression gate").
+GATE_TMP=$(mktemp -d)
+TAHOE_RESULTS_DIR="$GATE_TMP" cargo run --release -p tahoe-bench --bin all -- \
+    --scale smoke --detail 4
+TAHOE_RESULTS_DIR="$GATE_TMP" cargo run --release -p tahoe-bench --bin report_md
+for f in results/*.json results/SUMMARY.md "$GATE_TMP"/*; do
+    name=$(basename "$f")
+    cmp "results/$name" "$GATE_TMP/$name" \
+        || { echo "results/ gate: $name differs (regenerated copy in $GATE_TMP)"; exit 1; }
+done
+rm -rf "$GATE_TMP"
 
 # End-to-end profiler export: a smoke experiment with --profile must produce
 # byte-identical payloads at 1 and 4 workers, and report_md must digest the
@@ -149,12 +164,3 @@ grep -q "tuning cache:" "$TUNE_TMP/SUMMARY.md"
 grep -q "calibration: mean |drift|" "$TUNE_TMP/SUMMARY.md"
 rm -rf "$TUNE_TMP"
 rm -rf "$FIG9_W1" "$FIG9_W4"
-
-# Bench regression gate, advisory: diff the committed results/ baseline
-# against itself so the gate's plumbing is exercised on every verify run (a
-# self-diff of deterministic metrics must report zero drift). --warn-only
-# keeps it non-blocking for snapshots refreshed on other hosts.
-if [ -d results ]; then
-    cargo run --release -p tahoe-bench --bin bench_diff -- \
-        results results --warn-only
-fi

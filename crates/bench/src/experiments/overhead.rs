@@ -118,7 +118,7 @@ pub fn run(env: &Env) -> (OverheadResult, Vec<HostCost>) {
                 + conversion.rearrange.lsh_ns
                 + conversion.convert_ns,
             pairwise_ns,
-            lsh_total_ns: lsh_report.total_ns().max(1),
+            lsh_total_ns: lsh_report.total_ns(),
             model_eval_ns: result.model_eval_ns,
         });
     }

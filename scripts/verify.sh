@@ -49,11 +49,12 @@ done
 # Regression gate: the committed results/ are the reference. Regenerate the
 # smoke suite and its digest into a scratch dir, then require every committed
 # record and SUMMARY.md to match byte for byte, with no file on only one
-# side. Every recorded quantity is simulated, so any change to a cost model,
-# a strategy or the JSON printer fails here. The run uses the default
-# disabled telemetry sink, so it also checks that telemetry-off runs end to
-# end. To re-baseline after an intended change, rerun both commands without
-# TAHOE_RESULTS_DIR and commit results/ (EXPERIMENTS.md, "Regression gate").
+# side (results/ci/ is not covered). Every recorded quantity is
+# deterministic, so any change to a cost model, a strategy or the JSON
+# printer fails here. The run uses the default disabled telemetry sink, so
+# it also checks that telemetry-off runs end to end. To re-baseline after an
+# intended change, rerun both commands without TAHOE_RESULTS_DIR and commit
+# results/ (EXPERIMENTS.md, "Regression gate").
 GATE_TMP=$(mktemp -d)
 TAHOE_RESULTS_DIR="$GATE_TMP" cargo run --release -p tahoe-bench --bin all -- \
     --scale smoke --detail 4

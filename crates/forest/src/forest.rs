@@ -26,8 +26,7 @@ impl Forest {
     ///
     /// # Panics
     ///
-    /// Panics if `trees` is empty or any tree references an attribute
-    /// `>= n_attributes`.
+    /// Panics if the forest breaks an invariant [`Self::check`] tests.
     #[must_use]
     pub fn new(
         trees: Vec<Tree>,
@@ -36,21 +35,45 @@ impl Forest {
         task: Task,
         base_score: f32,
     ) -> Self {
-        assert!(!trees.is_empty(), "a forest needs at least one tree");
-        for (i, t) in trees.iter().enumerate() {
-            for n in t.nodes() {
-                if let Some(a) = n.attribute() {
-                    assert!(a < n_attributes, "tree {i} references attribute {a} out of range");
-                }
-            }
-        }
-        Self {
+        let forest = Self {
             trees,
             n_attributes,
             kind,
             task,
             base_score,
+        };
+        if let Err(e) = forest.check() {
+            panic!("{e}");
         }
+        forest
+    }
+
+    /// Checks the forest invariants: at least one tree, every tree's arena
+    /// invariants ([`Tree::check`]), and every attribute below
+    /// `n_attributes`. [`Self::new`] asserts them; a deserialized forest
+    /// skips `new`, so `io::load_forest` calls this.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation.
+    pub fn check(&self) -> Result<(), String> {
+        if self.trees.is_empty() {
+            return Err("a forest needs at least one tree".into());
+        }
+        for (i, t) in self.trees.iter().enumerate() {
+            t.check().map_err(|e| format!("tree {i}: {e}"))?;
+            for n in t.nodes() {
+                if let Some(a) = n.attribute() {
+                    if a >= self.n_attributes {
+                        return Err(format!(
+                            "tree {i} references attribute {a} out of range ({} attributes)",
+                            self.n_attributes
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The trees in ensemble order.

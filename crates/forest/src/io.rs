@@ -17,6 +17,9 @@ pub enum IoError {
     Fs(std::io::Error),
     /// Malformed forest file.
     Format(serde_json::Error),
+    /// Well-formed JSON describing a forest that breaks a structural
+    /// invariant ([`Forest::check`]).
+    Invalid(String),
 }
 
 impl std::fmt::Display for IoError {
@@ -24,6 +27,7 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Fs(e) => write!(f, "filesystem error: {e}"),
             IoError::Format(e) => write!(f, "forest format error: {e}"),
+            IoError::Invalid(e) => write!(f, "invalid forest: {e}"),
         }
     }
 }
@@ -53,14 +57,18 @@ pub fn save_forest(forest: &Forest, path: &Path) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Loads a forest from JSON.
+/// Loads a forest from JSON and checks its invariants, which the derived
+/// deserialization does not.
 ///
 /// # Errors
 ///
-/// Returns [`IoError`] on filesystem or deserialization failure.
+/// Returns [`IoError`] on filesystem or deserialization failure, and
+/// [`IoError::Invalid`] for a forest that fails [`Forest::check`].
 pub fn load_forest(path: &Path) -> Result<Forest, IoError> {
     let file = File::open(path)?;
-    Ok(serde_json::from_reader(BufReader::new(file))?)
+    let forest: Forest = serde_json::from_reader(BufReader::new(file))?;
+    forest.check().map_err(IoError::Invalid)?;
+    Ok(forest)
 }
 
 #[cfg(test)]
@@ -103,6 +111,42 @@ mod tests {
         let err = load_forest(Path::new("/nonexistent/forest.json")).unwrap_err();
         assert!(matches!(err, IoError::Fs(_)));
         assert!(err.to_string().contains("filesystem"));
+    }
+
+    /// Loads `text` as a forest file.
+    fn load_text(name: &str, text: &str) -> Result<Forest, IoError> {
+        let dir = std::env::temp_dir().join("tahoe_forest_io_invalid");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let loaded = load_forest(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn load_rejects_forests_that_break_an_invariant() {
+        let valid = serde_json::to_string(&forest()).unwrap();
+        assert!(load_text("valid.json", &valid).is_ok());
+        for (name, from, to, expected) in [
+            ("child_range.json", "\"left\":1,", "\"left\":5,", "child id out of range"),
+            ("cycle.json", "\"left\":1,", "\"left\":0,", "must point forward"),
+            ("attribute.json", "\"attribute\":2,", "\"attribute\":99,", "attribute 99"),
+        ] {
+            let broken = valid.replacen(from, to, 1);
+            assert_ne!(broken, valid, "{name}: the edit applies");
+            let err = load_text(name, &broken).unwrap_err();
+            assert!(matches!(err, IoError::Invalid(_)), "{name}: {err:?}");
+            let text = err.to_string();
+            assert!(text.starts_with("invalid forest: tree 0"), "{name}: {text}");
+            assert!(text.contains(expected), "{name}: {text}");
+        }
+        let no_nodes = r#"{"trees":[{"nodes":[]}],"n_attributes":3,"kind":"RandomForest","task":"BinaryClassification","base_score":0.0}"#;
+        let err = load_text("no_nodes.json", no_nodes).unwrap_err();
+        assert!(err.to_string().contains("at least one node"), "{err}");
+        let no_trees = r#"{"trees":[],"n_attributes":3,"kind":"RandomForest","task":"BinaryClassification","base_score":0.0}"#;
+        let err = load_text("no_trees.json", no_trees).unwrap_err();
+        assert!(err.to_string().contains("at least one tree"), "{err}");
     }
 
     #[test]

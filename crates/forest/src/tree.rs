@@ -20,23 +20,40 @@ impl Tree {
     ///
     /// # Panics
     ///
-    /// Panics if the arena is empty or a child id does not point forward.
+    /// Panics if the arena breaks an invariant [`Self::check`] tests.
     #[must_use]
     pub fn new(nodes: Vec<Node>) -> Self {
-        assert!(!nodes.is_empty(), "a tree needs at least one node");
-        for (i, n) in nodes.iter().enumerate() {
-            if let Some((l, r)) = n.children() {
-                assert!(
-                    (l as usize) > i && (r as usize) > i,
-                    "child ids must point forward (node {i})"
-                );
-                assert!(
-                    (l as usize) < nodes.len() && (r as usize) < nodes.len(),
-                    "child id out of range (node {i})"
-                );
+        let tree = Self { nodes };
+        if let Err(e) = tree.check() {
+            panic!("{e}");
+        }
+        tree
+    }
+
+    /// Checks the arena invariants: at least one node, and every child id
+    /// pointing forward and in range, which also rules out cycles.
+    /// [`Self::new`] asserts them; a deserialized tree skips `new`, so its
+    /// loader calls this.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation.
+    pub fn check(&self) -> Result<(), String> {
+        if self.nodes.is_empty() {
+            return Err("a tree needs at least one node".into());
+        }
+        let n = self.nodes.len();
+        for (i, node) in self.nodes.iter().enumerate() {
+            if let Some((l, r)) = node.children() {
+                if (l as usize) <= i || (r as usize) <= i {
+                    return Err(format!("child ids must point forward (node {i})"));
+                }
+                if (l as usize) >= n || (r as usize) >= n {
+                    return Err(format!("child id out of range (node {i})"));
+                }
             }
         }
-        Self { nodes }
+        Ok(())
     }
 
     /// A tree consisting of a single leaf.

@@ -34,7 +34,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::profile::DriftRecord;
-use crate::telemetry::{DocWriter, TelemetrySink};
+use crate::telemetry::TelemetrySink;
 
 /// One `(strategy, block size)` candidate Algorithm 1 evaluated.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -252,6 +252,69 @@ impl TelemetrySink {
         }
         doc.close_array();
         doc.finish()
+    }
+}
+
+/// Streams a pretty-printed JSON document of the shape
+/// `{"<key>": [items…], …}` one array item at a time.
+///
+/// The bytes are what `serde_json::to_string_pretty` gives for the whole
+/// document, plus a trailing newline. The memory is the text alone: each
+/// item is formed, printed and dropped before the next, so no export builds
+/// a whole-document value tree several times its text's size.
+#[derive(Default)]
+struct DocWriter {
+    text: String,
+    /// Items written to the open array.
+    items: usize,
+}
+
+impl DocWriter {
+    /// Opens the field `"<key>": [`; [`Self::item`] appends to it and
+    /// [`Self::close_array`] closes it.
+    fn open_array(&mut self, key: &str) {
+        self.key(key);
+        self.text.push('[');
+        self.items = 0;
+    }
+
+    /// Appends one item to the open array. It is printed at nesting level 0
+    /// and re-indented to its level-2 place; escaped strings never contain a
+    /// raw newline, so every `'\n'` is a line break of the printer's.
+    fn item<T: Serialize + ?Sized>(&mut self, item: &T) {
+        let pretty = serde_json::to_string_pretty(item).expect("export item serializes");
+        self.text
+            .push_str(if self.items == 0 { "\n    " } else { ",\n    " });
+        for (i, line) in pretty.split('\n').enumerate() {
+            if i > 0 {
+                self.text.push_str("\n    ");
+            }
+            self.text.push_str(line);
+        }
+        self.items += 1;
+    }
+
+    /// Closes the open array (`[]` when it got no item).
+    fn close_array(&mut self) {
+        self.text
+            .push_str(if self.items == 0 { "]" } else { "\n  ]" });
+    }
+
+    fn key(&mut self, key: &str) {
+        self.text.push_str(if self.text.is_empty() {
+            "{\n  "
+        } else {
+            ",\n  "
+        });
+        self.text
+            .push_str(&serde_json::to_string(key).expect("export key serializes"));
+        self.text.push_str(": ");
+    }
+
+    /// Closes the document, which holds at least one field.
+    fn finish(mut self) -> String {
+        self.text.push_str("\n}\n");
+        self.text
     }
 }
 

@@ -41,7 +41,7 @@ use crate::memo::{sim_memo, BlockKey, MemoStats};
 use crate::occupancy::{concurrent_blocks, waves};
 use crate::parallel::parallel_map;
 use crate::profile::{KernelProfile, LaunchStats};
-use crate::telemetry::{Counter, SpanEvent, SpanName, TelemetrySink, PID_GPU};
+use crate::telemetry::{BlockRecord, Counter, SpanEvent, SpanName, TelemetrySink, PID_GPU};
 use crate::warp::LevelStats;
 
 /// How many blocks to simulate in detail.
@@ -395,7 +395,7 @@ impl<'d> KernelSim<'d> {
         if let Some(tr) = &trace {
             emit_launch_telemetry(LaunchTelemetry {
                 trace: tr,
-                span_data: &span_data,
+                span_data,
                 plan_idx: &plan_idx,
                 resident,
                 mean_wall,
@@ -495,7 +495,7 @@ impl<'d> KernelSim<'d> {
 /// Everything [`emit_launch_telemetry`] needs from a finished launch.
 struct LaunchTelemetry<'a> {
     trace: &'a TraceConfig,
-    span_data: &'a [(f64, f64, Vec<f64>)],
+    span_data: Vec<(f64, f64, Vec<f64>)>,
     plan_idx: &'a [usize],
     resident: usize,
     mean_wall: f64,
@@ -520,8 +520,9 @@ struct LaunchTelemetry<'a> {
 /// records is a pure function of the (worker-count-invariant) merged
 /// results. Sampled block `k` with grid index `g` is placed at wave
 /// `g / resident` on track `g % resident` — the same wave-scheduling model
-/// `finish` uses for kernel time — with its warps stacked flame-style under
-/// it and the trailing block reduction marked separately.
+/// `finish` uses for kernel time — as one [`SpanName::SampledBlock`] event,
+/// which the exports expand into the block span, its warps stacked
+/// flame-style under it, and the trailing block reduction.
 fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
     let sink = &t.trace.sink;
     sink.name_process(PID_GPU, "gpu-sim");
@@ -551,8 +552,7 @@ fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
     sink.add(Counter::MemoMisses, t.memo.misses);
     sink.add(Counter::MemoBytes, t.memo.bytes);
     let t0 = t.trace.t0_ns;
-    let n_events: usize = 2 + t.span_data.iter().map(|(_, _, w)| w.len() + 2).sum::<usize>();
-    let mut events = Vec::with_capacity(n_events);
+    let mut events = Vec::with_capacity(2 + t.span_data.len());
     events.push(SpanEvent {
         name: SpanName::Text(t.trace.label.clone()),
         pid: PID_GPU,
@@ -570,38 +570,22 @@ fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
         });
     }
     let resident = t.resident.max(1);
-    for (k, (wall, reduction_ns, warp_serials)) in t.span_data.iter().enumerate() {
+    for (k, (wall, reduction_ns, warp_serials)) in t.span_data.into_iter().enumerate() {
         let g = t.plan_idx.get(k).copied().unwrap_or(k);
         let wave = g / resident;
         // Track 0 is the kernel's own; block slots start at 1.
         let tid = (g % resident) as u32 + 1;
-        let start = t0 + wave as f64 * t.mean_wall;
-        let block = u32::try_from(g).expect("a grid has at most 2^31 - 1 blocks");
         events.push(SpanEvent {
-            name: SpanName::Block(block),
+            name: SpanName::SampledBlock(Box::new(BlockRecord {
+                block: u32::try_from(g).expect("a grid has at most 2^31 - 1 blocks"),
+                warp_serial_ns: warp_serials.into_boxed_slice(),
+                reduction_ns,
+            })),
             pid: PID_GPU,
             tid,
-            start_ns: start,
-            dur_ns: *wall,
+            start_ns: t0 + wave as f64 * t.mean_wall,
+            dur_ns: wall,
         });
-        for (w, serial) in warp_serials.iter().enumerate() {
-            events.push(SpanEvent {
-                name: SpanName::Warp(block, w as u32),
-                pid: PID_GPU,
-                tid,
-                start_ns: start,
-                dur_ns: *serial,
-            });
-        }
-        if *reduction_ns > 0.0 {
-            events.push(SpanEvent {
-                name: SpanName::Reduce(block),
-                pid: PID_GPU,
-                tid,
-                start_ns: start + wall - reduction_ns,
-                dur_ns: *reduction_ns,
-            });
-        }
     }
     sink.push_spans(events);
 }
@@ -858,6 +842,82 @@ mod tests {
             assert_eq!(par.steps, seq.steps);
             assert_eq!(par.active_lane_steps, seq.active_lane_steps);
         }
+    }
+
+    /// A traced launch stores one event per sampled block, and the
+    /// `spans()` snapshot expands each into the block span, its warps in
+    /// order and its reduction, all on the block's track and start.
+    #[test]
+    fn traced_launch_records_one_event_per_sampled_block() {
+        let d = DeviceSpec::tesla_p100();
+        let sink = TelemetrySink::recording();
+        let mut k = KernelSim::new(&d, 2, 96, 0);
+        k.set_trace(&sink, "hand-built", 500.0);
+        let mut blocks = Vec::new();
+        for (n_warps, reduces) in [(3usize, true), (2, false)] {
+            let mut b = k.block();
+            for w_idx in 0..n_warps {
+                let mut w = b.warp();
+                let accesses: Vec<(u8, u64)> =
+                    (0..32).map(|i| (i as u8, 0x1000 + i * 4)).collect();
+                for _ in 0..=w_idx {
+                    w.gmem_read(&accesses, 4, None);
+                }
+                b.push_warp(w.finish());
+            }
+            if reduces {
+                b.block_reduce(96);
+            }
+            let result = b.finish();
+            blocks.push((result.warp_serial_ns.clone(), result.reduction_ns));
+            k.push_block(result);
+        }
+        let _ = k.finish();
+
+        let TelemetrySink::Recording(inner) = &sink else { unreachable!() };
+        let stored: Vec<u32> = inner
+            .spans
+            .lock()
+            .iter()
+            .filter_map(|s| match &s.name {
+                SpanName::SampledBlock(b) => Some(b.block),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stored, vec![0, 1], "one stored event per sampled block");
+
+        let spans = sink.spans();
+        assert_eq!(spans[0].name, SpanName::Text("hand-built".into()));
+        let mut rest = &spans[1..];
+        for (g, (serials, reduction_ns)) in blocks.iter().enumerate() {
+            let g = g as u32;
+            let block = &rest[0];
+            assert_eq!(block.name, SpanName::Block(g));
+            assert_eq!((block.pid, block.tid), (PID_GPU, g + 1));
+            assert_eq!(block.start_ns, 500.0, "one wave: every block starts at t0");
+            let parts = 1 + serials.len() + usize::from(*reduction_ns > 0.0);
+            for (p, s) in rest[..parts].iter().enumerate() {
+                assert_eq!((s.pid, s.tid), (block.pid, block.tid), "part {p}");
+                let expected = match p {
+                    0 => (SpanName::Block(g), block.start_ns, block.dur_ns),
+                    w if w <= serials.len() => {
+                        (SpanName::Warp(g, w as u32 - 1), block.start_ns, serials[w - 1])
+                    }
+                    _ => (
+                        SpanName::Reduce(g),
+                        block.start_ns + block.dur_ns - reduction_ns,
+                        *reduction_ns,
+                    ),
+                };
+                assert_eq!((s.name.clone(), s.start_ns, s.dur_ns), expected, "part {p}");
+            }
+            rest = &rest[parts..];
+        }
+        assert!(rest.is_empty(), "nothing beyond the kernel and its blocks");
+        assert!(blocks[0].1 > 0.0 && blocks[1].1 == 0.0);
+        assert!(blocks[0].0[0] < blocks[0].0[2], "warps differ in serial time");
+        assert_eq!(spans.len(), 1 + (1 + 3 + 1) + (1 + 2));
+        assert_eq!(sink.snapshot().span_count, spans.len());
     }
 
     /// Memo key of the lumpy workload's true content class: results depend

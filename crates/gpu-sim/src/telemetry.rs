@@ -15,10 +15,11 @@
 //!   counters (plus two gauge-style entries maintained with `set`/`max`),
 //!   stored as a fixed array so increments are a single indexed add.
 //! - [`SpanEvent`] — a flat span (label, track, start, duration) in
-//!   *simulated* nanoseconds. Its label is a typed [`SpanName`]: a launch's
-//!   block/warp/reduce spans store their indices and the exporter renders
-//!   the text, so recording them allocates nothing per span. Exported as
-//!   Chrome trace-event JSON
+//!   *simulated* nanoseconds. Its label is a typed [`SpanName`]: each
+//!   sampled block of a launch is one event holding its grid index, its
+//!   warps' serial times and its reduction, expanded into the block, warp
+//!   and reduce spans only when exported, which renders the labels. Exported
+//!   as Chrome trace-event JSON
 //!   ([`TelemetrySink::chrome_trace_json`]) loadable in Perfetto /
 //!   `chrome://tracing`, one process per layer and one track per concurrent
 //!   block slot.
@@ -36,8 +37,10 @@
 //! engine phases (convert/rearrange/tune) are wall-clock timed and vary
 //! run to run; they live on their own process track.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -258,7 +261,7 @@ impl CounterRegistry {
 /// A span's label, kept typed while recorded and rendered only when the
 /// trace is exported, so a launch's block/warp/reduce spans cost no heap
 /// allocation each.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SpanName {
     /// A free-form label (host phases, serving spans, a kernel's own span).
     Text(String),
@@ -268,6 +271,12 @@ pub enum SpanName {
     Warp(u32, u32),
     /// Block `g`'s block-wide reduction: `"block {g} reduce"`.
     Reduce(u32),
+    /// A sampled block as recorded: one event standing for its
+    /// [`Block`](Self::Block) span, one [`Warp`](Self::Warp) span per warp
+    /// and its [`Reduce`](Self::Reduce) span, expanded only by
+    /// [`TelemetrySink::spans`] and [`TelemetrySink::chrome_trace_json`].
+    /// Boxed so [`SpanEvent`] stays 48 bytes.
+    SampledBlock(Box<BlockRecord>),
 }
 
 impl fmt::Display for SpanName {
@@ -277,8 +286,22 @@ impl fmt::Display for SpanName {
             SpanName::Block(g) => write!(f, "block {g}"),
             SpanName::Warp(g, w) => write!(f, "block {g} warp {w}"),
             SpanName::Reduce(g) => write!(f, "block {g} reduce"),
+            SpanName::SampledBlock(b) => write!(f, "block {}", b.block),
         }
     }
+}
+
+/// What a [`SpanName::SampledBlock`] event holds beyond its own block span,
+/// whose track, start and wall time are the event's.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BlockRecord {
+    /// Grid index of the block.
+    pub block: u32,
+    /// Serial time of each warp, in warp order; every warp span starts with
+    /// the block.
+    pub warp_serial_ns: Box<[f64]>,
+    /// Trailing block-wide reduction time; 0 records no reduce span.
+    pub reduction_ns: f64,
 }
 
 /// One completed span on the simulated (or host) timeline.
@@ -295,6 +318,43 @@ pub struct SpanEvent {
     pub start_ns: f64,
     /// Duration in nanoseconds.
     pub dur_ns: f64,
+}
+
+impl SpanEvent {
+    /// Chrome-trace spans this event stands for: 1, or for a sampled block
+    /// 1 + its warps + 1 when it reduces.
+    #[must_use]
+    pub fn span_count(&self) -> usize {
+        match &self.name {
+            SpanName::SampledBlock(b) => {
+                1 + b.warp_serial_ns.len() + usize::from(b.reduction_ns > 0.0)
+            }
+            _ => 1,
+        }
+    }
+
+    /// Span `part` (below [`Self::span_count`]) as `(name, start, dur)`; it
+    /// shares the event's track. A sampled block's parts come in record
+    /// order: the block, its warps, then the reduction, which ends with the
+    /// block.
+    fn part(&self, part: usize) -> (Cow<'_, SpanName>, f64, f64) {
+        let SpanName::SampledBlock(b) = &self.name else {
+            return (Cow::Borrowed(&self.name), self.start_ns, self.dur_ns);
+        };
+        match part {
+            0 => (Cow::Owned(SpanName::Block(b.block)), self.start_ns, self.dur_ns),
+            p if p <= b.warp_serial_ns.len() => (
+                Cow::Owned(SpanName::Warp(b.block, (p - 1) as u32)),
+                self.start_ns,
+                b.warp_serial_ns[p - 1],
+            ),
+            _ => (
+                Cow::Owned(SpanName::Reduce(b.block)),
+                self.start_ns + self.dur_ns - b.reduction_ns,
+                b.reduction_ns,
+            ),
+        }
+    }
 }
 
 /// Flat metrics snapshot — the machine-readable export `report_md` digests.
@@ -369,7 +429,8 @@ impl MetricsSnapshot {
 #[derive(Debug, Default)]
 pub struct SinkInner {
     counters: Mutex<CounterRegistry>,
-    spans: Mutex<Vec<SpanEvent>>,
+    /// Spans in record order; a sampled block is one event here.
+    pub(crate) spans: Mutex<Vec<SpanEvent>>,
     process_names: Mutex<BTreeMap<u32, String>>,
     /// Per-kernel profiles and latency histograms; the recording methods
     /// live in [`crate::profile`].
@@ -470,13 +531,29 @@ impl TelemetrySink {
         }
     }
 
-    /// Snapshot of the recorded spans, in record order (empty when disabled).
+    /// Snapshot of the recorded spans, in record order, with each sampled
+    /// block expanded into its block, warp and reduce spans (empty when
+    /// disabled).
     #[must_use]
     pub fn spans(&self) -> Vec<SpanEvent> {
-        match self {
-            TelemetrySink::Disabled => Vec::new(),
-            TelemetrySink::Recording(inner) => inner.spans.lock().clone(),
+        let TelemetrySink::Recording(inner) = self else {
+            return Vec::new();
+        };
+        let recorded = inner.spans.lock();
+        let mut spans = Vec::with_capacity(recorded.iter().map(SpanEvent::span_count).sum());
+        for s in recorded.iter() {
+            for part in 0..s.span_count() {
+                let (name, start_ns, dur_ns) = s.part(part);
+                spans.push(SpanEvent {
+                    name: name.into_owned(),
+                    pid: s.pid,
+                    tid: s.tid,
+                    start_ns,
+                    dur_ns,
+                });
+            }
         }
+        spans
     }
 
     /// Snapshot of the named process tracks (empty when disabled).
@@ -576,7 +653,7 @@ impl TelemetrySink {
             },
             TelemetrySink::Recording(inner) => MetricsSnapshot {
                 counters: inner.counters.lock().to_map(),
-                span_count: inner.spans.lock().len(),
+                span_count: inner.spans.lock().iter().map(SpanEvent::span_count).sum(),
             },
         }
     }
@@ -617,47 +694,60 @@ impl TelemetrySink {
     /// the recorded [`crate::decision::RequestPathRecord`]s, so the same
     /// byte-identity guarantee applies.
     ///
-    /// The document is streamed through `DocWriter`: each event is formed
-    /// as one small [`serde_json::Value`], pretty-printed and appended at
-    /// once, and span labels are rendered as they are written, so the
-    /// export's memory is the output text itself, not a whole-document value
-    /// tree several times its size. The bytes are what pretty-printing the
-    /// whole `{"traceEvents": [...], "displayTimeUnit": "ns"}` document
-    /// gives (`tests/telemetry_schema.rs` pins the equality).
+    /// The document is `{"traceEvents":[`, then one compact event per line
+    /// (each a small [`serde_json::Value`], printed as `serde_json::to_string`
+    /// prints it), then `],"displayTimeUnit":"ns"}` on a line of its own.
+    /// Each event is formed, printed and dropped before the next, and span
+    /// labels are rendered as they are written, so the export's memory is
+    /// the output text itself. Sampled blocks are expanded here, and the
+    /// sort moves `(event, part)` index pairs, not copies of the spans.
+    /// `tests/telemetry_schema.rs` pins the bytes against a whole-document
+    /// reference.
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = DocWriter::default();
-        out.open_array("traceEvents");
+        let mut out = String::from("{\"traceEvents\":[");
         if let TelemetrySink::Recording(inner) = self {
             let timeseries = self.timeseries();
             let names = inner.process_names.lock();
             let recorded = inner.spans.lock();
-            let mut spans: Vec<&SpanEvent> = recorded.iter().collect();
-            spans.sort_by(|a, b| {
-                (a.pid, a.tid)
-                    .cmp(&(b.pid, b.tid))
-                    .then(a.start_ns.total_cmp(&b.start_ns))
-                    .then(b.dur_ns.total_cmp(&a.dur_ns))
+            let mut order: Vec<(u32, u32)> =
+                Vec::with_capacity(recorded.iter().map(SpanEvent::span_count).sum());
+            for (i, s) in recorded.iter().enumerate() {
+                let i = u32::try_from(i).expect("fewer than 2^32 recorded spans");
+                order.extend((0..s.span_count() as u32).map(|part| (i, part)));
+            }
+            let key = |&(i, part): &(u32, u32)| {
+                let s = &recorded[i as usize];
+                let (_, start_ns, dur_ns) = s.part(part as usize);
+                ((s.pid, s.tid), start_ns, dur_ns)
+            };
+            order.sort_by(|a, b| {
+                let (a, b) = (key(a), key(b));
+                a.0.cmp(&b.0)
+                    .then(a.1.total_cmp(&b.1))
+                    .then(b.2.total_cmp(&a.2))
             });
             for (pid, name) in names.iter() {
-                out.item(&event(vec![
+                push_event(&mut out, vec![
                     ("ph", str_val("M")),
                     ("ts", num(0.0)),
                     ("pid", uint(u64::from(*pid))),
                     ("tid", uint(0)),
                     ("name", str_val("process_name")),
                     ("args", Value::Object(vec![("name".into(), str_val(name))])),
-                ]));
+                ]);
             }
-            for s in spans {
-                out.item(&event(vec![
+            for (i, part) in order {
+                let s = &recorded[i as usize];
+                let (name, start_ns, dur_ns) = s.part(part as usize);
+                push_event(&mut out, vec![
                     ("ph", str_val("X")),
-                    ("ts", num(s.start_ns / 1_000.0)),
-                    ("dur", num(s.dur_ns / 1_000.0)),
+                    ("ts", num(start_ns / 1_000.0)),
+                    ("dur", num(dur_ns / 1_000.0)),
                     ("pid", uint(u64::from(s.pid))),
                     ("tid", uint(u64::from(s.tid))),
-                    ("name", Value::String(s.name.to_string())),
-                ]));
+                    ("name", Value::String(name.to_string())),
+                ]);
             }
             for series in &timeseries.series {
                 if crate::timeseries::is_memo_series(&series.name) {
@@ -665,14 +755,14 @@ impl TelemetrySink {
                 }
                 let pid = u64::from(device_pid(PID_GPU, series.device as usize));
                 for p in &series.points {
-                    out.item(&event(vec![
+                    push_event(&mut out, vec![
                         ("ph", str_val("C")),
                         ("ts", num(p.start_ns as f64 / 1_000.0)),
                         ("pid", uint(pid)),
                         ("tid", uint(0)),
                         ("name", str_val(&series.name)),
                         ("args", Value::Object(vec![("value".into(), num(p.value))])),
-                    ]));
+                    ]);
                 }
             }
             let queue_pid = u64::from(device_pid(PID_SERVING, 0));
@@ -682,7 +772,7 @@ impl TelemetrySink {
                 let end_ns = r.arrival_ns + r.total_ns;
                 let name = format!("request {}", r.request);
                 for (ph, ts_ns) in [("b", r.arrival_ns), ("e", end_ns)] {
-                    out.item(&event(vec![
+                    push_event(&mut out, vec![
                         ("ph", str_val(ph)),
                         ("cat", str_val("request")),
                         ("id", uint(r.request)),
@@ -690,17 +780,17 @@ impl TelemetrySink {
                         ("pid", uint(queue_pid)),
                         ("tid", uint(0)),
                         ("name", str_val(&name)),
-                    ]));
+                    ]);
                 }
-                out.item(&event(vec![
+                push_event(&mut out, vec![
                     ("ph", str_val("s")),
                     ("id", uint(r.request)),
                     ("ts", num(r.arrival_ns / 1_000.0)),
                     ("pid", uint(queue_pid)),
                     ("tid", uint(0)),
                     ("name", str_val("request path")),
-                ]));
-                out.item(&event(vec![
+                ]);
+                push_event(&mut out, vec![
                     ("ph", str_val("f")),
                     ("bp", str_val("e")),
                     ("id", uint(r.request)),
@@ -708,23 +798,29 @@ impl TelemetrySink {
                     ("pid", uint(exec_pid)),
                     ("tid", uint(2)),
                     ("name", str_val("request path")),
-                ]));
+                ]);
             }
         }
-        out.close_array();
-        out.scalar("displayTimeUnit", "ns");
-        out.finish()
+        out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
+        out
     }
 }
 
-/// One trace event: a JSON object with `fields` in order.
-fn event(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
+/// Appends one trace event on a line of its own: a compact JSON object with
+/// `fields` in order, comma-separated from the event before it.
+fn push_event(out: &mut String, fields: Vec<(&str, Value)>) {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+    out.push('\n');
+    let event = Value::Object(
         fields
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
-    )
+    );
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{event}");
 }
 
 fn str_val(s: &str) -> Value {
@@ -737,77 +833,6 @@ fn num(x: f64) -> Value {
 
 fn uint(x: u64) -> Value {
     Value::Number(Number::PosInt(x))
-}
-
-/// Streams a pretty-printed JSON document of the shape
-/// `{"<key>": [items…], "<key>": value, …}` one array item at a time.
-///
-/// The bytes are what `serde_json::to_string_pretty` gives for the whole
-/// document, plus a trailing newline. The memory is the text alone: each
-/// item is formed, printed and dropped before the next, so no export builds
-/// a whole-document value tree several times its text's size.
-#[derive(Default)]
-pub(crate) struct DocWriter {
-    text: String,
-    /// Items written to the open array.
-    items: usize,
-}
-
-impl DocWriter {
-    /// Opens the field `"<key>": [`; [`Self::item`] appends to it and
-    /// [`Self::close_array`] closes it.
-    pub(crate) fn open_array(&mut self, key: &str) {
-        self.key(key);
-        self.text.push('[');
-        self.items = 0;
-    }
-
-    /// Appends one item to the open array. It is printed at nesting level 0
-    /// and re-indented to its level-2 place; escaped strings never contain a
-    /// raw newline, so every `'\n'` is a line break of the printer's.
-    pub(crate) fn item<T: Serialize + ?Sized>(&mut self, item: &T) {
-        let pretty = serde_json::to_string_pretty(item).expect("export item serializes");
-        self.text
-            .push_str(if self.items == 0 { "\n    " } else { ",\n    " });
-        for (i, line) in pretty.split('\n').enumerate() {
-            if i > 0 {
-                self.text.push_str("\n    ");
-            }
-            self.text.push_str(line);
-        }
-        self.items += 1;
-    }
-
-    /// Closes the open array (`[]` when it got no item).
-    pub(crate) fn close_array(&mut self) {
-        self.text
-            .push_str(if self.items == 0 { "]" } else { "\n  ]" });
-    }
-
-    /// Appends the field `"<key>": value` for a scalar value (string,
-    /// number, bool or null), which prints on one line.
-    pub(crate) fn scalar<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
-        self.key(key);
-        self.text
-            .push_str(&serde_json::to_string(value).expect("export scalar serializes"));
-    }
-
-    fn key(&mut self, key: &str) {
-        self.text.push_str(if self.text.is_empty() {
-            "{\n  "
-        } else {
-            ",\n  "
-        });
-        self.text
-            .push_str(&serde_json::to_string(key).expect("export key serializes"));
-        self.text.push_str(": ");
-    }
-
-    /// Closes the document, which holds at least one field.
-    pub(crate) fn finish(mut self) -> String {
-        self.text.push_str("\n}\n");
-        self.text
-    }
 }
 
 #[cfg(test)]
@@ -947,6 +972,13 @@ mod tests {
         let sink = TelemetrySink::recording();
         sink.span("block 7", PID_GPU, 1, 0.0, 1.0);
         assert_eq!(sink.spans()[0].name, SpanName::Text("block 7".into()));
+    }
+
+    #[test]
+    fn a_sampled_block_record_keeps_span_events_small() {
+        // The boxed payload keeps every recorded event, a sampled block
+        // included, at the size of a plain span.
+        assert_eq!(std::mem::size_of::<SpanEvent>(), 48);
     }
 
     #[test]

@@ -455,7 +455,7 @@ mod tests {
         assert!(snap.span_count > 0);
         assert_eq!(snap.counters["kernel_launches"], 2);
         let trace = sink.chrome_trace_json();
-        assert!(trace.contains(&format!("\"pid\": {}", device_pid(PID_GPU, 1))));
+        assert!(trace.contains(&format!("\"pid\":{},", device_pid(PID_GPU, 1))));
         assert!(trace.contains("[gpu1: Tesla V100]"));
         // Cluster high-water gauge sums both devices' forest images.
         let per_device_sum: u64 = (0..2)

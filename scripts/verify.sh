@@ -9,8 +9,10 @@ cargo build --workspace --release
 cargo clippy --workspace --all-targets --release -- -D warnings
 cargo test --workspace --release
 # The benchmark (bench-ledger/, run by BENCHMARK.json) is a workspace of its
-# own that nothing above compiles; build it and run its toy-size tests so an
-# API change in the crates it drives fails here, not in the benchmark run.
+# own that nothing above compiles; lint it under the same -D warnings gate,
+# build it and run its toy-size tests so an API change in the crates it
+# drives fails here, not in the benchmark run.
+cargo clippy --release --offline --manifest-path bench-ledger/Cargo.toml --all-targets -- -D warnings
 cargo test --release --offline --manifest-path bench-ledger/Cargo.toml
 # The vendored stand-in crates (vendor/README.md) sit outside the workspace
 # too, and every export goes through the JSON printer in vendor/serde. Run

@@ -202,3 +202,54 @@ fn forced_infeasible_strategy_is_rejected() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("direct"));
     std::fs::remove_file(&model).ok();
 }
+
+/// A one-tree, 16-attribute forest (letter's width) whose root tests
+/// `attribute` and routes left to node `left` of a 3-node arena.
+fn hand_written_model(attribute: u32, left: u32) -> String {
+    format!(
+        r#"{{"trees":[{{"nodes":[{{"Decision":{{"attribute":{attribute},"threshold":5.0,"default_left":false,"left":{left},"right":2,"left_prob":0.5}}}},{{"Leaf":{{"value":0.25}}}},{{"Leaf":{{"value":0.75}}}}]}}],"n_attributes":16,"kind":"RandomForest","task":"BinaryClassification","base_score":0.0}}"#
+    )
+}
+
+#[test]
+fn malformed_models_fail_with_a_one_line_error() {
+    let good = temp_path("hand_written_good.json");
+    std::fs::write(&good, hand_written_model(3, 1)).unwrap();
+    let out = cli()
+        .args(["inspect", "--model", good.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "the well-formed model loads");
+    std::fs::remove_file(&good).ok();
+
+    for (name, attribute, left, expected) in [
+        ("child_out_of_range.json", 3, 5, "child id out of range"),
+        ("attribute_out_of_range.json", 99, 1, "attribute 99 out of range"),
+    ] {
+        let model = temp_path(name);
+        std::fs::write(&model, hand_written_model(attribute, left)).unwrap();
+        for command in [
+            vec!["inspect"],
+            vec!["infer", "--data", "letter", "--scale", "smoke", "--batch", "64"],
+        ] {
+            let out = cli()
+                .args(&command)
+                .args(["--model", model.to_str().unwrap()])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(!out.status.success(), "{name} {command:?} must fail");
+            assert!(
+                !stderr.contains("panicked at") && !stdout.contains("panicked at"),
+                "{name} {command:?} panicked: {stderr}"
+            );
+            assert_eq!(stderr.lines().count(), 1, "{name} {command:?}: {stderr}");
+            assert!(
+                stderr.starts_with("error: invalid forest: tree 0") && stderr.contains(expected),
+                "{name} {command:?}: {stderr}"
+            );
+        }
+        std::fs::remove_file(&model).ok();
+    }
+}

@@ -3,8 +3,8 @@
 //! The Chrome trace must stay loadable by `chrome://tracing` / Perfetto:
 //! every event carries the required keys, durations are non-negative, and
 //! events are ordered by start time within each (pid, tid) track. The
-//! streamed trace must equal, byte for byte, the whole-document tree it
-//! replaced. The metrics snapshot must survive a serde round-trip unchanged.
+//! streamed trace must equal, byte for byte, the compact one-event-per-line
+//! document built from the whole event list. The metrics snapshot must survive a serde round-trip unchanged.
 
 use serde_json::{Number, Value};
 use tahoe::cluster::GpuCluster;
@@ -161,11 +161,14 @@ fn launch_spans_record_typed_block_warp_and_reduce_labels() {
     // spans and the host/serving layers record `Text`.
     let text_blocks = count(|n| matches!(n, SpanName::Text(t) if t.starts_with("block ")));
     assert_eq!(text_blocks, 0, "per-block spans are typed");
+    // The snapshot is expanded: no stored block record leaks into it.
+    assert_eq!(count(|n| matches!(n, SpanName::SampledBlock(_))), 0);
+    assert_eq!(spans.len(), sink.snapshot().span_count);
 }
 
-/// The trace as one whole-document `Value` tree, pretty-printed in one go:
-/// the exporter's earlier implementation, kept as the byte-level reference
-/// for the streamed one.
+/// The trace built from one whole list of event `Value`s, each printed
+/// compactly on a line of its own: the byte-level reference for the
+/// streamed export, which expands sampled blocks and prints as it goes.
 fn whole_tree_trace(sink: &TelemetrySink) -> String {
     let timeseries = sink.timeseries();
     let decisions = sink.decisions();
@@ -267,12 +270,16 @@ fn whole_tree_trace(sink: &TelemetrySink) -> String {
             ("name".into(), str_val("request path")),
         ]));
     }
-    let doc = Value::Object(vec![
-        ("traceEvents".into(), Value::Array(events)),
-        ("displayTimeUnit".into(), str_val("ns")),
-    ]);
-    let mut text = serde_json::to_string_pretty(&doc).expect("trace serializes");
-    text.push('\n');
+    let lines: Vec<String> = events
+        .iter()
+        .map(|e| serde_json::to_string(e).expect("event serializes"))
+        .collect();
+    let mut text = String::from("{\"traceEvents\":[\n");
+    if !lines.is_empty() {
+        text.push_str(&lines.join(",\n"));
+        text.push('\n');
+    }
+    text.push_str("],\"displayTimeUnit\":\"ns\"}\n");
     text
 }
 
@@ -353,7 +360,7 @@ fn streamed_trace_of_an_empty_sink_equals_the_whole_tree_document() {
         let streamed = sink.chrome_trace_json();
         assert_eq!(
             streamed,
-            "{\n  \"traceEvents\": [],\n  \"displayTimeUnit\": \"ns\"\n}\n"
+            "{\"traceEvents\":[\n],\"displayTimeUnit\":\"ns\"}\n"
         );
         assert_same_bytes(&streamed, &whole_tree_trace(&sink), what);
     }

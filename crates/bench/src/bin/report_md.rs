@@ -403,9 +403,9 @@ fn kernel_profiles_section(v: &Value) -> Option<String> {
     let _ = writeln!(out, "\n## Kernel profiles");
     let _ = writeln!(
         out,
-        "| strategy | launches | occupancy | coalescing | traversal | staging | reduction | bw stall | memo hits | model err |"
+        "| strategy | launches | occupancy | coalescing | traversal | staging | reduction | bw stall | model err |"
     );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|");
     for label in labels {
         let ks: Vec<&Value> = kernels
             .iter()
@@ -433,18 +433,9 @@ fn kernel_profiles_section(v: &Value) -> Option<String> {
         } else {
             format!("{:.1}%", 100.0 * errors.iter().sum::<f64>() / errors.len() as f64)
         };
-        let sum_u64 = |key: &str| -> u64 {
-            ks.iter().filter_map(|k| k[key].as_u64()).sum()
-        };
-        let (hits, misses) = (sum_u64("memo_hits"), sum_u64("memo_misses"));
-        let memo = if hits + misses == 0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}%", 100.0 * hits as f64 / (hits + misses) as f64)
-        };
         let _ = writeln!(
             out,
-            "| {label} | {} | {:.0}% | {:.1}% | {:.1}% | {:.1}% | {:.1}% | {:.1}% | {memo} | {model_err} |",
+            "| {label} | {} | {:.0}% | {:.1}% | {:.1}% | {:.1}% | {:.1}% | {:.1}% | {model_err} |",
             ks.len(),
             100.0 * mean("achieved_occupancy"),
             100.0 * mean("gmem_coalescing_efficiency"),
@@ -620,24 +611,10 @@ fn worst_p99_attribution_section(v: &Value) -> Option<String> {
             100.0 * drift.iter().copied().fold(0.0f64, f64::max),
         );
     }
-    // Tuning-cache and calibration digests (DESIGN.md §2.16). Both are
-    // guarded on the new fields actually being present, so exports written
-    // before the flight recorder carried them simply omit the lines.
+    // Calibration digest (DESIGN.md §2.16), guarded on the generation field
+    // being present, so exports written before the flight recorder carried
+    // it simply omit the line.
     let decisions: Vec<&Value> = v["decisions"].as_array().into_iter().flatten().collect();
-    let cached: Vec<bool> = decisions
-        .iter()
-        .filter_map(|d| d["cache_hit"].as_bool())
-        .collect();
-    if !cached.is_empty() {
-        let hits = cached.iter().filter(|h| **h).count();
-        let _ = writeln!(
-            out,
-            "- tuning cache: {}/{} decisions served from cache ({:.1}% hit rate)",
-            hits,
-            cached.len(),
-            100.0 * hits as f64 / cached.len() as f64,
-        );
-    }
     let abs_err_where = |pred: &dyn Fn(u64) -> bool| -> Vec<f64> {
         decisions
             .iter()
@@ -691,13 +668,11 @@ mod tests {
               "kernels": [
                 {"label": "direct", "total_ns": 100.0, "achieved_occupancy": 0.5,
                  "gmem_coalescing_efficiency": 0.25,
-                 "memo_hits": 3, "memo_misses": 1,
                  "breakdown": {"traversal_ns": 80.0, "staging_ns": 0.0,
                                "block_reduction_ns": 0.0, "global_reduction_ns": 20.0,
                                "bandwidth_stall_ns": 0.0}},
                 {"label": "direct", "total_ns": 100.0, "achieved_occupancy": 1.0,
                  "gmem_coalescing_efficiency": 0.75,
-                 "memo_hits": 0, "memo_misses": 0,
                  "breakdown": {"traversal_ns": 100.0, "staging_ns": 0.0,
                                "block_reduction_ns": 0.0, "global_reduction_ns": 0.0,
                                "bandwidth_stall_ns": 0.0}},
@@ -722,17 +697,16 @@ mod tests {
         .expect("fixture parses");
         let section = kernel_profiles_section(&v).expect("non-empty digest");
         // direct: mean occupancy 75%, coalescing 50%, traversal 90%,
-        // reduction 10%, memo 3 hits / 1 miss = 75%, mean |err| 20%; shared
-        // data has no memo activity and no drift records.
+        // reduction 10%, mean |err| 20%; shared data has no drift records.
         assert!(section.contains("## Kernel profiles"), "{section}");
         assert!(
             section
-                .contains("| direct | 2 | 75% | 50.0% | 90.0% | 0.0% | 10.0% | 0.0% | 75.0% | 20.0% |"),
+                .contains("| direct | 2 | 75% | 50.0% | 90.0% | 0.0% | 10.0% | 0.0% | 20.0% |"),
             "{section}"
         );
         assert!(
             section
-                .contains("| shared data | 1 | 100% | 100.0% | 100.0% | 0.0% | 0.0% | 0.0% | - | - |"),
+                .contains("| shared data | 1 | 100% | 100.0% | 100.0% | 0.0% | 0.0% | 0.0% | - |"),
             "{section}"
         );
         assert!(section.contains("kernel durations: 3 launches"), "{section}");
@@ -839,14 +813,13 @@ mod tests {
             section.contains("tuning decisions: 2 recorded, mean |drift| 15.0%, max |drift| 20.0%"),
             "{section}"
         );
-        // Exports written before the flight recorder carried cache and
-        // calibration fields omit those digest lines entirely.
-        assert!(!section.contains("tuning cache:"), "{section}");
+        // Exports written before the flight recorder carried calibration
+        // fields omit that digest line entirely.
         assert!(!section.contains("calibration:"), "{section}");
     }
 
     #[test]
-    fn worst_p99_attribution_digests_cache_and_calibration() {
+    fn worst_p99_attribution_digests_calibration() {
         let v: Value = serde_json::from_str(
             r#"{
               "decisions": [
@@ -854,22 +827,22 @@ mod tests {
                  "chosen_strategy": "direct", "chosen_block_threads": 128,
                  "predicted_ns": 110.0, "simulated_ns": 100.0,
                  "relative_error": 0.1, "calibration_generation": 0,
-                 "cache_hit": false, "candidates": []},
+                 "candidates": []},
                 {"device": 0, "batch": 1, "n_samples": 32, "forced": false,
                  "chosen_strategy": "direct", "chosen_block_threads": 128,
                  "predicted_ns": 80.0, "simulated_ns": 100.0,
                  "relative_error": -0.2, "calibration_generation": 0,
-                 "cache_hit": true, "candidates": []},
+                 "candidates": []},
                 {"device": 0, "batch": 2, "n_samples": 32, "forced": false,
                  "chosen_strategy": "direct", "chosen_block_threads": 128,
                  "predicted_ns": 99.0, "simulated_ns": 100.0,
                  "relative_error": -0.01, "calibration_generation": 1,
-                 "cache_hit": true, "candidates": []},
+                 "candidates": []},
                 {"device": 0, "batch": 3, "n_samples": 32, "forced": false,
                  "chosen_strategy": "direct", "chosen_block_threads": 128,
                  "predicted_ns": 103.0, "simulated_ns": 100.0,
                  "relative_error": 0.03, "calibration_generation": 1,
-                 "cache_hit": true, "candidates": []}
+                 "candidates": []}
               ],
               "requests": [
                 {"request": 0, "batch": 0, "device": 0, "arrival_ns": 0.0,
@@ -880,12 +853,7 @@ mod tests {
         )
         .expect("fixture parses");
         let section = worst_p99_attribution_section(&v).expect("non-empty digest");
-        // 3 of 4 decisions hit the cache; gen-0 mean |drift| = (10+20)/2 =
-        // 15%, gen-1 mean = (1+3)/2 = 2%.
-        assert!(
-            section.contains("tuning cache: 3/4 decisions served from cache (75.0% hit rate)"),
-            "{section}"
-        );
+        // Gen-0 mean |drift| = (10+20)/2 = 15%, gen-1 mean = (1+3)/2 = 2%.
         assert!(
             section.contains(
                 "calibration: mean |drift| 15.00% uncalibrated (2 gen-0 decisions) -> 2.00% calibrated (2 decisions)"

@@ -51,20 +51,6 @@ pub struct BlockResult {
     pub active_lane_steps: u64,
 }
 
-impl BlockResult {
-    /// Approximate in-memory footprint of this result (struct plus heap),
-    /// used for the memo cache's `memo_bytes` accounting. Based on lengths,
-    /// not capacities, so the number is independent of allocation history.
-    #[must_use]
-    pub fn approx_bytes(&self) -> u64 {
-        let heap = self.thread_busy_ns.len() * std::mem::size_of::<f64>()
-            + self.warp_serial_ns.len() * std::mem::size_of::<f64>()
-            + self.levels.len()
-                * (std::mem::size_of::<u32>() + std::mem::size_of::<LevelStats>());
-        (std::mem::size_of::<Self>() + heap) as u64
-    }
-}
-
 /// Tracer for one thread block.
 pub struct BlockSim<'d> {
     device: &'d DeviceSpec,

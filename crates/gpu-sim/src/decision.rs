@@ -27,9 +27,8 @@
 //! caller threads, after `simulate_blocks` has merged block results in plan
 //! order — worker threads never touch the store. Every field derives from
 //! simulated-clock arithmetic and performance-model evaluation (no
-//! wall-clock), so the export is byte-identical across the
-//! `TAHOE_SIM_THREADS` × `TAHOE_SIM_MEMO` cross-product
-//! (`tests/determinism.rs`).
+//! wall-clock), so the export is byte-identical at any
+//! `TAHOE_SIM_THREADS` (`tests/determinism.rs`).
 
 use serde::{Deserialize, Serialize};
 
@@ -80,8 +79,8 @@ pub struct DecisionRecord {
     /// §6 constants; bumps when the engine's calibrator refits and moves a
     /// scale).
     pub calibration_generation: u64,
-    /// Whether the tuning ladder came from the engine's tuning-decision
-    /// cache instead of a fresh `tune::sweep`.
+    /// Always `false`: it has no effect and stays only because
+    /// `bench-ledger` reads it.
     pub cache_hit: bool,
     /// Every rung of the tuning ladder, in sweep order (strategy-major,
     /// ascending block size).

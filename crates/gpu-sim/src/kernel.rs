@@ -32,12 +32,11 @@
 //!          + global_reductions
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::block::{BlockResult, BlockSim};
 use crate::coalesce::AccessStats;
 use crate::device::DeviceSpec;
-use crate::memo::{sim_memo, BlockKey, MemoStats};
 use crate::occupancy::{concurrent_blocks, waves};
 use crate::parallel::parallel_map;
 use crate::profile::{KernelProfile, LaunchStats};
@@ -96,9 +95,6 @@ pub struct KernelSim<'d> {
     /// when tracing (parallel to `sampled`; positions fall back to the
     /// sample index for blocks pushed directly).
     plan_idx: Vec<usize>,
-    /// Memoization accounting of the keyed simulation path (DESIGN.md
-    /// §2.12); all zero on the unkeyed path or with memoization off.
-    memo: MemoStats,
     /// Device-image bytes per forest node, carried into the kernel profile
     /// (0 when the launch has no forest image).
     node_bytes: u64,
@@ -131,7 +127,6 @@ impl<'d> KernelSim<'d> {
             global_reductions: 0,
             trace: None,
             plan_idx: Vec::new(),
-            memo: MemoStats::default(),
             node_bytes: 0,
         }
     }
@@ -211,80 +206,6 @@ impl<'d> KernelSim<'d> {
             .extend(parallel_map(plan.len(), |i| sim(plan[i], BlockSim::new(device))));
     }
 
-    /// As [`Self::simulate_blocks`], but memoizes identical blocks within
-    /// this launch (DESIGN.md §2.12).
-    ///
-    /// `key` maps each plan entry to a [`BlockKey`] fingerprinting
-    /// *everything* `sim`'s result depends on for that block — block shape
-    /// and tree slice (a salt), window length, alignment relative to the
-    /// coalescing grain, and the exact sample-window content bits. Blocks
-    /// with equal keys must produce bit-identical [`BlockResult`]s; only one
-    /// representative per distinct key is simulated (fanned out via
-    /// [`crate::parallel::parallel_map`] like the unkeyed path) and the rest
-    /// replay its cached result. Replay happens on the caller thread in plan
-    /// order, so [`Self::finish`] sees exactly the sequence a full
-    /// simulation would have produced: results are bit-identical with
-    /// memoization on or off and at any worker count.
-    ///
-    /// Keys are computed on the caller thread, one at a time; the cache
-    /// lives only for this call. With memoization disabled
-    /// ([`crate::memo::set_sim_memo`] / `TAHOE_SIM_MEMO`) this is exactly
-    /// `simulate_blocks` — no keys are computed at all.
-    pub fn simulate_blocks_keyed<K, F>(&mut self, plan: &[usize], key: K, sim: F)
-    where
-        K: Fn(usize) -> BlockKey,
-        F: Fn(usize, BlockSim<'d>) -> BlockResult + Sync,
-    {
-        if !sim_memo() {
-            self.simulate_blocks(plan, sim);
-            return;
-        }
-        let device = self.device;
-        if self.trace.is_some() {
-            self.plan_idx.extend_from_slice(plan);
-        }
-        // Fingerprint the plan and deduplicate. `assignment[i]` is the slot
-        // (index into `unique_pos`) whose representative covers plan entry
-        // `i`; `uses` counts entries per slot so replay can move the last
-        // use instead of cloning it.
-        let mut first_of: HashMap<BlockKey, usize> = HashMap::with_capacity(plan.len());
-        let mut unique_pos: Vec<usize> = Vec::new();
-        let mut uses: Vec<usize> = Vec::new();
-        let mut assignment: Vec<usize> = Vec::with_capacity(plan.len());
-        for (i, &block_idx) in plan.iter().enumerate() {
-            let slot = *first_of.entry(key(block_idx)).or_insert_with(|| {
-                unique_pos.push(i);
-                uses.push(0);
-                unique_pos.len() - 1
-            });
-            uses[slot] += 1;
-            assignment.push(slot);
-        }
-        // Only the distinct blocks fan out across workers.
-        let mut results: Vec<Option<BlockResult>> =
-            parallel_map(unique_pos.len(), |u| sim(plan[unique_pos[u]], BlockSim::new(device)))
-                .into_iter()
-                .map(Some)
-                .collect();
-        self.memo.hits += (plan.len() - unique_pos.len()) as u64;
-        self.memo.misses += unique_pos.len() as u64;
-        for r in results.iter().flatten() {
-            self.memo.bytes += r.approx_bytes();
-        }
-        // Replay in plan order on the caller thread — the merge `finish`
-        // consumes is untouched by memoization.
-        self.sampled.reserve(plan.len());
-        for slot in assignment {
-            uses[slot] -= 1;
-            let r = if uses[slot] == 0 {
-                results[slot].take().expect("each slot is taken once, on its last use")
-            } else {
-                results[slot].as_ref().expect("slot is live until its last use").clone()
-            };
-            self.sampled.push(r);
-        }
-    }
-
     /// Records one device-wide segmented reduction over `n_blocks` partial
     /// results (cub::DeviceSegmentedReduce-style). Returns the cost charged.
     pub fn global_reduce(&mut self, n_blocks: usize) -> f64 {
@@ -327,7 +248,6 @@ impl<'d> KernelSim<'d> {
             global_reductions,
             trace,
             plan_idx,
-            memo,
             node_bytes,
         } = self;
         assert!(!sampled.is_empty(), "no blocks were simulated");
@@ -411,7 +331,6 @@ impl<'d> KernelSim<'d> {
                 steps,
                 active_lane_steps,
                 warp_size: device.warp_size,
-                memo,
             });
             let profile = KernelProfile::from_launch(&LaunchStats {
                 device,
@@ -421,8 +340,6 @@ impl<'d> KernelSim<'d> {
                 smem_per_block,
                 node_bytes,
                 sampled_blocks: n_sampled,
-                memo_hits: memo.hits,
-                memo_misses: memo.misses,
                 concurrent_blocks: concurrent,
                 waves: n_waves,
                 gmem: &gmem_total,
@@ -439,9 +356,7 @@ impl<'d> KernelSim<'d> {
             // Windowed samples, still on the caller thread after the
             // plan-order merge (DESIGN.md §2.14): busy time and fetched
             // bytes apportioned over the launch's simulated-clock interval,
-            // the roofline as a gauge at launch start, and the launch's memo
-            // accounting (the one series pair allowed to differ across
-            // `TAHOE_SIM_MEMO` settings).
+            // and the roofline as a gauge at launch start.
             let total_ns = scheduled + global_reduction_ns;
             let sink = &tr.sink;
             sink.ts_add_interval(
@@ -464,10 +379,6 @@ impl<'d> KernelSim<'d> {
                 tr.t0_ns,
                 profile.roofline_utilization,
             );
-            if memo.hits + memo.misses > 0 {
-                sink.ts_add(0, crate::timeseries::MEMO_HITS, tr.t0_ns, memo.hits as f64);
-                sink.ts_add(0, crate::timeseries::MEMO_MISSES, tr.t0_ns, memo.misses as f64);
-            }
             sink.push_kernel_profile(profile);
         }
         KernelResult {
@@ -511,7 +422,6 @@ struct LaunchTelemetry<'a> {
     steps: u64,
     active_lane_steps: u64,
     warp_size: u32,
-    memo: MemoStats,
 }
 
 /// Emits one traced launch's counters and spans.
@@ -548,9 +458,6 @@ fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
         Counter::ReductionTimeNs,
         (t.block_reduction_wall + t.global_reduction_ns).round() as u64,
     );
-    sink.add(Counter::MemoHits, t.memo.hits);
-    sink.add(Counter::MemoMisses, t.memo.misses);
-    sink.add(Counter::MemoBytes, t.memo.bytes);
     let t0 = t.trace.t0_ns;
     let mut events = Vec::with_capacity(2 + t.span_data.len());
     events.push(SpanEvent {
@@ -794,9 +701,7 @@ mod tests {
     }
 
     /// One deterministic but block-dependent block workload: the step count
-    /// depends on `block_idx % 7`, and addresses shift per block by 4096 — a
-    /// whole number of transaction lines — so blocks with equal residues
-    /// produce bit-identical results (the property the keyed test exploits).
+    /// depends on `block_idx % 7`, and addresses shift per block by 4096.
     fn lumpy_trace(block_idx: usize, mut b: BlockSim<'_>) -> BlockResult {
         let mut w = b.warp();
         for s in 0..(4 + block_idx % 7) as u64 {
@@ -918,64 +823,6 @@ mod tests {
         assert!(blocks[0].0[0] < blocks[0].0[2], "warps differ in serial time");
         assert_eq!(spans.len(), 1 + (1 + 3 + 1) + (1 + 2));
         assert_eq!(sink.snapshot().span_count, spans.len());
-    }
-
-    /// Memo key of the lumpy workload's true content class: results depend
-    /// only on `block_idx % 7` (see `lumpy_trace`).
-    fn lumpy_key(block_idx: usize) -> crate::memo::BlockKey {
-        let mut h = crate::memo::KeyHasher::new();
-        h.write_u64((block_idx % 7) as u64);
-        h.finish()
-    }
-
-    /// The keyed path with memoization on vs. forced off: bit-identical
-    /// results, with hits/misses surfaced through the telemetry counters and
-    /// the kernel profile. The only test in this binary that writes the
-    /// process-global memo override, so the forced phases cannot interleave
-    /// with another writer.
-    #[test]
-    fn keyed_simulation_is_bit_identical_and_counts_hits() {
-        let d = DeviceSpec::tesla_p100();
-        let grid = 96usize;
-        // Plan entries 0, 4, 8, …, 92: 24 blocks whose residues mod 7 cover
-        // all 7 classes (gcd(4, 7) = 1) → 7 misses, 17 hits.
-        let plan = sample_plan(grid, Detail::Sampled(24));
-
-        crate::memo::set_sim_memo(Some(true));
-        let sink = TelemetrySink::recording();
-        let mut k = KernelSim::new(&d, grid, 64, 0);
-        k.set_trace(&sink, "lumpy", 0.0);
-        k.simulate_blocks_keyed(&plan, lumpy_key, lumpy_trace);
-        let memoized = k.finish();
-
-        crate::memo::set_sim_memo(Some(false));
-        let mut k = KernelSim::new(&d, grid, 64, 0);
-        k.simulate_blocks_keyed(&plan, lumpy_key, lumpy_trace);
-        let full = k.finish();
-        crate::memo::set_sim_memo(None);
-
-        assert_eq!(memoized.total_ns.to_bits(), full.total_ns.to_bits());
-        assert_eq!(
-            memoized.mean_block_wall_ns.to_bits(),
-            full.mean_block_wall_ns.to_bits()
-        );
-        assert_eq!(memoized.gmem, full.gmem);
-        assert_eq!(memoized.levels, full.levels);
-        assert_eq!(memoized.thread_busy_per_block, full.thread_busy_per_block);
-        assert_eq!(memoized.steps, full.steps);
-        assert_eq!(memoized.active_lane_steps, full.active_lane_steps);
-        // And against the plain unkeyed paths, sequential and parallel.
-        let pushed = lumpy_kernel(&d, false);
-        assert_eq!(memoized.total_ns.to_bits(), pushed.total_ns.to_bits());
-
-        assert_eq!(sink.counter_value(Counter::MemoHits), 17);
-        assert_eq!(sink.counter_value(Counter::MemoMisses), 7);
-        assert!(sink.counter_value(Counter::MemoBytes) > 0);
-        let profiles = sink.profiles();
-        assert_eq!(profiles.kernels.len(), 1);
-        assert_eq!(profiles.kernels[0].memo_hits, 17);
-        assert_eq!(profiles.kernels[0].memo_misses, 7);
-        assert!((profiles.kernels[0].memo_hit_rate - 17.0 / 24.0).abs() < 1e-12);
     }
 
     #[test]

@@ -26,8 +26,6 @@
 //! - [`metrics`] — CV / A.C.V. imbalance statistics.
 //! - [`parallel`] — host-side parallel map for simulation work
 //!   (`TAHOE_SIM_THREADS` overrides the worker count).
-//! - [`memo`] — per-launch block-result memoization: identical blocks
-//!   simulate once and replay in plan order (`TAHOE_SIM_MEMO` toggles it).
 //! - [`telemetry`] — span recorder, typed counter registry, and Chrome
 //!   trace / metrics-snapshot export (zero-cost when disabled).
 //! - [`profile`] — per-kernel Nsight-style reports, latency histograms,
@@ -67,7 +65,6 @@ pub mod coalesce;
 pub mod decision;
 pub mod device;
 pub mod kernel;
-pub mod memo;
 pub mod memory;
 pub mod metrics;
 pub mod microbench;
@@ -85,7 +82,6 @@ pub use coalesce::AccessStats;
 pub use decision::{DecisionCandidate, DecisionRecord, DecisionsExport, RequestPathRecord};
 pub use device::{Arch, DeviceSpec};
 pub use kernel::{sample_plan, Detail, KernelResult, KernelSim};
-pub use memo::{set_sim_memo, sim_memo, BlockKey, KeyHasher, MemoStats};
 pub use memory::{DeviceMemory, GlobalBuffer, OomError, ALLOC_ALIGN};
 pub use microbench::{measure, MeasuredParams};
 pub use parallel::{parallel_map, set_sim_threads, sim_threads};
@@ -101,3 +97,6 @@ pub use timeseries::{
     DEFAULT_WINDOW_NS,
 };
 pub use warp::{LevelStats, WarpResult, WarpSim, MAX_WARP_LANES};
+
+/// Has no effect; it stays only because `bench-ledger` calls it.
+pub fn set_sim_memo(_enabled: Option<bool>) {}

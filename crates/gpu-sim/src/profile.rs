@@ -101,14 +101,12 @@ pub struct KernelProfile {
     pub node_bytes: u64,
     /// Blocks simulated in detail.
     pub sampled_blocks: u64,
-    /// Planned blocks replayed from the launch's memo cache
-    /// (DESIGN.md §2.12); 0 on the unkeyed path or with memoization off.
+    /// Always 0: it has no effect and stays only because `bench-ledger`
+    /// reads it.
     pub memo_hits: u64,
-    /// Planned blocks the keyed path simulated in detail (memo misses).
+    /// Always 0: it has no effect and stays only because `bench-ledger`
+    /// reads it.
     pub memo_misses: u64,
-    /// `memo_hits / (memo_hits + memo_misses)` in `[0, 1]`; 0 when the
-    /// launch never went through the keyed path.
-    pub memo_hit_rate: f64,
     /// Occupancy-limited concurrent blocks on the device.
     pub concurrent_blocks: u64,
     /// Scheduling waves (`ceil(grid / concurrent)`).
@@ -157,10 +155,6 @@ pub struct LaunchStats<'a> {
     pub node_bytes: u64,
     /// Blocks simulated in detail.
     pub sampled_blocks: usize,
-    /// Planned blocks replayed from the launch's memo cache.
-    pub memo_hits: u64,
-    /// Planned blocks the keyed path simulated in detail.
-    pub memo_misses: u64,
     /// Occupancy-limited concurrent blocks.
     pub concurrent_blocks: usize,
     /// Scheduling waves.
@@ -257,13 +251,6 @@ impl KernelProfile {
             0.0
         };
 
-        let memo_keyed = s.memo_hits + s.memo_misses;
-        let memo_hit_rate = if memo_keyed == 0 {
-            0.0
-        } else {
-            s.memo_hits as f64 / memo_keyed as f64
-        };
-
         KernelProfile {
             label: s.label.to_string(),
             device: d.name.to_string(),
@@ -272,9 +259,8 @@ impl KernelProfile {
             smem_per_block: s.smem_per_block as u64,
             node_bytes: s.node_bytes,
             sampled_blocks: s.sampled_blocks as u64,
-            memo_hits: s.memo_hits,
-            memo_misses: s.memo_misses,
-            memo_hit_rate,
+            memo_hits: 0,
+            memo_misses: 0,
             concurrent_blocks: s.concurrent_blocks as u64,
             waves: s.waves as u64,
             achieved_occupancy,
@@ -627,8 +613,6 @@ mod tests {
             smem_per_block: 0,
             node_bytes: 0,
             sampled_blocks: 10,
-            memo_hits: 0,
-            memo_misses: 0,
             concurrent_blocks: 448,
             waves: 1,
             gmem,
@@ -715,23 +699,6 @@ mod tests {
         s.grid_blocks = 10;
         let p = KernelProfile::from_launch(&s);
         assert_eq!(p.occupancy_limiter, OccupancyLimiter::Grid);
-    }
-
-    #[test]
-    fn memo_hit_rate_follows_the_counters() {
-        let d = DeviceSpec::tesla_p100();
-        let gmem = AccessStats::default();
-        let smem = AccessStats::default();
-        let mut s = stats(&d, &gmem, &smem);
-        // Unkeyed launch: no memo traffic, rate pinned to 0 (not NaN).
-        let p = KernelProfile::from_launch(&s);
-        assert_eq!(p.memo_hit_rate, 0.0);
-        s.memo_hits = 30;
-        s.memo_misses = 10;
-        let p = KernelProfile::from_launch(&s);
-        assert_eq!(p.memo_hits, 30);
-        assert_eq!(p.memo_misses, 10);
-        assert!((p.memo_hit_rate - 0.75).abs() < 1e-12);
     }
 
     #[test]

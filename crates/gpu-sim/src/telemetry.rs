@@ -122,26 +122,11 @@ pub enum Counter {
     ServingBatches,
     /// Requests the serving simulator served.
     ServingRequests,
-    /// Planned blocks replayed from a launch's memo cache instead of being
-    /// simulated (DESIGN.md §2.12).
-    MemoHits,
-    /// Planned blocks simulated in detail by the keyed path (one per
-    /// distinct block fingerprint).
-    MemoMisses,
-    /// Approximate bytes of cached block results held by per-launch memo
-    /// caches, summed over launches.
-    MemoBytes,
-    /// Engine batches whose tuning ladder came from the tuning-decision
-    /// cache instead of a fresh `tune::sweep` (DESIGN.md §2.16).
-    TuningCacheHits,
-    /// Engine batches that ran a fresh `tune::sweep` and populated the
-    /// tuning-decision cache.
-    TuningCacheMisses,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 24] = [
         Counter::GmemTransactions,
         Counter::GmemRequestedBytes,
         Counter::GmemFetchedBytes,
@@ -166,11 +151,6 @@ impl Counter {
         Counter::AcvBlocksSkipped,
         Counter::ServingBatches,
         Counter::ServingRequests,
-        Counter::MemoHits,
-        Counter::MemoMisses,
-        Counter::MemoBytes,
-        Counter::TuningCacheHits,
-        Counter::TuningCacheMisses,
     ];
 
     /// Whether this entry is a gauge (maintained with `set`/`max`) rather
@@ -210,11 +190,6 @@ impl Counter {
             Counter::AcvBlocksSkipped => "acv_blocks_skipped",
             Counter::ServingBatches => "serving_batches",
             Counter::ServingRequests => "serving_requests",
-            Counter::MemoHits => "memo_hits",
-            Counter::MemoMisses => "memo_misses",
-            Counter::MemoBytes => "memo_bytes",
-            Counter::TuningCacheHits => "tuning_cache_hits",
-            Counter::TuningCacheMisses => "tuning_cache_misses",
         }
     }
 }
@@ -681,10 +656,7 @@ impl TelemetrySink {
     ///
     /// Recorded time series additionally export as Perfetto counter tracks
     /// (`"ph":"C"` events, one per non-empty window) after the spans, in
-    /// the export's `(device, name, kind)` order. The `memo_*` series are
-    /// excluded — they are the one thing `TAHOE_SIM_MEMO` is allowed to
-    /// change, and the trace must stay byte-identical across memo settings
-    /// (`tests/determinism.rs`).
+    /// the export's `(device, name, kind)` order.
     ///
     /// Recorded request paths (DESIGN.md §2.15) export after the counter
     /// tracks, in record order: one Perfetto async span (`"b"`/`"e"`, id =
@@ -750,9 +722,6 @@ impl TelemetrySink {
                 ]);
             }
             for series in &timeseries.series {
-                if crate::timeseries::is_memo_series(&series.name) {
-                    continue;
-                }
                 let pid = u64::from(device_pid(PID_GPU, series.device as usize));
                 for p in &series.points {
                     push_event(&mut out, vec![
@@ -940,17 +909,16 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_emits_counter_tracks_but_never_memo_series() {
+    fn chrome_trace_emits_counter_tracks() {
         let sink = TelemetrySink::recording();
         sink.ts_gauge(0, crate::timeseries::QUEUE_DEPTH, 10.0, 3.0);
         sink.ts_gauge(1, crate::timeseries::QUEUE_DEPTH, 10.0, 4.0);
-        sink.ts_add(0, crate::timeseries::MEMO_HITS, 10.0, 7.0);
         let text = sink.chrome_trace_json();
         let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
         let events = doc["traceEvents"].as_array().unwrap();
         let counters: Vec<&serde_json::Value> =
             events.iter().filter(|e| e["ph"].as_str() == Some("C")).collect();
-        assert_eq!(counters.len(), 2, "memo series must be excluded");
+        assert_eq!(counters.len(), 2);
         assert_eq!(counters[0]["name"].as_str(), Some("queue_depth"));
         assert_eq!(counters[0]["pid"].as_u64(), Some(u64::from(PID_GPU)));
         assert_eq!(counters[0]["args"]["value"].as_f64(), Some(3.0));
@@ -959,7 +927,6 @@ mod tests {
             counters[1]["pid"].as_u64(),
             Some(u64::from(device_pid(PID_GPU, 1)))
         );
-        assert!(!text.contains("memo_hits"));
     }
 
     #[test]

@@ -29,12 +29,7 @@
 //! after the plan-order merge, and the engine/serving caller thread — never
 //! from simulation workers. Window edges are fixed multiples of `window_ns`,
 //! never sample-dependent, and every export iterates `BTreeMap`s, so
-//! `timeseries_json()` is byte-identical at any `TAHOE_SIM_THREADS`. Across
-//! `TAHOE_SIM_MEMO` settings only the `memo_*` series may differ (the same
-//! carve-out as the profile's `memo_*` fields); those series are therefore
-//! excluded from the Chrome-trace counter tracks, which
-//! `tests/determinism.rs` byte-compares across the full memo × workers
-//! cross-product.
+//! `timeseries_json()` is byte-identical at any `TAHOE_SIM_THREADS`.
 
 use std::collections::BTreeMap;
 
@@ -52,10 +47,6 @@ pub const BUSY_NS: &str = "busy_ns";
 pub const GMEM_FETCHED_BYTES: &str = "gmem_fetched_bytes";
 /// Gauge series: per-launch roofline utilization (last launch in window).
 pub const ROOFLINE_UTILIZATION: &str = "roofline_utilization";
-/// Sum series: planned blocks replayed from the memo cache.
-pub const MEMO_HITS: &str = "memo_hits";
-/// Sum series: planned blocks the keyed path simulated in detail.
-pub const MEMO_MISSES: &str = "memo_misses";
 /// Gauge series: device DRAM bytes in use after a batch.
 pub const MEM_IN_USE_BYTES: &str = "mem_in_use_bytes";
 /// Gauge series: device DRAM high-water footprint after a batch.
@@ -68,15 +59,6 @@ pub const QUEUE_WAIT_NS: &str = "queue_wait_ns";
 pub const DISPATCHED_BATCHES: &str = "dispatched_batches";
 /// Gauge series: batches in flight on the device(s).
 pub const INFLIGHT_BATCHES: &str = "inflight_batches";
-
-/// Whether a series is memo-accounting — the one thing memoization is
-/// allowed to change (DESIGN.md §2.12), so these series are stripped from
-/// the Chrome-trace counter tracks and normalized away by the cross-memo
-/// determinism diff.
-#[must_use]
-pub fn is_memo_series(name: &str) -> bool {
-    name.starts_with("memo_")
-}
 
 /// Window state shared behind a recording sink (one per
 /// `telemetry::SinkInner`).
@@ -620,13 +602,5 @@ mod tests {
         let text = sink.timeseries_json();
         let back = TimeSeriesExport::from_json(&text).expect("export parses");
         assert_eq!(back, e, "round-trip must be lossless");
-    }
-
-    #[test]
-    fn memo_series_are_flagged() {
-        assert!(is_memo_series(MEMO_HITS));
-        assert!(is_memo_series(MEMO_MISSES));
-        assert!(!is_memo_series(BUSY_NS));
-        assert!(!is_memo_series(QUEUE_DEPTH));
     }
 }

@@ -89,7 +89,7 @@ pub struct EngineOptions {
     /// exports stay bit-identical to the historical engine; `tahoe-cli`
     /// enables it with `--calibrate`. Calibration consumes only
     /// simulated-clock values, so turning it on keeps every export
-    /// byte-identical at any worker count and across memo settings.
+    /// byte-identical at any worker count.
     pub calibration: bool,
 }
 
@@ -207,10 +207,6 @@ pub struct Engine {
     /// present; folded into and applied to selections only when
     /// `options.calibration` is on.
     calibrator: Calibrator,
-    /// Memoized `tune::sweep` ladders keyed by everything selection depends
-    /// on (`tune::cache_key`); cleared on reconversion and on
-    /// calibration-generation bumps.
-    tuning_cache: tune::TuningCache,
 }
 
 impl Engine {
@@ -287,7 +283,6 @@ impl Engine {
             clock_ns: 0.0,
             host_cursor_ns: 0.0,
             calibrator: Calibrator::new(),
-            tuning_cache: tune::TuningCache::new(),
         }
     }
 
@@ -325,11 +320,8 @@ impl Engine {
             sink,
             clock_ns: 0.0,
             host_cursor_ns: 0.0,
-            // Fitted scales carry over with the rest of the calibration;
-            // the tuning cache does not — replica slots run downclocked
-            // specs, so the template's keys would never match anyway.
+            // Fitted scales carry over with the rest of the calibration.
             calibrator: self.calibrator.clone(),
-            tuning_cache: tune::TuningCache::new(),
         }
     }
 
@@ -380,10 +372,6 @@ impl Engine {
     /// `plan`, recording `rearrange` (the planning cost, zero when the plan
     /// was reused) alongside the build time.
     fn build_image(&mut self, plan: LayoutPlan, rearrange: RearrangeReport) {
-        // The cache keys per-forest statistics but not the per-tree layout;
-        // its validity contract is that the forest image is fixed within one
-        // cache lifetime, so a rebuild drops every entry (DESIGN.md §2.16).
-        self.tuning_cache.clear();
         let config = FormatConfig {
             varlen_attr: self.options.varlen_attr,
             mode: None,
@@ -501,47 +489,12 @@ impl Engine {
         let inputs = ModelInputs::gather(&self.device_forest, &self.stats, samples);
         let cal_enabled = self.options.calibration;
         let cal = cal_enabled.then_some(&self.calibrator);
-        // Model evaluation: consult the tuning-decision cache (DESIGN.md
-        // §2.16), falling back to sweeping every strategy × block size
-        // (Algorithm 1 lines 8-14), then rank the ladder. The cached ladder
-        // is a pure function of its key material, so warm and cold runs
-        // select identically — only this host span and the cache accounting
-        // differ.
+        // Model evaluation: sweep every strategy × block size (Algorithm 1
+        // lines 8-14), then rank the ladder.
         let t0 = Instant::now();
-        let (ladder, cache_hit) = if tune::tune_cache_enabled() {
-            let key = tune::cache_key(
-                &self.device_forest,
-                &self.device,
-                &inputs,
-                self.options.detail,
-                self.calibrator.generation(),
-            );
-            match self.tuning_cache.get(&key) {
-                Some(cached) => (cached.clone(), true),
-                None => {
-                    let fresh = tune::sweep(&ctx, &inputs, &self.hw);
-                    self.tuning_cache.insert(key, fresh.clone());
-                    (fresh, false)
-                }
-            }
-        } else {
-            (tune::sweep(&ctx, &inputs, &self.hw), false)
-        };
+        let ladder = tune::sweep(&ctx, &inputs, &self.hw);
         let tuned = ladder.ranked(cal);
         let model_eval_ns = t0.elapsed().as_nanos() as u64;
-        // Cache accounting only when the cache was consulted, mirroring the
-        // block-memo counters: turning the cache off zeroes these counters
-        // but must change nothing else.
-        if tune::tune_cache_enabled() {
-            self.sink.add(
-                if cache_hit {
-                    Counter::TuningCacheHits
-                } else {
-                    Counter::TuningCacheMisses
-                },
-                1,
-            );
-        }
         let ranked: Vec<Prediction> = tuned.iter().map(|&(_, _, p)| p).collect();
         let strategy = force.or(pin).unwrap_or_else(|| {
             if self.options.model_selection {
@@ -628,7 +581,7 @@ impl Engine {
                 simulated_ns: drift.simulated_ns,
                 relative_error: drift.relative_error,
                 calibration_generation: self.calibrator.generation(),
-                cache_hit,
+                cache_hit: false,
                 candidates,
             });
             // DRAM footprint gauges at the batch's simulated completion time
@@ -650,15 +603,11 @@ impl Engine {
         self.clock_ns += run.kernel.total_ns;
         // Close the tuning loop (DESIGN.md §2.16): fold this launch's drift
         // observation and refit on cadence. Both inputs derive from the
-        // simulated clock, so calibration cannot perturb byte-identity. A
-        // generation bump invalidates the tuning cache — by dropping
-        // entries, never by mutating them.
+        // simulated clock, so calibration cannot perturb byte-identity.
         if cal_enabled {
             self.calibrator
                 .observe(strategy, launched().total() * n, run.kernel.total_ns);
-            if self.calibrator.maybe_recalibrate() {
-                self.tuning_cache.clear();
-            }
+            self.calibrator.maybe_recalibrate();
         }
         let predictions = if self.options.functional {
             self.device_forest.predict_batch(samples)
@@ -882,13 +831,6 @@ impl Engine {
     #[must_use]
     pub fn calibrator(&self) -> &Calibrator {
         &self.calibrator
-    }
-
-    /// Distinct batch shapes currently memoized in the tuning-decision
-    /// cache.
-    #[must_use]
-    pub fn tuning_cache_len(&self) -> usize {
-        self.tuning_cache.len()
     }
 }
 
@@ -1127,60 +1069,6 @@ mod tests {
     }
 
     #[test]
-    fn tuning_cache_hits_on_repeated_batches_without_changing_selection() {
-        // Default cache state (on, no override) — safe alongside parallel
-        // in-crate tests, which never flip the process-wide toggle.
-        let (forest, samples) = setup("letter");
-        let sink = TelemetrySink::recording();
-        let mut engine = Engine::with_telemetry(
-            DeviceSpec::tesla_p100(),
-            forest,
-            EngineOptions::tahoe(),
-            sink.clone(),
-        );
-        let first = engine.infer(&samples);
-        let second = engine.infer(&samples);
-        assert_eq!(engine.tuning_cache_len(), 1, "one shape, one entry");
-        assert_eq!(sink.counter_value(Counter::TuningCacheMisses), 1);
-        assert_eq!(sink.counter_value(Counter::TuningCacheHits), 1);
-        // The cached plan list is bit-identical to the fresh sweep's.
-        assert_eq!(first.strategy, second.strategy);
-        assert_eq!(first.ranked.len(), second.ranked.len());
-        for (a, b) in first.ranked.iter().zip(&second.ranked) {
-            assert_eq!(a.total().to_bits(), b.total().to_bits());
-        }
-        let decisions = sink.decisions().decisions;
-        assert_eq!(decisions.len(), 2);
-        assert!(!decisions[0].cache_hit, "first batch is a cold miss");
-        assert!(decisions[1].cache_hit, "second batch replays the cache");
-        assert_eq!(
-            decisions[0].chosen_block_threads,
-            decisions[1].chosen_block_threads
-        );
-    }
-
-    #[test]
-    fn forest_rebuild_invalidates_the_tuning_cache() {
-        let (forest, samples) = setup("letter");
-        let sink = TelemetrySink::recording();
-        let mut engine = Engine::with_telemetry(
-            DeviceSpec::tesla_p100(),
-            forest,
-            EngineOptions::tahoe(),
-            sink.clone(),
-        );
-        let _ = engine.infer(&samples);
-        let (forest2, _) = setup("letter");
-        engine.update_forest(forest2, None);
-        let _ = engine.infer(&samples);
-        assert_eq!(
-            sink.counter_value(Counter::TuningCacheMisses),
-            2,
-            "reconversion drops every cached entry"
-        );
-    }
-
-    #[test]
     fn calibration_reduces_model_error_on_repeated_batches() {
         use crate::perfmodel::calibrate::RECALIBRATE_INTERVAL;
         let (forest, samples) = setup("letter");
@@ -1221,13 +1109,6 @@ mod tests {
         // On an identical repeated batch the least-squares fit is exact, so
         // the calibrated error collapses to rounding noise.
         assert!(calibrated < 1e-6, "calibrated error is ~0: {calibrated}");
-        // A generation bump invalidates the cache: more than one miss.
-        assert!(sink.counter_value(Counter::TuningCacheMisses) > 1);
-        assert_eq!(
-            sink.counter_value(Counter::TuningCacheHits)
-                + sink.counter_value(Counter::TuningCacheMisses),
-            batches as u64
-        );
     }
 
     #[test]

@@ -160,15 +160,6 @@ fn get_uint(width: AttrWidth, buf: &[u8]) -> u32 {
     }
 }
 
-/// One round of splitmix64 — the deterministic mixer behind
-/// [`DeviceForest::encoding_key`].
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl DeviceForest {
     /// Builds a device forest from a host forest, a layout plan, and a format
     /// configuration, allocating its image in `mem`.
@@ -392,31 +383,6 @@ impl DeviceForest {
     #[must_use]
     pub fn child_width(&self) -> Option<AttrWidth> {
         self.child_width
-    }
-
-    /// Deterministic fingerprint of everything about the encoding that a
-    /// simulated block trace depends on: the resolved encoding, the per-lane
-    /// element widths, and each lane's base address modulo the transaction
-    /// size (which fixes the coalescing pattern of every node access).
-    ///
-    /// [`crate::strategy::LaunchContext::window_key`] folds this into the
-    /// block-memo key so the cache can never false-share across encodings.
-    #[must_use]
-    pub fn encoding_key(&self, transaction_bytes: u64) -> u64 {
-        let mut k = splitmix64(match self.encoding {
-            NodeEncoding::Classic => 1,
-            NodeEncoding::Packed => 2,
-        });
-        k = splitmix64(k ^ self.node_bytes as u64);
-        k = splitmix64(k ^ self.packed_width.map_or(0, |w| w.bytes() as u64));
-        k = splitmix64(k ^ self.child_width.map_or(0, |w| w.bytes() as u64));
-        for lane in &self.lanes {
-            k = splitmix64(
-                k ^ (((lane.elem_bytes as u64) << 32)
-                    | (lane.buffer.base % transaction_bytes.max(1))),
-            );
-        }
-        k
     }
 
     /// Encodes the full device image (used for storage accounting and
@@ -994,20 +960,5 @@ mod tests {
         let err = DeviceForest::try_build(&forest, &plan, config, &mut mem).unwrap_err();
         assert!(err.requested_bytes > 0);
         assert_eq!(mem.in_use_bytes(), 0, "failed build must leave no lanes allocated");
-    }
-
-    #[test]
-    fn encoding_key_separates_encodings_and_widths() {
-        let (_, classic, _) = build_pair("letter");
-        let (_, packed_dense, _) = build_packed("letter", Some(StorageMode::Dense));
-        let (_, packed_sparse, _) = build_packed("letter", Some(StorageMode::Sparse));
-        let keys = [
-            classic.encoding_key(128),
-            packed_dense.encoding_key(128),
-            packed_sparse.encoding_key(128),
-        ];
-        assert_ne!(keys[0], keys[1]);
-        assert_ne!(keys[1], keys[2]);
-        assert_ne!(keys[0], keys[2]);
     }
 }

@@ -15,11 +15,9 @@
 //!
 //! Determinism: every observation derives from the simulated clock and the
 //! analytic model — never wall-clock — so a calibrated engine's decisions
-//! stay byte-identical at any worker count and across memo settings.
-//! Refits happen on a fixed observation cadence and the generation counter
-//! bumps only when a scale actually moves (relative change above
-//! [`CONVERGENCE_TOL`]), which is what lets generation-tagged tuning-cache
-//! entries stay valid across converged refits.
+//! stay byte-identical at any worker count. Refits happen on a fixed
+//! observation cadence and the generation counter bumps only when a scale
+//! actually moves (relative change above [`CONVERGENCE_TOL`]).
 
 use crate::perfmodel::Prediction;
 use crate::strategy::Strategy;
@@ -28,7 +26,7 @@ use crate::strategy::Strategy;
 pub const RECALIBRATE_INTERVAL: u64 = 8;
 
 /// Relative scale movement below which a refit is treated as converged and
-/// the generation (and therefore the tuning cache) is left untouched.
+/// the generation is left untouched.
 pub const CONVERGENCE_TOL: f64 = 1e-3;
 
 /// Fitted scales are clamped to this range: a correction outside it says the
@@ -95,7 +93,7 @@ impl Calibrator {
     }
 
     /// Bumped each time a refit moves at least one scale; tags decision
-    /// records and tuning-cache keys.
+    /// records.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -142,7 +140,7 @@ impl Calibrator {
     /// Refits the scales once [`RECALIBRATE_INTERVAL`] observations have
     /// accumulated since the last attempt. Returns `true` — and bumps the
     /// generation — only when some scale moved more than [`CONVERGENCE_TOL`]
-    /// relatively; a converged refit leaves generation-tagged caches valid.
+    /// relatively, so a converged refit keeps the generation.
     pub fn maybe_recalibrate(&mut self) -> bool {
         if self.since_refit < RECALIBRATE_INTERVAL {
             return false;

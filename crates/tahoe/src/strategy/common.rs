@@ -5,7 +5,6 @@ use std::cell::RefCell;
 use tahoe_datasets::SampleMatrix;
 use tahoe_gpu_sim::device::DeviceSpec;
 use tahoe_gpu_sim::kernel::{Detail, KernelResult, KernelSim};
-use tahoe_gpu_sim::memo::{BlockKey, KeyHasher};
 use tahoe_gpu_sim::memory::GlobalBuffer;
 use tahoe_gpu_sim::{BlockSim, WarpSim};
 
@@ -97,25 +96,6 @@ impl LaunchContext<'_> {
         (self.block_threads.max(warp) / warp * warp).min(max)
     }
 
-    /// Memo fingerprint of the sample window `[start, end)` this block works
-    /// on (see [`sample_window_key`]); `salt` names the tree slice the block
-    /// stages (`0` for whole-forest strategies, the part index for
-    /// splitting-shared-forest). The forest's
-    /// [`DeviceForest::encoding_key`] — resolved encoding, packed widths,
-    /// lane alignments — is folded in so the cache never false-shares across
-    /// node encodings.
-    #[must_use]
-    pub fn window_key(&self, salt: u64, start: usize, end: usize) -> BlockKey {
-        sample_window_key(
-            self.samples,
-            self.sample_buf,
-            self.device.transaction_bytes,
-            self.forest.encoding_key(self.device.transaction_bytes),
-            salt,
-            start,
-            end,
-        )
-    }
 }
 
 /// Launch geometry a strategy chose (feeds the performance models'
@@ -215,58 +195,6 @@ pub fn sample_attr_addr(
     attr: usize,
 ) -> u64 {
     buf.elem_addr((sample * n_attributes + attr) as u64, 4)
-}
-
-/// Deterministic memo key for a block whose workload is the sample window
-/// `[start, end)` over a fixed tree slice (DESIGN.md §2.12).
-///
-/// Two blocks with equal keys are guaranteed to produce bit-identical
-/// [`tahoe_gpu_sim::BlockResult`]s, because a strategy block's trace depends
-/// on its window only through:
-///
-/// - the traversal *paths*, determined by the window's f32 content (hashed
-///   exactly, bit-for-bit — so `-0.0` vs `0.0` or NaN payloads never alias);
-/// - the *number* of rounds/lanes, determined by the window length;
-/// - transaction-line counts and adjacent-lane distances of attribute /
-///   staging reads. Between two windows of equal content, corresponding
-///   addresses differ by one uniform shift `(start_a - start_b) * row_bytes`;
-///   line partitions (and hence coalescing counts) are invariant under a
-///   uniform shift iff the windows' base addresses are congruent modulo the
-///   device's transaction size, which the key hashes explicitly. Distances
-///   are shift-invariant outright. Node addresses don't vary per block at
-///   all for a fixed tree slice, which `salt` pins;
-/// - the node-access *shape*: the classic encoding reads whole node records,
-///   the packed encoding issues joint per-lane reads whose widths and
-///   alignments come from the forest image. `encoding` carries
-///   [`DeviceForest::encoding_key`] so blocks built against different
-///   encodings (or differently aligned lanes) can never share a cache entry.
-///
-/// Empty windows hash as `(encoding, salt, len = 0)` with no address term:
-/// such blocks only restage their slice, which the salt already determines.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn sample_window_key(
-    samples: &SampleMatrix,
-    sample_buf: GlobalBuffer,
-    transaction_bytes: u64,
-    encoding: u64,
-    salt: u64,
-    start: usize,
-    end: usize,
-) -> BlockKey {
-    let end = end.max(start);
-    let mut h = KeyHasher::new();
-    h.write_u64(encoding);
-    h.write_u64(salt);
-    h.write_u64((end - start) as u64);
-    if start < end {
-        let base = sample_attr_addr(sample_buf, samples.n_attributes(), start, 0);
-        h.write_u64(base % transaction_bytes.max(1));
-        for sample in start..end {
-            h.write_f32s(samples.row(sample));
-        }
-    }
-    h.finish()
 }
 
 /// Reusable buffers for [`simulate_staging`]'s access loop.
@@ -568,59 +496,6 @@ mod tests {
         assert_eq!(a[0], vec![0]);
         assert_eq!(a[1], vec![1]);
         assert!(a[2].is_empty());
-    }
-
-    #[test]
-    fn window_keys_fingerprint_content_alignment_and_slice() {
-        use tahoe_gpu_sim::memory::DeviceMemory;
-
-        let mut mem = DeviceMemory::new();
-        // Two identical 4-sample windows tiled back to back: 4 attributes per
-        // row = 16 B per row, 64 B per window, so window 1 starts 64 B after
-        // window 0 — *not* a multiple of the 128 B transaction size.
-        let tile: Vec<f32> = (0..16).map(|i| i as f32 * 0.5 - 3.0).collect();
-        let mut values = tile.clone();
-        values.extend_from_slice(&tile);
-        let samples = SampleMatrix::from_vec(8, 4, values);
-        let buf = mem.alloc((samples.n_samples() * samples.sample_bytes()) as u64);
-
-        let key =
-            |m: &SampleMatrix, salt, s0, s1| sample_window_key(m, buf, 128, 0, salt, s0, s1);
-
-        // Same window, same everything: deterministic.
-        assert_eq!(key(&samples, 0, 0, 4), key(&samples, 0, 0, 4));
-        // Identical content but misaligned base (64 % 128 != 0): must miss.
-        assert_ne!(key(&samples, 0, 0, 4), key(&samples, 0, 4, 8));
-        // A different encoding fingerprint must miss even when the window,
-        // salt, and alignment all match.
-        assert_ne!(
-            sample_window_key(&samples, buf, 128, 1, 0, 0, 4),
-            sample_window_key(&samples, buf, 128, 2, 0, 0, 4)
-        );
-        // Re-tile at a 128 B-aligned stride: window 2 starts 8 rows = 128 B
-        // in, so identical content now hits.
-        let mut aligned = tile.clone();
-        aligned.extend_from_slice(&tile);
-        aligned.extend_from_slice(&tile);
-        aligned.extend_from_slice(&tile);
-        let big = SampleMatrix::from_vec(16, 4, aligned);
-        let big_buf = mem.alloc((big.n_samples() * big.sample_bytes()) as u64);
-        let bkey = |m: &SampleMatrix, s0: usize, s1: usize| {
-            sample_window_key(m, big_buf, 128, 0, 0, s0, s1)
-        };
-        assert_eq!(bkey(&big, 0, 4), bkey(&big, 8, 12));
-        // One f32 nudged by one ULP in an otherwise identical window: miss.
-        let mut poked = big.clone();
-        poked.row_mut(9)[2] = f32::from_bits(poked.row(9)[2].to_bits() ^ 1);
-        assert_ne!(bkey(&big, 8, 12), bkey(&poked, 8, 12));
-        assert_eq!(bkey(&big, 0, 4), bkey(&poked, 0, 4), "untouched window unaffected");
-        // Different tree slice (salt): miss even with identical windows.
-        assert_ne!(key(&samples, 0, 0, 4), key(&samples, 1, 0, 4));
-        // Window length participates even when content prefixes match.
-        assert_ne!(key(&samples, 0, 0, 3), key(&samples, 0, 0, 4));
-        // Empty and inverted windows are equal (salt + zero length only).
-        assert_eq!(key(&samples, 3, 5, 5), key(&samples, 3, 7, 2));
-        assert_ne!(key(&samples, 3, 5, 5), key(&samples, 4, 5, 5));
     }
 
     #[test]

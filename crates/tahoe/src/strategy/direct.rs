@@ -45,15 +45,7 @@ pub fn run(ctx: &LaunchContext<'_>) -> StrategyRun {
     let mut kernel =
         launch_kernel(ctx, Strategy::Direct.name(), geo.grid_blocks, geo.threads_per_block, 0);
     let plan = sample_plan(geo.grid_blocks, ctx.detail);
-    // Memo key: every block traverses the whole forest (salt 0) for the
-    // sample window `[first, first + threads)` — blocks with bit-identical
-    // windows at congruent base addresses trace identically.
-    let key = |block_idx: usize| {
-        let s0 = block_idx * geo.threads_per_block;
-        let s1 = (s0 + geo.threads_per_block).min(n);
-        ctx.window_key(0, s0.min(s1), s1)
-    };
-    kernel.simulate_blocks_keyed(&plan, key, |block_idx, mut block| {
+    kernel.simulate_blocks(&plan, |block_idx, mut block| {
         with_block_scratch(|scratch| {
             for w in 0..n_warps {
                 scratch.lane_samples.clear();

@@ -79,14 +79,7 @@ pub fn run(ctx: &LaunchContext<'_>) -> StrategyRun {
     let mut kernel = launch_kernel(ctx, Strategy::SharedData.name(), s.grid, s.threads, s.smem);
     let n_attr = ctx.samples.n_attributes();
     let plan = sample_plan(s.grid, ctx.detail);
-    // Memo key: every block round-robins the whole forest (salt 0) over the
-    // sample chunk `[block * chunk, block * chunk + chunk)` it stages.
-    let key = |block_idx: usize| {
-        let s0 = block_idx * s.chunk;
-        let s1 = (s0 + s.chunk).min(n);
-        ctx.window_key(0, s0.min(s1), s1)
-    };
-    kernel.simulate_blocks_keyed(&plan, key, |block_idx, mut block| {
+    kernel.simulate_blocks(&plan, |block_idx, mut block| {
         let s0 = block_idx * s.chunk;
         let s1 = (s0 + s.chunk).min(n);
         // Stage the chunk's samples into shared memory (coalesced).

@@ -63,14 +63,7 @@ pub fn run(ctx: &LaunchContext<'_>) -> Option<StrategyRun> {
         geo.smem_per_block,
     );
     let plan = sample_plan(geo.grid_blocks, ctx.detail);
-    // Memo key: whole forest in shared memory for every block (salt 0);
-    // the block's trace is a function of its sample window alone.
-    let key = |block_idx: usize| {
-        let s0 = block_idx * geo.threads_per_block;
-        let s1 = (s0 + geo.threads_per_block).min(n);
-        ctx.window_key(0, s0.min(s1), s1)
-    };
-    kernel.simulate_blocks_keyed(&plan, key, |block_idx, mut block| {
+    kernel.simulate_blocks(&plan, |block_idx, mut block| {
         with_block_scratch(|scratch| {
             for w in 0..n_warps {
                 scratch.lane_samples.clear();

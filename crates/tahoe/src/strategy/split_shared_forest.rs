@@ -112,16 +112,7 @@ pub fn run(ctx: &LaunchContext<'_>) -> Option<StrategyRun> {
         smem,
     );
     let plan = sample_plan(geo.grid_blocks, ctx.detail);
-    // Memo key: the block stages tree part `block % P` (the salt) and
-    // evaluates it for sample tile `block / P`. The last tile can be empty
-    // (`t0 > n`); such blocks only restage their part, so the key collapses
-    // to (salt, empty window) — exactly the work they share.
-    let key = |block_idx: usize| {
-        let t0 = (block_idx / n_parts) * tile_len;
-        let t1 = (t0 + tile_len).min(n);
-        ctx.window_key((block_idx % n_parts) as u64, t0.min(t1), t1)
-    };
-    kernel.simulate_blocks_keyed(&plan, key, |block_idx, mut block| {
+    kernel.simulate_blocks(&plan, |block_idx, mut block| {
         let part = parts[block_idx % n_parts].clone();
         let tile = block_idx / n_parts;
         let t0 = tile * tile_len;

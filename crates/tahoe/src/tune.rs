@@ -7,24 +7,9 @@
 //! ladder for every strategy — the grid size follows from each strategy's
 //! geometry (one wave target, occupancy-aware) — and [`Ladder::ranked`]
 //! keeps each strategy's cheapest rung.
-//!
-//! Repeat-serving workloads re-tune the same shape over and over, so the
-//! engine consults a [`TuningCache`] first (DESIGN.md §2.16): the ladder is
-//! memoized under a [`cache_key`] covering
-//! everything selection depends on — node encoding, batch shape, device
-//! spec, simulation detail, and the calibration generation. The key follows
-//! the false-sharing discipline of `gpu-sim/src/memo.rs`: exact bit
-//! patterns, no lossy rounding, and a 128-bit fingerprint.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use tahoe_gpu_sim::device::DeviceSpec;
-use tahoe_gpu_sim::kernel::Detail;
-use tahoe_gpu_sim::memo::{BlockKey, KeyHasher};
 use tahoe_gpu_sim::MeasuredParams;
 
-use crate::format::DeviceForest;
 use crate::perfmodel::{predict, Calibrator, ModelInputs, Prediction};
 use crate::strategy::{self, LaunchContext, Strategy};
 
@@ -49,8 +34,8 @@ pub(crate) struct Rung {
 /// The ladder is the one record of a tuning decision (DESIGN.md §2.15):
 /// selection ranks it ([`Ladder::ranked`]), the decision audit lists it, and
 /// the drift observation of a launch is its rung at the launched
-/// `(strategy, block size)` (`Ladder::raw`). Predictions are stored raw so
-/// one cached ladder serves every calibration of the same generation.
+/// `(strategy, block size)` (`Ladder::raw`). Predictions are stored raw;
+/// ranking applies the calibration.
 #[derive(Clone, Debug)]
 pub struct Ladder {
     rungs: Vec<Rung>,
@@ -135,209 +120,11 @@ pub fn tune_all_with(
     sweep(ctx, inputs, hw).ranked(cal)
 }
 
-/// Process-wide tuning-cache override: 0 = unset, 1 = forced off,
-/// 2 = forced on (mirrors `gpu_sim::memo::set_sim_memo`).
-static TUNE_CACHE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides whether engines consult the tuning-decision cache,
-/// process-wide. `None` restores the default resolution
-/// (`TAHOE_TUNE_CACHE`, then on). Used by the determinism tests to compare
-/// cold and warm tuning in one process.
-pub fn set_tune_cache(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    TUNE_CACHE_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Whether engines consult the tuning-decision cache. Resolution order: the
-/// [`set_tune_cache`] override, then `TAHOE_TUNE_CACHE`, then on. Turning
-/// the cache off must never change selections — only the
-/// `tuning_cache_hits`/`tuning_cache_misses` counters, the decision records'
-/// `cache_hit` flags, and the wall-clock tune host span may differ.
-#[must_use]
-pub fn tune_cache_enabled() -> bool {
-    match TUNE_CACHE_OVERRIDE.load(Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => env_tune_cache().unwrap_or(true),
-    }
-}
-
-/// `TAHOE_TUNE_CACHE`, when set to a recognized value. Invalid values warn
-/// once to stderr and fall through to the default (on).
-fn env_tune_cache() -> Option<bool> {
-    let raw = std::env::var("TAHOE_TUNE_CACHE").ok()?;
-    match parse_cache_env(&raw) {
-        Ok(v) => v,
-        Err(()) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: ignoring invalid TAHOE_TUNE_CACHE={raw:?}: \
-                     expected 0/1, true/false, or on/off; the cache stays on"
-                );
-            });
-            None
-        }
-    }
-}
-
-/// Parses a `TAHOE_TUNE_CACHE` value: `Ok(Some(_))` for a recognized on/off
-/// spelling, `Ok(None)` for empty/whitespace (unset), `Err(())` otherwise.
-fn parse_cache_env(raw: &str) -> Result<Option<bool>, ()> {
-    let t = raw.trim();
-    if t.is_empty() {
-        return Ok(None);
-    }
-    if t == "0" || t.eq_ignore_ascii_case("false") || t.eq_ignore_ascii_case("off") {
-        return Ok(Some(false));
-    }
-    if t == "1" || t.eq_ignore_ascii_case("true") || t.eq_ignore_ascii_case("on") {
-        return Ok(Some(true));
-    }
-    Err(())
-}
-
-/// Fingerprints everything [`sweep`] and its ranking depend on for one
-/// engine batch.
-///
-/// Key material, in stream order:
-///
-/// - `DeviceForest::encoding_key` — node encoding marker, node bytes,
-///   packed/child widths, every lane's entry width and base alignment. A
-///   classic and a packed image of the same forest must never share an
-///   entry.
-/// - the eight [`ModelInputs`] fields by exact f64 bit pattern — batch
-///   shape (`n_batch`, `s_sample`) and the forest statistics the model
-///   consumes. A batch one sample larger is a different key.
-/// - every [`DeviceSpec`] field selection reads: name bytes, structural
-///   limits, and the timing constants by exact bit pattern.
-/// - the simulation [`Detail`] (a variant marker plus the sample cap).
-/// - the calibration generation — recalibration invalidates by key, never
-///   by mutating cached values, which is what keeps warm and cold runs
-///   bit-identical (DESIGN.md §2.16).
-///
-/// Per-tree layout beyond these statistics is *not* keyed: the engine clears
-/// its cache whenever it rebuilds the device forest (`Engine::convert`), so
-/// within one cache lifetime the forest image is fixed.
-#[must_use]
-pub fn cache_key(
-    forest: &DeviceForest,
-    device: &DeviceSpec,
-    inputs: &ModelInputs,
-    detail: Detail,
-    calibration_generation: u64,
-) -> BlockKey {
-    let mut h = KeyHasher::new();
-    h.write_u64(forest.encoding_key(device.transaction_bytes));
-    for v in [
-        inputs.s_sample,
-        inputs.n_batch,
-        inputs.d_tree,
-        inputs.n_trees,
-        inputs.s_node,
-        inputs.s_att,
-        inputs.n_nodes,
-        inputs.s_forest,
-    ] {
-        h.write_u64(v.to_bits());
-    }
-    h.write_u64(device.name.len() as u64);
-    for b in device.name.bytes() {
-        h.write_u64(u64::from(b));
-    }
-    for v in [
-        u64::from(device.num_sms),
-        u64::from(device.warp_size),
-        u64::from(device.max_threads_per_block),
-        u64::from(device.max_threads_per_sm),
-        u64::from(device.max_blocks_per_sm),
-        device.shared_mem_per_block as u64,
-        device.shared_mem_per_sm as u64,
-        device.transaction_bytes,
-        device.dram_bytes,
-    ] {
-        h.write_u64(v);
-    }
-    for v in [
-        device.gmem_bytes_per_ns,
-        device.smem_bytes_per_ns,
-        device.gmem_latency_ns,
-        device.mlp,
-        device.smem_latency_ns,
-        device.node_eval_ns,
-        device.block_reduce_ns_per_thread,
-        device.block_reduce_base_ns,
-        device.global_reduce_ns_per_block,
-        device.global_reduce_base_ns,
-    ] {
-        h.write_u64(v.to_bits());
-    }
-    match detail {
-        Detail::Full => h.write_u64(0),
-        Detail::Sampled(n) => {
-            h.write_u64(1);
-            h.write_u64(n as u64);
-        }
-    }
-    h.write_u64(calibration_generation);
-    h.finish()
-}
-
-/// Memoized [`sweep`] ladders, one entry per distinct [`cache_key`].
-///
-/// Owned per engine (never shared across devices — replicas get a fresh
-/// cache because their downclocked specs differ), consulted and filled only
-/// on the engine caller thread, and cleared whenever the device forest is
-/// rebuilt or the calibration generation bumps.
-#[derive(Clone, Debug, Default)]
-pub struct TuningCache {
-    entries: HashMap<BlockKey, Ladder>,
-}
-
-impl TuningCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cached ladder for `key`, if present.
-    #[must_use]
-    pub fn get(&self, key: &BlockKey) -> Option<&Ladder> {
-        self.entries.get(key)
-    }
-
-    /// Stores a ladder under `key`.
-    pub fn insert(&mut self, key: BlockKey, ladder: Ladder) {
-        self.entries.insert(key, ladder);
-    }
-
-    /// Drops every entry (forest rebuilt, or calibration generation bumped).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Number of distinct cached shapes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strategy::testutil::{context, Fixture};
+    use tahoe_gpu_sim::kernel::Detail;
     use tahoe_gpu_sim::measure;
 
     fn setup() -> (Fixture, ModelInputs, MeasuredParams) {
@@ -493,64 +280,5 @@ mod tests {
             .ranked(None)
             .iter()
             .all(|(s, _, _)| *s != Strategy::SharedForest));
-    }
-
-    #[test]
-    fn cache_key_discriminates_its_material() {
-        let (fx, inputs, _) = setup();
-        let detail = Detail::Sampled(4);
-        let base = cache_key(&fx.device_forest, &fx.device, &inputs, detail, 0);
-        // Same material, same key — the cache can actually hit.
-        assert_eq!(
-            base,
-            cache_key(&fx.device_forest, &fx.device, &inputs, detail, 0)
-        );
-        // A batch one sample larger must miss.
-        let bigger = ModelInputs {
-            n_batch: inputs.n_batch + 1.0,
-            ..inputs
-        };
-        assert_ne!(
-            base,
-            cache_key(&fx.device_forest, &fx.device, &bigger, detail, 0)
-        );
-        // A different node encoding of the same forest must miss.
-        let packed = Fixture::trained_packed("letter");
-        let packed_inputs =
-            ModelInputs::gather(&packed.device_forest, &packed.forest.stats(), &packed.samples);
-        assert_ne!(
-            base,
-            cache_key(&packed.device_forest, &packed.device, &packed_inputs, detail, 0)
-        );
-        // A calibration-generation bump must miss (that is the invalidation).
-        assert_ne!(
-            base,
-            cache_key(&fx.device_forest, &fx.device, &inputs, detail, 1)
-        );
-        // A different detail or device must miss.
-        assert_ne!(
-            base,
-            cache_key(&fx.device_forest, &fx.device, &inputs, Detail::Full, 0)
-        );
-        assert_ne!(
-            base,
-            cache_key(
-                &fx.device_forest,
-                &DeviceSpec::tesla_v100(),
-                &inputs,
-                detail,
-                0
-            )
-        );
-    }
-
-    #[test]
-    fn tune_cache_env_parsing() {
-        assert_eq!(parse_cache_env(""), Ok(None));
-        assert_eq!(parse_cache_env("0"), Ok(Some(false)));
-        assert_eq!(parse_cache_env("off"), Ok(Some(false)));
-        assert_eq!(parse_cache_env("1"), Ok(Some(true)));
-        assert_eq!(parse_cache_env(" ON "), Ok(Some(true)));
-        assert_eq!(parse_cache_env("yes"), Err(()));
     }
 }

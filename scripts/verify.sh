@@ -24,28 +24,23 @@ done
 rm -rf "$STUB_TARGET"
 
 # The parallel block-simulation driver must be bit-identical at any worker
-# count and with the block-memo cache on or off (DESIGN.md §2.12); exercise
-# the TAHOE_SIM_THREADS × TAHOE_SIM_MEMO env paths across the full 4-cell
-# cross-product. The determinism suite also pins the telemetry exports
+# count; exercise the TAHOE_SIM_THREADS env path at 1 and 4 workers. The
+# determinism suite also pins the telemetry exports
 # (Chrome trace, metrics snapshot, kernel profiles) byte-for-byte across
 # worker counts; telemetry_schema keeps the trace loadable by Perfetto,
 # profile_schema pins the profiler payload, timeseries_schema pins the
 # windowed sampler (DESIGN.md §2.14), decision_schema pins the
 # flight-recorder payload and its critical-path sum invariant (DESIGN.md
-# §2.15) plus the closed tuning loop's warm/cold and calibrated-engine
-# byte-diffs (DESIGN.md §2.16), and drift_audit bounds model-vs-simulator
-# error. property_based
-# rides along so the functional equivalence proofs (every
-# format/plan/strategy, classic and packed node encodings, vs the CPU
-# reference) hold in every cell too.
+# §2.15) plus the calibrated-engine byte-diff (DESIGN.md §2.16), and
+# drift_audit bounds model-vs-simulator error. property_based rides along so
+# the functional equivalence proofs (every format/plan/strategy, classic and
+# packed node encodings, vs the CPU reference) hold at both worker counts.
 for workers in 1 4; do
-    for memo in 0 1; do
-        TAHOE_SIM_THREADS=$workers TAHOE_SIM_MEMO=$memo \
-            cargo test --release --test determinism --test telemetry_schema \
-            --test profile_schema --test timeseries_schema \
-            --test decision_schema \
-            --test drift_audit --test property_based
-    done
+    TAHOE_SIM_THREADS=$workers \
+        cargo test --release --test determinism --test telemetry_schema \
+        --test profile_schema --test timeseries_schema \
+        --test decision_schema \
+        --test drift_audit --test property_based
 done
 
 # Regression gate: the committed results/ are the reference. Regenerate the
@@ -142,36 +137,18 @@ cargo run --release --bin tahoe-cli -- explain \
     | grep -q "chose '"
 grep -q '"calibration_generation"' "$FIG9_W1/serve_decisions.json"
 
-# Closed tuning loop (DESIGN.md §2.16). Warm (cache on, the default) vs
-# cold (TAHOE_TUNE_CACHE=0) decision exports may differ only in the
-# per-record cache_hit flags: with those lines stripped the two files must
-# be byte-identical — the cache replays the exact tune::sweep ladder, it
-# never re-derives it.
+# Closed tuning loop (DESIGN.md §2.16), end to end: a single-device
+# calibrated serve accumulates enough observations to refit (64-request
+# batches, so 1000 requests cross the 8-observation interval twice), and
+# report_md digests the uncalibrated-vs-calibrated drift means from the
+# recorded decision_audit.json.
 TUNE_TMP=$(mktemp -d)
-TAHOE_TUNE_CACHE=1 cargo run --release --bin tahoe-cli -- serve \
-    --data letter --scale smoke --model "$FIG9_W1/model.json" \
-    --requests 200 --interarrival 50 \
-    --decisions "$TUNE_TMP/decisions_warm.json"
-TAHOE_TUNE_CACHE=0 cargo run --release --bin tahoe-cli -- serve \
-    --data letter --scale smoke --model "$FIG9_W1/model.json" \
-    --requests 200 --interarrival 50 \
-    --decisions "$TUNE_TMP/decisions_cold.json"
-sed '/"cache_hit"/d' "$TUNE_TMP/decisions_warm.json" > "$TUNE_TMP/warm_stripped.json"
-sed '/"cache_hit"/d' "$TUNE_TMP/decisions_cold.json" > "$TUNE_TMP/cold_stripped.json"
-cmp "$TUNE_TMP/warm_stripped.json" "$TUNE_TMP/cold_stripped.json"
-grep -q '"cache_hit": true' "$TUNE_TMP/decisions_warm.json"
-# Drift-driven recalibration end-to-end: a single-device calibrated serve
-# accumulates enough observations to refit (64-request batches, so 1000
-# requests cross the 8-observation interval twice), and report_md digests
-# the cache hit rate and the uncalibrated-vs-calibrated drift means from
-# the recorded decision_audit.json.
 cargo run --release --bin tahoe-cli -- serve \
     --data letter --scale smoke --model "$FIG9_W1/model.json" \
     --requests 1000 --interarrival 50 --calibrate \
     --decisions "$TUNE_TMP/decision_audit.json"
 grep -q '"calibration_generation": [1-9]' "$TUNE_TMP/decision_audit.json"
 TAHOE_RESULTS_DIR="$TUNE_TMP" cargo run --release -p tahoe-bench --bin report_md
-grep -q "tuning cache:" "$TUNE_TMP/SUMMARY.md"
 grep -q "calibration: mean |drift|" "$TUNE_TMP/SUMMARY.md"
 rm -rf "$TUNE_TMP"
 rm -rf "$FIG9_W1" "$FIG9_W4"

@@ -197,7 +197,13 @@ impl Flags {
                     let v = value()?;
                     f.scale = Scale::parse(&v).ok_or(format!("unknown scale '{v}'"))?;
                 }
-                "--trees" => f.trees = Some(parse_num(&value()?, "--trees")?),
+                "--trees" => {
+                    let n = parse_num(&value()?, "--trees")?;
+                    if n == 0 {
+                        return Err("--trees must be >= 1, got 0".into());
+                    }
+                    f.trees = Some(n);
+                }
                 "--depth" => f.depth = Some(parse_num(&value()?, "--depth")?),
                 "--kind" => f.kind = Some(value()?),
                 "--task" => f.task = Some(value()?),
@@ -471,11 +477,22 @@ fn load_model(flags: &Flags, data: &Dataset) -> Result<Forest, String> {
     Ok(forest)
 }
 
-fn batch_samples(flags: &Flags, data: &Dataset) -> tahoe_repro::datasets::SampleMatrix {
+/// The `--batch` samples, cycled from the data's inference rows.
+fn batch_samples(
+    flags: &Flags,
+    data: &Dataset,
+) -> Result<tahoe_repro::datasets::SampleMatrix, String> {
     let (_, infer) = data.split_train_infer();
+    if infer.is_empty() {
+        let n = data.len();
+        return Err(format!(
+            "the data has {n} row{}, so the 7-in-10 train/infer split leaves no inference rows (need at least 8)",
+            if n == 1 { "" } else { "s" }
+        ));
+    }
     let n = flags.batch.unwrap_or(infer.len()).max(1);
-    let idx: Vec<usize> = (0..n).map(|i| i % infer.len().max(1)).collect();
-    infer.samples.select(&idx)
+    let idx: Vec<usize> = (0..n).map(|i| i % infer.len()).collect();
+    Ok(infer.samples.select(&idx))
 }
 
 fn cmd_infer(flags: &Flags) -> Result<(), String> {
@@ -483,7 +500,7 @@ fn cmd_infer(flags: &Flags) -> Result<(), String> {
     let forest = load_model(flags, &data)?;
     let device = flags.device()?;
     let force = flags.strategy()?;
-    let batch = batch_samples(flags, &data);
+    let batch = batch_samples(flags, &data)?;
     let sink = flags.sink();
     let options = EngineOptions {
         node_encoding: flags.node_encoding()?,
@@ -526,7 +543,7 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
     let (data, _) = load_data(flags)?;
     let forest = load_model(flags, &data)?;
     let device = flags.device()?;
-    let batch = batch_samples(flags, &data);
+    let batch = batch_samples(flags, &data)?;
     let sink = flags.sink();
     let mut engine = Engine::with_telemetry(
         device,
@@ -571,7 +588,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let policy = flags.batching_policy()?;
     let n_requests = flags.requests.unwrap_or(1_000).max(1);
     let interarrival_ns = flags.interarrival.unwrap_or(1_000.0);
-    let payloads = batch_samples(flags, &data);
+    let payloads = batch_samples(flags, &data)?;
     let sink = flags.sink();
     let options = EngineOptions {
         node_encoding: flags.node_encoding()?,
@@ -695,14 +712,6 @@ fn print_profile_report(export: &ProfilesExport, top: usize) {
             pct(b.global_reduction_ns),
             pct(b.bandwidth_stall_ns)
         );
-        if k.memo_hits + k.memo_misses > 0 {
-            println!(
-                "    memo {:.1}% hit rate ({} hits / {} unique blocks simulated)",
-                100.0 * k.memo_hit_rate,
-                k.memo_hits,
-                k.memo_misses
-            );
-        }
     }
     print_histogram("kernel durations", &export.kernel_durations);
     print_histogram("serving latencies", &export.serving_latencies);
@@ -772,9 +781,8 @@ fn print_decision_report(export: &DecisionsExport, top: usize) {
             d.device,
             d.n_samples
         );
-        let cached = if d.cache_hit { "  [cache hit]" } else { "" };
         println!(
-            "    chose '{}' @ {} threads/block  predicted {:.1} us  simulated {:.1} us  drift {:+.1}%  gen {}{cached}",
+            "    chose '{}' @ {} threads/block  predicted {:.1} us  simulated {:.1} us  drift {:+.1}%  gen {}",
             d.chosen_strategy,
             d.chosen_block_threads,
             d.predicted_ns / 1e3,
@@ -825,13 +833,6 @@ fn print_decision_report(export: &DecisionsExport, top: usize) {
         println!("... and {} more decisions", export.decisions.len() - top);
     }
     if !export.decisions.is_empty() {
-        let hits = export.decisions.iter().filter(|d| d.cache_hit).count();
-        println!(
-            "tuning cache: {} of {} decisions served from cache ({:.1}%)",
-            hits,
-            export.decisions.len(),
-            100.0 * hits as f64 / export.decisions.len() as f64
-        );
         let mean_abs = |records: &[&DecisionRecord]| {
             records.iter().map(|d| d.relative_error.abs()).sum::<f64>()
                 / records.len() as f64

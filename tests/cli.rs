@@ -89,6 +89,68 @@ fn unknown_flags_and_missing_data_fail_cleanly() {
 
     let out = cli().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
+
+    let no_panic = |out: &std::process::Output, what: &str| {
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!out.status.success(), "{what} must fail");
+        assert!(
+            !stderr.contains("panicked at") && !stdout.contains("panicked at"),
+            "{what} panicked: {stderr}"
+        );
+        stderr
+    };
+
+    // `--trees 0` is a usage error (exit 2), like `--prune nan`; the usage
+    // text follows the one-line error.
+    let model = temp_path("zero_trees_model.json");
+    let out = cli()
+        .args(["train", "--data", "letter", "--scale", "smoke"])
+        .args(["--trees", "0", "--model", model.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = no_panic(&out, "train --trees 0");
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr.lines().next(),
+        Some("error: --trees must be >= 1, got 0")
+    );
+
+    // A CSV too small for the 7-in-10 split to leave inference rows trains
+    // fine, but every command that infers fails with one line naming its
+    // row count.
+    for n_rows in [1usize, 5] {
+        let data = temp_path(&format!("tiny_{n_rows}.csv"));
+        let rows: String = (0..n_rows)
+            .map(|i| format!("{i}.5,0.25,{}\n", i % 2))
+            .collect();
+        std::fs::write(&data, rows).unwrap();
+        let model = temp_path(&format!("tiny_{n_rows}_model.json"));
+        let out = cli()
+            .args(["train", "--data", data.to_str().unwrap(), "--trees", "2"])
+            .args(["--model", model.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "train: {stderr}");
+        for command in ["infer", "bench", "serve"] {
+            let out = cli()
+                .args([command, "--data", data.to_str().unwrap()])
+                .args(["--model", model.to_str().unwrap()])
+                .output()
+                .unwrap();
+            let what = format!("{command} on {n_rows} rows");
+            let stderr = no_panic(&out, &what);
+            assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
+            assert!(
+                stderr.starts_with("error: the data has ")
+                    && stderr.contains(&format!(" {n_rows} row")),
+                "{what}: {stderr}"
+            );
+        }
+        std::fs::remove_file(&data).ok();
+        std::fs::remove_file(&model).ok();
+    }
 }
 
 #[test]

@@ -121,7 +121,6 @@ fn check_golden_schema(sink: &TelemetrySink, forced: &[bool]) {
             "simulated_ns",
             "relative_error",
             "calibration_generation",
-            "cache_hit",
         ] {
             assert!(!d[key].is_null(), "decision carries '{key}': {d:?}");
         }

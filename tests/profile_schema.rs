@@ -58,9 +58,6 @@ fn profiles_export_matches_the_golden_schema() {
             "transactions_per_request",
             "total_ns",
             "roofline_utilization",
-            "memo_hits",
-            "memo_misses",
-            "memo_hit_rate",
         ] {
             assert!(!k[key].is_null(), "kernel profile carries '{key}': {k:?}");
         }
@@ -90,7 +87,6 @@ fn profiles_export_matches_the_golden_schema() {
             "achieved_occupancy",
             "warp_exec_efficiency",
             "roofline_utilization",
-            "memo_hit_rate",
         ] {
             let x = k[ratio].as_f64().expect("ratio is a number");
             assert!((0.0..=1.0).contains(&x), "{ratio} in [0, 1], got {x}");

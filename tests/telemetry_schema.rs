@@ -13,7 +13,7 @@ use tahoe::serving::{BatchingPolicy, ClusterServingSim};
 use tahoe::strategy::testutil::Fixture;
 use tahoe::strategy::Strategy;
 use tahoe::telemetry::{
-    device_pid, timeseries, MetricsSnapshot, SpanName, TelemetrySink, PID_GPU, PID_SERVING,
+    device_pid, MetricsSnapshot, SpanName, TelemetrySink, PID_GPU, PID_SERVING,
 };
 use tahoe_gpu_sim::device::DeviceSpec;
 
@@ -81,18 +81,12 @@ fn chrome_trace_matches_the_golden_schema() {
             }
             "C" => {
                 // Perfetto counter tracks from the windowed time-series
-                // sampler (DESIGN.md §2.14): a numeric value, never a memo
-                // series (those would break cross-memo trace identity).
+                // sampler (DESIGN.md §2.14), each with a numeric value.
                 counter_events += 1;
                 assert!(ts >= 0.0, "non-negative counter timestamp: {e:?}");
                 assert!(
                     e["args"]["value"].as_f64().is_some(),
                     "counter events carry a numeric value: {e:?}"
-                );
-                let name = e["name"].as_str().expect("checked above");
-                assert!(
-                    !name.starts_with("memo_"),
-                    "memo series leaked into the Chrome trace: {e:?}"
                 );
             }
             other => panic!("unexpected event phase '{other}': {e:?}"),
@@ -208,9 +202,6 @@ fn whole_tree_trace(sink: &TelemetrySink) -> String {
         ]));
     }
     for series in &timeseries.series {
-        if timeseries::is_memo_series(&series.name) {
-            continue;
-        }
         for p in &series.points {
             events.push(Value::Object(vec![
                 ("ph".into(), str_val("C")),
@@ -315,9 +306,7 @@ fn streamed_trace_equals_the_whole_tree_document() {
     );
     let _ = ClusterServingSim::new(&mut cluster, BatchingPolicy::new(16, 10_000.0))
         .run_uniform_trace(&fx.samples, 120, 50.0);
-    // A memo series, which the trace must leave out, and a span whose name
-    // needs every kind of escape.
-    sink.ts_add(0, timeseries::MEMO_HITS, 1_000.0, 3.0);
+    // A span whose name needs every kind of escape.
     sink.span(
         "odd \"name\" \\ line\nbreak \u{1} é€",
         PID_GPU,
@@ -332,21 +321,13 @@ fn streamed_trace_equals_the_whole_tree_document() {
         "the run names process tracks"
     );
     let series = sink.timeseries().series;
-    assert!(
-        series.iter().any(|s| !timeseries::is_memo_series(&s.name)),
-        "the run records counter series"
-    );
-    assert!(series.iter().any(|s| s.name == timeseries::MEMO_HITS));
+    assert!(!series.is_empty(), "the run records counter series");
     assert!(
         !sink.decisions().requests.is_empty(),
         "the run records request paths"
     );
 
     let streamed = sink.chrome_trace_json();
-    assert!(
-        !streamed.contains(timeseries::MEMO_HITS),
-        "memo series stay out"
-    );
     assert!(streamed.contains(r#""odd \"name\" \\ line\nbreak \u0001 é€""#));
     assert_same_bytes(&streamed, &whole_tree_trace(&sink), "recorded cluster run");
 }

@@ -274,12 +274,15 @@ fn main() {
         let _ = writeln!(out, "- max weak-scaling variance: {:.2}% (paper <5%)", 100.0 * max_weak);
     });
 
-    // Telemetry is opt-in (`--trace`/`--metrics`), so the snapshot is digested
+    // Telemetry is opt-in (`--telemetry <dir>`), so its views are digested
     // only when present rather than reported as missing.
-    if let Some(v) = fs::read_to_string(dir.join("telemetry_metrics.json"))
-        .ok()
-        .and_then(|t| serde_json::from_str::<Value>(&t).ok())
-    {
+    let view = |file: &str| {
+        fs::read_to_string(dir.join(file))
+            .ok()
+            .and_then(|t| serde_json::from_str::<Value>(&t).ok())
+    };
+    let decisions = view("decisions.json");
+    if let Some(v) = view("metrics.json") {
         let c = |name: &str| v["counters"][name].as_u64().unwrap_or(0);
         let _ = writeln!(out, "\n## Telemetry counters");
         let _ = writeln!(
@@ -325,34 +328,16 @@ fn main() {
         );
     }
 
-    // Kernel profiles are opt-in too (`--profile` or any telemetry flag).
-    if let Some(v) = fs::read_to_string(dir.join("kernel_profiles.json"))
-        .ok()
-        .and_then(|t| serde_json::from_str::<Value>(&t).ok())
+    if let Some(section) = view("profiles.json")
+        .and_then(|v| kernel_profiles_section(&v, decisions.as_ref().unwrap_or(&Value::Null)))
     {
-        if let Some(section) = kernel_profiles_section(&v) {
-            out.push_str(&section);
-        }
+        out.push_str(&section);
     }
-
-    // Windowed time-series samples (`--timeseries` or any telemetry flag).
-    if let Some(v) = fs::read_to_string(dir.join("timeseries.json"))
-        .ok()
-        .and_then(|t| serde_json::from_str::<Value>(&t).ok())
-    {
-        if let Some(section) = serving_over_time_section(&v) {
-            out.push_str(&section);
-        }
+    if let Some(section) = view("timeseries.json").and_then(|v| serving_over_time_section(&v)) {
+        out.push_str(&section);
     }
-
-    // Flight-recorder export (`--decisions` or any telemetry flag).
-    if let Some(v) = fs::read_to_string(dir.join("decision_audit.json"))
-        .ok()
-        .and_then(|t| serde_json::from_str::<Value>(&t).ok())
-    {
-        if let Some(section) = worst_p99_attribution_section(&v) {
-            out.push_str(&section);
-        }
+    if let Some(section) = decisions.and_then(|v| worst_p99_attribution_section(&v)) {
+        out.push_str(&section);
     }
 
     if !missing.is_empty() {
@@ -382,11 +367,12 @@ fn overhead_section(v: &Value) -> String {
     )
 }
 
-/// Digests `kernel_profiles.json` (a serialized `ProfilesExport`) into the
-/// "Kernel profiles" section: one table row per strategy label with mean
-/// occupancy, coalescing efficiency, wall-time shares, and mean absolute
-/// model-vs-simulator error. Returns `None` when no launches were profiled.
-fn kernel_profiles_section(v: &Value) -> Option<String> {
+/// Digests `profiles.json` (a serialized `ProfilesExport`) into the "Kernel
+/// profiles" section: one table row per strategy label with mean occupancy,
+/// coalescing efficiency, wall-time shares, and the mean absolute
+/// model-vs-simulator error of the decisions (`decisions.json`) that chose
+/// that strategy. Returns `None` when no launches were profiled.
+fn kernel_profiles_section(v: &Value, decisions: &Value) -> Option<String> {
     let kernels = v["kernels"].as_array()?;
     if kernels.is_empty() {
         return None;
@@ -398,7 +384,7 @@ fn kernel_profiles_section(v: &Value) -> Option<String> {
             labels.push(label);
         }
     }
-    let drift = v["drift"].as_array().cloned().unwrap_or_default();
+    let decisions = decisions["decisions"].as_array().map_or(&[][..], Vec::as_slice);
     let mut out = String::new();
     let _ = writeln!(out, "\n## Kernel profiles");
     let _ = writeln!(
@@ -422,9 +408,9 @@ fn kernel_profiles_section(v: &Value) -> Option<String> {
         };
         let total: f64 = ks.iter().filter_map(|k| k["total_ns"].as_f64()).sum();
         let share = |ns: f64| 100.0 * ns / total.max(f64::MIN_POSITIVE);
-        let errors: Vec<f64> = drift
+        let errors: Vec<f64> = decisions
             .iter()
-            .filter(|d| d["strategy"].as_str() == Some(label))
+            .filter(|d| d["chosen_strategy"].as_str() == Some(label))
             .filter_map(|d| d["relative_error"].as_f64())
             .map(f64::abs)
             .collect();
@@ -548,7 +534,7 @@ fn serving_over_time_section(v: &Value) -> Option<String> {
     Some(out)
 }
 
-/// Digests `decision_audit.json` (a serialized `DecisionsExport`) into the
+/// Digests `decisions.json` (a serialized `DecisionsExport`) into the
 /// "Worst-p99 request attribution" section: where the slowest 1% of serving
 /// requests spent their critical path (batch formation vs queueing vs kernel
 /// vs reduction), plus a tuning-drift summary over the recorded decisions.
@@ -662,7 +648,7 @@ mod tests {
     }
 
     #[test]
-    fn digest_groups_by_strategy_and_joins_drift() {
+    fn digest_groups_by_strategy_and_joins_decision_drift() {
         let v: Value = serde_json::from_str(
             r#"{
               "kernels": [
@@ -685,19 +671,20 @@ mod tests {
               "kernel_durations": {"count": 3, "sum_ns": 250, "min_ns": 50,
                                    "max_ns": 100, "buckets": []},
               "serving_latencies": {"count": 0, "sum_ns": 0, "min_ns": 0,
-                                    "max_ns": 0, "buckets": []},
-              "drift": [
-                {"strategy": "direct", "n_samples": 8, "predicted_ns": 110.0,
-                 "simulated_ns": 100.0, "relative_error": 0.1},
-                {"strategy": "direct", "n_samples": 8, "predicted_ns": 70.0,
-                 "simulated_ns": 100.0, "relative_error": -0.3}
-              ]
+                                    "max_ns": 0, "buckets": []}
             }"#,
         )
         .expect("fixture parses");
-        let section = kernel_profiles_section(&v).expect("non-empty digest");
+        let decisions: Value = serde_json::from_str(
+            r#"{"decisions": [
+                {"chosen_strategy": "direct", "relative_error": 0.1},
+                {"chosen_strategy": "direct", "relative_error": -0.3}
+              ], "requests": []}"#,
+        )
+        .expect("fixture parses");
+        let section = kernel_profiles_section(&v, &decisions).expect("non-empty digest");
         // direct: mean occupancy 75%, coalescing 50%, traversal 90%,
-        // reduction 10%, mean |err| 20%; shared data has no drift records.
+        // reduction 10%, mean |err| 20%; no decision chose shared data.
         assert!(section.contains("## Kernel profiles"), "{section}");
         assert!(
             section
@@ -716,9 +703,9 @@ mod tests {
     #[test]
     fn digest_is_none_without_kernels() {
         let v: Value = serde_json::from_str(r#"{"kernels": []}"#).expect("parses");
-        assert!(kernel_profiles_section(&v).is_none());
+        assert!(kernel_profiles_section(&v, &Value::Null).is_none());
         let v: Value = serde_json::from_str(r"{}").expect("parses");
-        assert!(kernel_profiles_section(&v).is_none());
+        assert!(kernel_profiles_section(&v, &Value::Null).is_none());
     }
 
     #[test]

@@ -13,20 +13,11 @@ pub struct Env {
     pub scale: Scale,
     /// Blocks simulated in detail per kernel (`--detail N|full`, default 32).
     pub detail: Detail,
-    /// Chrome trace-event JSON output (`--trace <path>`); `None` = off.
-    pub trace: Option<PathBuf>,
-    /// Metrics-snapshot JSON output (`--metrics <path>`); `None` = off.
-    pub metrics: Option<PathBuf>,
-    /// Per-kernel profiler JSON output (`--profile <path>`); `None` = off.
-    pub profile: Option<PathBuf>,
-    /// Windowed time-series JSON output (`--timeseries <path>`);
-    /// `None` = off.
-    pub timeseries: Option<PathBuf>,
-    /// Flight-recorder JSON output (`--decisions <path>`); `None` = off.
-    pub decisions: Option<PathBuf>,
-    /// Telemetry sink for the run: recording iff `--trace`, `--metrics`,
-    /// `--profile`, `--timeseries`, or `--decisions` was given, otherwise
-    /// disabled (zero overhead).
+    /// Directory the five telemetry views are written to
+    /// (`--telemetry <dir>`); `None` = telemetry off.
+    pub telemetry: Option<PathBuf>,
+    /// Telemetry sink for the run: recording iff `--telemetry` was given,
+    /// otherwise disabled (zero overhead).
     pub sink: TelemetrySink,
 }
 
@@ -35,11 +26,7 @@ impl Default for Env {
         Self {
             scale: Scale::Ci,
             detail: Detail::Sampled(32),
-            trace: None,
-            metrics: None,
-            profile: None,
-            timeseries: None,
-            decisions: None,
+            telemetry: None,
             sink: TelemetrySink::Disabled,
         }
     }
@@ -83,85 +70,30 @@ impl Env {
                         Detail::Sampled(n.max(1))
                     };
                 }
-                "--trace" => {
-                    let v = it.next().unwrap_or_else(|| usage("missing value for --trace"));
-                    env.trace = Some(PathBuf::from(v));
-                }
-                "--metrics" => {
-                    let v = it.next().unwrap_or_else(|| usage("missing value for --metrics"));
-                    env.metrics = Some(PathBuf::from(v));
-                }
-                "--profile" => {
-                    let v = it.next().unwrap_or_else(|| usage("missing value for --profile"));
-                    env.profile = Some(PathBuf::from(v));
-                }
-                "--timeseries" => {
-                    let v =
-                        it.next().unwrap_or_else(|| usage("missing value for --timeseries"));
-                    env.timeseries = Some(PathBuf::from(v));
-                }
-                "--decisions" => {
-                    let v =
-                        it.next().unwrap_or_else(|| usage("missing value for --decisions"));
-                    env.decisions = Some(PathBuf::from(v));
+                "--telemetry" => {
+                    let v = it.next().unwrap_or_else(|| usage("missing value for --telemetry"));
+                    env.telemetry = Some(PathBuf::from(v));
+                    env.sink = TelemetrySink::recording();
                 }
                 "--help" | "-h" => usage("usage"),
                 other => usage(&format!("unknown flag '{other}'")),
             }
         }
-        if env.trace.is_some()
-            || env.metrics.is_some()
-            || env.profile.is_some()
-            || env.timeseries.is_some()
-            || env.decisions.is_some()
-        {
-            env.sink = TelemetrySink::recording();
-        }
         env
     }
 
-    /// Writes the requested telemetry exports: the Chrome trace to `--trace`,
-    /// the metrics snapshot to `--metrics`, the per-kernel profiles to
-    /// `--profile`, the windowed time series to `--timeseries`, the
-    /// flight-recorder export to `--decisions`, and (when recording)
-    /// `telemetry_metrics` + `kernel_profiles` + `timeseries` +
-    /// `decision_audit` result JSONs for `report_md`. No-op when no
-    /// telemetry flag was given.
+    /// Writes the five telemetry views into the `--telemetry` dir. Nothing
+    /// else is written, and nothing at all without the flag.
     ///
     /// # Panics
     ///
-    /// Panics when an output path cannot be written.
+    /// Panics when the views cannot be written.
     pub fn export_telemetry(&self) {
-        if let Some(path) = &self.trace {
-            std::fs::write(path, self.sink.chrome_trace_json())
-                .unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
-            eprintln!("wrote Chrome trace to {}", path.display());
-        }
-        if let Some(path) = &self.metrics {
-            std::fs::write(path, self.sink.metrics_json())
-                .unwrap_or_else(|e| panic!("cannot write metrics {}: {e}", path.display()));
-            eprintln!("wrote metrics snapshot to {}", path.display());
-        }
-        if let Some(path) = &self.profile {
-            std::fs::write(path, self.sink.profiles_json())
-                .unwrap_or_else(|e| panic!("cannot write profiles {}: {e}", path.display()));
-            eprintln!("wrote kernel profiles to {}", path.display());
-        }
-        if let Some(path) = &self.timeseries {
-            std::fs::write(path, self.sink.timeseries_json())
-                .unwrap_or_else(|e| panic!("cannot write timeseries {}: {e}", path.display()));
-            eprintln!("wrote time series to {}", path.display());
-        }
-        if let Some(path) = &self.decisions {
-            std::fs::write(path, self.sink.decisions_json())
-                .unwrap_or_else(|e| panic!("cannot write decisions {}: {e}", path.display()));
-            eprintln!("wrote decision audit to {}", path.display());
-        }
-        if self.sink.is_enabled() {
-            crate::report::write_json("telemetry_metrics", &self.sink.snapshot());
-            crate::report::write_json("kernel_profiles", &self.sink.profiles());
-            crate::report::write_json("timeseries", &self.sink.timeseries());
-            crate::report::write_json("decision_audit", &self.sink.decisions());
+        if let Some(dir) = &self.telemetry {
+            self.sink
+                .write_views(dir)
+                .unwrap_or_else(|e| panic!("cannot write telemetry to {}: {e}", dir.display()));
+            eprintln!("wrote telemetry views to {}", dir.display());
         }
     }
 }
@@ -170,8 +102,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
         "usage: <experiment> [--scale paper|ci|smoke] [--detail N|full] \
-         [--trace <path>] [--metrics <path>] [--profile <path>] \
-         [--timeseries <path>] [--decisions <path>]"
+         [--telemetry <dir>]"
     );
     std::process::exit(2)
 }
@@ -179,6 +110,7 @@ fn usage(msg: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tahoe::telemetry::VIEW_FILES;
 
     fn parse(args: &[&str]) -> Env {
         Env::parse(args.iter().map(ToString::to_string))
@@ -189,7 +121,7 @@ mod tests {
         let e = parse(&[]);
         assert_eq!(e.scale, Scale::Ci);
         assert_eq!(e.detail, Detail::Sampled(32));
-        assert!(e.trace.is_none() && e.metrics.is_none());
+        assert!(e.telemetry.is_none());
         assert!(!e.sink.is_enabled());
     }
 
@@ -202,27 +134,42 @@ mod tests {
         assert_eq!(e.detail, Detail::Full);
     }
 
+    /// Files in `dir`, sorted.
+    fn files(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .map(|entries| {
+                entries
+                    .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+                    .collect()
+            })
+            .unwrap_or_default();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn telemetry_flags_enable_the_sink() {
-        let e = parse(&["--trace", "/tmp/t.json"]);
-        assert_eq!(e.trace.as_deref(), Some(std::path::Path::new("/tmp/t.json")));
-        assert!(e.sink.is_enabled());
-        let e = parse(&["--metrics", "/tmp/m.json"]);
-        assert!(e.sink.is_enabled());
-        let e = parse(&["--profile", "/tmp/p.json"]);
-        assert_eq!(e.profile.as_deref(), Some(std::path::Path::new("/tmp/p.json")));
-        assert!(e.sink.is_enabled());
-        let e = parse(&["--timeseries", "/tmp/ts.json"]);
-        assert_eq!(
-            e.timeseries.as_deref(),
-            Some(std::path::Path::new("/tmp/ts.json"))
-        );
-        assert!(e.sink.is_enabled());
-        let e = parse(&["--decisions", "/tmp/d.json"]);
-        assert_eq!(
-            e.decisions.as_deref(),
-            Some(std::path::Path::new("/tmp/d.json"))
-        );
-        assert!(e.sink.is_enabled());
+    fn only_the_telemetry_dir_receives_the_views() {
+        let root = std::env::temp_dir().join(format!("tahoe_env_{}", std::process::id()));
+        let results = root.join("results");
+        let views = root.join("views");
+        std::fs::create_dir_all(&results).unwrap();
+        std::env::set_var("TAHOE_RESULTS_DIR", &results);
+
+        // A recording run without `--telemetry` writes nothing anywhere.
+        let sink = TelemetrySink::recording();
+        sink.add(tahoe::telemetry::Counter::KernelLaunches, 1);
+        Env { sink, ..Env::default() }.export_telemetry();
+        assert!(files(&results).is_empty(), "{:?}", files(&results));
+
+        // `--telemetry <dir>` turns recording on and writes exactly the five
+        // views there, still nothing into the results dir.
+        let env = parse(&["--telemetry", views.to_str().unwrap()]);
+        assert!(env.sink.is_enabled());
+        env.export_telemetry();
+        let mut expected: Vec<String> = VIEW_FILES.iter().map(ToString::to_string).collect();
+        expected.sort();
+        assert_eq!(files(&views), expected);
+        assert!(files(&results).is_empty(), "{:?}", files(&results));
+        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -1,14 +1,14 @@
-//! Request-path flight recorder and tuning decision audit (DESIGN.md §2.15).
+//! Request-path flight recorder and tuning decision audit (DESIGN.md §2.9).
 //!
-//! The profiler (DESIGN.md §2.10) answers "what did this launch cost?"; this
-//! module answers the two questions aggregates cannot: *why was request R
-//! slow?* and *why did Algorithm 1 pick this plan?*
+//! The profiler answers "what did this launch cost?"; this view answers the
+//! two questions aggregates cannot: *why was request R slow?* and *why did
+//! Algorithm 1 pick this plan?*
 //!
 //! - [`DecisionRecord`] — one entry per engine tuning event: every
 //!   `(strategy, block size)` rung of the tuner's ladder with its predicted
 //!   cost (or the rejection reason), the chosen plan, and the post-hoc
-//!   simulated cost + model drift for the launch that actually ran. The
-//!   profiler's drift export is read back from these records.
+//!   simulated cost + model drift for the launch that actually ran — the
+//!   one record of the model's drift.
 //! - [`RequestPathRecord`] — one entry per serving request: the critical-path
 //!   breakdown (batch formation wait, queue wait behind a busy device,
 //!   execution) whose components sum *bitwise* to the request's end-to-end
@@ -16,24 +16,17 @@
 //!   left-to-right fold `form + queue + execute` rather than deriving the
 //!   components after the fact.
 //!
-//! Both accumulate in the [`TelemetrySink`] and export as
-//! [`TelemetrySink::decisions_json`] (the `--decisions <path>` payload);
-//! the Chrome trace additionally renders each request as a Perfetto async
-//! span plus flow arrows into the executing device's track.
-//!
-//! # Determinism
-//!
-//! Records are pushed only from the engine's and the serving simulators'
-//! caller threads, after `simulate_blocks` has merged block results in plan
-//! order — worker threads never touch the store. Every field derives from
+//! Both are logged as [`Event`]s and export as
+//! [`TelemetrySink::decisions_json`] (the `decisions.json` view); the Chrome
+//! trace additionally renders each request as a Perfetto async span plus
+//! flow arrows into the executing device's track. Every field derives from
 //! simulated-clock arithmetic and performance-model evaluation (no
-//! wall-clock), so the export is byte-identical at any
-//! `TAHOE_SIM_THREADS` (`tests/determinism.rs`).
+//! wall-clock), so the view is byte-identical at any `TAHOE_SIM_THREADS`
+//! (`tests/determinism.rs`).
 
 use serde::{Deserialize, Serialize};
 
-use crate::profile::DriftRecord;
-use crate::telemetry::TelemetrySink;
+use crate::telemetry::{Event, RequestEvent, TelemetrySink};
 
 /// One `(strategy, block size)` candidate Algorithm 1 evaluated.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -72,8 +65,7 @@ pub struct DecisionRecord {
     pub predicted_ns: f64,
     /// Simulated kernel time of the launch (ns).
     pub simulated_ns: f64,
-    /// `(predicted − simulated) / simulated` (0 when simulated is 0), as
-    /// [`DriftRecord::new`] derives it.
+    /// `(predicted − simulated) / simulated` (0 when simulated is 0).
     pub relative_error: f64,
     /// Calibration generation the predictions were made under (0 = the raw
     /// §6 constants; bumps when the engine's calibrator refits and moves a
@@ -115,59 +107,7 @@ pub struct RequestPathRecord {
     pub total_ns: f64,
 }
 
-/// Flight-recorder state shared behind a recording sink (one per
-/// `telemetry::SinkInner`).
-#[derive(Debug, Default)]
-pub struct DecisionStore {
-    decisions: Vec<DecisionRecord>,
-    requests: Vec<RequestPathRecord>,
-}
-
-impl DecisionStore {
-    /// Appends a device sink's records, re-tagging their device-local index
-    /// 0 to the cluster-wide `device_idx`. Callers (the cluster absorb path)
-    /// must invoke this in device-index order so the merged export is
-    /// deterministic.
-    pub(crate) fn merge_from(&mut self, other: DecisionStore, device_idx: usize) {
-        self.decisions.extend(other.decisions.into_iter().map(|mut d| {
-            d.device += device_idx as u32;
-            d
-        }));
-        self.requests.extend(other.requests.into_iter().map(|mut r| {
-            r.device += device_idx as u32;
-            r
-        }));
-    }
-
-    /// The recorded request paths, in record order.
-    pub(crate) fn requests(&self) -> &[RequestPathRecord] {
-        &self.requests
-    }
-
-    fn export(&self) -> DecisionsExport {
-        DecisionsExport {
-            decisions: self.decisions.clone(),
-            requests: self.requests.clone(),
-        }
-    }
-
-    /// The launches' model-vs-simulator drift, one record per decision in
-    /// launch order — the profiler export's `drift` view.
-    pub(crate) fn drift(&self) -> Vec<DriftRecord> {
-        self.decisions
-            .iter()
-            .map(|d| DriftRecord {
-                strategy: d.chosen_strategy.clone(),
-                n_samples: d.n_samples,
-                predicted_ns: d.predicted_ns,
-                simulated_ns: d.simulated_ns,
-                relative_error: d.relative_error,
-            })
-            .collect()
-    }
-}
-
-/// The full flight-recorder export — the `--decisions <path>` payload.
+/// The full flight-recorder export — the `decisions.json` view.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DecisionsExport {
     /// One record per engine tuning event, in launch order (device-major
@@ -180,7 +120,7 @@ pub struct DecisionsExport {
 
 impl DecisionsExport {
     /// Parses an export previously written by
-    /// [`TelemetrySink::decisions_json`] (e.g. a `--decisions <path>` file).
+    /// [`TelemetrySink::decisions_json`] (e.g. a `decisions.json` file).
     ///
     /// # Errors
     ///
@@ -191,36 +131,52 @@ impl DecisionsExport {
     }
 }
 
+/// The decisions of a log, in record order.
+fn decisions(log: &[Event]) -> impl Iterator<Item = &DecisionRecord> {
+    log.iter().filter_map(|e| match e {
+        Event::Decision(d) => Some(&**d),
+        _ => None,
+    })
+}
+
+/// The request paths of a log, in record order.
+fn requests(log: &[Event]) -> impl Iterator<Item = &RequestPathRecord> {
+    log.iter().filter_map(|e| match e {
+        Event::Request(r) => Some(&r.path),
+        _ => None,
+    })
+}
+
 impl TelemetrySink {
     /// Records one tuning decision. No-op when disabled. Called only from
     /// the engine's caller thread, after the launch finished.
     pub fn push_decision(&self, record: DecisionRecord) {
-        if let TelemetrySink::Recording(inner) = self {
-            inner.decisions.lock().decisions.push(record);
+        if self.is_enabled() {
+            self.push([Event::Decision(Box::new(record))]);
         }
     }
 
-    /// Records one serving request's critical path. No-op when disabled.
-    /// Called only from the serving simulator's caller thread.
-    pub fn push_request_path(&self, record: RequestPathRecord) {
-        if let TelemetrySink::Recording(inner) = self {
-            inner.decisions.lock().requests.push(record);
+    /// Records one served request. No-op when disabled. Called only from
+    /// the serving simulator's caller thread.
+    pub fn record_request(&self, request: RequestEvent) {
+        if self.is_enabled() {
+            self.push([Event::Request(Box::new(request))]);
         }
     }
 
-    /// Snapshot of the recorded flight-recorder state (empty when disabled).
+    /// The flight-recorder view of the log (empty when disabled).
     #[must_use]
     pub fn decisions(&self) -> DecisionsExport {
-        match self {
-            TelemetrySink::Disabled => DecisionStore::default().export(),
-            TelemetrySink::Recording(inner) => inner.decisions.lock().export(),
-        }
+        self.view(|log| DecisionsExport {
+            decisions: decisions(log).cloned().collect(),
+            requests: requests(log).cloned().collect(),
+        })
     }
 
-    /// The flight-recorder export as pretty JSON (the `--decisions <path>`
-    /// payload).
+    /// The flight-recorder export as pretty JSON (the `decisions.json`
+    /// view).
     ///
-    /// The document is streamed from the locked store: each decision, then
+    /// The document is streamed from the locked log: each decision, then
     /// each request path, is pretty-printed on its own and appended, so the
     /// export neither clones the records nor builds a whole-document value
     /// tree; its memory is the output text. The bytes are what
@@ -233,24 +189,20 @@ impl TelemetrySink {
     /// serialize.
     #[must_use]
     pub fn decisions_json(&self) -> String {
-        let empty = DecisionStore::default();
-        let guard = match self {
-            TelemetrySink::Disabled => None,
-            TelemetrySink::Recording(inner) => Some(inner.decisions.lock()),
-        };
-        let store = guard.as_deref().unwrap_or(&empty);
-        let mut doc = DocWriter::default();
-        doc.open_array("decisions");
-        for d in &store.decisions {
-            doc.item(d);
-        }
-        doc.close_array();
-        doc.open_array("requests");
-        for r in &store.requests {
-            doc.item(r);
-        }
-        doc.close_array();
-        doc.finish()
+        self.view(|log| {
+            let mut doc = DocWriter::default();
+            doc.open_array("decisions");
+            for d in decisions(log) {
+                doc.item(d);
+            }
+            doc.close_array();
+            doc.open_array("requests");
+            for r in requests(log) {
+                doc.item(r);
+            }
+            doc.close_array();
+            doc.finish()
+        })
     }
 }
 
@@ -369,7 +321,7 @@ mod tests {
     fn disabled_sink_stores_nothing() {
         let sink = TelemetrySink::Disabled;
         sink.push_decision(decision(0));
-        sink.push_request_path(request(0));
+        sink.record_request(RequestEvent { path: request(0), done_ns: 0.0, slo_met: None });
         let e = sink.decisions();
         assert!(e.decisions.is_empty());
         assert!(e.requests.is_empty());
@@ -379,7 +331,7 @@ mod tests {
     fn recording_sink_accumulates_and_round_trips() {
         let sink = TelemetrySink::recording();
         sink.push_decision(decision(0));
-        sink.push_request_path(request(0));
+        sink.record_request(RequestEvent { path: request(0), done_ns: 0.0, slo_met: None });
         let e = sink.decisions();
         assert_eq!(e.decisions.len(), 1);
         assert_eq!(e.requests.len(), 1);
@@ -389,19 +341,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_retags_the_device_local_index() {
-        let mut cluster = DecisionStore::default();
-        let mut dev = DecisionStore::default();
-        dev.decisions.push(decision(0));
-        dev.requests.push(request(0));
-        cluster.merge_from(dev, 2);
-        assert_eq!(cluster.decisions[0].device, 2);
-        assert_eq!(cluster.requests[0].device, 2);
-        // A cluster-recorded request (explicit device) merges unchanged at
-        // index 0.
-        let mut explicit = DecisionStore::default();
-        explicit.requests.push(request(1));
-        cluster.merge_from(explicit, 0);
-        assert_eq!(cluster.requests[1].device, 1);
+    fn decision_ordinals_continue_from_the_latest_decision() {
+        let sink = TelemetrySink::recording();
+        assert_eq!(sink.next_decision_batch(), 1);
+        let mut d = decision(0);
+        d.batch = 7;
+        sink.push_decision(d);
+        sink.span("after", crate::telemetry::PID_GPU, 0, 0.0, 1.0);
+        assert_eq!(sink.next_decision_batch(), 8);
     }
 }

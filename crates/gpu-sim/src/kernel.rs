@@ -40,7 +40,7 @@ use crate::device::DeviceSpec;
 use crate::occupancy::{concurrent_blocks, waves};
 use crate::parallel::parallel_map;
 use crate::profile::{KernelProfile, LaunchStats};
-use crate::telemetry::{BlockRecord, Counter, SpanEvent, SpanName, TelemetrySink, PID_GPU};
+use crate::telemetry::{BlockRecord, LaunchRecord, SpanEvent, SpanName, TelemetrySink, PID_GPU};
 use crate::warp::LevelStats;
 
 /// How many blocks to simulate in detail.
@@ -313,25 +313,6 @@ impl<'d> KernelSim<'d> {
         let scheduled = latency_bound.max(gmem_bound).max(smem_bound).max(max_wall);
         let block_reduction_wall = n_waves as f64 * mean_reduction;
         if let Some(tr) = &trace {
-            emit_launch_telemetry(LaunchTelemetry {
-                trace: tr,
-                span_data,
-                plan_idx: &plan_idx,
-                resident,
-                mean_wall,
-                scheduled,
-                total_ns: scheduled + global_reduction_ns,
-                block_reduction_wall,
-                global_reduction_ns,
-                global_reductions,
-                gmem: &gmem_total,
-                smem: &smem_total,
-                n_sampled,
-                block_reductions,
-                steps,
-                active_lane_steps,
-                warp_size: device.warp_size,
-            });
             let profile = KernelProfile::from_launch(&LaunchStats {
                 device,
                 label: &tr.label,
@@ -353,33 +334,29 @@ impl<'d> KernelSim<'d> {
                 streamed_serial_ns: sum_streamed,
                 total_serial_ns: sum_serial,
             });
-            // Windowed samples, still on the caller thread after the
-            // plan-order merge (DESIGN.md §2.14): busy time and fetched
-            // bytes apportioned over the launch's simulated-clock interval,
-            // and the roofline as a gauge at launch start.
-            let total_ns = scheduled + global_reduction_ns;
-            let sink = &tr.sink;
-            sink.ts_add_interval(
-                0,
-                crate::timeseries::BUSY_NS,
-                tr.t0_ns,
-                tr.t0_ns + total_ns,
-                total_ns,
+            let spans = launch_spans(LaunchSpans {
+                trace: tr,
+                span_data,
+                plan_idx: &plan_idx,
+                resident,
+                mean_wall,
+                scheduled,
+                total_ns: profile.total_ns,
+                global_reduction_ns,
+            });
+            tr.sink.record_launch(
+                LaunchRecord {
+                    device: 0,
+                    start_ns: tr.t0_ns,
+                    profile,
+                    block_reductions,
+                    global_reductions,
+                    active_lane_steps,
+                    stalled_lane_steps: (steps * u64::from(device.warp_size))
+                        .saturating_sub(active_lane_steps),
+                },
+                spans,
             );
-            sink.ts_add_interval(
-                0,
-                crate::timeseries::GMEM_FETCHED_BYTES,
-                tr.t0_ns,
-                tr.t0_ns + total_ns,
-                gmem_total.fetched_bytes as f64,
-            );
-            sink.ts_gauge(
-                0,
-                crate::timeseries::ROOFLINE_UTILIZATION,
-                tr.t0_ns,
-                profile.roofline_utilization,
-            );
-            sink.push_kernel_profile(profile);
         }
         KernelResult {
             grid_blocks,
@@ -403,8 +380,8 @@ impl<'d> KernelSim<'d> {
     }
 }
 
-/// Everything [`emit_launch_telemetry`] needs from a finished launch.
-struct LaunchTelemetry<'a> {
+/// Everything [`launch_spans`] needs from a finished launch.
+struct LaunchSpans<'a> {
     trace: &'a TraceConfig,
     span_data: Vec<(f64, f64, Vec<f64>)>,
     plan_idx: &'a [usize],
@@ -412,52 +389,20 @@ struct LaunchTelemetry<'a> {
     mean_wall: f64,
     scheduled: f64,
     total_ns: f64,
-    block_reduction_wall: f64,
     global_reduction_ns: f64,
-    global_reductions: u64,
-    gmem: &'a AccessStats,
-    smem: &'a AccessStats,
-    n_sampled: usize,
-    block_reductions: u64,
-    steps: u64,
-    active_lane_steps: u64,
-    warp_size: u32,
 }
 
-/// Emits one traced launch's counters and spans.
+/// One traced launch's spans: the kernel's own, its global reduction, and
+/// one [`SpanName::SampledBlock`] event per sampled block.
 ///
 /// Runs on the caller thread after the plan-order merge, so everything it
 /// records is a pure function of the (worker-count-invariant) merged
 /// results. Sampled block `k` with grid index `g` is placed at wave
 /// `g / resident` on track `g % resident` — the same wave-scheduling model
-/// `finish` uses for kernel time — as one [`SpanName::SampledBlock`] event,
-/// which the exports expand into the block span, its warps stacked
-/// flame-style under it, and the trailing block reduction.
-fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
-    let sink = &t.trace.sink;
-    sink.name_process(PID_GPU, "gpu-sim");
-    sink.add(Counter::KernelLaunches, 1);
-    sink.add(Counter::SimulatedBlocks, t.n_sampled as u64);
-    sink.add(Counter::GmemTransactions, t.gmem.transactions);
-    sink.add(Counter::GmemRequestedBytes, t.gmem.requested_bytes);
-    sink.add(Counter::GmemFetchedBytes, t.gmem.fetched_bytes);
-    sink.add(
-        Counter::GmemUncoalescedBytes,
-        t.gmem.fetched_bytes.saturating_sub(t.gmem.requested_bytes),
-    );
-    sink.add(Counter::SmemBytes, t.smem.fetched_bytes);
-    sink.add(Counter::BlockReductions, t.block_reductions);
-    sink.add(Counter::GlobalReductions, t.global_reductions);
-    sink.add(
-        Counter::DivergenceStallLaneSteps,
-        (t.steps * u64::from(t.warp_size)).saturating_sub(t.active_lane_steps),
-    );
-    sink.add(Counter::WarpActiveLaneSteps, t.active_lane_steps);
-    sink.add(Counter::KernelTimeNs, t.total_ns.round() as u64);
-    sink.add(
-        Counter::ReductionTimeNs,
-        (t.block_reduction_wall + t.global_reduction_ns).round() as u64,
-    );
+/// `finish` uses for kernel time — and the exports expand it into the block
+/// span, its warps stacked flame-style under it, and the trailing block
+/// reduction.
+fn launch_spans(t: LaunchSpans<'_>) -> Vec<SpanEvent> {
     let t0 = t.trace.t0_ns;
     let mut events = Vec::with_capacity(2 + t.span_data.len());
     events.push(SpanEvent {
@@ -494,7 +439,7 @@ fn emit_launch_telemetry(t: LaunchTelemetry<'_>) {
             dur_ns: wall,
         });
     }
-    sink.push_spans(events);
+    events
 }
 
 /// Completed-kernel summary.
@@ -575,6 +520,7 @@ impl KernelResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Event;
 
     #[test]
     fn sample_plan_full_covers_grid() {
@@ -779,16 +725,16 @@ mod tests {
         }
         let _ = k.finish();
 
-        let TelemetrySink::Recording(inner) = &sink else { unreachable!() };
-        let stored: Vec<u32> = inner
-            .spans
-            .lock()
-            .iter()
-            .filter_map(|s| match &s.name {
-                SpanName::SampledBlock(b) => Some(b.block),
-                _ => None,
-            })
-            .collect();
+        let stored: Vec<u32> = sink.view(|log| {
+            log.iter()
+                .filter_map(|e| match e {
+                    Event::Span(SpanEvent { name: SpanName::SampledBlock(b), .. }) => {
+                        Some(b.block)
+                    }
+                    _ => None,
+                })
+                .collect()
+        });
         assert_eq!(stored, vec![0, 1], "one stored event per sampled block");
 
         let spans = sink.spans();

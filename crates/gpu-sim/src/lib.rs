@@ -26,14 +26,14 @@
 //! - [`metrics`] — CV / A.C.V. imbalance statistics.
 //! - [`parallel`] — host-side parallel map for simulation work
 //!   (`TAHOE_SIM_THREADS` overrides the worker count).
-//! - [`telemetry`] — span recorder, typed counter registry, and Chrome
-//!   trace / metrics-snapshot export (zero-cost when disabled).
-//! - [`profile`] — per-kernel Nsight-style reports, latency histograms,
-//!   and model-vs-simulator drift records layered on the telemetry sink.
-//! - [`timeseries`] — windowed time-series sampler: counter deltas, gauges,
+//! - [`telemetry`] — the append-only telemetry event log (zero-cost when
+//!   disabled), its typed counters and the Chrome trace / metrics views.
+//! - [`profile`] — per-kernel Nsight-style reports and latency histograms,
+//!   a view of the log.
+//! - [`timeseries`] — the windowed view of the log: counter deltas, gauges,
 //!   and per-window latency percentiles on fixed simulated-clock windows.
-//! - [`decision`] — request-path flight recorder: per-request critical-path
-//!   records and per-tuning-event decision audits on the telemetry sink.
+//! - [`decision`] — the flight-recorder view of the log: per-tuning-event
+//!   decision audits and per-request critical-path records.
 //!
 //! # Examples
 //!
@@ -86,15 +86,15 @@ pub use memory::{DeviceMemory, GlobalBuffer, OomError, ALLOC_ALIGN};
 pub use microbench::{measure, MeasuredParams};
 pub use parallel::{parallel_map, set_sim_threads, sim_threads};
 pub use profile::{
-    DriftRecord, HistogramExport, KernelProfile, LatencyHistogram, OccupancyLimiter,
-    ProfilesExport, TimeBreakdown,
+    HistogramExport, KernelProfile, LatencyHistogram, OccupancyLimiter, ProfilesExport,
+    TimeBreakdown,
 };
 pub use telemetry::{
-    Counter, CounterRegistry, MetricsSnapshot, SpanEvent, SpanName, TelemetrySink,
+    Counter, Event, MetricsSnapshot, SpanEvent, SpanName, TelemetrySink, VIEW_FILES,
 };
 pub use timeseries::{
     LatencyWindowExport, SeriesExport, SeriesPoint, SloWindowExport, TimeSeriesExport,
-    DEFAULT_WINDOW_NS,
+    WINDOW_NS,
 };
 pub use warp::{LevelStats, WarpResult, WarpSim, MAX_WARP_LANES};
 

@@ -18,7 +18,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceSpec;
-use crate::telemetry::{Counter, TelemetrySink};
+use crate::telemetry::{Counter, MemoryOp, TelemetrySink};
 
 /// Base of the simulated global address space (arbitrary, non-zero so that
 /// address arithmetic bugs surface as wild addresses rather than plausible
@@ -112,15 +112,17 @@ impl DeviceMemory {
         }
     }
 
-    /// Mirrors this allocator's activity into `sink`: successful allocations
-    /// and frees bump [`Counter::DeviceAllocs`] / [`Counter::DeviceFrees`],
-    /// failed requests bump [`Counter::DeviceOomEvents`], and the
-    /// [`Counter::AllocInUseBytes`] / [`Counter::AllocHighWaterBytes`]
-    /// gauges track the footprint.
+    /// Mirrors this allocator's activity into `sink`: the footprint now,
+    /// then after every successful allocation and free (one
+    /// [`MemoryOp`] event each), and a [`Counter::DeviceOomEvents`]
+    /// increment per failed request.
     pub fn attach_telemetry(&mut self, sink: &TelemetrySink) {
         self.sink = sink.clone();
-        self.sink.set(Counter::AllocInUseBytes, self.in_use);
-        self.sink.max(Counter::AllocHighWaterBytes, self.high_water);
+        self.record(MemoryOp::Attach);
+    }
+
+    fn record(&self, op: MemoryOp) {
+        self.sink.record_memory(op, self.in_use, self.high_water);
     }
 
     /// A fresh address space sized to a device's DRAM.
@@ -179,9 +181,7 @@ impl DeviceMemory {
         self.in_use += span;
         self.high_water = self.high_water.max(self.in_use);
         self.allocated += bytes;
-        self.sink.add(Counter::DeviceAllocs, 1);
-        self.sink.set(Counter::AllocInUseBytes, self.in_use);
-        self.sink.max(Counter::AllocHighWaterBytes, self.high_water);
+        self.record(MemoryOp::Alloc);
         Ok(GlobalBuffer { base, bytes })
     }
 
@@ -213,8 +213,7 @@ impl DeviceMemory {
             .remove(&buf.base)
             .expect("simulated double-free or foreign buffer");
         self.in_use -= span;
-        self.sink.add(Counter::DeviceFrees, 1);
-        self.sink.set(Counter::AllocInUseBytes, self.in_use);
+        self.record(MemoryOp::Free);
         let mut base = buf.base;
         let mut size = span;
         // Merge with the free neighbor below.

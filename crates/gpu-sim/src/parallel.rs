@@ -2,7 +2,7 @@
 //!
 //! Simulating sampled blocks (and whole per-dataset experiments) is
 //! embarrassingly parallel; this module provides a dependency-light parallel
-//! map built on crossbeam's scoped threads, so callers get order-preserving
+//! map built on `std::thread::scope`, so callers get order-preserving
 //! results without any unsafe code.
 //!
 //! Worker count resolves, in priority order: the programmatic override set
@@ -107,10 +107,10 @@ where
     let chunk = (n / (workers * 4)).max(1);
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut produced: Vec<(usize, T)> = Vec::new();
                     loop {
                         let start = next.fetch_add(chunk, Ordering::Relaxed);
@@ -131,8 +131,7 @@ where
                 slots[i] = Some(value);
             }
         }
-    })
-    .expect("simulation worker panicked");
+    });
     slots
         .into_iter()
         .map(|slot| slot.expect("every index is produced exactly once"))

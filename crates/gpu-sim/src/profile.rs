@@ -1,34 +1,27 @@
-//! Per-kernel profiler: Nsight-style launch reports, log-bucketed latency
-//! histograms, and model-vs-simulator drift records (DESIGN.md §2.10).
+//! Per-kernel profiler: Nsight-style launch reports and log-bucketed latency
+//! histograms (DESIGN.md §2.9).
 //!
-//! The telemetry layer exposes *global* counters and raw spans; this module
-//! adds the per-launch view the paper's evidence is built on — one
-//! [`KernelProfile`] per simulated launch with occupancy, coalescing,
-//! warp-execution efficiency, a wall-time breakdown, and roofline
-//! utilization. Profiles accumulate in the [`TelemetrySink`] next to the
-//! counters and export as [`TelemetrySink::profiles_json`] (the
-//! `--profile <path>` payload).
-//!
-//! # Determinism
-//!
-//! Profiles and histogram samples are recorded only from
-//! `KernelSim::finish` (and, for serving latencies, the serving simulator's
-//! caller thread) *after* the plan-order merge — worker threads never touch
-//! the profile store. Histogram bucket edges are fixed powers of two
-//! computed from integer bit positions, so the export is byte-identical at
-//! any `TAHOE_SIM_THREADS` (pinned by `tests/determinism.rs`).
+//! The counters expose *global* totals; this module adds the per-launch view
+//! the paper's evidence is built on — one [`KernelProfile`] per simulated
+//! launch with occupancy, coalescing, warp-execution efficiency, a wall-time
+//! breakdown, and roofline utilization. Each profile rides in its launch's
+//! [`Event::Launch`]; [`TelemetrySink::profiles`] gathers them with the
+//! kernel-duration and serving-latency histograms (the `profiles.json`
+//! view). Histogram bucket edges are fixed powers of two computed from
+//! integer bit positions, so the view is byte-identical at any
+//! `TAHOE_SIM_THREADS` (pinned by `tests/determinism.rs`).
 
 use serde::{Deserialize, Serialize};
 
 use crate::coalesce::AccessStats;
 use crate::device::DeviceSpec;
-use crate::telemetry::TelemetrySink;
+use crate::telemetry::{Event, TelemetrySink};
 
 /// Which hardware bound capped block residency for a launch.
 ///
 /// The simulator does not model register pressure, so the paper's
 /// register-limited case surfaces as [`OccupancyLimiter::Threads`]
-/// (documented deviation, DESIGN.md §2.10).
+/// (documented deviation, DESIGN.md §2.9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OccupancyLimiter {
     /// Per-SM resident-thread capacity.
@@ -184,7 +177,7 @@ pub struct LaunchStats<'a> {
 impl KernelProfile {
     /// Derives the profiler metrics from one launch's raw quantities.
     ///
-    /// Attribution rules (DESIGN.md §2.10): block reductions take
+    /// Attribution rules (DESIGN.md §2.9): block reductions take
     /// `waves × mean reduction` off the latency bound; the remainder splits
     /// between staging and traversal proportionally to the sampled warps'
     /// streamed vs. dependent serial time; any scheduled time beyond the
@@ -358,22 +351,6 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Folds another histogram into this one. Bucket edges are fixed, so
-    /// merging is a plain element-wise sum — used when a cluster absorbs a
-    /// device sink's histograms into the cluster-wide store.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
     /// Flat export (non-empty buckets only).
     #[must_use]
     pub fn export(&self) -> HistogramExport {
@@ -454,71 +431,7 @@ impl HistogramExport {
     }
 }
 
-/// Model-vs-simulator drift for one launch: the §5/§6 performance model's
-/// predicted batch cost against the simulated kernel time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DriftRecord {
-    /// Strategy the engine ran.
-    pub strategy: String,
-    /// Samples in the batch.
-    pub n_samples: u64,
-    /// Model-predicted batch cost (ns).
-    pub predicted_ns: f64,
-    /// Simulated kernel time (ns).
-    pub simulated_ns: f64,
-    /// `(predicted − simulated) / simulated` (0 when simulated is 0).
-    pub relative_error: f64,
-}
-
-impl DriftRecord {
-    /// Builds a record, deriving the relative error.
-    #[must_use]
-    pub fn new(strategy: &str, n_samples: usize, predicted_ns: f64, simulated_ns: f64) -> Self {
-        let relative_error = if simulated_ns > 0.0 {
-            (predicted_ns - simulated_ns) / simulated_ns
-        } else {
-            0.0
-        };
-        DriftRecord {
-            strategy: strategy.to_string(),
-            n_samples: n_samples as u64,
-            predicted_ns,
-            simulated_ns,
-            relative_error,
-        }
-    }
-}
-
-/// Profile state shared behind a recording sink (one per
-/// `telemetry::SinkInner`).
-#[derive(Debug, Default)]
-pub struct ProfileStore {
-    kernels: Vec<KernelProfile>,
-    kernel_durations: LatencyHistogram,
-    serving_latencies: LatencyHistogram,
-}
-
-impl ProfileStore {
-    /// Appends another store's launch-ordered records and folds its
-    /// histograms in. Callers (the cluster absorb path) must invoke this in
-    /// device-index order so the merged export is deterministic.
-    pub(crate) fn merge_from(&mut self, mut other: ProfileStore) {
-        self.kernels.append(&mut other.kernels);
-        self.kernel_durations.merge(&other.kernel_durations);
-        self.serving_latencies.merge(&other.serving_latencies);
-    }
-
-    fn export(&self, drift: Vec<DriftRecord>) -> ProfilesExport {
-        ProfilesExport {
-            kernels: self.kernels.clone(),
-            kernel_durations: self.kernel_durations.export(),
-            serving_latencies: self.serving_latencies.export(),
-            drift,
-        }
-    }
-}
-
-/// The full profiler export — the `--profile <path>` payload.
+/// The profiler export — the `profiles.json` view.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ProfilesExport {
     /// One profile per traced launch, in launch order.
@@ -527,14 +440,11 @@ pub struct ProfilesExport {
     pub kernel_durations: HistogramExport,
     /// Histogram of serving request latencies.
     pub serving_latencies: HistogramExport,
-    /// Model-vs-simulator drift records, in launch order — read back from
-    /// the sink's decision records at export time, one per decision.
-    pub drift: Vec<DriftRecord>,
 }
 
 impl ProfilesExport {
     /// Parses an export previously written by
-    /// [`TelemetrySink::profiles_json`] (e.g. a `--profile <path>` file).
+    /// [`TelemetrySink::profiles_json`] (e.g. a `profiles.json` file).
     ///
     /// # Errors
     ///
@@ -546,42 +456,34 @@ impl ProfilesExport {
 }
 
 impl TelemetrySink {
-    /// Records one launch profile (and its duration histogram sample).
-    /// No-op when disabled. Called only from `KernelSim::finish`, after the
-    /// plan-order merge.
-    pub fn push_kernel_profile(&self, profile: KernelProfile) {
-        if let TelemetrySink::Recording(inner) = self {
-            let mut store = inner.profiles.lock();
-            store.kernel_durations.record(profile.total_ns);
-            store.kernels.push(profile);
-        }
-    }
-
-    /// Records serving request latencies into the serving histogram.
-    pub fn record_serving_latencies(&self, latencies_ns: &[f64]) {
-        if let TelemetrySink::Recording(inner) = self {
-            let mut store = inner.profiles.lock();
-            for &ns in latencies_ns {
-                store.serving_latencies.record(ns);
-            }
-        }
-    }
-
-    /// Snapshot of the recorded profiles (empty when disabled). The drift
-    /// records are the decision records' predicted-vs-simulated fields
-    /// (DESIGN.md §2.10), so the two exports cannot disagree.
+    /// The launches' profiles in launch order, with the histograms of their
+    /// durations and of the served requests' latencies (empty when
+    /// disabled).
     #[must_use]
     pub fn profiles(&self) -> ProfilesExport {
-        match self {
-            TelemetrySink::Disabled => ProfileStore::default().export(Vec::new()),
-            TelemetrySink::Recording(inner) => {
-                let drift = inner.decisions.lock().drift();
-                inner.profiles.lock().export(drift)
+        self.view(|log| {
+            let mut kernels = Vec::new();
+            let mut kernel_durations = LatencyHistogram::default();
+            let mut serving_latencies = LatencyHistogram::default();
+            for e in log {
+                match e {
+                    Event::Launch(l) => {
+                        kernel_durations.record(l.profile.total_ns);
+                        kernels.push(l.profile.clone());
+                    }
+                    Event::Request(r) => serving_latencies.record(r.path.total_ns),
+                    _ => {}
+                }
             }
-        }
+            ProfilesExport {
+                kernels,
+                kernel_durations: kernel_durations.export(),
+                serving_latencies: serving_latencies.export(),
+            }
+        })
     }
 
-    /// The profiler export as pretty JSON (the `--profile <path>` payload).
+    /// The profiler export as pretty JSON (the `profiles.json` view).
     ///
     /// # Panics
     ///
@@ -744,27 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_combined_recording() {
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        let mut combined = LatencyHistogram::default();
-        for ns in [0.0, 5.0, 100.0] {
-            a.record(ns);
-            combined.record(ns);
-        }
-        for ns in [2.0, 1_000_000.0] {
-            b.record(ns);
-            combined.record(ns);
-        }
-        a.merge(&b);
-        assert_eq!(a, combined);
-        // Merging an empty histogram is a no-op, even on the min field.
-        let before = a.clone();
-        a.merge(&LatencyHistogram::default());
-        assert_eq!(a, before);
-    }
-
-    #[test]
     fn empty_histogram_exports_cleanly() {
         let e = LatencyHistogram::default().export();
         assert_eq!(e.count, 0);
@@ -775,26 +656,32 @@ mod tests {
         assert_eq!(e.quantile_upper_ns(0.99), 0);
     }
 
-    #[test]
-    fn drift_record_derives_relative_error() {
-        let r = DriftRecord::new("direct", 100, 1_500.0, 1_000.0);
-        assert!((r.relative_error - 0.5).abs() < 1e-12);
-        let zero = DriftRecord::new("direct", 100, 1_500.0, 0.0);
-        assert_eq!(zero.relative_error, 0.0);
+    fn launch(profile: KernelProfile) -> crate::telemetry::LaunchRecord {
+        crate::telemetry::LaunchRecord {
+            device: 0,
+            start_ns: 0.0,
+            profile,
+            block_reductions: 0,
+            global_reductions: 0,
+            active_lane_steps: 0,
+            stalled_lane_steps: 0,
+        }
     }
 
     #[test]
     fn disabled_sink_stores_no_profiles() {
         let sink = TelemetrySink::Disabled;
-        sink.push_kernel_profile(KernelProfile::from_launch(&stats(
-            &DeviceSpec::tesla_p100(),
-            &AccessStats::default(),
-            &AccessStats::default(),
-        )));
-        sink.record_serving_latencies(&[1.0, 2.0]);
+        sink.record_launch(
+            launch(KernelProfile::from_launch(&stats(
+                &DeviceSpec::tesla_p100(),
+                &AccessStats::default(),
+                &AccessStats::default(),
+            ))),
+            Vec::new(),
+        );
         let e = sink.profiles();
         assert!(e.kernels.is_empty());
-        assert!(e.drift.is_empty());
+        assert_eq!(e.kernel_durations.count, 0);
         assert_eq!(e.serving_latencies.count, 0);
     }
 
@@ -809,28 +696,12 @@ mod tests {
             steps: 2,
         };
         let smem = AccessStats::default();
-        sink.push_kernel_profile(KernelProfile::from_launch(&stats(&d, &gmem, &smem)));
-        let drift = DriftRecord::new("shared data", 64, 900.0, 1_000.0);
-        sink.push_decision(crate::decision::DecisionRecord {
-            device: 0,
-            batch: 1,
-            n_samples: drift.n_samples,
-            forced: false,
-            chosen_strategy: drift.strategy.clone(),
-            chosen_block_threads: 256,
-            predicted_ns: drift.predicted_ns,
-            simulated_ns: drift.simulated_ns,
-            relative_error: drift.relative_error,
-            calibration_generation: 0,
-            cache_hit: false,
-            candidates: Vec::new(),
-        });
-        sink.record_serving_latencies(&[10.0, 20.0, 30.0]);
+        let profile = KernelProfile::from_launch(&stats(&d, &gmem, &smem));
+        sink.record_launch(launch(profile.clone()), Vec::new());
         let e = sink.profiles();
-        assert_eq!(e.kernels.len(), 1);
+        assert_eq!(e.kernels, vec![profile]);
         assert_eq!(e.kernel_durations.count, 1);
-        assert_eq!(e.serving_latencies.count, 3);
-        assert_eq!(e.drift, vec![drift], "drift is read back from the decision");
+        assert_eq!(e.serving_latencies.count, 0);
         let text = sink.profiles_json();
         let back: ProfilesExport = serde_json::from_str(&text).expect("export parses");
         assert_eq!(back, e, "round-trip must be lossless");

@@ -1,51 +1,54 @@
-//! Unified telemetry: span recording, typed counters, and trace export.
+//! Telemetry: one append-only event log, and every export as a view of it
+//! (DESIGN.md §2.9).
 //!
 //! The simulator computes hardware-counter-style evidence (coalescing
 //! efficiency, reduction share, imbalance) in result structs, but those are
 //! per-launch aggregates — there is no way to see *one request's* timeline
-//! end to end. This module adds that observability substrate:
+//! end to end. This module is that observability substrate:
 //!
 //! - [`TelemetrySink`] — a cheaply cloneable handle that layers (kernel
 //!   scheduler, device allocator, engine, serving simulator) record into.
-//!   The [`TelemetrySink::Disabled`] variant compiles every recording call
-//!   to an enum-tag check followed by nothing, so the hot simulation path
-//!   pays no locks, no allocation, and no branch-heavy bookkeeping when
-//!   telemetry is off.
-//! - [`Counter`] / [`CounterRegistry`] — a typed registry of monotonic
-//!   counters (plus two gauge-style entries maintained with `set`/`max`),
-//!   stored as a fixed array so increments are a single indexed add.
-//! - [`SpanEvent`] — a flat span (label, track, start, duration) in
-//!   *simulated* nanoseconds. Its label is a typed [`SpanName`]: each
-//!   sampled block of a launch is one event holding its grid index, its
-//!   warps' serial times and its reduction, expanded into the block, warp
-//!   and reduce spans only when exported, which renders the labels. Exported
-//!   as Chrome trace-event JSON
-//!   ([`TelemetrySink::chrome_trace_json`]) loadable in Perfetto /
-//!   `chrome://tracing`, one process per layer and one track per concurrent
-//!   block slot.
-//! - [`MetricsSnapshot`] — a flat, serde-round-trippable snapshot of the
-//!   counters for `report_md` and regression dashboards
-//!   ([`TelemetrySink::metrics_json`]).
+//!   Every recording call appends one typed [`Event`] to the sink's log
+//!   under its one lock. The [`TelemetrySink::Disabled`] variant reduces
+//!   every recording call to an enum-tag check followed by nothing, so the
+//!   hot simulation path pays no locks, no allocation, and no bookkeeping
+//!   when telemetry is off.
+//! - [`Event`] — what the log holds: kernel launches (with their
+//!   [`KernelProfile`] and counter contributions), spans, process names,
+//!   allocator activity, serving batches, request paths, tuning decisions,
+//!   gauge samples and plain counter increments, each stamped with
+//!   simulated time and a device id.
+//! - Views — pure functions of the log: the [`MetricsSnapshot`] of the
+//!   typed [`Counter`]s ([`TelemetrySink::metrics_json`]), the Chrome trace
+//!   ([`TelemetrySink::chrome_trace_json`], loadable in Perfetto /
+//!   `chrome://tracing`), the kernel profiles and latency histograms
+//!   ([`crate::profile`]), the windowed time series ([`crate::timeseries`])
+//!   and the flight recorder ([`crate::decision`]).
 //!
 //! # Determinism
 //!
-//! Span and counter emission for simulated work happens in
-//! `KernelSim::finish`, *after* `simulate_blocks` has merged per-block
-//! results in plan order — worker threads never touch the sink. Exported
-//! traces and snapshots are therefore byte-identical at any
-//! `TAHOE_SIM_THREADS` (pinned by `tests/determinism.rs`). Host-measured
-//! engine phases (convert/rearrange/tune) are wall-clock timed and vary
-//! run to run; they live on their own process track.
+//! Simulated work is recorded in `KernelSim::finish`, *after*
+//! `simulate_blocks` has merged per-block results in plan order, and
+//! everything else from the engine's and the serving simulator's caller
+//! thread — worker threads never touch the sink. A cluster absorbs its
+//! device logs in device order on the caller thread ([`TelemetrySink::absorb`]).
+//! The views read nothing but the log, so every export is byte-identical at
+//! any `TAHOE_SIM_THREADS` (pinned by `tests/determinism.rs`). Host-measured
+//! engine phases (convert/rearrange/tune) are wall-clock timed and vary run
+//! to run; they live on their own track, which the cluster absorb drops.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use serde_json::{Number, Value};
+
+use crate::decision::{DecisionRecord, RequestPathRecord};
+use crate::profile::KernelProfile;
 
 /// Chrome-trace process id for simulated-GPU spans (kernel/block/warp).
 pub const PID_GPU: u32 = 1;
@@ -67,9 +70,8 @@ pub const fn device_pid(base_pid: u32, device_idx: usize) -> u32 {
     base_pid + PID_DEVICE_STRIDE * device_idx as u32
 }
 
-/// Typed telemetry counters.
-///
-/// Discriminants index [`CounterRegistry`]'s fixed array; keep them dense.
+/// Typed telemetry counters, each a sum over the log (see
+/// [`TelemetrySink::snapshot`] for which event feeds which counter).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
@@ -106,9 +108,9 @@ pub enum Counter {
     DeviceFrees,
     /// Allocation failures (simulated OOM).
     DeviceOomEvents,
-    /// Gauge: aligned device bytes currently live (maintained with `set`).
+    /// Aligned device bytes currently live, summed over devices.
     AllocInUseBytes,
-    /// Gauge: high-water in-use footprint (maintained with `max`).
+    /// High-water in-use footprint, summed over devices.
     AllocHighWaterBytes,
     /// Batches the engine inferred.
     EngineBatches,
@@ -153,15 +155,6 @@ impl Counter {
         Counter::ServingRequests,
     ];
 
-    /// Whether this entry is a gauge (maintained with `set`/`max`) rather
-    /// than a monotonic counter. Gauges are excluded from cross-sink merges:
-    /// summing point-in-time snapshots double-counts, so an aggregating
-    /// layer (e.g. the cluster) recomputes them from the live allocators.
-    #[must_use]
-    pub fn is_gauge(self) -> bool {
-        matches!(self, Counter::AllocInUseBytes | Counter::AllocHighWaterBytes)
-    }
-
     /// Snake-case name used in the metrics snapshot.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -191,45 +184,6 @@ impl Counter {
             Counter::ServingBatches => "serving_batches",
             Counter::ServingRequests => "serving_requests",
         }
-    }
-}
-
-/// Fixed-size registry of every [`Counter`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CounterRegistry {
-    values: [u64; Counter::ALL.len()],
-}
-
-impl CounterRegistry {
-    /// Current value of a counter.
-    #[must_use]
-    pub fn get(&self, c: Counter) -> u64 {
-        self.values[c as usize]
-    }
-
-    /// Adds `n` to a monotonic counter.
-    pub fn add(&mut self, c: Counter, n: u64) {
-        self.values[c as usize] += n;
-    }
-
-    /// Overwrites a gauge-style entry.
-    pub fn set(&mut self, c: Counter, v: u64) {
-        self.values[c as usize] = v;
-    }
-
-    /// Raises a gauge-style entry to at least `v`.
-    pub fn max(&mut self, c: Counter, v: u64) {
-        let slot = &mut self.values[c as usize];
-        *slot = (*slot).max(v);
-    }
-
-    /// Name → value map (sorted; the snapshot's serialization order).
-    #[must_use]
-    pub fn to_map(&self) -> BTreeMap<String, u64> {
-        Counter::ALL
-            .iter()
-            .map(|&c| (c.name().to_string(), self.get(c)))
-            .collect()
     }
 }
 
@@ -332,6 +286,197 @@ impl SpanEvent {
     }
 }
 
+/// One traced kernel launch: its profile plus the counter contributions the
+/// profile does not carry.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LaunchRecord {
+    /// Cluster device index (0 for a bare engine; retagged by
+    /// [`TelemetrySink::absorb`]).
+    pub device: u32,
+    /// Launch start on the simulated clock (ns).
+    pub start_ns: f64,
+    /// The launch's profiler report.
+    pub profile: KernelProfile,
+    /// Block-wide reductions in the sampled blocks.
+    pub block_reductions: u64,
+    /// Device-wide segmented reductions.
+    pub global_reductions: u64,
+    /// Active lane-steps in the sampled warps.
+    pub active_lane_steps: u64,
+    /// Idle lane-steps in the sampled warps.
+    pub stalled_lane_steps: u64,
+}
+
+/// What changed a device allocator's footprint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MemoryOp {
+    /// The allocator started recording (its footprint so far).
+    Attach,
+    /// A successful allocation.
+    Alloc,
+    /// A free.
+    Free,
+}
+
+/// One serving batch dispatched to a device: its formation, queue wait and
+/// execution spans, its dispatch series, and the serving counters.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ServingBatch {
+    /// Cluster device index that executed the batch.
+    pub device: u32,
+    /// Batch ordinal in dispatch order.
+    pub index: u64,
+    /// Requests in the batch.
+    pub size: u64,
+    /// Strategy the batch ran with.
+    pub strategy: &'static str,
+    /// Arrival of the batch's first request (ns).
+    pub first_arrival_ns: f64,
+    /// Instant the batching policy was ready to dispatch (ns).
+    pub ready_ns: f64,
+    /// Actual dispatch instant (ns).
+    pub dispatch_ns: f64,
+    /// Execution time on the device (ns).
+    pub gpu_ns: f64,
+}
+
+/// One served request: its critical path plus what the windowed views need.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RequestEvent {
+    /// The request's critical path (the flight-recorder record).
+    pub path: RequestPathRecord,
+    /// Completion instant on the simulated clock (ns).
+    pub done_ns: f64,
+    /// Whether the request met its deadline (`None` without a deadline).
+    pub slo_met: Option<bool>,
+}
+
+/// One entry of the telemetry log.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Event {
+    /// A traced kernel launch (it also names the device's `gpu-sim` track).
+    Launch(Box<LaunchRecord>),
+    /// A span; a sampled block is one event.
+    Span(SpanEvent),
+    /// Names a Chrome-trace process track; the first name of a pid wins.
+    ProcessName {
+        /// Process track.
+        pid: u32,
+        /// Its name.
+        name: Cow<'static, str>,
+    },
+    /// A device allocator's footprint after `op`.
+    Memory {
+        /// Cluster device index.
+        device: u32,
+        /// What changed the footprint.
+        op: MemoryOp,
+        /// Aligned bytes live after the operation.
+        in_use: u64,
+        /// The allocator's high-water footprint.
+        high_water: u64,
+    },
+    /// A dispatched serving batch.
+    Batch(Box<ServingBatch>),
+    /// A served request.
+    Request(Box<RequestEvent>),
+    /// A tuning decision (it also names the device's `engine` track).
+    Decision(Box<DecisionRecord>),
+    /// A gauge sample of a time series.
+    Gauge {
+        /// Cluster device index.
+        device: u32,
+        /// Series name (one of the [`crate::timeseries`] constants).
+        series: &'static str,
+        /// Sample instant on the simulated clock (ns).
+        t_ns: f64,
+        /// Sampled value.
+        value: f64,
+    },
+    /// A plain counter increment.
+    Count {
+        /// The counter.
+        counter: Counter,
+        /// Increment.
+        n: u64,
+    },
+}
+
+impl Event {
+    /// Chrome-trace spans this event stands for.
+    fn span_count(&self) -> usize {
+        match self {
+            Event::Span(s) => s.span_count(),
+            Event::Batch(b) => 2 + usize::from(b.dispatch_ns > b.ready_ns),
+            _ => 0,
+        }
+    }
+
+    /// Span `part` (below [`Self::span_count`]) as `((pid, tid), start,
+    /// dur)`. A batch's parts come in record order: formation, the queue
+    /// wait when there was one, then execution.
+    fn span(&self, part: usize) -> ((u32, u32), f64, f64) {
+        match self {
+            Event::Span(s) => {
+                let (_, start, dur) = s.part(part);
+                ((s.pid, s.tid), start, dur)
+            }
+            Event::Batch(b) => {
+                let pid = device_pid(PID_SERVING, b.device as usize);
+                match (part, b.dispatch_ns > b.ready_ns) {
+                    (0, _) => ((pid, 0), b.first_arrival_ns, b.ready_ns - b.first_arrival_ns),
+                    (1, true) => ((pid, 1), b.ready_ns, b.dispatch_ns - b.ready_ns),
+                    _ => ((pid, 2), b.dispatch_ns, b.gpu_ns),
+                }
+            }
+            _ => unreachable!("only spans and batches hold spans"),
+        }
+    }
+
+    /// Label of span `part`.
+    fn span_name(&self, part: usize) -> Cow<'_, SpanName> {
+        match self {
+            Event::Span(s) => s.part(part).0,
+            Event::Batch(b) => Cow::Owned(SpanName::Text(match self.span(part).0 .1 {
+                0 => format!("batch {}: form ({} requests)", b.index, b.size),
+                1 => format!("batch {}: queue wait (GPU busy)", b.index),
+                _ => format!("batch {}: execute ({})", b.index, b.strategy),
+            })),
+            _ => unreachable!("only spans and batches hold spans"),
+        }
+    }
+
+    /// The process track this event names, if any.
+    fn process_name(&self) -> Option<(u32, &str)> {
+        match self {
+            Event::ProcessName { pid, name } => Some((*pid, name)),
+            Event::Launch(l) => Some((device_pid(PID_GPU, l.device as usize), "gpu-sim")),
+            Event::Decision(d) => Some((device_pid(PID_ENGINE, d.device as usize), "engine")),
+            _ => None,
+        }
+    }
+
+    /// Moves this event from a device's own log to cluster device
+    /// `device`; `false` for events the cluster log drops (host-track
+    /// spans, which are wall-clock measured, and process names, which the
+    /// absorb re-emits tagged with the device).
+    fn retag(&mut self, device: usize) -> bool {
+        let d = device as u32;
+        match self {
+            Event::ProcessName { .. } => return false,
+            Event::Span(s) if s.pid == PID_ENGINE && s.tid == 0 => return false,
+            Event::Span(s) => s.pid = device_pid(s.pid, device),
+            Event::Launch(l) => l.device += d,
+            Event::Memory { device, .. } | Event::Gauge { device, .. } => *device += d,
+            Event::Batch(b) => b.device += d,
+            Event::Request(r) => r.path.device += d,
+            Event::Decision(r) => r.device += d,
+            Event::Count { .. } => {}
+        }
+        true
+    }
+}
+
 /// Flat metrics snapshot — the machine-readable export `report_md` digests.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -400,23 +545,29 @@ impl MetricsSnapshot {
     }
 }
 
-/// Shared state behind a recording sink.
+/// The files [`TelemetrySink::write_views`] writes, one per view: the Chrome
+/// trace, the counter snapshot, the kernel profiles, the windowed time
+/// series and the flight recorder.
+pub const VIEW_FILES: [&str; 5] = [
+    "trace.json",
+    "metrics.json",
+    "profiles.json",
+    "timeseries.json",
+    "decisions.json",
+];
+
+/// Shared state behind a recording sink: the event log and its one lock.
 #[derive(Debug, Default)]
 pub struct SinkInner {
-    counters: Mutex<CounterRegistry>,
-    /// Spans in record order; a sampled block is one event here.
-    pub(crate) spans: Mutex<Vec<SpanEvent>>,
-    process_names: Mutex<BTreeMap<u32, String>>,
-    /// Per-kernel profiles and latency histograms; the recording methods
-    /// live in [`crate::profile`].
-    pub(crate) profiles: Mutex<crate::profile::ProfileStore>,
-    /// Windowed time-series samples; the recording methods live in
-    /// [`crate::timeseries`].
-    pub(crate) timeseries: Mutex<crate::timeseries::TimeSeriesStore>,
-    /// Tuning decisions (which also back the profiler's drift view) and
-    /// per-request critical paths; the recording methods live in
-    /// [`crate::decision`].
-    pub(crate) decisions: Mutex<crate::decision::DecisionStore>,
+    log: Mutex<Vec<Event>>,
+}
+
+impl SinkInner {
+    /// Locks the log. Every event is pushed whole, so a lock poisoned by a
+    /// panicking recorder still guards a consistent log, and is taken as is.
+    fn log(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Telemetry recording handle.
@@ -441,31 +592,52 @@ impl TelemetrySink {
     }
 
     /// Whether this sink records anything. Layers use this to skip building
-    /// span data entirely when telemetry is off.
+    /// event data entirely when telemetry is off.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         matches!(self, TelemetrySink::Recording(_))
     }
 
-    /// Adds `n` to a monotonic counter.
-    pub fn add(&self, c: Counter, n: u64) {
+    /// Appends events to the log under one lock acquisition.
+    pub(crate) fn push(&self, events: impl IntoIterator<Item = Event>) {
         if let TelemetrySink::Recording(inner) = self {
-            inner.counters.lock().add(c, n);
+            inner.log().extend(events);
         }
     }
 
-    /// Overwrites a gauge-style counter.
-    pub fn set(&self, c: Counter, v: u64) {
-        if let TelemetrySink::Recording(inner) = self {
-            inner.counters.lock().set(c, v);
+    /// Runs a view over the log (an empty one when disabled).
+    pub(crate) fn view<R>(&self, view: impl FnOnce(&[Event]) -> R) -> R {
+        match self {
+            TelemetrySink::Disabled => view(&[]),
+            TelemetrySink::Recording(inner) => view(&inner.log()),
         }
     }
 
-    /// Raises a gauge-style counter to at least `v`.
-    pub fn max(&self, c: Counter, v: u64) {
-        if let TelemetrySink::Recording(inner) = self {
-            inner.counters.lock().max(c, v);
+    /// Writes the five views into `dir` (created when missing) as the
+    /// [`VIEW_FILES`], each printed by its `*_json` method. One view's text
+    /// is formed, written and dropped before the next.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first filesystem error.
+    pub fn write_views(&self, dir: &Path) -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        let views: [fn(&Self) -> String; 5] = [
+            Self::chrome_trace_json,
+            Self::metrics_json,
+            Self::profiles_json,
+            Self::timeseries_json,
+            Self::decisions_json,
+        ];
+        for (file, view) in VIEW_FILES.into_iter().zip(views) {
+            std::fs::write(dir.join(file), view(self))?;
         }
+        Ok(())
+    }
+
+    /// Adds `n` to a counter.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.push([Event::Count { counter, n }]);
     }
 
     /// Records one span.
@@ -477,94 +649,61 @@ impl TelemetrySink {
         start_ns: f64,
         dur_ns: f64,
     ) {
-        if let TelemetrySink::Recording(inner) = self {
-            inner.spans.lock().push(SpanEvent {
+        if self.is_enabled() {
+            self.push([Event::Span(SpanEvent {
                 name: SpanName::Text(name.into()),
                 pid,
                 tid,
                 start_ns,
                 dur_ns,
-            });
+            })]);
         }
     }
 
-    /// Appends a batch of spans under one lock acquisition.
-    pub fn push_spans(&self, spans: Vec<SpanEvent>) {
-        if let TelemetrySink::Recording(inner) = self {
-            inner.spans.lock().extend(spans);
+    /// Names a Chrome-trace process track (the first name of a pid wins).
+    pub fn name_process(&self, pid: u32, name: &'static str) {
+        self.push([Event::ProcessName { pid, name: Cow::Borrowed(name) }]);
+    }
+
+    /// Records one traced launch and its spans under one lock acquisition.
+    /// Called only from `KernelSim::finish`, after the plan-order merge.
+    pub fn record_launch(&self, launch: LaunchRecord, spans: Vec<SpanEvent>) {
+        if self.is_enabled() {
+            let launch = Event::Launch(Box::new(launch));
+            self.push(std::iter::once(launch).chain(spans.into_iter().map(Event::Span)));
         }
     }
 
-    /// Names a Chrome-trace process track (idempotent).
-    pub fn name_process(&self, pid: u32, name: &str) {
-        if let TelemetrySink::Recording(inner) = self {
-            inner
-                .process_names
-                .lock()
-                .entry(pid)
-                .or_insert_with(|| name.to_string());
+    /// Records a device allocator's footprint after `op` (device 0).
+    pub fn record_memory(&self, op: MemoryOp, in_use: u64, high_water: u64) {
+        self.push([Event::Memory { device: 0, op, in_use, high_water }]);
+    }
+
+    /// Records a gauge sample of `series` at simulated time `t_ns`; the last
+    /// sample in a window wins.
+    pub fn ts_gauge(&self, device: u32, series: &'static str, t_ns: f64, value: f64) {
+        self.push([Event::Gauge { device, series, t_ns, value }]);
+    }
+
+    /// Records one dispatched serving batch.
+    pub fn record_batch(&self, batch: ServingBatch) {
+        if self.is_enabled() {
+            self.push([Event::Batch(Box::new(batch))]);
         }
     }
 
-    /// Snapshot of the recorded spans, in record order, with each sampled
-    /// block expanded into its block, warp and reduce spans (empty when
-    /// disabled).
-    #[must_use]
-    pub fn spans(&self) -> Vec<SpanEvent> {
-        let TelemetrySink::Recording(inner) = self else {
-            return Vec::new();
-        };
-        let recorded = inner.spans.lock();
-        let mut spans = Vec::with_capacity(recorded.iter().map(SpanEvent::span_count).sum());
-        for s in recorded.iter() {
-            for part in 0..s.span_count() {
-                let (name, start_ns, dur_ns) = s.part(part);
-                spans.push(SpanEvent {
-                    name: name.into_owned(),
-                    pid: s.pid,
-                    tid: s.tid,
-                    start_ns,
-                    dur_ns,
-                });
-            }
-        }
-        spans
-    }
-
-    /// Snapshot of the named process tracks (empty when disabled).
-    #[must_use]
-    pub fn process_names(&self) -> BTreeMap<u32, String> {
-        match self {
-            TelemetrySink::Disabled => BTreeMap::new(),
-            TelemetrySink::Recording(inner) => inner.process_names.lock().clone(),
-        }
-    }
-
-    /// Current value of one counter (0 when disabled).
-    #[must_use]
-    pub fn counter_value(&self, c: Counter) -> u64 {
-        match self {
-            TelemetrySink::Disabled => 0,
-            TelemetrySink::Recording(inner) => inner.counters.lock().get(c),
-        }
-    }
-
-    /// Drains a cluster device's private sink into this (cluster-wide) one,
-    /// remapping every span's pid with [`device_pid`] so each device keeps
-    /// its own process group in the exported trace.
-    ///
-    /// Monotonic counters are added and reset on `source`; gauges are left
-    /// untouched (the caller recomputes cluster-wide footprints from the
-    /// live allocators — see [`Counter::is_gauge`]). Kernel profiles,
-    /// histograms, and decision records move over wholesale. Spans on the
-    /// engine's *host* track ([`PID_ENGINE`] tid 0: rearrange/convert/tune)
-    /// are wall-clock measured and vary run to run, so they are dropped —
-    /// this is what keeps cluster exports byte-identical at any
+    /// Drains a cluster device's private sink into this (cluster-wide) one:
+    /// one ordered append of the device's log, each event retagged from the
+    /// device-local index 0 to `device_idx` (spans through [`device_pid`]),
+    /// every process track it names renamed `"<name> [gpu<d>: <label>]"`,
+    /// and the engine's host-track spans ([`PID_ENGINE`] tid 0:
+    /// rearrange/convert/tune) dropped — they are wall-clock measured, and
+    /// dropping them keeps cluster exports byte-identical at any
     /// `TAHOE_SIM_THREADS`. The caller must invoke this in device-index
     /// order, from one thread, after all per-device simulation finished.
     ///
     /// No-op when either sink is disabled or both share one recording.
-    pub fn absorb_device(&self, source: &TelemetrySink, device_idx: usize, device_label: &str) {
+    pub fn absorb(&self, source: &TelemetrySink, device_idx: usize, device_label: &str) {
         let (TelemetrySink::Recording(dst), TelemetrySink::Recording(src)) = (self, source)
         else {
             return;
@@ -572,68 +711,148 @@ impl TelemetrySink {
         if Arc::ptr_eq(dst, src) {
             return;
         }
-        let drained = std::mem::take(&mut *src.spans.lock());
-        let mut remapped: Vec<SpanEvent> = drained
-            .into_iter()
-            .filter(|s| !(s.pid == PID_ENGINE && s.tid == 0))
-            .map(|mut s| {
-                s.pid = device_pid(s.pid, device_idx);
-                s
-            })
-            .collect();
-        dst.spans.lock().append(&mut remapped);
-        {
-            let src_names = src.process_names.lock();
-            let mut dst_names = dst.process_names.lock();
-            for (pid, name) in src_names.iter() {
-                dst_names
-                    .entry(device_pid(*pid, device_idx))
-                    .or_insert_with(|| format!("{name} [gpu{device_idx}: {device_label}]"));
-            }
-        }
-        {
-            let mut src_counters = src.counters.lock();
-            let mut dst_counters = dst.counters.lock();
-            for c in Counter::ALL {
-                if c.is_gauge() {
-                    continue;
-                }
-                let v = src_counters.get(c);
-                if v > 0 {
-                    dst_counters.add(c, v);
-                    src_counters.set(c, 0);
+        let drained = std::mem::take(&mut *src.log());
+        let mut log = dst.log();
+        log.reserve(drained.len());
+        let mut named = BTreeSet::new();
+        for mut event in drained {
+            if let Some((pid, name)) = event.process_name() {
+                if named.insert(pid) {
+                    log.push(Event::ProcessName {
+                        pid: device_pid(pid, device_idx),
+                        name: Cow::Owned(format!("{name} [gpu{device_idx}: {device_label}]")),
+                    });
                 }
             }
+            if event.retag(device_idx) {
+                log.push(event);
+            }
         }
-        let store = std::mem::take(&mut *src.profiles.lock());
-        dst.profiles.lock().merge_from(store);
-        // Time-series samples re-tag from the device-local index 0 to the
-        // cluster-wide device index; window widths agree because the cluster
-        // propagates its window to device sinks at construction.
-        let ts = std::mem::take(&mut *src.timeseries.lock());
-        dst.timeseries.lock().merge_from(ts, device_idx);
-        // Flight-recorder records re-tag the same way: a device-local engine
-        // records device 0, which becomes the cluster-wide index here.
-        let ds = std::mem::take(&mut *src.decisions.lock());
-        dst.decisions.lock().merge_from(ds, device_idx);
     }
 
-    /// Flat snapshot of the recorded counters (empty when disabled).
+    /// The ordinal the next tuning decision gets: one past the latest
+    /// recorded decision's, or 1 when the log holds none (a cluster device's
+    /// log restarts at 1 after each absorb).
+    #[must_use]
+    pub fn next_decision_batch(&self) -> u64 {
+        self.view(|log| {
+            log.iter()
+                .rev()
+                .find_map(|e| match e {
+                    Event::Decision(d) => Some(d.batch + 1),
+                    _ => None,
+                })
+                .unwrap_or(1)
+        })
+    }
+
+    /// The recorded spans, in record order, with each sampled block and
+    /// serving batch expanded into its spans (empty when disabled).
+    #[must_use]
+    pub fn spans(&self) -> Vec<SpanEvent> {
+        self.view(|log| {
+            let mut spans = Vec::new();
+            for e in log {
+                for part in 0..e.span_count() {
+                    let ((pid, tid), start_ns, dur_ns) = e.span(part);
+                    let name = e.span_name(part).into_owned();
+                    spans.push(SpanEvent { name, pid, tid, start_ns, dur_ns });
+                }
+            }
+            spans
+        })
+    }
+
+    /// The named process tracks (empty when disabled).
+    #[must_use]
+    pub fn process_names(&self) -> BTreeMap<u32, String> {
+        self.view(|log| {
+            process_names(log)
+                .into_iter()
+                .map(|(pid, name)| (pid, name.to_string()))
+                .collect()
+        })
+    }
+
+    /// Counter snapshot of the log (all zeros when disabled). A launch
+    /// feeds the traffic, reduction, lane-step, kernel-time, launch and
+    /// sampled-block counters; a decision one engine batch; a serving batch
+    /// the serving counters; an [`Event::Count`] its counter; an allocator
+    /// event the alloc/free counts and the footprints. Each
+    /// [`MemoryOp::Attach`] starts a device's next allocator generation
+    /// (the n-th engine, or cluster, built on the sink): the in-use bytes
+    /// sum each device's latest, and the high water is the largest, over
+    /// generations, of the devices' summed high waters.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        match self {
-            TelemetrySink::Disabled => MetricsSnapshot {
-                counters: CounterRegistry::default().to_map(),
-                span_count: 0,
-            },
-            TelemetrySink::Recording(inner) => MetricsSnapshot {
-                counters: inner.counters.lock().to_map(),
-                span_count: inner.spans.lock().iter().map(SpanEvent::span_count).sum(),
-            },
-        }
+        self.view(|log| {
+            let mut values = [0u64; Counter::ALL.len()];
+            let mut add = |c: Counter, n: u64| values[c as usize] += n;
+            // Per device: latest in-use bytes, high water per generation.
+            let mut memory: BTreeMap<u32, (u64, Vec<u64>)> = BTreeMap::new();
+            for e in log {
+                match e {
+                    Event::Launch(l) => {
+                        let p = &l.profile;
+                        add(Counter::KernelLaunches, 1);
+                        add(Counter::SimulatedBlocks, p.sampled_blocks);
+                        add(Counter::GmemTransactions, p.gmem_transactions);
+                        add(Counter::GmemRequestedBytes, p.gmem_requested_bytes);
+                        add(Counter::GmemFetchedBytes, p.gmem_fetched_bytes);
+                        add(
+                            Counter::GmemUncoalescedBytes,
+                            p.gmem_fetched_bytes.saturating_sub(p.gmem_requested_bytes),
+                        );
+                        add(Counter::SmemBytes, p.smem_fetched_bytes);
+                        add(Counter::BlockReductions, l.block_reductions);
+                        add(Counter::GlobalReductions, l.global_reductions);
+                        add(Counter::DivergenceStallLaneSteps, l.stalled_lane_steps);
+                        add(Counter::WarpActiveLaneSteps, l.active_lane_steps);
+                        add(Counter::KernelTimeNs, p.total_ns.round() as u64);
+                        let reduction_ns =
+                            p.breakdown.block_reduction_ns + p.breakdown.global_reduction_ns;
+                        add(Counter::ReductionTimeNs, reduction_ns.round() as u64);
+                    }
+                    Event::Memory { device, op, in_use, high_water } => {
+                        let (latest, generations) = memory.entry(*device).or_default();
+                        match op {
+                            MemoryOp::Attach => generations.push(0),
+                            MemoryOp::Alloc => add(Counter::DeviceAllocs, 1),
+                            MemoryOp::Free => add(Counter::DeviceFrees, 1),
+                        }
+                        *latest = *in_use;
+                        match generations.last_mut() {
+                            Some(hw) => *hw = (*hw).max(*high_water),
+                            None => generations.push(*high_water),
+                        }
+                    }
+                    Event::Batch(b) => {
+                        add(Counter::ServingBatches, 1);
+                        add(Counter::ServingRequests, b.size);
+                    }
+                    Event::Decision(_) => add(Counter::EngineBatches, 1),
+                    Event::Count { counter, n } => add(*counter, *n),
+                    _ => {}
+                }
+            }
+            add(Counter::AllocInUseBytes, memory.values().map(|m| m.0).sum());
+            let generations = memory.values().map(|m| m.1.len()).max().unwrap_or(0);
+            let peak = (0..generations)
+                .map(|g| memory.values().filter_map(|m| m.1.get(g)).sum())
+                .max()
+                .unwrap_or(0);
+            add(Counter::AllocHighWaterBytes, peak);
+            MetricsSnapshot {
+                counters: Counter::ALL
+                    .iter()
+                    .map(|&c| (c.name().to_string(), values[c as usize]))
+                    .collect(),
+                span_count: log.iter().map(Event::span_count).sum(),
+            }
+        })
     }
 
-    /// The metrics snapshot as pretty JSON (the `--metrics <path>` payload).
+    /// The metrics snapshot as pretty JSON (the `metrics.json` view).
     ///
     /// # Panics
     ///
@@ -646,82 +865,68 @@ impl TelemetrySink {
         s
     }
 
-    /// Exports the recorded spans as Chrome trace-event JSON (the
-    /// `--trace <path>` payload), loadable in Perfetto / `chrome://tracing`.
+    /// Exports the log as Chrome trace-event JSON (the `trace.json` view),
+    /// loadable in Perfetto / `chrome://tracing`.
     ///
-    /// Events are stably ordered by `(pid, tid, ts, −dur)`, so timestamps are
-    /// monotone per track and enclosing spans precede enclosed ones; the
-    /// output is a pure function of the recorded spans and therefore
-    /// byte-identical however many worker threads simulated the blocks.
-    ///
-    /// Recorded time series additionally export as Perfetto counter tracks
-    /// (`"ph":"C"` events, one per non-empty window) after the spans, in
-    /// the export's `(device, name, kind)` order.
-    ///
-    /// Recorded request paths (DESIGN.md §2.15) export after the counter
-    /// tracks, in record order: one Perfetto async span (`"b"`/`"e"`, id =
+    /// Span events are stably ordered by `(pid, tid, ts, −dur)`, so
+    /// timestamps are monotone per track and enclosing spans precede
+    /// enclosed ones. The time series follow as Perfetto counter tracks
+    /// (`"ph":"C"` events, one per non-empty window) in the export's
+    /// `(device, name, kind)` order. The request paths (DESIGN.md §2.9)
+    /// follow in record order: one Perfetto async span (`"b"`/`"e"`, id =
     /// request index) covering the request's end-to-end latency on the
     /// serving queue track, plus a flow arrow (`"s"`/`"f"`) from its arrival
-    /// into the executing device's batch-execute track. Pure functions of
-    /// the recorded [`crate::decision::RequestPathRecord`]s, so the same
-    /// byte-identity guarantee applies.
+    /// into the executing device's batch-execute track.
     ///
     /// The document is `{"traceEvents":[`, then one compact event per line
     /// (each a small [`serde_json::Value`], printed as `serde_json::to_string`
     /// prints it), then `],"displayTimeUnit":"ns"}` on a line of its own.
     /// Each event is formed, printed and dropped before the next, and span
     /// labels are rendered as they are written, so the export's memory is
-    /// the output text itself. Sampled blocks are expanded here, and the
-    /// sort moves `(event, part)` index pairs, not copies of the spans.
-    /// `tests/telemetry_schema.rs` pins the bytes against a whole-document
-    /// reference.
+    /// the output text itself. Sampled blocks and batches are expanded here,
+    /// and the sort moves `(event, part)` index pairs, not copies of the
+    /// spans. `tests/telemetry_schema.rs` pins the bytes against a
+    /// whole-document reference.
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
-        if let TelemetrySink::Recording(inner) = self {
-            let timeseries = self.timeseries();
-            let names = inner.process_names.lock();
-            let recorded = inner.spans.lock();
+        self.view(|log| {
             let mut order: Vec<(u32, u32)> =
-                Vec::with_capacity(recorded.iter().map(SpanEvent::span_count).sum());
-            for (i, s) in recorded.iter().enumerate() {
-                let i = u32::try_from(i).expect("fewer than 2^32 recorded spans");
-                order.extend((0..s.span_count() as u32).map(|part| (i, part)));
+                Vec::with_capacity(log.iter().map(Event::span_count).sum());
+            for (i, e) in log.iter().enumerate() {
+                let i = u32::try_from(i).expect("fewer than 2^32 recorded events");
+                order.extend((0..e.span_count() as u32).map(|part| (i, part)));
             }
-            let key = |&(i, part): &(u32, u32)| {
-                let s = &recorded[i as usize];
-                let (_, start_ns, dur_ns) = s.part(part as usize);
-                ((s.pid, s.tid), start_ns, dur_ns)
-            };
+            let key = |&(i, part): &(u32, u32)| log[i as usize].span(part as usize);
             order.sort_by(|a, b| {
                 let (a, b) = (key(a), key(b));
                 a.0.cmp(&b.0)
                     .then(a.1.total_cmp(&b.1))
                     .then(b.2.total_cmp(&a.2))
             });
-            for (pid, name) in names.iter() {
+            for (pid, name) in process_names(log) {
                 push_event(&mut out, vec![
                     ("ph", str_val("M")),
                     ("ts", num(0.0)),
-                    ("pid", uint(u64::from(*pid))),
+                    ("pid", uint(u64::from(pid))),
                     ("tid", uint(0)),
                     ("name", str_val("process_name")),
                     ("args", Value::Object(vec![("name".into(), str_val(name))])),
                 ]);
             }
             for (i, part) in order {
-                let s = &recorded[i as usize];
-                let (name, start_ns, dur_ns) = s.part(part as usize);
+                let e = &log[i as usize];
+                let ((pid, tid), start_ns, dur_ns) = e.span(part as usize);
                 push_event(&mut out, vec![
                     ("ph", str_val("X")),
                     ("ts", num(start_ns / 1_000.0)),
                     ("dur", num(dur_ns / 1_000.0)),
-                    ("pid", uint(u64::from(s.pid))),
-                    ("tid", uint(u64::from(s.tid))),
-                    ("name", Value::String(name.to_string())),
+                    ("pid", uint(u64::from(pid))),
+                    ("tid", uint(u64::from(tid))),
+                    ("name", Value::String(e.span_name(part as usize).to_string())),
                 ]);
             }
-            for series in &timeseries.series {
+            for series in crate::timeseries::export(log).series {
                 let pid = u64::from(device_pid(PID_GPU, series.device as usize));
                 for p in &series.points {
                     push_event(&mut out, vec![
@@ -735,7 +940,10 @@ impl TelemetrySink {
                 }
             }
             let queue_pid = u64::from(device_pid(PID_SERVING, 0));
-            for r in inner.decisions.lock().requests() {
+            for r in log.iter().filter_map(|e| match e {
+                Event::Request(r) => Some(&r.path),
+                _ => None,
+            }) {
                 let exec_pid = u64::from(device_pid(PID_SERVING, r.device as usize));
                 let dispatch_ns = r.arrival_ns + r.form_ns + r.queue_ns;
                 let end_ns = r.arrival_ns + r.total_ns;
@@ -769,10 +977,19 @@ impl TelemetrySink {
                     ("name", str_val("request path")),
                 ]);
             }
-        }
+        });
         out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
         out
     }
+}
+
+/// Process track names: the first name each pid gets in the log.
+fn process_names(log: &[Event]) -> BTreeMap<u32, &str> {
+    let mut names = BTreeMap::new();
+    for (pid, name) in log.iter().filter_map(Event::process_name) {
+        names.entry(pid).or_insert(name);
+    }
+    names
 }
 
 /// Appends one trace event on a line of its own: a compact JSON object with
@@ -825,16 +1042,53 @@ mod tests {
         sink.add(Counter::GmemFetchedBytes, 128);
         sink.add(Counter::GmemFetchedBytes, 64);
         sink.add(Counter::GmemRequestedBytes, 96);
-        sink.set(Counter::AllocInUseBytes, 1000);
-        sink.max(Counter::AllocHighWaterBytes, 2000);
-        sink.max(Counter::AllocHighWaterBytes, 500);
+        sink.record_memory(MemoryOp::Alloc, 2000, 2000);
+        sink.record_memory(MemoryOp::Free, 1000, 2000);
         let snap = sink.snapshot();
         assert_eq!(snap.counters["gmem_fetched_bytes"], 192);
         assert_eq!(snap.counters["alloc_in_use_bytes"], 1000);
         assert_eq!(snap.counters["alloc_high_water_bytes"], 2000);
+        assert_eq!(snap.counters["device_allocs"], 1);
+        assert_eq!(snap.counters["device_frees"], 1);
         assert!((snap.gmem_efficiency() - 0.5).abs() < 1e-12);
         // Every declared counter appears in the snapshot.
         assert_eq!(snap.counters.len(), Counter::ALL.len());
+    }
+
+    #[test]
+    fn footprints_sum_each_devices_latest_and_highest() {
+        let cluster = TelemetrySink::recording();
+        for (d, (in_use, high_water)) in [(300, 500), (100, 400)].into_iter().enumerate() {
+            let dev = TelemetrySink::recording();
+            dev.record_memory(MemoryOp::Alloc, high_water, high_water);
+            dev.record_memory(MemoryOp::Free, in_use, high_water);
+            cluster.absorb(&dev, d, "test");
+        }
+        let snap = cluster.snapshot();
+        assert_eq!(snap.counters["alloc_in_use_bytes"], 400);
+        assert_eq!(snap.counters["alloc_high_water_bytes"], 900);
+        assert_eq!(snap.counters["device_allocs"], 2);
+    }
+
+    #[test]
+    fn the_high_water_peaks_over_allocator_generations() {
+        // Two clusters of two devices absorbed one after the other: the
+        // peak is the larger cluster total (400 + 100), not the sum of the
+        // per-device peaks (400 + 300); in-use bytes are the latest
+        // cluster's.
+        let sink = TelemetrySink::recording();
+        for footprints in [[(400, 300), (100, 100)], [(100, 50), (300, 50)]] {
+            for (d, (high_water, in_use)) in footprints.into_iter().enumerate() {
+                let dev = TelemetrySink::recording();
+                dev.record_memory(MemoryOp::Attach, 0, 0);
+                dev.record_memory(MemoryOp::Alloc, high_water, high_water);
+                dev.record_memory(MemoryOp::Free, in_use, high_water);
+                sink.absorb(&dev, d, "test");
+            }
+        }
+        let snap = sink.snapshot();
+        assert_eq!(snap.counters["alloc_high_water_bytes"], 500);
+        assert_eq!(snap.counters["alloc_in_use_bytes"], 100);
     }
 
     #[test]
@@ -930,6 +1184,62 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_stands_for_its_form_queue_and_execute_spans() {
+        let sink = TelemetrySink::recording();
+        let batch = ServingBatch {
+            device: 0,
+            index: 4,
+            size: 3,
+            strategy: "direct",
+            first_arrival_ns: 100.0,
+            ready_ns: 150.0,
+            dispatch_ns: 180.0,
+            gpu_ns: 40.0,
+        };
+        sink.record_batch(batch.clone());
+        sink.record_batch(ServingBatch { dispatch_ns: 150.0, ..batch });
+        let spans = sink.spans();
+        let labels: Vec<(String, u32, f64, f64)> = spans
+            .iter()
+            .map(|s| (s.name.to_string(), s.tid, s.start_ns, s.dur_ns))
+            .collect();
+        assert_eq!(labels[..3], [
+            ("batch 4: form (3 requests)".to_string(), 0, 100.0, 50.0),
+            ("batch 4: queue wait (GPU busy)".to_string(), 1, 150.0, 30.0),
+            ("batch 4: execute (direct)".to_string(), 2, 180.0, 40.0),
+        ]);
+        assert_eq!(labels.len(), 5, "a batch that never queued has no wait span");
+        let snap = sink.snapshot();
+        assert_eq!(snap.span_count, 5);
+        assert_eq!(snap.counters["serving_batches"], 2);
+        assert_eq!(snap.counters["serving_requests"], 6);
+    }
+
+    #[test]
+    fn absorb_retags_names_and_drops_host_spans() {
+        let cluster = TelemetrySink::recording();
+        let dev = TelemetrySink::recording();
+        dev.name_process(PID_ENGINE, "engine");
+        dev.span("convert", PID_ENGINE, 0, 0.0, 5.0);
+        dev.span("infer", PID_ENGINE, 1, 0.0, 5.0);
+        dev.ts_gauge(0, crate::timeseries::QUEUE_DEPTH, 0.0, 1.0);
+        cluster.absorb(&dev, 2, "Tesla P100");
+        let pid = device_pid(PID_ENGINE, 2);
+        assert_eq!(
+            cluster.process_names(),
+            BTreeMap::from([(pid, "engine [gpu2: Tesla P100]".to_string())])
+        );
+        let spans = cluster.spans();
+        assert_eq!(spans.len(), 1, "the host track stays behind");
+        assert_eq!((spans[0].pid, spans[0].tid), (pid, 1));
+        assert!(cluster.timeseries().series(2, crate::timeseries::QUEUE_DEPTH, "gauge").is_some());
+        // The device log is drained: absorbing again adds nothing.
+        assert!(dev.spans().is_empty());
+        cluster.absorb(&dev, 2, "Tesla P100");
+        assert_eq!(cluster.spans().len(), 1);
+    }
+
+    #[test]
     fn span_names_render_the_trace_labels() {
         assert_eq!(SpanName::Block(7).to_string(), "block 7");
         assert_eq!(SpanName::Warp(7, 3).to_string(), "block 7 warp 3");
@@ -942,10 +1252,11 @@ mod tests {
     }
 
     #[test]
-    fn a_sampled_block_record_keeps_span_events_small() {
-        // The boxed payload keeps every recorded event, a sampled block
+    fn events_stay_small() {
+        // The boxed payloads keep every logged event, a sampled block
         // included, at the size of a plain span.
         assert_eq!(std::mem::size_of::<SpanEvent>(), 48);
+        assert_eq!(std::mem::size_of::<Event>(), 48);
     }
 
     #[test]

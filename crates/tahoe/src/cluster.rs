@@ -26,7 +26,7 @@ use tahoe_gpu_sim::multigpu::partition;
 
 use crate::engine::{Engine, EngineOptions};
 use crate::strategy::Strategy;
-use crate::telemetry::{Counter, TelemetrySink};
+use crate::telemetry::TelemetrySink;
 use tahoe_forest::Forest;
 
 /// One device's share of a partitioned cluster inference.
@@ -139,12 +139,7 @@ impl GpuCluster {
         let mut nominal: Vec<DeviceSpec> = Vec::with_capacity(devices.len());
         for (d, spec) in devices.into_iter().enumerate() {
             let dsink = if sink.is_enabled() {
-                let dsink = TelemetrySink::recording();
-                // Device sinks must bucket time-series samples with the
-                // cluster's window so the flush-time merge folds windows
-                // one-to-one (DESIGN.md §2.14).
-                dsink.set_timeseries_window_ns(sink.timeseries_window_ns());
-                dsink
+                TelemetrySink::recording()
             } else {
                 TelemetrySink::Disabled
             };
@@ -284,29 +279,15 @@ impl GpuCluster {
         }
     }
 
-    /// Merges every device's private telemetry into the cluster sink, in
-    /// device-index order, then refreshes the cluster-wide allocator gauges
-    /// (in-use = sum of live footprints, high-water = sum of per-device
-    /// high waters — per-device gauges are excluded from the absorb because
-    /// summing point-in-time snapshots double-counts).
+    /// Appends every device's private telemetry log to the cluster sink's,
+    /// in device-index order ([`TelemetrySink::absorb`]).
     ///
-    /// Idempotent between runs: device sinks are drained, so flushing twice
+    /// Idempotent between runs: device logs are drained, so flushing twice
     /// adds nothing new. Call after simulation, before exporting.
     pub fn flush_telemetry(&self) {
-        if !self.sink.is_enabled() {
-            return;
-        }
         for (d, engine) in self.engines.iter().enumerate() {
-            self.sink.absorb_device(engine.telemetry(), d, engine.device().name);
+            self.sink.absorb(engine.telemetry(), d, engine.device().name);
         }
-        let in_use: u64 = self.engines.iter().map(|e| e.memory().in_use_bytes()).sum();
-        let high_water: u64 = self
-            .engines
-            .iter()
-            .map(|e| e.memory().high_water_bytes())
-            .sum();
-        self.sink.set(Counter::AllocInUseBytes, in_use);
-        self.sink.max(Counter::AllocHighWaterBytes, high_water);
     }
 }
 

@@ -19,7 +19,6 @@ use tahoe_gpu_sim::{measure, GlobalBuffer, MeasuredParams};
 
 use crate::format::{DeviceForest, FormatConfig, LayoutPlan, NodeEncoding};
 use crate::perfmodel::{Calibrator, ModelInputs, Prediction};
-use crate::profile::DriftRecord;
 use crate::rearrange::{self, RearrangeReport, SimilarityParams};
 use crate::strategy::common::THREADS_PER_BLOCK;
 use crate::strategy::{self, LaunchContext, Strategy, StrategyRun};
@@ -522,8 +521,7 @@ impl Engine {
         };
         let run = strategy::run(strategy, &run_ctx)
             .unwrap_or_else(|| panic!("strategy {strategy} infeasible for this forest/device"));
-        self.sink.add(Counter::EngineBatches, 1);
-        // The launch's drift observation (DESIGN.md §2.10) is the ladder's
+        // The launch's drift observation (DESIGN.md §2.9) is the ladder's
         // rung at the launched plan — `strategy::run` launches the geometry
         // the sweep costed. The calibrator folds the *raw* rung (the fit is
         // always against the uncalibrated model); telemetry records the
@@ -540,12 +538,8 @@ impl Engine {
                 applied.total().is_finite(),
                 "non-finite launched-plan prediction for {strategy} ({n} samples)"
             );
-            let drift = DriftRecord::new(
-                strategy.name(),
-                samples.n_samples(),
-                applied.total() * n,
-                run.kernel.total_ns,
-            );
+            let predicted_ns = applied.total() * n;
+            let simulated_ns = run.kernel.total_ns;
             let candidates = ladder
                 .rungs()
                 .iter()
@@ -559,7 +553,6 @@ impl Engine {
                     rejection: r.outcome.err().map(str::to_string),
                 })
                 .collect();
-            self.sink.name_process(PID_ENGINE, "engine");
             self.host_span("tune", model_eval_ns as f64);
             self.sink.span(
                 format!("infer: {} ({} samples)", strategy.name(), samples.n_samples()),
@@ -568,24 +561,28 @@ impl Engine {
                 self.clock_ns,
                 run.kernel.total_ns,
             );
-            // The decision record joins the ladder to the launch it produced;
-            // the profiler's drift export is read back from it.
+            // The decision record joins the ladder to the launch it produced
+            // and is the one record of the model's drift.
             self.sink.push_decision(DecisionRecord {
                 device: 0,
-                batch: self.sink.counter_value(Counter::EngineBatches),
+                batch: self.sink.next_decision_batch(),
                 n_samples: samples.n_samples() as u64,
                 forced: force.is_some(),
                 chosen_strategy: strategy.name().to_string(),
                 chosen_block_threads: block_threads as u64,
-                predicted_ns: drift.predicted_ns,
-                simulated_ns: drift.simulated_ns,
-                relative_error: drift.relative_error,
+                predicted_ns,
+                simulated_ns,
+                relative_error: if simulated_ns > 0.0 {
+                    (predicted_ns - simulated_ns) / simulated_ns
+                } else {
+                    0.0
+                },
                 calibration_generation: self.calibrator.generation(),
                 cache_hit: false,
                 candidates,
             });
             // DRAM footprint gauges at the batch's simulated completion time
-            // (DESIGN.md §2.14), still on the caller thread.
+            // (DESIGN.md §2.9), still on the caller thread.
             let done_ns = self.clock_ns + run.kernel.total_ns;
             self.sink.ts_gauge(
                 0,

@@ -11,7 +11,6 @@
 pub mod layout;
 pub mod node;
 
-use bytes::BufMut;
 use tahoe_datasets::{ForestKind, SampleMatrix};
 use tahoe_forest::Forest;
 use tahoe_gpu_sim::memory::{DeviceMemory, OomError};
@@ -144,20 +143,12 @@ fn uint_sentinel(width: AttrWidth) -> u32 {
 
 /// Writes one little-endian unsigned entry of the given width.
 fn put_uint(width: AttrWidth, value: u32, out: &mut Vec<u8>) {
-    match width {
-        AttrWidth::U8 => out.put_u8(value as u8),
-        AttrWidth::U16 => out.put_u16_le(value as u16),
-        AttrWidth::U32 => out.put_u32_le(value),
-    }
+    node::put_le(out, value, width.bytes());
 }
 
 /// Reads the little-endian unsigned entry at `buf[0..width.bytes()]`.
-fn get_uint(width: AttrWidth, buf: &[u8]) -> u32 {
-    match width {
-        AttrWidth::U8 => u32::from(buf[0]),
-        AttrWidth::U16 => u32::from(u16::from_le_bytes([buf[0], buf[1]])),
-        AttrWidth::U32 => u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]),
-    }
+fn get_uint(width: AttrWidth, mut buf: &[u8]) -> u32 {
+    node::take_le(&mut buf, width.bytes())
 }
 
 impl DeviceForest {
@@ -414,7 +405,7 @@ impl DeviceForest {
                     }
                 }
                 for slot in &self.nodes {
-                    out.put_f32_le(slot.as_ref().map_or(0.0, |n| n.scalar));
+                    out.extend_from_slice(&slot.as_ref().map_or(0.0, |n| n.scalar).to_le_bytes());
                 }
                 if let Some(cw) = self.child_width {
                     for (i, slot) in self.nodes.iter().enumerate() {

@@ -6,7 +6,6 @@
 //! additionally carry explicit child slots; dense-mode nodes derive children
 //! from heap arithmetic and omit them.
 
-use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 
 /// Slot value meaning "no node".
@@ -120,22 +119,29 @@ impl PackedWidth {
     }
 
     /// Writes one entry (little-endian at widths > 1 byte).
-    pub fn put(self, entry: u32, out: &mut impl BufMut) {
-        match self {
-            PackedWidth::U8 => out.put_u8(entry as u8),
-            PackedWidth::U16 => out.put_u16_le(entry as u16),
-            PackedWidth::U32 => out.put_u32_le(entry),
-        }
+    pub fn put(self, entry: u32, out: &mut Vec<u8>) {
+        put_le(out, entry, self.bytes());
     }
 
-    /// Reads one entry.
-    pub fn get(self, buf: &mut impl Buf) -> u32 {
-        match self {
-            PackedWidth::U8 => u32::from(buf.get_u8()),
-            PackedWidth::U16 => u32::from(buf.get_u16_le()),
-            PackedWidth::U32 => buf.get_u32_le(),
-        }
+    /// Reads one entry and advances `buf` past it.
+    pub fn get(self, buf: &mut &[u8]) -> u32 {
+        take_le(buf, self.bytes())
     }
+}
+
+/// Appends the low `n` (at most 4) bytes of `value`, little-endian.
+pub(crate) fn put_le(out: &mut Vec<u8>, value: u32, n: usize) {
+    out.extend_from_slice(&value.to_le_bytes()[..n]);
+}
+
+/// Reads the next `n` (at most 4) bytes of `buf` as a little-endian unsigned
+/// value and advances `buf` past them.
+pub(crate) fn take_le(buf: &mut &[u8], n: usize) -> u32 {
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    let mut word = [0u8; 4];
+    word[..n].copy_from_slice(head);
+    u32::from_le_bytes(word)
 }
 
 /// Decoded device node (the working representation kernels traverse).
@@ -212,33 +218,29 @@ impl DeviceNode {
     /// bytes — [`crate::format::DeviceForest`]'s image sizing and the
     /// `DeviceMemory` accounting both assume this, so a desync would silently
     /// corrupt every simulated node address (debug builds assert it).
-    pub fn encode(&self, attr: AttrWidth, explicit_children: bool, out: &mut impl BufMut) {
-        let before = out.remaining_mut();
-        out.put_u8(self.flags());
-        match attr {
-            AttrWidth::U8 => out.put_u8(self.attribute as u8),
-            AttrWidth::U16 => out.put_u16_le(self.attribute as u16),
-            AttrWidth::U32 => out.put_u32_le(self.attribute),
-        }
-        out.put_f32_le(self.scalar);
+    pub fn encode(&self, attr: AttrWidth, explicit_children: bool, out: &mut Vec<u8>) {
+        let before = out.len();
+        out.push(self.flags());
+        put_le(out, self.attribute, attr.bytes());
+        out.extend_from_slice(&self.scalar.to_le_bytes());
         if explicit_children {
-            out.put_u32_le(self.left);
-            out.put_u32_le(self.right);
+            put_le(out, self.left, 4);
+            put_le(out, self.right, 4);
         }
         debug_assert_eq!(
-            before - out.remaining_mut(),
+            out.len() - before,
             Self::encoded_bytes(attr, explicit_children),
             "encode must write exactly encoded_bytes({attr:?}, {explicit_children})"
         );
     }
 
     /// Encodes a NULL (padding) slot of the same size as [`Self::encode`].
-    pub fn encode_null(attr: AttrWidth, explicit_children: bool, out: &mut impl BufMut) {
-        let before = out.remaining_mut();
-        out.put_u8(NULL_FLAGS);
-        out.put_bytes(0, Self::encoded_bytes(attr, explicit_children) - 1);
+    pub fn encode_null(attr: AttrWidth, explicit_children: bool, out: &mut Vec<u8>) {
+        let before = out.len();
+        out.push(NULL_FLAGS);
+        out.resize(before + Self::encoded_bytes(attr, explicit_children), 0);
         debug_assert_eq!(
-            before - out.remaining_mut(),
+            out.len() - before,
             Self::encoded_bytes(attr, explicit_children),
             "encode_null must write exactly encoded_bytes({attr:?}, {explicit_children})"
         );
@@ -249,20 +251,16 @@ impl DeviceNode {
     /// Dense-mode nodes (no explicit children) are returned with
     /// [`NO_SLOT`] children; the caller fills them in from heap arithmetic.
     #[must_use]
-    pub fn decode(attr: AttrWidth, explicit_children: bool, buf: &mut impl Buf) -> Option<Self> {
-        let flags = buf.get_u8();
+    pub fn decode(attr: AttrWidth, explicit_children: bool, buf: &mut &[u8]) -> Option<Self> {
+        let flags = take_le(buf, 1) as u8;
         if flags == NULL_FLAGS {
-            buf.advance(Self::encoded_bytes(attr, explicit_children) - 1);
+            *buf = &buf[Self::encoded_bytes(attr, explicit_children) - 1..];
             return None;
         }
-        let attribute = match attr {
-            AttrWidth::U8 => u32::from(buf.get_u8()),
-            AttrWidth::U16 => u32::from(buf.get_u16_le()),
-            AttrWidth::U32 => buf.get_u32_le(),
-        };
-        let scalar = buf.get_f32_le();
+        let attribute = take_le(buf, attr.bytes());
+        let scalar = f32::from_bits(take_le(buf, 4));
         let (left, right) = if explicit_children {
-            (buf.get_u32_le(), buf.get_u32_le())
+            (take_le(buf, 4), take_le(buf, 4))
         } else {
             (NO_SLOT, NO_SLOT)
         };

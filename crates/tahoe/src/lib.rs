@@ -18,14 +18,15 @@
 //! - [`cluster`] — the multi-GPU layer (§7.5): one engine per device with
 //!   private memory, clock, and telemetry, merged deterministically.
 //! - [`metrics`] — throughput / imbalance metrics used by the evaluation.
-//! - [`telemetry`] — span/counter recording across all layers, exported as
-//!   Chrome trace JSON and flat metrics snapshots (see `gpu-sim`'s
-//!   `telemetry` module for the substrate).
-//! - [`profile`] — per-kernel profiler reports, latency histograms, and the
-//!   model-vs-simulator drift auditor (substrate in `gpu-sim`'s `profile`).
+//! - [`telemetry`] — the one telemetry event log every layer appends to,
+//!   and its five views: Chrome trace, counter snapshot, kernel profiles,
+//!   windowed time series and flight recorder (see `gpu-sim`'s `telemetry`
+//!   module for the substrate).
+//! - [`profile`] — per-kernel profiler reports and latency histograms
+//!   (substrate in `gpu-sim`'s `profile`).
 //! - [`telemetry::decision`] — the request-path flight recorder: per-request
-//!   critical-path records and per-tuning-event decision audits (substrate
-//!   in `gpu-sim`'s `decision`).
+//!   critical-path records and per-tuning-event decision audits with the
+//!   model's drift (substrate in `gpu-sim`'s `decision`).
 //!
 //! # Examples
 //!
@@ -62,7 +63,7 @@ pub use cluster::{ClusterRun, DeviceRun, GpuCluster};
 pub use engine::{Engine, EngineOptions, InferenceResult, NodeEncodingChoice};
 pub use format::{DeviceForest, FormatConfig, LayoutPlan, NodeEncoding, PackedWidth};
 pub use perfmodel::{Calibrator, ModelInputs, Prediction};
-pub use profile::{DriftRecord, KernelProfile, ProfilesExport};
+pub use profile::{KernelProfile, ProfilesExport};
 pub use rearrange::{adaptive_plan, similarity_order, SimilarityParams};
 pub use strategy::{LaunchContext, Strategy, StrategyRun};
 pub use telemetry::decision::{DecisionRecord, DecisionsExport, RequestPathRecord};

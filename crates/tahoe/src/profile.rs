@@ -1,14 +1,13 @@
-//! Per-kernel profiler re-exports (DESIGN.md §2.10).
+//! Per-kernel profiler re-exports (DESIGN.md §2.9).
 //!
-//! The profiler substrate — [`KernelProfile`] capture in `KernelSim::finish`,
-//! log-bucketed [`LatencyHistogram`]s, and the [`DriftRecord`] export view —
-//! lives in [`tahoe_gpu_sim::profile`]; this module re-exports it so
-//! engine-level code and downstream consumers (bench harness, CLI) have one
-//! import path. The drift records are read back from the engine's decision
-//! records (predicted vs. simulated cost per launch) at export time, and the
-//! serving simulator feeds request latencies into the serving histogram.
+//! The profiler view — [`KernelProfile`] capture in `KernelSim::finish` and
+//! log-bucketed [`LatencyHistogram`]s of kernel durations and served
+//! requests' latencies — lives in [`tahoe_gpu_sim::profile`]; this module
+//! re-exports it so engine-level code and downstream consumers (bench
+//! harness, CLI) have one import path. The model's drift per launch lives
+//! in the decision records ([`crate::telemetry::decision`]).
 
 pub use tahoe_gpu_sim::profile::{
-    DriftRecord, HistogramBucket, HistogramExport, KernelProfile, LatencyHistogram,
-    LaunchStats, OccupancyLimiter, ProfilesExport, TimeBreakdown, HISTOGRAM_BUCKETS,
+    HistogramBucket, HistogramExport, KernelProfile, LatencyHistogram, LaunchStats,
+    OccupancyLimiter, ProfilesExport, TimeBreakdown, HISTOGRAM_BUCKETS,
 };

@@ -20,7 +20,7 @@ use crate::cluster::GpuCluster;
 use crate::engine::Engine;
 use crate::strategy::Strategy;
 use crate::telemetry::decision::RequestPathRecord;
-use crate::telemetry::{timeseries, Counter, TelemetrySink, PID_SERVING};
+use crate::telemetry::{timeseries, RequestEvent, ServingBatch, TelemetrySink, PID_SERVING};
 
 /// Dynamic-batching policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -260,84 +260,6 @@ fn last_arrival_by(
     last_arrived
 }
 
-/// Emits one dispatched batch's serving spans (formation, optional queue
-/// wait, execution) into `sink`.
-fn batch_spans(
-    sink: &TelemetrySink,
-    idx: usize,
-    record: &BatchRecord,
-    first_arrival: f64,
-    ready_at: f64,
-) {
-    if !sink.is_enabled() {
-        return;
-    }
-    let size = record.size;
-    let dispatch_at = record.dispatched_at_ns;
-    sink.span(
-        format!("batch {idx}: form ({size} requests)"),
-        PID_SERVING,
-        0,
-        first_arrival,
-        ready_at - first_arrival,
-    );
-    if dispatch_at > ready_at {
-        sink.span(
-            format!("batch {idx}: queue wait (GPU busy)"),
-            PID_SERVING,
-            1,
-            ready_at,
-            dispatch_at - ready_at,
-        );
-    }
-    sink.span(
-        format!("batch {idx}: execute ({})", record.strategy.name()),
-        PID_SERVING,
-        2,
-        dispatch_at,
-        record.gpu_ns,
-    );
-}
-
-/// Emits one dispatched batch's windowed time-series samples into `sink`
-/// (DESIGN.md §2.14): the dispatch delta, queue-wait time past the policy's
-/// ready instant, and the device's inflight gauge over the batch's
-/// execution interval. Series carry the device-local index 0; the cluster
-/// absorb re-tags them. Caller thread only — workers never touch the
-/// sampler. Queue depth is a queue-level (not device-level) statistic, so
-/// the dispatchers record it separately.
-fn batch_timeseries(sink: &TelemetrySink, record: &BatchRecord, ready_at: f64) {
-    if !sink.is_enabled() {
-        return;
-    }
-    let dispatch_at = record.dispatched_at_ns;
-    sink.ts_add(0, timeseries::DISPATCHED_BATCHES, dispatch_at, 1.0);
-    sink.ts_add(0, timeseries::QUEUE_WAIT_NS, dispatch_at, dispatch_at - ready_at);
-    sink.ts_gauge(0, timeseries::INFLIGHT_BATCHES, dispatch_at, 1.0);
-    sink.ts_gauge(0, timeseries::INFLIGHT_BATCHES, dispatch_at + record.gpu_ns, 0.0);
-}
-
-/// Records one batch's per-request latency windows (and, with a deadline,
-/// SLO outcomes) into `sink`, keyed by the requests' shared completion time.
-fn request_windows(
-    sink: &TelemetrySink,
-    latencies: &[f64],
-    first: usize,
-    last: usize,
-    finished_at: f64,
-    deadline_ns: Option<f64>,
-) {
-    if !sink.is_enabled() {
-        return;
-    }
-    for &lat in &latencies[first..last] {
-        sink.record_latency_window(finished_at, lat);
-        if let Some(deadline) = deadline_ns {
-            sink.record_slo_window(finished_at, lat <= deadline);
-        }
-    }
-}
-
 /// Timing and identity of one dispatched batch, shared by every request it
 /// carried — input to [`record_request_paths`].
 struct BatchPathCtx {
@@ -353,6 +275,8 @@ struct BatchPathCtx {
     batch: u64,
     /// Cluster device index that executed the batch (0 for a bare engine).
     device: u32,
+    /// The requests' latency deadline, if any.
+    deadline_ns: Option<f64>,
 }
 
 /// Computes each request's critical path and writes its latency.
@@ -360,9 +284,11 @@ struct BatchPathCtx {
 /// The end-to-end latency is *constructed* as the left-to-right sum
 /// `form + queue + execute` rather than `finished_at − arrival`, so the
 /// critical-path components sum to it bitwise in the flight-recorder export
-/// (DESIGN.md §2.15). Each component is non-negative: `dispatch_at ≥
+/// (DESIGN.md §2.9). Each component is non-negative: `dispatch_at ≥
 /// ready_at` and rounding is monotone, so `fl(dispatch − arrival) ≥ form`.
-/// Records land in `sink` only when it is enabled; the latency arithmetic
+/// Each request is logged in `sink` (with its completion instant and
+/// deadline outcome, which the latency and SLO windows and the serving
+/// histogram derive from) only when it is enabled; the latency arithmetic
 /// runs either way.
 fn record_request_paths(
     sink: &TelemetrySink,
@@ -379,16 +305,20 @@ fn record_request_paths(
         let total = form + queue + ctx.gpu_ns;
         *lat = total;
         if sink.is_enabled() {
-            sink.push_request_path(RequestPathRecord {
-                request: i as u64,
-                batch: ctx.batch,
-                device: ctx.device,
-                arrival_ns: arrival,
-                form_ns: form,
-                queue_ns: queue,
-                execute_ns: ctx.gpu_ns,
-                reduction_ns: ctx.reduction_ns,
-                total_ns: total,
+            sink.record_request(RequestEvent {
+                path: RequestPathRecord {
+                    request: i as u64,
+                    batch: ctx.batch,
+                    device: ctx.device,
+                    arrival_ns: arrival,
+                    form_ns: form,
+                    queue_ns: queue,
+                    execute_ns: ctx.gpu_ns,
+                    reduction_ns: ctx.reduction_ns,
+                    total_ns: total,
+                },
+                done_ns: ctx.dispatch_at + ctx.gpu_ns,
+                slo_met: ctx.deadline_ns.map(|deadline| total <= deadline),
             });
         }
     }
@@ -565,13 +495,13 @@ impl<'c> ClusterServingSim<'c> {
 /// [`ClusterServingSim`] (N engines): one batching queue feeding `engines`.
 ///
 /// Each ready batch goes to the engine that frees up earliest, the lowest
-/// index winning ties. Device-level telemetry (serving counters, batch
-/// spans, dispatch series) lands in the executing engine's sink;
-/// queue-level telemetry (queue depth, request paths, latency and SLO
-/// windows, the serving-latency histogram) lands in `queue_sink`. A bare
-/// engine passes its own sink as `queue_sink`, so every event lands in one
-/// sink in dispatch order, and a 1-device cluster reproduces a bare
-/// engine's floats bit-for-bit.
+/// index winning ties. Each dispatched batch is logged in the executing
+/// engine's sink (its spans, dispatch series and serving counters derive
+/// from that one event); the queue depth and the requests (their paths,
+/// latency and SLO windows and the serving-latency histogram) are logged
+/// in `queue_sink`. A bare engine passes its own sink as `queue_sink`, so
+/// every event lands in one log in dispatch order, and a 1-device cluster
+/// reproduces a bare engine's floats bit-for-bit.
 ///
 /// # Panics
 ///
@@ -633,9 +563,16 @@ fn dispatch(
         let result = engine.infer(&batch);
         let gpu_ns = result.run.kernel.total_ns;
         let finished_at = dispatch_at + gpu_ns;
-        let dsink = engine.telemetry();
-        dsink.add(Counter::ServingBatches, 1);
-        dsink.add(Counter::ServingRequests, size as u64);
+        engine.telemetry().record_batch(ServingBatch {
+            device: 0,
+            index: batches.len() as u64,
+            size: size as u64,
+            strategy: result.strategy.name(),
+            first_arrival_ns: first_arrival,
+            ready_ns: ready_at,
+            dispatch_ns: dispatch_at,
+            gpu_ns,
+        });
         let record = BatchRecord {
             size,
             dispatched_at_ns: dispatch_at,
@@ -644,17 +581,14 @@ fn dispatch(
             chunks: result.chunks,
             mem_in_use_bytes: result.mem_in_use_bytes,
         };
-        batch_spans(dsink, batches.len(), &record, first_arrival, ready_at);
-        batch_timeseries(dsink, &record, ready_at);
         queue_sink.ts_gauge(
             0,
             timeseries::QUEUE_DEPTH,
             dispatch_at,
             (last_arrived + 1 - last) as f64,
         );
-        // Request paths are a queue-level statistic like the latency
-        // windows: recorded with an explicit device index, in global
-        // dispatch order.
+        // Requests are queue-level: logged with an explicit device index, in
+        // global dispatch order.
         record_request_paths(
             queue_sink,
             &mut latencies,
@@ -669,9 +603,9 @@ fn dispatch(
                     + result.run.kernel.global_reduction_ns,
                 batch: batches.len() as u64,
                 device: dev as u32,
+                deadline_ns,
             },
         );
-        request_windows(queue_sink, &latencies, first, last, finished_at, deadline_ns);
         batches.push(record);
         batch_devices.push(dev);
         dev_batches[dev] += 1;
@@ -681,11 +615,6 @@ fn dispatch(
         next_request = last;
     }
     let makespan_ns = free_at.iter().copied().fold(0.0f64, f64::max);
-    // Request latencies feed the profiler's serving histogram; recorded once
-    // from this (caller) thread, so the export stays deterministic.
-    if queue_sink.is_enabled() {
-        queue_sink.record_serving_latencies(&latencies);
-    }
     let per_device: Vec<DeviceServingStats> = engines
         .iter()
         .enumerate()

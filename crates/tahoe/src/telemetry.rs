@@ -1,20 +1,19 @@
 //! Telemetry re-exports and the strategy-launch telemetry context.
 //!
-//! The recording substrate (sink, counters, spans, exporters) lives in
-//! [`tahoe_gpu_sim::telemetry`]; this module re-exports it so engine-level
-//! code has one import path, and adds [`TelemetryCtx`] — the borrowed handle
-//! a [`crate::strategy::LaunchContext`] carries into every kernel launch.
+//! The event log and its views live in [`tahoe_gpu_sim::telemetry`]; this
+//! module re-exports them so engine-level code has one import path, and
+//! adds [`TelemetryCtx`] — the borrowed handle a
+//! [`crate::strategy::LaunchContext`] carries into every kernel launch.
 
 pub use tahoe_gpu_sim::telemetry::{
-    device_pid, Counter, CounterRegistry, MetricsSnapshot, SpanEvent, SpanName, TelemetrySink,
-    PID_DEVICE_STRIDE, PID_ENGINE, PID_GPU, PID_SERVING,
+    device_pid, Counter, Event, MetricsSnapshot, RequestEvent, ServingBatch, SpanEvent, SpanName,
+    TelemetrySink, PID_DEVICE_STRIDE, PID_ENGINE, PID_GPU, PID_SERVING, VIEW_FILES,
 };
-/// Windowed time-series sampler (series constants, export types, and the
-/// sink's `ts_*` recording methods) — see DESIGN.md §2.14.
+/// The windowed time-series view (series constants and export types) —
+/// see DESIGN.md §2.9.
 pub use tahoe_gpu_sim::timeseries;
-/// Request-path flight recorder and decision audit (record types, export,
-/// and the sink's `push_decision`/`push_request_path` methods) — see
-/// DESIGN.md §2.15.
+/// The flight-recorder view (decision and request-path records, export)
+/// — see DESIGN.md §2.9.
 pub use tahoe_gpu_sim::decision;
 
 /// A disabled sink with `'static` lifetime, so contexts without telemetry

@@ -31,7 +31,7 @@ pub(crate) struct Rung {
 /// Every [`Strategy::ALL`] × [`THREAD_CANDIDATES`] candidate of one sweep,
 /// in sweep order (strategy-major, ascending block size).
 ///
-/// The ladder is the one record of a tuning decision (DESIGN.md §2.15):
+/// The ladder is the one record of a tuning decision (DESIGN.md §2.9):
 /// selection ranks it ([`Ladder::ranked`]), the decision audit lists it, and
 /// the drift observation of a launch is its rung at the launched
 /// `(strategy, block size)` (`Ladder::raw`). Predictions are stored raw;

@@ -25,14 +25,14 @@ rm -rf "$STUB_TARGET"
 
 # The parallel block-simulation driver must be bit-identical at any worker
 # count; exercise the TAHOE_SIM_THREADS env path at 1 and 4 workers. The
-# determinism suite also pins the telemetry exports
-# (Chrome trace, metrics snapshot, kernel profiles) byte-for-byte across
-# worker counts; telemetry_schema keeps the trace loadable by Perfetto,
-# profile_schema pins the profiler payload, timeseries_schema pins the
-# windowed sampler (DESIGN.md §2.14), decision_schema pins the
-# flight-recorder payload and its critical-path sum invariant (DESIGN.md
-# §2.15) plus the calibrated-engine byte-diff (DESIGN.md §2.16), and
-# drift_audit bounds model-vs-simulator error. property_based rides along so
+# determinism suite also pins the five telemetry views (DESIGN.md §2.9:
+# Chrome trace, metrics snapshot, kernel profiles, time series, decisions)
+# byte-for-byte across worker counts; telemetry_schema keeps the trace
+# loadable by Perfetto, profile_schema pins the profiler view,
+# timeseries_schema the windowed view, decision_schema the flight-recorder
+# view and its critical-path sum invariant plus the calibrated-engine
+# byte-diff (DESIGN.md §2.16), and drift_audit bounds model-vs-simulator
+# error. property_based rides along so
 # the functional equivalence proofs (every format/plan/strategy, classic and
 # packed node encodings, vs the CPU reference) hold at both worker counts.
 for workers in 1 4; do
@@ -63,24 +63,41 @@ for f in results/*.json results/SUMMARY.md "$GATE_TMP"/*; do
 done
 rm -rf "$GATE_TMP"
 
-# End-to-end profiler export: a smoke experiment with --profile must produce
-# byte-identical payloads at 1 and 4 workers, and report_md must digest the
-# recorded kernel_profiles.json into the summary.
-PROFILE_TMP=$(mktemp -d)
-TAHOE_SIM_THREADS=1 TAHOE_RESULTS_DIR="$PROFILE_TMP" \
+# Byte-compares the five telemetry views (DESIGN.md §2.9) of two
+# `--telemetry <dir>` runs.
+cmp_views() {
+    for view in trace metrics profiles timeseries decisions; do
+        cmp "$1/$view.json" "$2/$view.json"
+    done
+}
+
+# End-to-end profiler view: a smoke experiment with --telemetry must write
+# byte-identical views at 1 and 4 workers, and report_md must digest the
+# recorded profiles.json into the summary. fig5 runs bare engines, whose
+# trace keeps the engine's wall-clock host track (pid 2, tid 0:
+# rearrange/convert/tune), so the trace is compared without those lines;
+# the cluster runs below drop that track and compare all five files whole.
+PROFILE_W1=$(mktemp -d)
+PROFILE_W4=$(mktemp -d)
+TAHOE_SIM_THREADS=1 TAHOE_RESULTS_DIR="$PROFILE_W1" \
     cargo run --release -p tahoe-bench --bin fig5_strategies -- \
-    --scale smoke --detail 4 --profile "$PROFILE_TMP/profiles_w1.json"
-TAHOE_SIM_THREADS=4 TAHOE_RESULTS_DIR="$PROFILE_TMP" \
+    --scale smoke --detail 4 --telemetry "$PROFILE_W1"
+TAHOE_SIM_THREADS=4 TAHOE_RESULTS_DIR="$PROFILE_W4" \
     cargo run --release -p tahoe-bench --bin fig5_strategies -- \
-    --scale smoke --detail 4 --profile "$PROFILE_TMP/profiles_w4.json"
-cmp "$PROFILE_TMP/profiles_w1.json" "$PROFILE_TMP/profiles_w4.json"
-TAHOE_RESULTS_DIR="$PROFILE_TMP" cargo run --release -p tahoe-bench --bin report_md
-grep -q "## Kernel profiles" "$PROFILE_TMP/SUMMARY.md"
-rm -rf "$PROFILE_TMP"
+    --scale smoke --detail 4 --telemetry "$PROFILE_W4"
+for view in metrics profiles timeseries decisions; do
+    cmp "$PROFILE_W1/$view.json" "$PROFILE_W4/$view.json"
+done
+grep -v '"pid":2,"tid":0,' "$PROFILE_W4/trace.json" > "$PROFILE_W4/simulated_trace"
+grep -v '"pid":2,"tid":0,' "$PROFILE_W1/trace.json" \
+    | cmp - "$PROFILE_W4/simulated_trace"
+TAHOE_RESULTS_DIR="$PROFILE_W1" cargo run --release -p tahoe-bench --bin report_md
+grep -q "## Kernel profiles" "$PROFILE_W1/SUMMARY.md"
+rm -rf "$PROFILE_W1" "$PROFILE_W4"
 
 # Multi-GPU determinism end-to-end (DESIGN.md S2.11): the fig9 cluster
 # experiment and a heterogeneous serving trace must produce byte-identical
-# records and telemetry exports at 1 and 4 simulation workers. Each run gets
+# records and telemetry views at 1 and 4 simulation workers. Each run gets
 # its own results dir so the byte-compare covers the JSON record itself. The
 # serving mix repeats the P100, so its cluster builds slots both ways: new
 # models from slot 0's layout plan and the repeat as a replica of its twin.
@@ -88,15 +105,12 @@ FIG9_W1=$(mktemp -d)
 FIG9_W4=$(mktemp -d)
 TAHOE_SIM_THREADS=1 TAHOE_RESULTS_DIR="$FIG9_W1" \
     cargo run --release -p tahoe-bench --bin fig9_scaling -- \
-    --scale smoke --detail 4 \
-    --trace "$FIG9_W1/trace.json" --metrics "$FIG9_W1/metrics.json"
+    --scale smoke --detail 4 --telemetry "$FIG9_W1/fig9"
 TAHOE_SIM_THREADS=4 TAHOE_RESULTS_DIR="$FIG9_W4" \
     cargo run --release -p tahoe-bench --bin fig9_scaling -- \
-    --scale smoke --detail 4 \
-    --trace "$FIG9_W4/trace.json" --metrics "$FIG9_W4/metrics.json"
+    --scale smoke --detail 4 --telemetry "$FIG9_W4/fig9"
 cmp "$FIG9_W1/fig9_scaling.json" "$FIG9_W4/fig9_scaling.json"
-cmp "$FIG9_W1/trace.json" "$FIG9_W4/trace.json"
-cmp "$FIG9_W1/metrics.json" "$FIG9_W4/metrics.json"
+cmp_views "$FIG9_W1/fig9" "$FIG9_W4/fig9"
 # The reworked weak-scaling check must stay non-vacuous: every variance
 # strictly positive, none at/above the paper's 5% bound. The JSON printer
 # writes an f64 zero as `0.0`.
@@ -107,48 +121,40 @@ cargo run --release --bin tahoe-cli -- train \
 TAHOE_SIM_THREADS=1 cargo run --release --bin tahoe-cli -- serve \
     --data letter --scale smoke --model "$FIG9_W1/model.json" \
     --devices k80,p100,v100,p100 --requests 200 --interarrival 50 --slo-ns 500000 \
-    --trace "$FIG9_W1/serve_trace.json" --metrics "$FIG9_W1/serve_metrics.json" \
-    --timeseries "$FIG9_W1/serve_timeseries.json" \
-    --decisions "$FIG9_W1/serve_decisions.json" \
-    --profile "$FIG9_W1/serve_profile.json"
+    --telemetry "$FIG9_W1/serve"
 TAHOE_SIM_THREADS=4 cargo run --release --bin tahoe-cli -- serve \
     --data letter --scale smoke --model "$FIG9_W1/model.json" \
     --devices k80,p100,v100,p100 --requests 200 --interarrival 50 --slo-ns 500000 \
-    --trace "$FIG9_W4/serve_trace.json" --metrics "$FIG9_W4/serve_metrics.json" \
-    --timeseries "$FIG9_W4/serve_timeseries.json" \
-    --decisions "$FIG9_W4/serve_decisions.json" \
-    --profile "$FIG9_W4/serve_profile.json"
-cmp "$FIG9_W1/serve_trace.json" "$FIG9_W4/serve_trace.json"
-cmp "$FIG9_W1/serve_metrics.json" "$FIG9_W4/serve_metrics.json"
-# The cluster's kernel profiles, histograms and drift view too.
-cmp "$FIG9_W1/serve_profile.json" "$FIG9_W4/serve_profile.json"
-# Windowed time-series exports obey the same byte-identity guarantee
-# (DESIGN.md §2.14), SLO windows included.
-cmp "$FIG9_W1/serve_timeseries.json" "$FIG9_W4/serve_timeseries.json"
-grep -q '"slo_windows"' "$FIG9_W1/serve_timeseries.json"
-# The flight recorder (DESIGN.md §2.15) obeys it too: decision audits and
-# request paths are byte-identical at any worker count, the serving trace
-# carries the per-request flow events, and `tahoe-cli explain` digests the
-# export end-to-end.
-cmp "$FIG9_W1/serve_decisions.json" "$FIG9_W4/serve_decisions.json"
-grep -q '"request path"' "$FIG9_W1/serve_trace.json"
+    --telemetry "$FIG9_W4/serve"
+# All five views of the cluster (its trace, counters, kernel profiles and
+# histograms, windowed series with SLO windows, decision audits and request
+# paths) are byte-identical at any worker count.
+cmp_views "$FIG9_W1/serve" "$FIG9_W4/serve"
+grep -q '"slo_windows"' "$FIG9_W1/serve/timeseries.json"
+# The serving trace carries the per-request flow events, and `tahoe-cli
+# explain` digests the decisions view end-to-end.
+grep -q '"request path"' "$FIG9_W1/serve/trace.json"
 cargo run --release --bin tahoe-cli -- explain \
-    --decisions "$FIG9_W1/serve_decisions.json" --top 3 \
+    --telemetry "$FIG9_W1/serve" --top 3 \
     | grep -q "chose '"
-grep -q '"calibration_generation"' "$FIG9_W1/serve_decisions.json"
+grep -q '"calibration_generation"' "$FIG9_W1/serve/decisions.json"
 
 # Closed tuning loop (DESIGN.md §2.16), end to end: a single-device
 # calibrated serve accumulates enough observations to refit (64-request
-# batches, so 1000 requests cross the 8-observation interval twice), and
-# report_md digests the uncalibrated-vs-calibrated drift means from the
-# recorded decision_audit.json.
-TUNE_TMP=$(mktemp -d)
-cargo run --release --bin tahoe-cli -- serve \
+# batches, so 1000 requests cross the 8-observation interval twice), its
+# views are byte-identical at 1 and 4 workers, and report_md digests the
+# uncalibrated-vs-calibrated drift means from the recorded decisions.json.
+TUNE_W1=$(mktemp -d)
+TUNE_W4=$(mktemp -d)
+TAHOE_SIM_THREADS=1 cargo run --release --bin tahoe-cli -- serve \
     --data letter --scale smoke --model "$FIG9_W1/model.json" \
-    --requests 1000 --interarrival 50 --calibrate \
-    --decisions "$TUNE_TMP/decision_audit.json"
-grep -q '"calibration_generation": [1-9]' "$TUNE_TMP/decision_audit.json"
-TAHOE_RESULTS_DIR="$TUNE_TMP" cargo run --release -p tahoe-bench --bin report_md
-grep -q "calibration: mean |drift|" "$TUNE_TMP/SUMMARY.md"
-rm -rf "$TUNE_TMP"
+    --requests 1000 --interarrival 50 --calibrate --telemetry "$TUNE_W1"
+TAHOE_SIM_THREADS=4 cargo run --release --bin tahoe-cli -- serve \
+    --data letter --scale smoke --model "$FIG9_W1/model.json" \
+    --requests 1000 --interarrival 50 --calibrate --telemetry "$TUNE_W4"
+cmp_views "$TUNE_W1" "$TUNE_W4"
+grep -q '"calibration_generation": [1-9]' "$TUNE_W1/decisions.json"
+TAHOE_RESULTS_DIR="$TUNE_W1" cargo run --release -p tahoe-bench --bin report_md
+grep -q "calibration: mean |drift|" "$TUNE_W1/SUMMARY.md"
+rm -rf "$TUNE_W1" "$TUNE_W4"
 rm -rf "$FIG9_W1" "$FIG9_W4"

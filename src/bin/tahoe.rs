@@ -11,8 +11,8 @@
 //!               [--gpus N | --devices k80,p100,v100] [--requests N]
 //!               [--interarrival NS] [--policy latency|throughput]
 //! tahoe inspect --model model.json
-//! tahoe profile --profile profiles.json [--top N]
-//! tahoe explain --decisions decisions.json [--top N]
+//! tahoe profile --telemetry <dir> [--top N]
+//! tahoe explain --telemetry <dir> [--top N]
 //! ```
 //!
 //! `--data` accepts either a Table 2 dataset name (synthetic generation) or a
@@ -30,7 +30,7 @@ use tahoe_repro::engine::profile::{HistogramExport, ProfilesExport};
 use tahoe_repro::engine::telemetry::decision::{DecisionRecord, DecisionsExport};
 use tahoe_repro::engine::serving::{BatchingPolicy, ClusterServingSim};
 use tahoe_repro::engine::strategy::Strategy;
-use tahoe_repro::engine::telemetry::TelemetrySink;
+use tahoe_repro::engine::telemetry::{TelemetrySink, VIEW_FILES};
 use tahoe_repro::forest::train::gbdt::{self, GbdtParams};
 use tahoe_repro::forest::train::random_forest::{self, RandomForestParams};
 use tahoe_repro::forest::train::TrainParams;
@@ -78,8 +78,8 @@ commands:
   bench    compare all four inference strategies on a dataset
   serve    replay a request trace through a simulated multi-GPU cluster
   inspect  print a saved forest's structure summary
-  profile  pretty-print a kernel-profile export (see --profile below)
-  explain  pretty-print a decision-audit export (see --decisions below)
+  profile  pretty-print the kernel profiles of a --telemetry dir
+  explain  pretty-print the decision audit of a --telemetry dir
 
 common flags:
   --data <name|file.csv>   Table 2 dataset name or CSV path (label last)
@@ -102,17 +102,15 @@ common flags:
   --requests N             serve: requests in the uniform trace (1000)
   --interarrival NS        serve: request interarrival gap in ns (1000)
   --policy <p>             serve: latency|throughput batching (latency)
-  --trace <file.json>      write a Chrome trace (chrome://tracing, Perfetto)
-  --metrics <file.json>    write a flat telemetry counter snapshot
-  --profile <file.json>    infer/bench: write per-kernel profiles, latency
-                           histograms, and model-drift records;
-                           profile: the export file to pretty-print
-  --timeseries <file.json> write windowed time-series samples (busy fraction,
-                           queue depth, DRAM, windowed p50/p95/p99, SLO)
-  --decisions <file.json>  infer/bench/serve: write the flight recorder —
-                           per-tuning-event decision audits and per-request
-                           critical-path records;
-                           explain: the export file to pretty-print
+  --telemetry <dir>        infer/bench/serve: record telemetry and write its
+                           five views into <dir>: trace.json (Chrome trace,
+                           chrome://tracing or Perfetto), metrics.json
+                           (counter snapshot), profiles.json (per-kernel
+                           profiles, latency histograms), timeseries.json
+                           (busy fraction, queue depth, DRAM, windowed
+                           p50/p95/p99, SLO) and decisions.json (decision
+                           audits with model drift, request critical paths);
+                           profile/explain: the dir to read
   --slo-ns NS              serve: per-request latency deadline; tags each
                            request and reports windowed SLO attainment
   --calibrate              infer/bench/serve: fold realized kernel times back
@@ -142,11 +140,7 @@ struct Flags {
     policy: Option<String>,
     out: Option<PathBuf>,
     prune: Option<f32>,
-    trace: Option<PathBuf>,
-    metrics: Option<PathBuf>,
-    profile: Option<PathBuf>,
-    timeseries: Option<PathBuf>,
-    decisions: Option<PathBuf>,
+    telemetry: Option<PathBuf>,
     slo_ns: Option<f64>,
     calibrate: bool,
     top: Option<usize>,
@@ -173,11 +167,7 @@ impl Flags {
             policy: None,
             out: None,
             prune: None,
-            trace: None,
-            metrics: None,
-            profile: None,
-            timeseries: None,
-            decisions: None,
+            telemetry: None,
             slo_ns: None,
             calibrate: false,
             top: None,
@@ -235,11 +225,7 @@ impl Flags {
                     }
                     f.prune = Some(eps);
                 }
-                "--trace" => f.trace = Some(PathBuf::from(value()?)),
-                "--metrics" => f.metrics = Some(PathBuf::from(value()?)),
-                "--profile" => f.profile = Some(PathBuf::from(value()?)),
-                "--timeseries" => f.timeseries = Some(PathBuf::from(value()?)),
-                "--decisions" => f.decisions = Some(PathBuf::from(value()?)),
+                "--telemetry" => f.telemetry = Some(PathBuf::from(value()?)),
                 "--slo-ns" => {
                     let v = value()?;
                     let ns: f64 = v
@@ -291,49 +277,40 @@ impl Flags {
         }
     }
 
-    /// Telemetry sink for the run: recording iff `--trace`, `--metrics`,
-    /// `--profile`, `--timeseries`, or `--decisions` was given.
+    /// Telemetry sink for the run: recording iff `--telemetry` was given.
     fn sink(&self) -> TelemetrySink {
-        if self.trace.is_some()
-            || self.metrics.is_some()
-            || self.profile.is_some()
-            || self.timeseries.is_some()
-            || self.decisions.is_some()
-        {
+        if self.telemetry.is_some() {
             TelemetrySink::recording()
         } else {
             TelemetrySink::Disabled
         }
     }
 
-    /// Writes the requested telemetry exports; no-op without the flags.
+    /// Writes the five telemetry views into the `--telemetry` dir; no-op
+    /// without the flag.
     fn export_telemetry(&self, sink: &TelemetrySink) -> Result<(), String> {
-        if let Some(path) = &self.trace {
-            std::fs::write(path, sink.chrome_trace_json())
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            println!("wrote Chrome trace to {}", path.display());
-        }
-        if let Some(path) = &self.metrics {
-            std::fs::write(path, sink.metrics_json())
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            println!("wrote metrics snapshot to {}", path.display());
-        }
-        if let Some(path) = &self.profile {
-            std::fs::write(path, sink.profiles_json())
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            println!("wrote kernel profiles to {}", path.display());
-        }
-        if let Some(path) = &self.timeseries {
-            std::fs::write(path, sink.timeseries_json())
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            println!("wrote time-series samples to {}", path.display());
-        }
-        if let Some(path) = &self.decisions {
-            std::fs::write(path, sink.decisions_json())
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            println!("wrote decision audit to {}", path.display());
+        if let Some(dir) = &self.telemetry {
+            sink.write_views(dir)
+                .map_err(|e| format!("writing telemetry to {}: {e}", dir.display()))?;
+            println!("wrote telemetry views ({}) to {}", VIEW_FILES.join(", "), dir.display());
         }
         Ok(())
+    }
+
+    /// Parses view `file` of the `--telemetry` dir that `command` reads.
+    fn read_view<T>(
+        &self,
+        command: &str,
+        file: &str,
+        parse: fn(&str) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let dir = self.telemetry.as_deref().ok_or_else(|| {
+            format!("{command} needs --telemetry <dir> (written by infer/bench/serve --telemetry)")
+        })?;
+        let path = dir.join(file);
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("reading {}: {e}", path.display()))?;
+        parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
     }
 
     fn node_encoding(&self) -> Result<NodeEncodingChoice, String> {
@@ -649,21 +626,16 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_profile(flags: &Flags) -> Result<(), String> {
-    let path = flags
-        .profile
-        .as_deref()
-        .ok_or("missing --profile <file.json> (an export written by infer/bench --profile)")?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let export = ProfilesExport::from_json(&text)
-        .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-    print_profile_report(&export, flags.top.unwrap_or(10));
+    let profiles = flags.read_view("profile", "profiles.json", ProfilesExport::from_json)?;
+    let decisions = flags.read_view("profile", "decisions.json", DecisionsExport::from_json)?;
+    print_profile_report(&profiles, &decisions.decisions, flags.top.unwrap_or(10));
     Ok(())
 }
 
 /// Pretty-prints a profiler export: top-N kernels by simulated time with
-/// their wall-time breakdowns, then histograms and model-drift summary.
-fn print_profile_report(export: &ProfilesExport, top: usize) {
+/// their wall-time breakdowns, then histograms and the decisions' model-drift
+/// summary.
+fn print_profile_report(export: &ProfilesExport, decisions: &[DecisionRecord], top: usize) {
     println!("kernel launches: {}", export.kernels.len());
     let mut order: Vec<usize> = (0..export.kernels.len()).collect();
     order.sort_by(|&a, &b| {
@@ -715,14 +687,14 @@ fn print_profile_report(export: &ProfilesExport, top: usize) {
     }
     print_histogram("kernel durations", &export.kernel_durations);
     print_histogram("serving latencies", &export.serving_latencies);
-    if export.drift.is_empty() {
+    if decisions.is_empty() {
         println!("model drift: no records");
     } else {
         println!("model drift (|predicted - simulated| / simulated):");
         let mut by_strategy: std::collections::BTreeMap<&str, (u64, f64, f64)> =
             std::collections::BTreeMap::new();
-        for d in &export.drift {
-            let e = by_strategy.entry(d.strategy.as_str()).or_insert((0, 0.0, 0.0));
+        for d in decisions {
+            let e = by_strategy.entry(d.chosen_strategy.as_str()).or_insert((0, 0.0, 0.0));
             e.0 += 1;
             e.1 += d.relative_error.abs();
             e.2 = e.2.max(d.relative_error.abs());
@@ -755,14 +727,7 @@ fn print_histogram(name: &str, hist: &HistogramExport) {
 }
 
 fn cmd_explain(flags: &Flags) -> Result<(), String> {
-    let path = flags
-        .decisions
-        .as_deref()
-        .ok_or("missing --decisions <file.json> (an export written by infer/bench/serve --decisions)")?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let export = DecisionsExport::from_json(&text)
-        .map_err(|e| format!("parsing {}: {e}", path.display()))?;
+    let export = flags.read_view("explain", "decisions.json", DecisionsExport::from_json)?;
     print_decision_report(&export, flags.top.unwrap_or(10));
     Ok(())
 }

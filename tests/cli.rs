@@ -153,10 +153,35 @@ fn unknown_flags_and_missing_data_fail_cleanly() {
     }
 }
 
+/// A fresh, empty directory under the temp dir.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = temp_path(name);
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// The sorted file names in `dir`.
+fn dir_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("telemetry dir written")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+const VIEW_FILES: [&str; 5] = [
+    "decisions.json",
+    "metrics.json",
+    "profiles.json",
+    "timeseries.json",
+    "trace.json",
+];
+
 #[test]
 fn profile_export_and_pretty_print() {
     let model = temp_path("profile_model.json");
-    let profile = temp_path("profile_export.json");
+    let telemetry = temp_dir("profile_telemetry");
     let out = cli()
         .args(["train", "--data", "letter", "--scale", "smoke"])
         .args(["--model", model.to_str().unwrap()])
@@ -167,37 +192,41 @@ fn profile_export_and_pretty_print() {
     let out = cli()
         .args(["bench", "--data", "letter", "--scale", "smoke"])
         .args(["--model", model.to_str().unwrap()])
-        .args(["--profile", profile.to_str().unwrap()])
+        .args(["--telemetry", telemetry.to_str().unwrap()])
         .output()
         .expect("run bench");
     assert!(out.status.success(), "bench failed: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("wrote kernel profiles"));
-    let written = std::fs::read_to_string(&profile).expect("profiles written");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("wrote telemetry views"));
+    assert_eq!(dir_files(&telemetry), VIEW_FILES);
+    let written = std::fs::read_to_string(telemetry.join("profiles.json")).expect("profiles");
     assert!(written.contains("\"kernels\""), "export payload: {written}");
 
     let out = cli()
-        .args(["profile", "--profile", profile.to_str().unwrap(), "--top", "3"])
+        .args(["profile", "--telemetry", telemetry.to_str().unwrap(), "--top", "3"])
         .output()
         .expect("run profile");
     assert!(out.status.success(), "profile failed: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("kernel launches:"), "report header: {text}");
     assert!(text.contains("occupancy"), "per-kernel lines: {text}");
+    // The drift lines come from decisions.json: bench forces each feasible
+    // strategy, then lets the model pick, so every launch has a decision.
     assert!(text.contains("model drift"), "drift summary: {text}");
+    assert!(!text.contains("model drift: no records"), "drift summary: {text}");
 
-    // The subcommand fails cleanly without an export to read.
+    // The subcommand fails cleanly without a telemetry dir to read.
     let out = cli().args(["profile"]).output().unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--profile"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--telemetry"));
 
     std::fs::remove_file(&model).ok();
-    std::fs::remove_file(&profile).ok();
+    std::fs::remove_dir_all(&telemetry).ok();
 }
 
 #[test]
 fn serve_decisions_export_and_explain() {
     let model = temp_path("decisions_model.json");
-    let decisions = temp_path("decisions_export.json");
+    let telemetry = temp_dir("serve_telemetry");
     let out = cli()
         .args(["train", "--data", "letter", "--scale", "smoke"])
         .args(["--model", model.to_str().unwrap()])
@@ -205,24 +234,26 @@ fn serve_decisions_export_and_explain() {
         .expect("run train");
     assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
 
-    // serve accepts --node-encoding and --decisions; the export carries
-    // both decision audits and per-request critical-path records.
+    // serve accepts --node-encoding and --telemetry; the dir holds exactly
+    // the five views, and the decisions view carries both decision audits
+    // and per-request critical-path records.
     let out = cli()
         .args(["serve", "--data", "letter", "--scale", "smoke"])
         .args(["--model", model.to_str().unwrap()])
         .args(["--devices", "k80,p100", "--requests", "100", "--interarrival", "50"])
         .args(["--node-encoding", "packed"])
-        .args(["--decisions", decisions.to_str().unwrap()])
+        .args(["--telemetry", telemetry.to_str().unwrap()])
         .output()
         .expect("run serve");
     assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("wrote decision audit"));
-    let written = std::fs::read_to_string(&decisions).expect("decisions written");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("wrote telemetry views"));
+    assert_eq!(dir_files(&telemetry), VIEW_FILES);
+    let written = std::fs::read_to_string(telemetry.join("decisions.json")).expect("decisions");
     assert!(written.contains("\"decisions\""), "export payload: {written}");
     assert!(written.contains("\"requests\""), "export payload: {written}");
 
     let out = cli()
-        .args(["explain", "--decisions", decisions.to_str().unwrap(), "--top", "2"])
+        .args(["explain", "--telemetry", telemetry.to_str().unwrap(), "--top", "2"])
         .output()
         .expect("run explain");
     assert!(out.status.success(), "explain failed: {}", String::from_utf8_lossy(&out.stderr));
@@ -233,13 +264,39 @@ fn serve_decisions_export_and_explain() {
     assert!(text.contains("request paths: 100 requests"), "path summary: {text}");
     assert!(text.contains("worst request"), "worst-request attribution: {text}");
 
-    // The subcommand fails cleanly without an export to read.
+    // profile reads the same dir, with the serving histogram filled.
+    let out = cli()
+        .args(["profile", "--telemetry", telemetry.to_str().unwrap()])
+        .output()
+        .expect("run profile");
+    assert!(out.status.success(), "profile failed: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(text.contains("serving latencies: 100 samples"), "histogram: {text}");
+
+    // The subcommand fails cleanly without a telemetry dir to read.
     let out = cli().args(["explain"]).output().unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--decisions"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--telemetry"));
 
     std::fs::remove_file(&model).ok();
-    std::fs::remove_file(&decisions).ok();
+    std::fs::remove_dir_all(&telemetry).ok();
+}
+
+#[test]
+fn retired_telemetry_flags_are_usage_errors() {
+    for flag in ["--trace", "--metrics", "--profile", "--timeseries", "--decisions"] {
+        for command in ["infer", "bench", "serve", "profile", "explain"] {
+            let out = cli().args([command, flag, "x.json"]).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} {flag}: {stderr}");
+            assert!(!stderr.contains("panicked at"), "{command} {flag}: {stderr}");
+            assert_eq!(
+                stderr.lines().next(),
+                Some(format!("error: unknown flag '{flag}'").as_str()),
+                "{command} {flag}"
+            );
+        }
+    }
 }
 
 #[test]

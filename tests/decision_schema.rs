@@ -1,8 +1,9 @@
-//! Golden-schema gate for the flight-recorder export (DESIGN.md §2.15).
+//! Golden-schema gate for the flight-recorder export (DESIGN.md §2.9).
 //!
-//! `decisions_json()` is a public payload (`--decisions <path>` on every
-//! bench binary and `tahoe-cli infer|bench|serve`, plus `tahoe-cli explain`
-//! and `report_md`'s worst-p99 attribution): every decision record must carry
+//! `decisions_json()` is a public payload (`decisions.json` in every
+//! `--telemetry <dir>` of the bench binaries and `tahoe-cli
+//! infer|bench|serve`, read by `tahoe-cli explain|profile` and `report_md`'s
+//! worst-p99 attribution): every decision record must carry
 //! the pinned keys and the complete ladder `tune::sweep` costed; every
 //! request-path record's components must sum bitwise to the request's
 //! end-to-end latency; the export must survive a serde round-trip unchanged;
@@ -170,17 +171,19 @@ fn check_golden_schema(sink: &TelemetrySink, forced: &[bool]) {
 fn decision_drift_fields_are_internally_consistent() {
     let sink = recorded_run();
     let export = sink.decisions();
-    let drift = sink.profiles().drift;
+    let kernels = sink.profiles().kernels;
     assert_eq!(
         export.decisions.len(),
-        drift.len(),
-        "one drift record per decision — drift is read back from them"
+        kernels.len(),
+        "one decision per profiled launch"
     );
-    for (d, dr) in export.decisions.iter().zip(&drift) {
-        assert_eq!(d.chosen_strategy, dr.strategy);
-        assert_eq!(d.predicted_ns.to_bits(), dr.predicted_ns.to_bits());
-        assert_eq!(d.simulated_ns.to_bits(), dr.simulated_ns.to_bits());
-        assert_eq!(d.relative_error.to_bits(), dr.relative_error.to_bits());
+    for (d, k) in export.decisions.iter().zip(&kernels) {
+        assert_eq!(d.chosen_strategy, k.label, "the decision names its launch");
+        assert_eq!(
+            d.simulated_ns.to_bits(),
+            k.total_ns.to_bits(),
+            "the decision records its launch's simulated time"
+        );
         assert!(d.simulated_ns > 0.0, "simulated time is positive");
         let expected = (d.predicted_ns - d.simulated_ns) / d.simulated_ns;
         assert_eq!(

@@ -1,8 +1,8 @@
-//! Model-vs-simulator drift gate (DESIGN.md §2.10).
+//! Model-vs-simulator drift gate (DESIGN.md §2.9).
 //!
-//! Every launch's `DriftRecord` pairs the §6 performance model's prediction
-//! for the launched plan (its tuning-ladder rung) with the simulated total
-//! time. The model is an analytic approximation, so it will not match the
+//! Every launch's `DecisionRecord` pairs the §6 performance model's
+//! prediction for the launched plan (its tuning-ladder rung) with the
+//! simulated total time. The model is an analytic approximation, so it will not match the
 //! trace simulator exactly — but if it drifts past ~50% the strategy
 //! ranking it drives becomes untrustworthy, so this test pins a coarse
 //! agreement bound on the smoke-scale forests. Observed drift at the time
@@ -33,9 +33,13 @@ fn model_tracks_the_simulator_within_tolerance() {
                 continue;
             }
             let result = engine.infer_with(&fx.samples, Some(s));
-            let export = sink.profiles();
-            let record = export.drift.last().expect("forced launch records drift");
-            assert_eq!(record.strategy, s.name(), "{dataset}: drift names the strategy");
+            let export = sink.decisions();
+            let record = export.decisions.last().expect("forced launch records drift");
+            assert_eq!(
+                record.chosen_strategy,
+                s.name(),
+                "{dataset}: drift names the strategy"
+            );
             assert_eq!(
                 record.n_samples,
                 fx.samples.n_samples() as u64,
@@ -76,6 +80,6 @@ fn disabled_sink_records_no_drift() {
         sink.clone(),
     );
     let _ = engine.infer(&fx.samples);
-    assert!(sink.profiles().drift.is_empty());
+    assert!(sink.decisions().decisions.is_empty());
     assert!(sink.profiles().kernels.is_empty());
 }

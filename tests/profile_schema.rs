@@ -1,7 +1,7 @@
-//! Golden-schema gate for the per-kernel profiler export (DESIGN.md §2.10).
+//! Golden-schema gate for the per-kernel profiler export (DESIGN.md §2.9).
 //!
-//! `profiles_json()` is a public payload (`--profile <path>`, `tahoe-cli
-//! profile`, `report_md`): every kernel profile must carry the pinned keys,
+//! `profiles_json()` is a public payload (`profiles.json` in every
+//! `--telemetry <dir>`, read by `tahoe-cli profile` and `report_md`): every kernel profile must carry the pinned keys,
 //! its wall-time breakdown must sum to `total_ns`, roofline utilization must
 //! stay within [0, 1], and the latency histograms must keep their fixed
 //! power-of-two bucket edges. The export must also survive a serde
@@ -140,13 +140,13 @@ fn profiles_export_matches_the_golden_schema() {
         "one duration sample per profiled launch"
     );
 
-    let drift = doc["drift"].as_array().expect("drift array");
-    assert!(!drift.is_empty(), "the engine records drift per launch");
-    for d in drift {
-        assert!(d["strategy"].as_str().is_some(), "drift names a strategy");
-        for key in ["n_samples", "predicted_ns", "simulated_ns", "relative_error"] {
-            assert!(!d[key].is_null(), "drift record carries '{key}': {d:?}");
-        }
+    // The model's drift per launch is the decisions view's, not a copy here.
+    assert!(doc["drift"].is_null(), "profiles carry no drift copy");
+    let decisions = sink.decisions().decisions;
+    assert_eq!(decisions.len(), kernels.len(), "one decision per launch");
+    for d in &decisions {
+        assert!(d.predicted_ns > 0.0 && d.simulated_ns > 0.0, "drift inputs: {d:?}");
+        assert!(d.relative_error.is_finite(), "drift is finite: {d:?}");
     }
 }
 
@@ -164,7 +164,7 @@ fn disabled_sink_exports_an_empty_profile() {
     let sink = TelemetrySink::Disabled;
     let export = sink.profiles();
     assert!(export.kernels.is_empty());
-    assert!(export.drift.is_empty());
+    assert!(sink.decisions().decisions.is_empty());
     assert_eq!(export.kernel_durations.count, 0);
     assert_eq!(export.serving_latencies.count, 0);
 }

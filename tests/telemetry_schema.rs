@@ -81,7 +81,7 @@ fn chrome_trace_matches_the_golden_schema() {
             }
             "C" => {
                 // Perfetto counter tracks from the windowed time-series
-                // sampler (DESIGN.md §2.14), each with a numeric value.
+                // sampler (DESIGN.md §2.9), each with a numeric value.
                 counter_events += 1;
                 assert!(ts >= 0.0, "non-negative counter timestamp: {e:?}");
                 assert!(

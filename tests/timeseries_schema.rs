@@ -1,8 +1,9 @@
-//! Golden-schema gate for the windowed time-series export (DESIGN.md §2.14).
+//! Golden-schema gate for the windowed time-series export (DESIGN.md §2.9).
 //!
-//! `timeseries_json()` is a public payload (`--timeseries <path>` on every
-//! bench binary and `tahoe-cli infer|bench|serve`, plus the Perfetto counter
-//! tracks embedded in the Chrome trace): series must carry the pinned keys,
+//! `timeseries_json()` is a public payload (`timeseries.json` in every
+//! `--telemetry <dir>` of the bench binaries and `tahoe-cli
+//! infer|bench|serve`, plus the Perfetto counter tracks embedded in the
+//! Chrome trace): series must carry the pinned keys,
 //! window boundaries must sit exactly on multiples of `window_ns` and
 //! increase strictly within a series, windowed latency percentiles must stay
 //! consistent with `ServingReport::latency_percentile_ns`, and the export
@@ -55,7 +56,7 @@ fn timeseries_export_matches_the_golden_schema() {
     let doc: Value = serde_json::from_str(&text).expect("timeseries is valid JSON");
 
     let window_ns = doc["window_ns"].as_u64().expect("window_ns present");
-    assert_eq!(window_ns, timeseries::DEFAULT_WINDOW_NS, "default 1 ms windows");
+    assert_eq!(window_ns, timeseries::WINDOW_NS, "1 ms windows");
 
     let series = doc["series"].as_array().expect("series array");
     assert!(!series.is_empty(), "an engine run must sample series");
@@ -142,7 +143,7 @@ fn windowed_percentiles_are_consistent_with_the_serving_report() {
     // from the report's own batch records (requests in a batch share its
     // finish instant `dispatched_at + gpu_ns`, the same float the sampler
     // bucketed).
-    let window_ns = sink.timeseries_window_ns();
+    let window_ns = export.window_ns;
     let mut window_of_request: Vec<u64> = Vec::with_capacity(report.n_requests());
     for b in &report.batches {
         let finished = b.dispatched_at_ns + b.gpu_ns;
@@ -242,11 +243,7 @@ fn serving_populates_queue_and_batch_series() {
 #[test]
 fn disabled_sink_stays_a_strict_no_op() {
     let sink = TelemetrySink::Disabled;
-    sink.ts_add(0, timeseries::BUSY_NS, 0.0, 1.0);
-    sink.ts_add_interval(0, timeseries::BUSY_NS, 0.0, 5_000_000.0, 1.0);
     sink.ts_gauge(0, timeseries::QUEUE_DEPTH, 0.0, 3.0);
-    sink.record_latency_window(0.0, 100.0);
-    sink.record_slo_window(0.0, true);
     let export = sink.timeseries();
     assert!(export.series.is_empty());
     assert!(export.latency_windows.is_empty());

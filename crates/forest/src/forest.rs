@@ -4,6 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use tahoe_datasets::{ForestKind, Task};
 
+use crate::node::Node;
 use crate::tree::Tree;
 
 /// A trained ensemble of binary decision trees.
@@ -49,9 +50,10 @@ impl Forest {
     }
 
     /// Checks the forest invariants: at least one tree, every tree's arena
-    /// invariants ([`Tree::check`]), and every attribute below
-    /// `n_attributes`. [`Self::new`] asserts them; a deserialized forest
-    /// skips `new`, so `io::load_forest` calls this.
+    /// invariants ([`Tree::check`]), every attribute below `n_attributes`,
+    /// finite thresholds and leaf values, and every `left_prob` in
+    /// `[0, 1]`. [`Self::new`] asserts them; a deserialized forest skips
+    /// `new`, so `io::load_forest` calls this.
     ///
     /// # Errors
     ///
@@ -62,13 +64,37 @@ impl Forest {
         }
         for (i, t) in self.trees.iter().enumerate() {
             t.check().map_err(|e| format!("tree {i}: {e}"))?;
-            for n in t.nodes() {
-                if let Some(a) = n.attribute() {
-                    if a >= self.n_attributes {
-                        return Err(format!(
-                            "tree {i} references attribute {a} out of range ({} attributes)",
-                            self.n_attributes
-                        ));
+            for (j, n) in t.nodes().iter().enumerate() {
+                match *n {
+                    Node::Decision {
+                        attribute,
+                        threshold,
+                        left_prob,
+                        ..
+                    } => {
+                        if attribute >= self.n_attributes {
+                            let n = self.n_attributes;
+                            return Err(format!(
+                                "tree {i} references attribute {attribute} out of range ({n} attributes)"
+                            ));
+                        }
+                        if !threshold.is_finite() {
+                            return Err(format!(
+                                "tree {i} node {j}: non-finite threshold {threshold}"
+                            ));
+                        }
+                        if !(0.0..=1.0).contains(&left_prob) {
+                            return Err(format!(
+                                "tree {i} node {j}: left_prob {left_prob} outside [0, 1]"
+                            ));
+                        }
+                    }
+                    Node::Leaf { value } => {
+                        if !value.is_finite() {
+                            return Err(format!(
+                                "tree {i} node {j}: non-finite leaf value {value}"
+                            ));
+                        }
                     }
                 }
             }
@@ -210,7 +236,6 @@ impl ForestStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Node;
 
     fn tiny_tree(leaf: f32) -> Tree {
         Tree::new(vec![
@@ -225,6 +250,43 @@ mod tests {
             Node::Leaf { value: leaf },
             Node::Leaf { value: -leaf },
         ])
+    }
+
+    #[test]
+    fn check_rejects_non_finite_values_and_bad_probabilities() {
+        let with_root = |threshold: f32, left_prob: f32, leaf: f32| Forest {
+            trees: vec![
+                tiny_tree(1.0),
+                Tree::new(vec![
+                    Node::Decision {
+                        attribute: 0,
+                        threshold,
+                        default_left: true,
+                        left: 1,
+                        right: 2,
+                        left_prob,
+                    },
+                    Node::Leaf { value: leaf },
+                    Node::Leaf { value: 0.0 },
+                ]),
+            ],
+            n_attributes: 1,
+            kind: ForestKind::Gbdt,
+            task: Task::Regression,
+            base_score: 0.0,
+        };
+        assert!(with_root(0.5, 0.0, 1.0).check().is_ok());
+        assert!(with_root(0.5, 1.0, 1.0).check().is_ok());
+        for (forest, expected) in [
+            (with_root(f32::NAN, 0.5, 1.0), "tree 1 node 0: non-finite threshold NaN"),
+            (with_root(f32::INFINITY, 0.5, 1.0), "tree 1 node 0: non-finite threshold inf"),
+            (with_root(0.5, f32::NAN, 1.0), "tree 1 node 0: left_prob NaN outside [0, 1]"),
+            (with_root(0.5, -0.25, 1.0), "tree 1 node 0: left_prob -0.25 outside [0, 1]"),
+            (with_root(0.5, 0.5, f32::NEG_INFINITY), "tree 1 node 1: non-finite leaf value -inf"),
+            (with_root(0.5, 0.5, f32::NAN), "tree 1 node 1: non-finite leaf value NaN"),
+        ] {
+            assert_eq!(forest.check().unwrap_err(), expected);
+        }
     }
 
     fn forest() -> Forest {

@@ -131,7 +131,12 @@ mod tests {
         for (name, from, to, expected) in [
             ("child_range.json", "\"left\":1,", "\"left\":5,", "child id out of range"),
             ("cycle.json", "\"left\":1,", "\"left\":0,", "must point forward"),
+            ("shared_child.json", "\"left\":1,", "\"left\":2,", "node 2 has two parents"),
             ("attribute.json", "\"attribute\":2,", "\"attribute\":99,", "attribute 99"),
+            ("threshold.json", "\"threshold\":1.5,", "\"threshold\":1e39,", "threshold inf"),
+            ("leaf.json", "\"value\":-0.5", "\"value\":-1e39", "non-finite leaf value -inf"),
+            ("left_prob.json", "\"left_prob\":0.8", "\"left_prob\":1e39", "left_prob inf outside"),
+            ("negative_prob.json", "\"left_prob\":0.8", "\"left_prob\":-0.25", "left_prob -0.25"),
         ] {
             let broken = valid.replacen(from, to, 1);
             assert_ne!(broken, valid, "{name}: the edit applies");

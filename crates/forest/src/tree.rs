@@ -30,8 +30,9 @@ impl Tree {
         tree
     }
 
-    /// Checks the arena invariants: at least one node, and every child id
-    /// pointing forward and in range, which also rules out cycles.
+    /// Checks the arena invariants: at least one node, every child id
+    /// pointing forward and in range, which also rules out cycles, and no
+    /// node with two parents.
     /// [`Self::new`] asserts them; a deserialized tree skips `new`, so its
     /// loader calls this.
     ///
@@ -43,6 +44,7 @@ impl Tree {
             return Err("a tree needs at least one node".into());
         }
         let n = self.nodes.len();
+        let mut has_parent = vec![false; n];
         for (i, node) in self.nodes.iter().enumerate() {
             if let Some((l, r)) = node.children() {
                 if (l as usize) <= i || (r as usize) <= i {
@@ -50,6 +52,11 @@ impl Tree {
                 }
                 if (l as usize) >= n || (r as usize) >= n {
                     return Err(format!("child id out of range (node {i})"));
+                }
+                for c in [l as usize, r as usize] {
+                    if std::mem::replace(&mut has_parent[c], true) {
+                        return Err(format!("node {c} has two parents (node {i})"));
+                    }
                 }
             }
         }

@@ -10,9 +10,11 @@
 //! length means chunk equality, so this module counts equal chunks directly:
 //! every checksum is laid out with one chunk per power-of-two bit slot, and a
 //! pair's differing chunks are the nonzero slots of the XOR of their words,
-//! found with an OR-fold and a popcount. That fills a dense `N × N` matrix in
-//! `O(N² · L / 64)` word operations, where bucketing performed up to `O(N²)`
-//! hash-map updates per chunk.
+//! found with a carry test and a popcount. That fills a dense `N × N` matrix
+//! in `O(N² · L / 64)` word operations, where bucketing performed up to
+//! `O(N²)` hash-map updates per chunk. Rows are filled on the worker pool.
+
+use tahoe_gpu_sim::parallel::parallel_map;
 
 use super::simhash::Checksum;
 
@@ -103,21 +105,31 @@ impl ChunkLayout {
     }
 
     /// Copies the checksum's chunks into their slots (trailing bits that
-    /// fill no whole chunk are dropped, as the chunking drops them).
+    /// fill no whole chunk are dropped, as the chunking drops them), up to
+    /// 64 bits at a time.
     fn slot_into(&self, checksum: &Checksum, out: &mut [u64]) {
+        let words = checksum.words();
         for chunk in 0..self.n_chunks {
-            for j in 0..self.chunk_len {
-                if checksum.bit(chunk * self.chunk_len + j) {
-                    let pos = chunk * self.slot_bits + j;
-                    out[pos / 64] |= 1 << (pos % 64);
+            for piece in (0..self.chunk_len).step_by(64) {
+                let len = (self.chunk_len - piece).min(64);
+                let from = chunk * self.chunk_len + piece;
+                let mut bits = words[from / 64] >> (from % 64);
+                if from % 64 + len > 64 {
+                    bits |= words[from / 64 + 1] << (64 - from % 64);
                 }
+                if len < 64 {
+                    bits &= (1 << len) - 1;
+                }
+                let to = chunk * self.slot_bits + piece;
+                out[to / 64] |= bits << (to % 64);
             }
         }
     }
 
     /// Number of chunks in which two slotted checksums differ.
+    #[inline]
     fn differing(&self, a: &[u64], b: &[u64]) -> u32 {
-        if self.slot_bits >= 64 {
+        if self.slot_bits > 64 {
             let per_slot = self.slot_bits / 64;
             let differ = a
                 .chunks_exact(per_slot)
@@ -125,23 +137,26 @@ impl ChunkLayout {
                 .filter(|(x, y)| x != y);
             return differ.count() as u32;
         }
+        // A slot of the XOR is nonzero exactly when its top bit is set or
+        // adding all-ones below the top bit carries into it; no slot carries
+        // into the next.
+        let top = self.slot_starts << (self.slot_bits - 1);
         a.iter()
             .zip(b)
             .map(|(x, y)| {
-                // OR every slot's bits down into its lowest bit.
-                let mut d = x ^ y;
-                let mut shift = 1;
-                while shift < self.slot_bits {
-                    d |= d >> shift;
-                    shift <<= 1;
-                }
-                (d & self.slot_starts).count_ones()
+                let d = x ^ y;
+                ((((d & !top) + !top) | d) & top).count_ones()
             })
             .sum()
     }
 }
 
 /// Counts chunk collisions between all trees.
+///
+/// The upper triangle of each row (`b > a`) is filled in parallel, in
+/// order; the calling thread then writes the matrix row by row, in index
+/// order, mirroring the lower triangle from the rows above. The counts are
+/// integers, so the matrix is identical at any worker count.
 ///
 /// # Panics
 ///
@@ -159,17 +174,25 @@ pub fn count_collisions(checksums: &[Checksum], m_chunks: usize) -> CollisionMat
     }
     let layout = ChunkLayout::new(first.len(), m_chunks);
     let w = layout.words();
+    if w == 0 {
+        // Checksums too short to fill a chunk collide nowhere.
+        return counts;
+    }
     let mut slotted = vec![0u64; n * w];
-    for (checksum, out) in checksums.iter().zip(slotted.chunks_exact_mut(w.max(1))) {
+    for (checksum, out) in checksums.iter().zip(slotted.chunks_exact_mut(w)) {
         layout.slot_into(checksum, out);
     }
     let n_chunks = layout.n_chunks as u32;
-    for a in 0..n {
+    let upper: Vec<Vec<u32>> = parallel_map(n, |a| {
         let sa = &slotted[a * w..(a + 1) * w];
-        for b in a + 1..n {
-            let differ = layout.differing(sa, &slotted[b * w..(b + 1) * w]);
-            counts.set(a, b, n_chunks - differ);
+        let later = slotted[(a + 1) * w..].chunks_exact(w);
+        later.map(|sb| n_chunks - layout.differing(sa, sb)).collect()
+    });
+    for (a, row) in counts.counts.chunks_exact_mut(n).enumerate() {
+        for (b, count) in row[..a].iter_mut().enumerate() {
+            *count = upper[b][a - b - 1];
         }
+        row[a + 1..].copy_from_slice(&upper[a]);
     }
     counts
 }
@@ -296,6 +319,7 @@ mod tests {
                 for b in a + 1..bits.len() {
                     let expected = reference.get(&(a, b)).copied().unwrap_or(0);
                     assert_eq!(dense.get(a, b), expected, "l {l} m {m} pair ({a}, {b})");
+                    assert_eq!(dense.get(b, a), expected, "l {l} m {m} pair ({b}, {a})");
                 }
             }
         }

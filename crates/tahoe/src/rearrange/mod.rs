@@ -59,15 +59,17 @@ pub struct RearrangeReport {
     pub node_swap_ns: u64,
     /// Tokenize + SimHash time.
     pub simhash_ns: u64,
-    /// LSH + ordering time (§7.4 part 3, "detecting similarity").
+    /// LSH collision-counting time (§7.4 part 3, "detecting similarity").
     pub lsh_ns: u64,
+    /// Tree-ordering time over the collision counts.
+    pub order_ns: u64,
 }
 
 impl RearrangeReport {
     /// Total rearrangement time.
     #[must_use]
     pub fn total_ns(&self) -> u64 {
-        self.node_swap_ns + self.simhash_ns + self.lsh_ns
+        self.node_swap_ns + self.simhash_ns + self.lsh_ns + self.order_ns
     }
 }
 
@@ -85,21 +87,28 @@ pub fn similarity_order_timed(
 ) -> (Vec<usize>, RearrangeReport) {
     let mut report = RearrangeReport::default();
     let t0 = Instant::now();
-    let checksums: Vec<simhash::Checksum> = parallel_map(forest.n_trees(), |t| {
-        let mut tokens = tokenize::tokenize(&forest.trees()[t], params.t_nodes);
-        if !params.weighted {
-            for tok in &mut tokens {
-                tok.weight = 1.0;
-            }
-        }
-        simhash::normalize(&simhash::simhash(&tokens, params.l_hash))
-    });
+    let checksums = checksums(forest, params);
     report.simhash_ns = t0.elapsed().as_nanos() as u64;
     let t1 = Instant::now();
     let counts = lsh::count_collisions(&checksums, params.m_chunks);
-    let order = order::order_by_similarity(&counts);
     report.lsh_ns = t1.elapsed().as_nanos() as u64;
+    let t2 = Instant::now();
+    let order = order::order_by_similarity(&counts);
+    report.order_ns = t2.elapsed().as_nanos() as u64;
     (order, report)
+}
+
+/// Every tree's normalized SimHash checksum, one tree per parallel item.
+/// Each token is hashed as the walk emits it, straight into its tree's
+/// sums, in token order.
+fn checksums(forest: &Forest, params: &SimilarityParams) -> Vec<simhash::Checksum> {
+    parallel_map(forest.n_trees(), |t| {
+        let mut acc = simhash::Accumulator::new(params.l_hash);
+        tokenize::for_each_token(&forest.trees()[t], params.t_nodes, |bytes, weight| {
+            acc.add(bytes, if params.weighted { weight } else { 1.0 });
+        });
+        simhash::normalize(acc.sums())
+    })
 }
 
 /// Builds the full adaptive layout plan: similarity tree order plus
@@ -278,6 +287,88 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The checksums as first computed: collect the tokens, hash each one
+    /// with one-shot SHA-1 in counter mode bit by bit, and branch on the bit.
+    fn reference_checksums(forest: &Forest, params: &SimilarityParams) -> Vec<simhash::Checksum> {
+        let mut out = Vec::new();
+        for tree in forest.trees() {
+            let mut sums = vec![0.0f32; params.l_hash];
+            for token in tokenize::tokenize(tree, params.t_nodes) {
+                let weight = if params.weighted { token.weight } else { 1.0 };
+                let mut bits = Vec::new();
+                for counter in 0u32.. {
+                    if bits.len() >= params.l_hash {
+                        break;
+                    }
+                    let digest = sha1::sha1(&[&token.bytes[..], &counter.to_le_bytes()].concat());
+                    for byte in digest {
+                        bits.extend((0..8).rev().map(|k| byte >> k & 1 == 1));
+                    }
+                }
+                for (sum, bit) in sums.iter_mut().zip(bits) {
+                    *sum += if bit { weight } else { -weight };
+                }
+            }
+            out.push(simhash::normalize(&sums));
+        }
+        out
+    }
+
+    #[test]
+    fn fused_checksums_match_the_token_by_token_reference() {
+        // The pinned variants, 5-node tokens (60 bytes, so each digest
+        // compresses two blocks) and 320-bit checksums (two counter blocks).
+        let variants = [
+            SimilarityParams::default(),
+            SimilarityParams {
+                t_nodes: 2,
+                l_hash: 64,
+                m_chunks: 16,
+                weighted: false,
+            },
+            SimilarityParams {
+                t_nodes: 3,
+                l_hash: 200,
+                m_chunks: 7,
+                weighted: true,
+            },
+            SimilarityParams {
+                t_nodes: 5,
+                ..SimilarityParams::default()
+            },
+            SimilarityParams {
+                l_hash: 320,
+                ..SimilarityParams::default()
+            },
+        ];
+        for spec in DatasetSpec::table2() {
+            let forest = trained(spec.name);
+            for params in &variants {
+                assert_eq!(
+                    checksums(&forest, params),
+                    reference_checksums(&forest, params),
+                    "{} {params:?}",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn collisions_and_orders_are_identical_at_one_and_four_workers() {
+        let forest = trained("covtype");
+        let params = SimilarityParams::default();
+        let run = |workers| {
+            tahoe_gpu_sim::parallel::set_sim_threads(Some(workers));
+            let counts = lsh::count_collisions(&checksums(&forest, &params), params.m_chunks);
+            (counts, similarity_order(&forest, &params))
+        };
+        let one = run(1);
+        let four = run(4);
+        tahoe_gpu_sim::parallel::set_sim_threads(None);
+        assert_eq!(one, four);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use tahoe_forest::Forest;
 
 use super::lsh::CollisionMatrix;
 use super::order::order_by_similarity;
-use super::tokenize::tokenize;
+use super::tokenize::for_each_token;
 
 /// Exact pairwise similarity counts (token-set intersection sizes).
 #[must_use]
@@ -21,7 +21,13 @@ pub fn pairwise_counts(forest: &Forest, t_nodes: usize) -> CollisionMatrix {
     let token_sets: Vec<HashSet<Vec<u8>>> = forest
         .trees()
         .iter()
-        .map(|t| tokenize(t, t_nodes).into_iter().map(|tok| tok.bytes).collect())
+        .map(|t| {
+            let mut set = HashSet::new();
+            for_each_token(t, t_nodes, |bytes, _| {
+                set.insert(bytes.to_vec());
+            });
+            set
+        })
         .collect();
     let mut counts = CollisionMatrix::new(token_sets.len());
     for a in 0..token_sets.len() {

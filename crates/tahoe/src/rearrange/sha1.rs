@@ -9,66 +9,63 @@
 /// SHA-1 digest of `data` (20 bytes).
 #[must_use]
 pub fn sha1(data: &[u8]) -> [u8; 20] {
-    Sha1::new().update(data).finish()
+    let mut out = [0u8; 20];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(Prefix::new(data).digest(&[])) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
-/// Incremental SHA-1 over a fixed 64-byte block buffer, so hashing a token
-/// (and its counter-mode suffix) never touches the heap.
-#[derive(Clone, Debug)]
-struct Sha1 {
+/// A message whose whole 64-byte blocks are already folded into the state,
+/// so digesting `data || suffix` for several short suffixes compresses only
+/// the last one or two blocks each time, padded in place on the stack.
+struct Prefix<'a> {
     h: [u32; 5],
-    block: [u8; 64],
-    block_len: usize,
-    total_len: u64,
+    /// The bytes after the last whole block (fewer than 64).
+    tail: &'a [u8],
+    len: u64,
 }
 
-impl Sha1 {
-    fn new() -> Self {
+impl<'a> Prefix<'a> {
+    fn new(data: &'a [u8]) -> Self {
+        let mut h = [
+            0x6745_2301,
+            0xEFCD_AB89,
+            0x98BA_DCFE,
+            0x1032_5476,
+            0xC3D2_E1F0,
+        ];
+        let blocks = data.chunks_exact(64);
+        let tail = blocks.remainder();
+        for block in blocks {
+            compress(&mut h, block.try_into().expect("64-byte block"));
+        }
         Self {
-            h: [
-                0x6745_2301,
-                0xEFCD_AB89,
-                0x98BA_DCFE,
-                0x1032_5476,
-                0xC3D2_E1F0,
-            ],
-            block: [0; 64],
-            block_len: 0,
-            total_len: 0,
+            h,
+            tail,
+            len: data.len() as u64,
         }
     }
 
-    fn update(mut self, mut data: &[u8]) -> Self {
-        self.total_len += data.len() as u64;
-        while !data.is_empty() {
-            let take = (64 - self.block_len).min(data.len());
-            self.block[self.block_len..self.block_len + take].copy_from_slice(&data[..take]);
-            self.block_len += take;
-            data = &data[take..];
-            if self.block_len == 64 {
-                compress(&mut self.h, &self.block);
-                self.block_len = 0;
-            }
+    /// The digest of the prefix followed by `suffix` (at most 8 bytes), as
+    /// its five big-endian state words. Message padding: 0x80, zeros, then
+    /// the 64-bit big-endian bit length, in one block when the tail, the
+    /// suffix and the padding fit 64 bytes and in two otherwise.
+    fn digest(&self, suffix: &[u8]) -> [u32; 5] {
+        assert!(suffix.len() <= 8, "suffix of {} bytes", suffix.len());
+        let mut buf = [0u8; 128];
+        let n = self.tail.len() + suffix.len();
+        buf[..self.tail.len()].copy_from_slice(self.tail);
+        buf[self.tail.len()..n].copy_from_slice(suffix);
+        buf[n] = 0x80;
+        let end = if n < 56 { 64 } else { 128 };
+        let bit_len = (self.len + suffix.len() as u64) * 8;
+        buf[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        let mut h = self.h;
+        for block in buf[..end].chunks_exact(64) {
+            compress(&mut h, block.try_into().expect("64-byte block"));
         }
-        self
-    }
-
-    fn finish(mut self) -> [u8; 20] {
-        // Message padding: 0x80, zeros, 64-bit big-endian bit length.
-        let bit_len = self.total_len * 8;
-        self.block[self.block_len] = 0x80;
-        self.block[self.block_len + 1..].fill(0);
-        if self.block_len >= 56 {
-            compress(&mut self.h, &self.block);
-            self.block.fill(0);
-        }
-        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.h, &self.block);
-        let mut out = [0u8; 20];
-        for (i, word) in self.h.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        h
     }
 }
 
@@ -123,32 +120,40 @@ fn round(s: &mut [u32; 5], f: u32, k: u32, wi: u32) {
 }
 
 /// Expands `data` into `n_bits` hash bits using SHA-1 in counter mode,
-/// packed 64 bits to a word (bit `i` is `(words[i / 64] >> (i % 64)) & 1`).
+/// packed 64 bits to a word into `out` (bit `i` is
+/// `(out[i / 64] >> (i % 64)) & 1`; bits past `n_bits` are zero).
 ///
 /// Block `i` contributes `sha1(data || i_le)`, read most-significant bit of
 /// each digest byte first; blocks are concatenated and truncated to
 /// `n_bits`. The paper's `L_hash` is 128, which one block covers; counter
-/// mode keeps the function total for any length.
-#[must_use]
-pub fn hash_bits(data: &[u8], n_bits: usize) -> Vec<u64> {
-    let mut words = vec![0u64; n_bits.div_ceil(64)];
+/// mode keeps the function total for any length. The whole blocks of `data`
+/// are compressed once and shared by every counter, and nothing is
+/// allocated.
+///
+/// # Panics
+///
+/// Panics if `out` is not `n_bits.div_ceil(64)` words long.
+pub fn hash_bits(data: &[u8], n_bits: usize, out: &mut [u64]) {
+    let words = out.len();
+    assert_eq!(words, n_bits.div_ceil(64), "{n_bits} bits into {words} words");
+    out.fill(0);
+    let prefix = Prefix::new(data);
     let mut bit = 0usize;
     let mut counter = 0u32;
     while bit < n_bits {
-        let digest = Sha1::new()
-            .update(data)
-            .update(&counter.to_le_bytes())
-            .finish();
-        for byte in digest.into_iter().take((n_bits - bit).div_ceil(8)) {
-            // Reversing the byte puts its most significant bit first. Bytes
-            // start at multiples of 8 bits, so none straddles two words.
-            let take = (n_bits - bit).min(8);
-            words[bit / 64] |= (u64::from(byte.reverse_bits()) & ((1 << take) - 1)) << (bit % 64);
+        for word in prefix.digest(&counter.to_le_bytes()) {
+            // Reversing a big-endian state word puts the most significant bit
+            // of its first digest byte first. Words fill 32-bit halves, so
+            // none straddles two output words.
+            let take = (n_bits - bit).min(32);
+            if take == 0 {
+                break;
+            }
+            out[bit / 64] |= (u64::from(word.reverse_bits()) & ((1 << take) - 1)) << (bit % 64);
             bit += take;
         }
         counter += 1;
     }
-    words
 }
 
 #[cfg(test)]
@@ -157,6 +162,12 @@ mod tests {
 
     fn hex(digest: &[u8; 20]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn hash_bits(data: &[u8], n_bits: usize) -> Vec<u64> {
+        let mut words = vec![0u64; n_bits.div_ceil(64)];
+        super::hash_bits(data, n_bits, &mut words);
+        words
     }
 
     #[test]
@@ -193,6 +204,25 @@ mod tests {
     }
 
     #[test]
+    fn digests_match_reference_vectors_at_block_edges() {
+        // Messages `0, 1, 2, ...` whose padding fits one block (55), spills
+        // into a second (56, 63), or follows whole blocks (64 and beyond).
+        for (len, expected) in [
+            (55, "8ae2d46729cfe68ff927af5eec9c7d1b66d65ac2"),
+            (56, "636e2ec698dac903498e648bd2f3af641d3c88cb"),
+            (63, "6d942da0c4392b123528f2905c713a3ce28364bd"),
+            (64, "c6138d514ffa2135bfce0ed0b8fac65669917ec7"),
+            (65, "69bd728ad6e13cd76ff19751fde427b00e395746"),
+            (119, "41c89d06001bab4ab78736b44efe7ce18ce6ae08"),
+            (120, "d3dbd653bd8597b7475321b60a36891278e6a04a"),
+            (128, "e6434bc401f98603d7eda504790c98c67385d535"),
+        ] {
+            let data: Vec<u8> = (0..len as u8).collect();
+            assert_eq!(hex(&sha1(&data)), expected, "length {len}");
+        }
+    }
+
+    #[test]
     fn hash_bits_is_deterministic_and_sized() {
         let a = hash_bits(b"token", 128);
         let b = hash_bits(b"token", 128);
@@ -215,15 +245,26 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_one_shot_at_every_split() {
+    fn prefix_digest_matches_one_shot_at_every_split() {
+        // A prefix of every length around the block and padding edges, with
+        // every suffix length up to 8 bytes, digests as the whole message.
         let data: Vec<u8> = (0..150u8).collect();
-        for split in [0, 1, 55, 56, 63, 64, 65, 119, 150] {
-            let streamed = Sha1::new()
-                .update(&data[..split])
-                .update(&data[split..])
-                .finish();
-            assert_eq!(streamed, sha1(&data), "split {split}");
+        for len in [0, 1, 47, 51, 52, 55, 56, 60, 63, 64, 65, 119, 127, 128, 142] {
+            for suffix in 0..=8 {
+                let whole = sha1(&data[..len + suffix]);
+                let split = Prefix::new(&data[..len]).digest(&data[len..len + suffix]);
+                let split: Vec<u8> = split.iter().flat_map(|w| w.to_be_bytes()).collect();
+                assert_eq!(split, whole, "prefix {len} suffix {suffix}");
+            }
         }
+    }
+
+    #[test]
+    fn hash_bits_overwrites_the_caller_buffer() {
+        let mut words = vec![u64::MAX; 4];
+        super::hash_bits(b"token", 200, &mut words);
+        assert_eq!(words, hash_bits(b"token", 200));
+        assert_eq!(words[3] >> 8, 0, "bits past n_bits are zero");
     }
 
     #[test]

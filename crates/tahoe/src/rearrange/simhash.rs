@@ -27,9 +27,8 @@ impl Checksum {
             if checksum.len % 64 == 0 {
                 checksum.words.push(0);
             }
-            if bit {
-                checksum.words[checksum.len / 64] |= 1 << (checksum.len % 64);
-            }
+            // SimHash bits are random: OR them in rather than branch.
+            checksum.words[checksum.len / 64] |= u64::from(bit) << (checksum.len % 64);
             checksum.len += 1;
         }
         checksum
@@ -47,6 +46,11 @@ impl Checksum {
         self.len == 0
     }
 
+    /// The packed words.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Bit `i`.
     ///
     /// # Panics
@@ -59,22 +63,63 @@ impl Checksum {
     }
 }
 
-/// Accumulates the weighted SimHash checksum of a token set.
-#[must_use]
-pub fn simhash(tokens: &[Token], l_hash: usize) -> Vec<f32> {
-    let mut checksum = vec![0.0f32; l_hash];
-    for token in tokens {
-        let bits = hash_bits(&token.bytes, l_hash);
-        // `acc + (-w)` is `acc - w` exactly; selecting the addend instead of
-        // branching on a random bit keeps the loop free of mispredictions.
-        let (plus, minus) = (token.weight, -token.weight);
-        for (accs, word) in checksum.chunks_mut(64).zip(bits) {
-            for (j, acc) in accs.iter_mut().enumerate() {
-                *acc += if (word >> j) & 1 == 1 { plus } else { minus };
+/// The running weighted SimHash sums of one token stream, with the scratch
+/// its hashing reuses, so adding a token allocates nothing.
+#[derive(Clone, Debug)]
+pub struct Accumulator {
+    l_hash: usize,
+    /// One lane per hash bit, padded to whole words; the padding lanes see
+    /// only zero bits and are never read.
+    lanes: Vec<f32>,
+    bits: Vec<u64>,
+}
+
+impl Accumulator {
+    /// All-zero sums of `l_hash` components.
+    #[must_use]
+    pub fn new(l_hash: usize) -> Self {
+        let words = l_hash.div_ceil(64);
+        Self {
+            l_hash,
+            lanes: vec![0.0; words * 64],
+            bits: vec![0; words],
+        }
+    }
+
+    /// Hashes one token and adds `+weight` to each component whose hash bit
+    /// is 1 and `-weight` to each whose bit is 0.
+    pub fn add(&mut self, bytes: &[u8], weight: f32) {
+        hash_bits(bytes, self.l_hash, &mut self.bits);
+        // Negation only flips the sign bit, so setting it where the hash bit
+        // is 0 adds exactly `-weight`, with no branch on a random bit. Four
+        // lanes at a time test one nibble, which vectorizes.
+        let weight = weight.to_bits();
+        for (lanes, &word) in self.lanes.chunks_exact_mut(64).zip(&self.bits) {
+            for (k, quad) in lanes.chunks_exact_mut(4).enumerate() {
+                let nibble = (word >> (4 * k)) as u32;
+                for (i, sum) in quad.iter_mut().enumerate() {
+                    let sign = if nibble & (1 << i) == 0 { 1 << 31 } else { 0 };
+                    *sum += f32::from_bits(weight ^ sign);
+                }
             }
         }
     }
-    checksum
+
+    /// The accumulated sums, one per hash bit.
+    #[must_use]
+    pub fn sums(&self) -> &[f32] {
+        &self.lanes[..self.l_hash]
+    }
+}
+
+/// Accumulates the weighted SimHash checksum of a token set, in order.
+#[must_use]
+pub fn simhash(tokens: &[Token], l_hash: usize) -> Vec<f32> {
+    let mut acc = Accumulator::new(l_hash);
+    for token in tokens {
+        acc.add(&token.bytes, token.weight);
+    }
+    acc.sums().to_vec()
 }
 
 /// Normalizes a checksum to bits: `>= 0 → 1`, `< 0 → 0` (paper §4.2,

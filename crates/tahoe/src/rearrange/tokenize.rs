@@ -19,78 +19,92 @@ pub struct Token {
     pub weight: f32,
 }
 
-/// Tokenizes a tree with windows of `t_nodes` nodes.
-///
-/// Identical windows reached via different leaves are emitted once.
+/// Serialized bytes per node: the heap position (`u64`) and the attribute
+/// (`u32`, `u32::MAX` for a leaf), little-endian.
+const NODE_BYTES: usize = 12;
+
+/// Tokenizes a tree with windows of `t_nodes` nodes, collecting
+/// [`for_each_token`]'s walk.
 ///
 /// # Panics
 ///
 /// Panics if `t_nodes < 2`.
 #[must_use]
 pub fn tokenize(tree: &Tree, t_nodes: usize) -> Vec<Token> {
-    assert!(t_nodes >= 2, "a token needs at least two nodes");
-    let probs = tree.node_probabilities();
-    let positions = crate::format::layout::heap_positions(tree, &vec![false; tree.n_nodes()]);
-    // A window is determined by its last node: windows start at depths that
-    // are multiples of the stride, and only a path's final window ends at a
-    // leaf. So emitted windows are marked by their last node.
-    let mut emitted = vec![false; tree.n_nodes()];
     let mut tokens = Vec::new();
-    // Enumerate root-to-leaf paths depth-first; `path` holds the ancestors
-    // of the node being visited.
-    let mut path: Vec<u32> = Vec::new();
-    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    while let Some((id, depth)) = stack.pop() {
-        path.truncate(depth);
-        path.push(id);
-        match tree.node(id) {
-            Node::Decision { left, right, .. } => {
-                stack.push((*left, depth + 1));
-                stack.push((*right, depth + 1));
-            }
-            Node::Leaf { .. } => {
-                emit_windows(tree, &path, &probs, &positions, t_nodes, &mut emitted, &mut tokens);
-            }
-        }
-    }
+    for_each_token(tree, t_nodes, |bytes, weight| {
+        tokens.push(Token {
+            bytes: bytes.to_vec(),
+            weight,
+        });
+    });
     tokens
 }
 
-fn emit_windows(
-    tree: &Tree,
-    path: &[u32],
-    probs: &[f32],
-    positions: &[u64],
-    t_nodes: usize,
-    emitted: &mut [bool],
-    tokens: &mut Vec<Token>,
-) {
-    let stride = t_nodes - 1;
-    let mut start = 0usize;
-    loop {
-        let end = (start + t_nodes).min(path.len());
-        if end - start < 2 {
-            break;
-        }
-        let window = &path[start..end];
-        let last = window[window.len() - 1] as usize;
-        if !emitted[last] {
-            emitted[last] = true;
-            let mut bytes = Vec::with_capacity(window.len() * 12);
-            for &id in window {
-                bytes.extend_from_slice(&positions[id as usize].to_le_bytes());
-                let attr = tree.node(id).attribute().map_or(u32::MAX, |a| a);
-                bytes.extend_from_slice(&attr.to_le_bytes());
+/// Calls `visit(bytes, weight)` for every token of a tree with windows of
+/// `t_nodes` nodes, in depth-first leaf order, without allocating per token.
+///
+/// Identical windows reached via different leaves are emitted once.
+///
+/// # Panics
+///
+/// Panics if `t_nodes < 2`.
+pub fn for_each_token(tree: &Tree, t_nodes: usize, mut visit: impl FnMut(&[u8], f32)) {
+    assert!(t_nodes >= 2, "a token needs at least two nodes");
+    let n = tree.n_nodes();
+    // A window is determined by its last node: windows start at depths that
+    // are multiples of the stride, and only a path's final window ends at a
+    // leaf. So emitted windows are marked by their last node.
+    let mut emitted = vec![false; n];
+    // Enumerate root-to-leaf paths depth-first; `path` holds the ancestors
+    // of the node being visited with their node probabilities, and `bytes`
+    // their serialized nodes, so every window of the path is a slice of
+    // `bytes`. Every node has one parent, so its heap position and
+    // probability follow from its parent's on the way down, exactly as
+    // `heap_positions` and `Tree::node_probabilities` compute them.
+    let mut path: Vec<(u32, f32)> = Vec::with_capacity(n);
+    let mut bytes: Vec<u8> = Vec::with_capacity(n * NODE_BYTES);
+    // (node, depth, heap position, node probability)
+    let mut stack: Vec<(u32, usize, u64, f32)> = Vec::with_capacity(n);
+    stack.push((0, 0, 0, 1.0));
+    while let Some((id, depth, position, prob)) = stack.pop() {
+        path.truncate(depth);
+        path.push((id, prob));
+        bytes.truncate(depth * NODE_BYTES);
+        bytes.extend_from_slice(&position.to_le_bytes());
+        match *tree.node(id) {
+            Node::Decision {
+                attribute,
+                left,
+                right,
+                left_prob,
+                ..
+            } => {
+                bytes.extend_from_slice(&attribute.to_le_bytes());
+                stack.push((left, depth + 1, 2 * position + 1, prob * left_prob));
+                stack.push((right, depth + 1, 2 * position + 2, prob * (1.0 - left_prob)));
             }
-            tokens.push(Token {
-                bytes,
-                weight: probs[last],
-            });
+            Node::Leaf { .. } => {
+                bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+                let stride = t_nodes - 1;
+                let mut start = 0usize;
+                loop {
+                    let end = (start + t_nodes).min(path.len());
+                    if end - start < 2 {
+                        break;
+                    }
+                    let (last, weight) = path[end - 1];
+                    if !emitted[last as usize] {
+                        emitted[last as usize] = true;
+                        visit(&bytes[start * NODE_BYTES..end * NODE_BYTES], weight);
+                    }
+                    if end == path.len() {
+                        break;
+                    }
+                    start += stride;
+                }
+            }
         }
-        if end == path.len() {
-            break;
-        }
-        start += stride;
     }
 }
 
@@ -179,6 +193,30 @@ mod tests {
         for t in &tokens {
             // 3 nodes x 12 bytes.
             assert_eq!(t.bytes.len(), 36);
+        }
+    }
+
+    #[test]
+    fn walk_matches_heap_positions_and_node_probabilities() {
+        // Each node of a window serializes its heap position and attribute,
+        // and the weight is the last node's probability, bit for bit.
+        let spec = tahoe_datasets::DatasetSpec::by_name("covtype").unwrap();
+        let scale = tahoe_datasets::Scale::Smoke;
+        let forest = tahoe_forest::train_for_spec(&spec, &spec.generate(scale), scale);
+        for tree in forest.trees() {
+            let probs = tree.node_probabilities();
+            let positions =
+                crate::format::layout::heap_positions(tree, &vec![false; tree.n_nodes()]);
+            let mut last = 0;
+            for_each_token(tree, 3, |bytes, weight| {
+                for node in bytes.chunks_exact(NODE_BYTES) {
+                    let position = u64::from_le_bytes(node[..8].try_into().unwrap());
+                    last = positions.iter().position(|&p| p == position).unwrap();
+                    let attr = tree.node(last as u32).attribute().unwrap_or(u32::MAX);
+                    assert_eq!(node[8..], attr.to_le_bytes());
+                }
+                assert_eq!(weight.to_bits(), probs[last].to_bits());
+            });
         }
     }
 

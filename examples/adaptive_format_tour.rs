@@ -42,9 +42,10 @@ fn main() {
          -> {lsh_score:.1} (SimHash+LSH) vs {exact_score:.1} (exact pairwise)"
     );
     println!(
-        "  SimHash {:.2} ms + LSH {:.2} ms",
+        "  SimHash {:.2} ms + LSH {:.2} ms + ordering {:.2} ms",
         timing.simhash_ns as f64 / 1e6,
-        timing.lsh_ns as f64 / 1e6
+        timing.lsh_ns as f64 / 1e6,
+        timing.order_ns as f64 / 1e6
     );
 
     // The adaptive format (§4.3): both rearrangements + minimal-width

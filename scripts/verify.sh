@@ -35,12 +35,15 @@ rm -rf "$STUB_TARGET"
 # error. property_based rides along so
 # the functional equivalence proofs (every format/plan/strategy, classic and
 # packed node encodings, vs the CPU reference) hold at both worker counts.
+# The rearrange unit tests pin the §4.2 tree orders and checksums, whose
+# SimHash and LSH stages run on the worker pool.
 for workers in 1 4; do
     TAHOE_SIM_THREADS=$workers \
         cargo test --release --test determinism --test telemetry_schema \
         --test profile_schema --test timeseries_schema \
         --test decision_schema \
         --test drift_audit --test property_based
+    TAHOE_SIM_THREADS=$workers cargo test --release -p tahoe --lib rearrange
 done
 
 # Regression gate: the committed results/ are the reference. Regenerate the

@@ -341,12 +341,31 @@ fn malformed_models_fail_with_a_one_line_error() {
     assert!(out.status.success(), "the well-formed model loads");
     std::fs::remove_file(&good).ok();
 
-    for (name, attribute, left, expected) in [
-        ("child_out_of_range.json", 3, 5, "child id out of range"),
-        ("attribute_out_of_range.json", 99, 1, "attribute 99 out of range"),
+    // Values too large for an f32 load as infinities, which would reach the
+    // SimHash sums of the tree rearrangement if the loader let them through.
+    let hostile = |from: &str, to: &str| hand_written_model(3, 1).replacen(from, to, 1);
+    for (name, text, expected) in [
+        ("child_out_of_range.json", hand_written_model(3, 5), "child id out of range"),
+        ("attribute_out_of_range.json", hand_written_model(99, 1), "attribute 99 out of range"),
+        (
+            "infinite_threshold.json",
+            hostile("\"threshold\":5.0", "\"threshold\":1e39"),
+            "non-finite threshold inf",
+        ),
+        (
+            "infinite_leaf.json",
+            hostile("\"value\":0.25", "\"value\":-1e39"),
+            "non-finite leaf value -inf",
+        ),
+        (
+            "infinite_left_prob.json",
+            hostile("\"left_prob\":0.5", "\"left_prob\":1e39"),
+            "left_prob inf outside [0, 1]",
+        ),
     ] {
+        assert_ne!(text, hand_written_model(3, 1), "{name}: the edit applies");
         let model = temp_path(name);
-        std::fs::write(&model, hand_written_model(attribute, left)).unwrap();
+        std::fs::write(&model, text).unwrap();
         for command in [
             vec!["inspect"],
             vec!["infer", "--data", "letter", "--scale", "smoke", "--batch", "64"],

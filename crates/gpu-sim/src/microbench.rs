@@ -11,7 +11,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceSpec;
-use crate::kernel::KernelSim;
+use crate::kernel::{KernelResult, KernelSim};
+use crate::warp::{WarpSim, MAX_WARP_LANES};
 
 /// Measured hardware parameters (the "Hardware parameters" rows of Table 1).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -48,12 +49,13 @@ const STREAM_STEPS: usize = 64;
 pub fn measure(device: &DeviceSpec) -> MeasuredParams {
     let (b_base, b_rate) = fit_block_reduce(device);
     let (g_base, g_rate) = fit_global_reduce(device);
+    // The simulator does not distinguish shared read/write costs (real
+    // hardware is near-symmetric too), so one shared-memory stream measures
+    // both of the paper's symbols.
+    let bw_smem = smem_stream_bandwidth(device);
     MeasuredParams {
-        bw_r_smem: smem_stream_bandwidth(device),
-        // The simulator does not distinguish shared read/write costs; real
-        // hardware is near-symmetric too. Measured separately anyway so the
-        // models keep the paper's two symbols.
-        bw_w_smem: smem_stream_bandwidth(device),
+        bw_r_smem: bw_smem,
+        bw_w_smem: bw_smem,
         bw_r_gmem_coa: gmem_stream_bandwidth(device, 4),
         bw_r_gmem_ncoa: gmem_stream_bandwidth(device, 4096),
         b_rate,
@@ -85,51 +87,69 @@ fn pointer_chase_latency(device: &DeviceSpec, shared: bool) -> f64 {
     k.finish().total_ns / STEPS as f64
 }
 
-/// Runs a bandwidth-saturating global-read kernel with the given inter-lane
-/// stride; returns requested bytes per ns.
-fn gmem_stream_bandwidth(device: &DeviceSpec, lane_stride: u64) -> f64 {
-    let threads = 256usize;
+/// Runs a streaming kernel of `grid` blocks of `threads` threads in which
+/// every warp replays `steps`.
+///
+/// All blocks are identical, and so are all warps of a block: one warp is
+/// simulated and its trace is pushed once per warp of the one simulated
+/// block, which the kernel extrapolates to the grid.
+fn stream_kernel(
+    device: &DeviceSpec,
+    grid: usize,
+    threads: usize,
+    smem_per_block: usize,
+    steps: impl Fn(&mut WarpSim) + Sync,
+) -> KernelResult {
     let warps = threads / device.warp_size as usize;
-    // Enough blocks for two full waves so the wave model is exercised.
-    let grid = (crate::occupancy::concurrent_blocks(device, threads, 0) * 2).max(1);
-    let mut k = KernelSim::new(device, grid, threads, 0);
-    // All blocks are identical; simulate one and extrapolate.
+    let mut k = KernelSim::new(device, grid, threads, smem_per_block);
     k.simulate_blocks(&[0], |_, mut b| {
-        for w_idx in 0..warps {
-            let mut w = b.warp();
-            for s in 0..STREAM_STEPS {
-                let base = 0x1000_0000u64 + (w_idx * STREAM_STEPS + s) as u64 * lane_stride * 32;
-                let accesses: Vec<(u8, u64)> = (0..device.warp_size as u64)
-                    .map(|i| (i as u8, base + i * lane_stride))
-                    .collect();
-                w.gmem_read(&accesses, 4, None);
-            }
-            b.push_warp(w.finish());
+        let mut w = b.warp();
+        steps(&mut w);
+        let warp = w.finish();
+        for _ in 0..warps {
+            b.push_warp(warp.clone());
         }
         b.finish()
     });
-    let r = k.finish();
+    k.finish()
+}
+
+/// Runs a bandwidth-saturating global-read kernel with the given inter-lane
+/// stride; returns requested bytes per ns.
+///
+/// Step `s` reads one row of `lane_stride`-spaced lanes from
+/// `base + s · 32 · lane_stride`, in every warp. The simulator models no
+/// cache and a row's transaction count depends only on its alignment, so
+/// this measures what warps streaming rows of their own would: every warp's
+/// 64 rows see the same alignments for transactions of up to 8 KiB.
+fn gmem_stream_bandwidth(device: &DeviceSpec, lane_stride: u64) -> f64 {
+    let threads = 256usize;
+    // Enough blocks for two full waves so the wave model is exercised.
+    let grid = (crate::occupancy::concurrent_blocks(device, threads, 0) * 2).max(1);
+    let lanes = device.warp_size as usize;
+    let r = stream_kernel(device, grid, threads, 0, |w| {
+        let mut accesses = [(0u8, 0u64); MAX_WARP_LANES];
+        for s in 0..STREAM_STEPS {
+            let base = 0x1000_0000u64 + s as u64 * lane_stride * 32;
+            for (i, access) in accesses[..lanes].iter_mut().enumerate() {
+                *access = (i as u8, base + i as u64 * lane_stride);
+            }
+            w.gmem_read(&accesses[..lanes], 4, None);
+        }
+    });
     r.gmem.requested_bytes as f64 / r.total_ns
 }
 
 /// Runs a shared-memory streaming kernel; returns bytes per ns.
 fn smem_stream_bandwidth(device: &DeviceSpec) -> f64 {
     let threads = 256usize;
-    let warps = threads / device.warp_size as usize;
     let grid = crate::occupancy::concurrent_blocks(device, threads, 16 * 1024).max(1);
-    let mut k = KernelSim::new(device, grid, threads, 16 * 1024);
     let lanes: Vec<u8> = (0..device.warp_size as u8).collect();
-    k.simulate_blocks(&[0], |_, mut b| {
-        for _ in 0..warps {
-            let mut w = b.warp();
-            for _ in 0..STREAM_STEPS {
-                w.smem_access(&lanes, 4);
-            }
-            b.push_warp(w.finish());
+    let r = stream_kernel(device, grid, threads, 16 * 1024, |w| {
+        for _ in 0..STREAM_STEPS {
+            w.smem_access(&lanes, 4);
         }
-        b.finish()
     });
-    let r = k.finish();
     r.smem.requested_bytes as f64 / r.total_ns
 }
 
@@ -178,6 +198,76 @@ fn fit_global_reduce(device: &DeviceSpec) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The streams as first written: every warp of the block simulated
+    /// with rows of its own, and the shared-memory stream run once per
+    /// symbol.
+    fn every_warp_streams(device: &DeviceSpec) -> [f64; 4] {
+        let warps = 256 / device.warp_size as usize;
+        let gmem = |lane_stride: u64| {
+            let grid = (crate::occupancy::concurrent_blocks(device, 256, 0) * 2).max(1);
+            let mut k = KernelSim::new(device, grid, 256, 0);
+            k.simulate_blocks(&[0], |_, mut b| {
+                for w_idx in 0..warps {
+                    let mut w = b.warp();
+                    for s in 0..STREAM_STEPS {
+                        let row = (w_idx * STREAM_STEPS + s) as u64;
+                        let base = 0x1000_0000u64 + row * lane_stride * 32;
+                        let accesses: Vec<(u8, u64)> = (0..device.warp_size as u64)
+                            .map(|i| (i as u8, base + i * lane_stride))
+                            .collect();
+                        w.gmem_read(&accesses, 4, None);
+                    }
+                    b.push_warp(w.finish());
+                }
+                b.finish()
+            });
+            let r = k.finish();
+            r.gmem.requested_bytes as f64 / r.total_ns
+        };
+        let smem = || {
+            let grid = crate::occupancy::concurrent_blocks(device, 256, 16 * 1024).max(1);
+            let mut k = KernelSim::new(device, grid, 256, 16 * 1024);
+            let lanes: Vec<u8> = (0..device.warp_size as u8).collect();
+            k.simulate_blocks(&[0], |_, mut b| {
+                for _ in 0..warps {
+                    let mut w = b.warp();
+                    for _ in 0..STREAM_STEPS {
+                        w.smem_access(&lanes, 4);
+                    }
+                    b.push_warp(w.finish());
+                }
+                b.finish()
+            });
+            let r = k.finish();
+            r.smem.requested_bytes as f64 / r.total_ns
+        };
+        [smem(), smem(), gmem(4), gmem(4096)]
+    }
+
+    #[test]
+    fn one_warp_streams_match_every_warp_simulated() {
+        let mut devices = DeviceSpec::paper_devices();
+        for transaction_bytes in [32, 512] {
+            let mut d = DeviceSpec::tesla_p100();
+            d.name = "P100 with other transactions";
+            d.transaction_bytes = transaction_bytes;
+            d.validate().unwrap();
+            devices.push(d);
+        }
+        for d in &devices {
+            let p = measure(d);
+            let measured = [p.bw_r_smem, p.bw_w_smem, p.bw_r_gmem_coa, p.bw_r_gmem_ncoa];
+            let reference = every_warp_streams(d);
+            assert_eq!(
+                measured.map(f64::to_bits),
+                reference.map(f64::to_bits),
+                "{} ({} B transactions): {measured:?} vs {reference:?}",
+                d.name,
+                d.transaction_bytes
+            );
+        }
+    }
 
     #[test]
     fn reduce_fits_recover_device_constants() {

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use tahoe_datasets::SampleMatrix;
 use tahoe_forest::probability::EdgeCounter;
-use tahoe_forest::{Forest, ForestStats};
+use tahoe_forest::Forest;
 use tahoe_gpu_sim::device::DeviceSpec;
 use tahoe_gpu_sim::kernel::Detail;
 use tahoe_gpu_sim::memory::{DeviceMemory, OomError, ALLOC_ALIGN, GLOBAL_BASE};
@@ -176,7 +176,6 @@ pub struct Engine {
     hw: MeasuredParams,
     options: EngineOptions,
     forest: Forest,
-    stats: ForestStats,
     device_forest: DeviceForest,
     /// The §4 layout the image was built from. It is a function of the
     /// forest and options alone, so [`Engine::retarget`] reuses it on other
@@ -263,7 +262,6 @@ impl Engine {
         let mut mem = DeviceMemory::for_device(&device);
         mem.attach_telemetry(&sink);
         Self {
-            stats: forest.stats(),
             counter: options.track_probabilities.then(|| EdgeCounter::new(&forest)),
             device,
             hw,
@@ -308,7 +306,6 @@ impl Engine {
             hw: self.hw,
             options: self.options,
             forest: self.forest.clone(),
-            stats: self.stats,
             device_forest: self.device_forest.clone(),
             plan: self.plan.clone(),
             mem,
@@ -390,7 +387,6 @@ impl Engine {
             rearrange,
             convert_ns: t0.elapsed().as_nanos() as u64,
         };
-        self.stats = self.forest.stats();
         if self.sink.is_enabled() {
             self.sink.name_process(PID_ENGINE, "engine");
             let rearrange_ns = report.rearrange.total_ns() as f64;
@@ -485,7 +481,8 @@ impl Engine {
             block_threads: THREADS_PER_BLOCK,
             telemetry: TelemetryCtx { sink: &self.sink, t0_ns: self.clock_ns },
         };
-        let inputs = ModelInputs::gather(&self.device_forest, &self.stats, samples);
+        let stats = self.device_forest.forest_stats();
+        let inputs = ModelInputs::gather(&self.device_forest, stats, samples);
         let cal_enabled = self.options.calibration;
         let cal = cal_enabled.then_some(&self.calibrator);
         // Model evaluation: sweep every strategy × block size (Algorithm 1

@@ -143,6 +143,17 @@ impl SlotMap {
 /// overflows sensible limits (callers gate dense mode by depth).
 #[must_use]
 pub fn assign_slots(forest: &Forest, plan: &LayoutPlan, mode: StorageMode) -> SlotMap {
+    assign_slots_at_depth(forest, plan, mode, forest.stats().max_depth)
+}
+
+/// As [`assign_slots`], for a forest whose deepest tree is `max_depth` deep
+/// (only dense mode reads it).
+pub(crate) fn assign_slots_at_depth(
+    forest: &Forest,
+    plan: &LayoutPlan,
+    mode: StorageMode,
+    max_depth: usize,
+) -> SlotMap {
     plan.validate(forest);
     let n_trees = forest.n_trees();
     // Per layout tree: heap positions after swaps.
@@ -153,7 +164,7 @@ pub fn assign_slots(forest: &Forest, plan: &LayoutPlan, mode: StorageMode) -> Sl
         .collect();
     match mode {
         StorageMode::Dense => {
-            let depth = forest.stats().max_depth as u32;
+            let depth = max_depth as u32;
             assert!(depth < 26, "dense mode unusable at depth {depth}");
             let n_levels = depth + 1;
             let slots_per_tree = (1u64 << n_levels) - 1;

@@ -12,11 +12,12 @@ pub mod layout;
 pub mod node;
 
 use tahoe_datasets::{ForestKind, SampleMatrix};
-use tahoe_forest::Forest;
+use tahoe_forest::{Forest, ForestStats};
 use tahoe_gpu_sim::memory::{DeviceMemory, OomError};
 use tahoe_gpu_sim::GlobalBuffer;
 
 pub use layout::{assign_slots, assign_slots_paired, LayoutPlan, SlotMap, StorageMode};
+use layout::assign_slots_at_depth;
 pub use node::{AttrWidth, DeviceNode, PackedWidth, NO_SLOT};
 
 use tahoe_forest::Node as HostNode;
@@ -112,12 +113,11 @@ pub struct DeviceForest {
     child_width: Option<AttrWidth>,
     mode: StorageMode,
     lanes: Vec<NodeLane>,
-    n_trees: usize,
-    n_attributes: u32,
+    /// Structural summary of the host forest, computed once per build.
+    stats: ForestStats,
     kind: ForestKind,
     base_score: f32,
     tree_order: Vec<usize>,
-    max_depth: usize,
 }
 
 /// Minimal width for the packed sparse child lane: tree-relative offsets up
@@ -220,7 +220,7 @@ impl DeviceForest {
         let map = if encoding == NodeEncoding::Packed && mode == StorageMode::Sparse {
             assign_slots_paired(forest, plan)
         } else {
-            assign_slots(forest, plan, mode)
+            assign_slots_at_depth(forest, plan, mode, stats.max_depth)
         };
         let explicit = mode == StorageMode::Sparse;
         let child_width = match (encoding, mode) {
@@ -326,12 +326,10 @@ impl DeviceForest {
             child_width,
             mode,
             lanes,
-            n_trees: forest.n_trees(),
-            n_attributes: forest.n_attributes(),
             kind: forest.kind(),
             base_score: forest.base_score(),
             tree_order: plan.tree_order.clone(),
-            max_depth: stats.max_depth,
+            stats,
         })
     }
 
@@ -495,7 +493,7 @@ impl DeviceForest {
 
     /// Dense-mode child slots via heap arithmetic.
     fn dense_children(&self, slot: u32) -> (u32, u32) {
-        let n_trees = self.n_trees as u64;
+        let n_trees = self.stats.n_trees as u64;
         let slot64 = u64::from(slot);
         let level = self.levels[slot as usize];
         let base = n_trees * ((1u64 << level) - 1);
@@ -555,13 +553,13 @@ impl DeviceForest {
     /// Number of trees.
     #[must_use]
     pub fn n_trees(&self) -> usize {
-        self.n_trees
+        self.stats.n_trees
     }
 
     /// Number of attributes the forest tests.
     #[must_use]
     pub fn n_attributes(&self) -> u32 {
-        self.n_attributes
+        self.stats.n_attributes as u32
     }
 
     /// Encoded node size in bytes (the models' `S_node`).
@@ -601,13 +599,20 @@ impl DeviceForest {
     /// Shared-memory footprint of the whole forest.
     #[must_use]
     pub fn forest_smem_bytes(&self) -> usize {
-        self.trees_smem_bytes(0, self.n_trees)
+        self.trees_smem_bytes(0, self.stats.n_trees)
+    }
+
+    /// Structural summary of the forest the image encodes (the models'
+    /// `D_tree`, `N_trees` and `N_nodes` inputs).
+    #[must_use]
+    pub fn forest_stats(&self) -> &ForestStats {
+        &self.stats
     }
 
     /// Maximum tree depth.
     #[must_use]
     pub fn max_depth(&self) -> usize {
-        self.max_depth
+        self.stats.max_depth
     }
 
     /// Layout order: `tree_order[layout_idx] = original index`.
@@ -640,7 +645,7 @@ impl DeviceForest {
     pub fn aggregate(&self, tree_output_sum: f32) -> f32 {
         match self.kind {
             ForestKind::Gbdt => self.base_score + tree_output_sum,
-            ForestKind::RandomForest => tree_output_sum / self.n_trees as f32,
+            ForestKind::RandomForest => tree_output_sum / self.stats.n_trees as f32,
         }
     }
 
@@ -650,7 +655,7 @@ impl DeviceForest {
         (0..samples.n_samples())
             .map(|i| {
                 let row = samples.row(i);
-                let sum: f32 = (0..self.n_trees).map(|t| self.tree_leaf(t, row)).sum();
+                let sum: f32 = (0..self.stats.n_trees).map(|t| self.tree_leaf(t, row)).sum();
                 self.aggregate(sum)
             })
             .collect()

@@ -65,7 +65,8 @@ pub struct ModelInputs {
 }
 
 impl ModelInputs {
-    /// Gathers the inputs from a device forest and its batch.
+    /// Gathers the inputs from a device forest, its structure summary
+    /// (`forest.forest_stats()`) and its batch.
     #[must_use]
     pub fn gather(
         forest: &DeviceForest,
@@ -237,7 +238,8 @@ mod tests {
 
     fn setup(name: &str) -> (Fixture, ModelInputs, MeasuredParams) {
         let fx = Fixture::trained(name);
-        let inputs = ModelInputs::gather(&fx.device_forest, &fx.forest.stats(), &fx.samples);
+        let stats = fx.device_forest.forest_stats();
+        let inputs = ModelInputs::gather(&fx.device_forest, stats, &fx.samples);
         let hw = measure(&fx.device);
         (fx, inputs, hw)
     }

@@ -12,9 +12,9 @@
 //! pair's differing chunks are the nonzero slots of the XOR of their words,
 //! found with a carry test and a popcount. That fills a dense `N × N` matrix
 //! in `O(N² · L / 64)` word operations, where bucketing performed up to
-//! `O(N²)` hash-map updates per chunk. Rows are filled on the worker pool.
-
-use tahoe_gpu_sim::parallel::parallel_map;
+//! `O(N²)` hash-map updates per chunk. The upper triangle is written in
+//! place, row by row, and mirrored onto the lower one tile by tile; nothing
+//! is allocated per row.
 
 use super::simhash::Checksum;
 
@@ -109,6 +109,15 @@ impl ChunkLayout {
     /// 64 bits at a time.
     fn slot_into(&self, checksum: &Checksum, out: &mut [u64]) {
         let words = checksum.words();
+        if self.chunk_len == self.slot_bits {
+            // The chunks already sit in their slots.
+            out.copy_from_slice(&words[..out.len()]);
+            let tail = self.n_chunks * self.chunk_len % 64;
+            if tail > 0 {
+                out[out.len() - 1] &= (1 << tail) - 1;
+            }
+            return;
+        }
         for chunk in 0..self.n_chunks {
             for piece in (0..self.chunk_len).step_by(64) {
                 let len = (self.chunk_len - piece).min(64);
@@ -126,8 +135,12 @@ impl ChunkLayout {
         }
     }
 
+    /// The top bit of every slot within a word (slots of up to 64 bits).
+    fn slot_tops(&self) -> u64 {
+        self.slot_starts << (self.slot_bits - 1)
+    }
+
     /// Number of chunks in which two slotted checksums differ.
-    #[inline]
     fn differing(&self, a: &[u64], b: &[u64]) -> u32 {
         if self.slot_bits > 64 {
             let per_slot = self.slot_bits / 64;
@@ -137,26 +150,55 @@ impl ChunkLayout {
                 .filter(|(x, y)| x != y);
             return differ.count() as u32;
         }
-        // A slot of the XOR is nonzero exactly when its top bit is set or
-        // adding all-ones below the top bit carries into it; no slot carries
-        // into the next.
-        let top = self.slot_starts << (self.slot_bits - 1);
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| {
-                let d = x ^ y;
-                ((((d & !top) + !top) | d) & top).count_ones()
-            })
-            .sum()
+        differing_slots(self.slot_tops(), a, b)
     }
+
+    /// Writes the counts of tree `a` against every later tree into
+    /// `out[b - a - 1]`, from checksums slotted `w` words each.
+    fn fill_upper(&self, slotted: &[u64], w: usize, a: usize, out: &mut [u32]) {
+        let n_chunks = self.n_chunks as u32;
+        let sa = &slotted[a * w..(a + 1) * w];
+        for (sb, count) in slotted[(a + 1) * w..].chunks_exact(w).zip(out) {
+            *count = n_chunks - self.differing(sa, sb);
+        }
+    }
+
+    /// As [`Self::fill_upper`] for slots of up to 64 bits and a width `W`
+    /// known at compile time, so the per-pair word loop unrolls.
+    fn fill_upper_narrow<const W: usize>(&self, slotted: &[u64], a: usize, out: &mut [u32]) {
+        let (rows, _) = slotted.as_chunks::<W>();
+        let (n_chunks, tops) = (self.n_chunks as u32, self.slot_tops());
+        for (sb, count) in rows[a + 1..].iter().zip(out) {
+            *count = n_chunks - differing_slots(tops, &rows[a], sb);
+        }
+    }
+}
+
+/// Number of nonzero slots of `a ^ b`, for slots of up to 64 bits whose top
+/// bits are `tops`: a slot is nonzero exactly when its top bit is set or
+/// adding all-ones below the top bit carries into it, and no slot carries
+/// into the next.
+#[inline]
+fn differing_slots(tops: u64, a: &[u64], b: &[u64]) -> u32 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| {
+            let d = x ^ y;
+            ((((d & !tops) + !tops) | d) & tops).count_ones()
+        })
+        .sum()
 }
 
 /// Counts chunk collisions between all trees.
 ///
-/// The upper triangle of each row (`b > a`) is filled in parallel, in
-/// order; the calling thread then writes the matrix row by row, in index
-/// order, mirroring the lower triangle from the rows above. The counts are
-/// integers, so the matrix is identical at any worker count.
+/// Each row's upper triangle (`b > a`) is written straight into the
+/// matrix, with the word count fixed at compile time for narrow slots in up
+/// to four words (the default 128 bits in 64 chunks slot into two), which
+/// takes less than half the time of the run-time-width loop; the lower
+/// triangle is then mirrored tile by tile. The fill is serial: for
+/// hundreds of trees the whole matrix costs a few hundred microseconds, less
+/// than handing rows to the worker pool and merging them back cost on two
+/// cores.
 ///
 /// # Panics
 ///
@@ -182,19 +224,47 @@ pub fn count_collisions(checksums: &[Checksum], m_chunks: usize) -> CollisionMat
     for (checksum, out) in checksums.iter().zip(slotted.chunks_exact_mut(w)) {
         layout.slot_into(checksum, out);
     }
-    let n_chunks = layout.n_chunks as u32;
-    let upper: Vec<Vec<u32>> = parallel_map(n, |a| {
-        let sa = &slotted[a * w..(a + 1) * w];
-        let later = slotted[(a + 1) * w..].chunks_exact(w);
-        later.map(|sb| n_chunks - layout.differing(sa, sb)).collect()
-    });
     for (a, row) in counts.counts.chunks_exact_mut(n).enumerate() {
-        for (b, count) in row[..a].iter_mut().enumerate() {
-            *count = upper[b][a - b - 1];
+        let upper = &mut row[a + 1..];
+        match (layout.slot_bits <= 64, w) {
+            (true, 1) => layout.fill_upper_narrow::<1>(&slotted, a, upper),
+            (true, 2) => layout.fill_upper_narrow::<2>(&slotted, a, upper),
+            (true, 3) => layout.fill_upper_narrow::<3>(&slotted, a, upper),
+            (true, 4) => layout.fill_upper_narrow::<4>(&slotted, a, upper),
+            _ => layout.fill_upper(&slotted, w, a, upper),
         }
-        row[a + 1..].copy_from_slice(&upper[a]);
     }
+    mirror_upper(&mut counts.counts, n);
     counts
+}
+
+/// Copies the upper triangle of the row-major `n × n` matrix onto the lower
+/// one (`m[a][b] = m[b][a]` for `b < a`), one tile at a time: the tiles left
+/// of each diagonal tile read the rows above it, and the diagonal tile reads
+/// itself.
+fn mirror_upper(m: &mut [u32], n: usize) {
+    // A tile row of 32 counts spans two cache lines, so one tile's reads
+    // and writes stay within a few dozen lines at any matrix size; at 2000
+    // trees that takes half the time of the plain triangular copy.
+    const T: usize = 32;
+    for a0 in (0..n).step_by(T) {
+        let a1 = (a0 + T).min(n);
+        let (above, rows) = m.split_at_mut(a0 * n);
+        for b0 in (0..a0).step_by(T) {
+            for a in a0..a1 {
+                let lower = &mut rows[(a - a0) * n + b0..(a - a0) * n + b0 + T];
+                let column = above[b0 * n + a..].iter().step_by(n);
+                for (count, &mirrored) in lower.iter_mut().zip(column) {
+                    *count = mirrored;
+                }
+            }
+        }
+        for a in a0 + 1..a1 {
+            for b in a0..a {
+                rows[(a - a0) * n + b] = rows[(b - a0) * n + a];
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -285,10 +355,12 @@ mod tests {
         assert_eq!(count_collisions(&[], 4).n_trees(), 0);
     }
 
-    #[test]
-    fn dense_counts_match_bucket_hashing() {
-        // Chunk widths 1, 2, 3, 5 (slots of 1, 2, 4, 8 bits), 64 and 100
-        // (whole-word slots), and trailing bits that fill no chunk.
+    /// Checks every pair of `n` checksums, in both triangles, against
+    /// bucket hashing, for chunk widths 1, 2, 3, 4, 5 (slots of 1, 2, 4, 4, 8
+    /// bits), 64, 100 and 128 (whole-word slots), trailing bits that fill no
+    /// chunk, and narrow slots in 1 to 4 words (compile-time width) and in 8
+    /// (run-time width).
+    fn assert_dense_matches_buckets(n: usize) {
         let shapes = [
             (128, 64),
             (128, 128),
@@ -298,11 +370,15 @@ mod tests {
             (128, 2),
             (200, 2),
             (128, 1),
+            (320, 64),
+            (512, 128),
+            (96, 32),
+            (40, 8),
         ];
         let mut z = 0x9E37_79B9_7F4A_7C15u64;
         for (l, m) in shapes {
             // Few distinct bit patterns, so that many chunks collide.
-            let bits: Vec<Vec<bool>> = (0..24)
+            let bits: Vec<Vec<bool>> = (0..n)
                 .map(|_| {
                     z = z
                         .wrapping_mul(6_364_136_223_846_793_005)
@@ -318,10 +394,24 @@ mod tests {
             for a in 0..bits.len() {
                 for b in a + 1..bits.len() {
                     let expected = reference.get(&(a, b)).copied().unwrap_or(0);
-                    assert_eq!(dense.get(a, b), expected, "l {l} m {m} pair ({a}, {b})");
-                    assert_eq!(dense.get(b, a), expected, "l {l} m {m} pair ({b}, {a})");
+                    assert_eq!(dense.get(a, b), expected, "n {n} l {l} m {m} pair ({a}, {b})");
+                    assert_eq!(dense.get(b, a), expected, "n {n} l {l} m {m} pair ({b}, {a})");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn dense_counts_match_bucket_hashing() {
+        assert_dense_matches_buckets(24);
+    }
+
+    #[test]
+    fn dense_counts_match_bucket_hashing_across_mirror_tiles() {
+        // Several whole tiles of the lower-triangle mirror, then a ragged
+        // last tile one row past a tile edge.
+        for n in [100, 257] {
+            assert_dense_matches_buckets(n);
         }
     }
 }

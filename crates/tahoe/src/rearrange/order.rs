@@ -9,9 +9,9 @@
 //! unplaced tree, restart from the most similar remaining pair (or any
 //! remaining tree). Ties break toward lower indices for determinism.
 //!
-//! Counts are small integers, so the restart list — every colliding pair,
-//! highest count first, then lexicographic — is a counting sort into one
-//! bucket per count rather than a comparison sort.
+//! The chain never lists pairs: a restart scans the matrix for its best
+//! pair of unplaced trees, and each step takes a masked argmax over the
+//! tail's row, in which placed trees read as count zero.
 
 use super::lsh::CollisionMatrix;
 
@@ -20,83 +20,64 @@ use super::lsh::CollisionMatrix;
 #[must_use]
 pub fn order_by_similarity(counts: &CollisionMatrix) -> Vec<usize> {
     let n_trees = counts.n_trees();
-    let mut placed = vec![false; n_trees];
+    // All-ones while a tree is unplaced, zero once placed: a count ANDed
+    // with its tree's mask is the count the chain may still use.
+    let mut unplaced = vec![u32::MAX; n_trees];
     let mut order = Vec::with_capacity(n_trees);
-    let pairs = pairs_by_count(counts);
-    let mut pair_cursor = 0usize;
     while order.len() < n_trees {
         // Start (or restart) the chain from the best unplaced pair.
-        let mut tail: Option<usize> = None;
-        while pair_cursor < pairs.len() {
-            let (a, b) = (pairs[pair_cursor].0 as usize, pairs[pair_cursor].1 as usize);
-            if !placed[a] && !placed[b] {
-                placed[a] = true;
-                placed[b] = true;
-                order.push(a);
-                order.push(b);
-                tail = Some(b);
-                break;
-            }
-            pair_cursor += 1;
-        }
-        let Some(mut tail) = tail else {
+        let Some((a, mut tail)) = best_pair(counts, &unplaced) else {
             // No collision pairs left; append remaining trees in index order.
-            order.extend((0..n_trees).filter(|&t| !placed[t]));
+            order.extend((0..n_trees).filter(|&t| unplaced[t] != 0));
             break;
         };
+        for t in [a, tail] {
+            unplaced[t] = 0;
+            order.push(t);
+        }
         // Extend the chain while the tail has similar unplaced trees.
-        loop {
-            let row = counts.row(tail);
-            let mut best: Option<(u32, usize)> = None;
-            for (t, &c) in row.iter().enumerate() {
-                if c > best.map_or(0, |(bc, _)| bc) && !placed[t] {
-                    best = Some((c, t));
-                }
-            }
-            match best {
-                Some((_, t)) => {
-                    placed[t] = true;
-                    order.push(t);
-                    tail = t;
-                }
-                None => break,
-            }
+        while let Some(t) = masked_argmax(counts.row(tail), &unplaced) {
+            unplaced[t] = 0;
+            order.push(t);
+            tail = t;
         }
     }
     order
 }
 
-/// Every pair `(a, b)`, `a < b`, with a nonzero count: highest count first,
-/// then lexicographic. Filling the buckets in lexicographic pair order keeps
-/// each bucket lexicographic.
-fn pairs_by_count(counts: &CollisionMatrix) -> Vec<(u32, u32)> {
-    let n = counts.n_trees();
-    let upper = |a: usize| &counts.row(a)[a + 1..];
-    let max = (0..n).flat_map(upper).copied().max().unwrap_or(0) as usize;
-    let mut bucket_len = vec![0usize; max + 1];
-    for a in 0..n {
-        for &c in upper(a) {
-            bucket_len[c as usize] += 1;
+/// `row[t] & mask[t]`: the counts of the trees the mask leaves in.
+fn masked<'a>(row: &'a [u32], mask: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    row.iter().zip(mask).map(|(&c, &m)| c & m)
+}
+
+/// The lowest index holding the largest nonzero masked count, if any.
+///
+/// Both passes are branch-free over the row: a masked maximum, then the
+/// first position that reaches it.
+fn masked_argmax(row: &[u32], mask: &[u32]) -> Option<usize> {
+    let best = masked(row, mask).fold(0, u32::max);
+    if best == 0 {
+        return None;
+    }
+    masked(row, mask).position(|c| c == best)
+}
+
+/// The pair `(a, b)`, `a < b`, of unplaced trees with the highest nonzero
+/// count, lexicographically first among ties (the chain's restart point):
+/// the first row to reach the highest masked maximum, at its argmax.
+fn best_pair(counts: &CollisionMatrix, unplaced: &[u32]) -> Option<(usize, usize)> {
+    let upper = |a: usize| (&counts.row(a)[a + 1..], &unplaced[a + 1..]);
+    let mut best: Option<(u32, usize)> = None;
+    for a in (0..counts.n_trees()).filter(|&a| unplaced[a] != 0) {
+        let (row, mask) = upper(a);
+        let max = masked(row, mask).fold(0, u32::max);
+        if max > best.map_or(0, |(c, _)| c) {
+            best = Some((max, a));
         }
     }
-    // Bucket `c` starts after every bucket with a higher count; count 0 is
-    // never listed.
-    let mut next = vec![0usize; max + 1];
-    let mut total = 0;
-    for c in (1..=max).rev() {
-        next[c] = total;
-        total += bucket_len[c];
-    }
-    let mut pairs = vec![(0u32, 0u32); total];
-    for a in 0..n {
-        for (b, &c) in upper(a).iter().enumerate() {
-            if c > 0 {
-                pairs[next[c as usize]] = (a as u32, (a + 1 + b) as u32);
-                next[c as usize] += 1;
-            }
-        }
-    }
-    pairs
+    let (_, a) = best?;
+    let (row, mask) = upper(a);
+    Some((a, a + 1 + masked_argmax(row, mask)?))
 }
 
 #[cfg(test)]
@@ -196,13 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn pairs_are_bucketed_by_descending_count_then_lexicographic() {
-        let c = counts(4, &[((2, 3), 2), ((0, 3), 5), ((0, 1), 2), ((1, 2), 5)]);
-        assert_eq!(pairs_by_count(&c), vec![(0, 3), (1, 2), (0, 1), (2, 3)]);
-    }
-
-    #[test]
-    fn bucketed_order_matches_the_comparison_sort_reference() {
+    fn order_matches_the_comparison_sort_reference() {
         // Dense, sparse and tie-heavy random matrices.
         let mut z = 0x2545_F491_4F6C_DD1Du64;
         for (n, max, density) in [

@@ -89,16 +89,27 @@ impl Accumulator {
     /// Hashes one token and adds `+weight` to each component whose hash bit
     /// is 1 and `-weight` to each whose bit is 0.
     pub fn add(&mut self, bytes: &[u8], weight: f32) {
+        /// Lane `i` of a half-word tests bit `i`.
+        const LANE_BITS: [u32; 32] = {
+            let mut bits = [0; 32];
+            let mut i = 0;
+            while i < 32 {
+                bits[i] = 1 << i;
+                i += 1;
+            }
+            bits
+        };
         hash_bits(bytes, self.l_hash, &mut self.bits);
         // Negation only flips the sign bit, so setting it where the hash bit
-        // is 0 adds exactly `-weight`, with no branch on a random bit. Four
-        // lanes at a time test one nibble, which vectorizes.
+        // is 0 adds exactly `-weight`, with no branch on a random bit. Each
+        // lane tests its bit against a constant mask, 32 lanes per half-word,
+        // which vectorizes.
         let weight = weight.to_bits();
         for (lanes, &word) in self.lanes.chunks_exact_mut(64).zip(&self.bits) {
-            for (k, quad) in lanes.chunks_exact_mut(4).enumerate() {
-                let nibble = (word >> (4 * k)) as u32;
-                for (i, sum) in quad.iter_mut().enumerate() {
-                    let sign = if nibble & (1 << i) == 0 { 1 << 31 } else { 0 };
+            for (half, lanes) in lanes.chunks_exact_mut(32).enumerate() {
+                let bits = (word >> (32 * half)) as u32;
+                for (sum, &bit) in lanes.iter_mut().zip(&LANE_BITS) {
+                    let sign = u32::from(bits & bit == 0) << 31;
                     *sum += f32::from_bits(weight ^ sign);
                 }
             }

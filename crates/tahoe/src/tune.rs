@@ -129,7 +129,8 @@ mod tests {
 
     fn setup() -> (Fixture, ModelInputs, MeasuredParams) {
         let fx = Fixture::trained("letter");
-        let inputs = ModelInputs::gather(&fx.device_forest, &fx.forest.stats(), &fx.samples);
+        let stats = fx.device_forest.forest_stats();
+        let inputs = ModelInputs::gather(&fx.device_forest, stats, &fx.samples);
         let hw = measure(&fx.device);
         (fx, inputs, hw)
     }

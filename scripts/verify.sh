@@ -36,7 +36,7 @@ rm -rf "$STUB_TARGET"
 # the functional equivalence proofs (every format/plan/strategy, classic and
 # packed node encodings, vs the CPU reference) hold at both worker counts.
 # The rearrange unit tests pin the §4.2 tree orders and checksums, whose
-# SimHash and LSH stages run on the worker pool.
+# SimHash stage runs on the worker pool.
 for workers in 1 4; do
     TAHOE_SIM_THREADS=$workers \
         cargo test --release --test determinism --test telemetry_schema \

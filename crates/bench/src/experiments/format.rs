@@ -15,7 +15,7 @@
 
 use serde::Serialize;
 
-use tahoe::engine::{Engine, EngineOptions, NodeEncodingChoice};
+use tahoe::engine::{Engine, EngineOptions};
 use tahoe::format::{DeviceForest, FormatConfig, LayoutPlan, NodeEncoding, StorageMode};
 use tahoe::strategy::Strategy;
 use tahoe_datasets::SampleMatrix;
@@ -169,7 +169,7 @@ pub fn run(env: &Env) -> FormatResult {
         ..tahoe_opts(env)
     };
     let packed_opts = EngineOptions {
-        node_encoding: NodeEncodingChoice::Packed,
+        node_encoding: NodeEncoding::Packed,
         ..classic_opts
     };
     let mut rows = Vec::new();

@@ -93,7 +93,7 @@ impl GpuCluster {
     /// this halved the median set-up of a K80 + P100 + V100 + P100 cluster
     /// over the letter forest, from 8.2 to 4.1 ms (DESIGN.md §2.11). Each
     /// slot's engine executes on a [`DeviceSpec::downclocked`] copy of its
-    /// spec (see [`silicon_lottery_slowdown`]): slot 0 is nominal, later
+    /// spec (see `silicon_lottery_slowdown`): slot 0 is nominal, later
     /// slots run up to 1 % slower, deterministically.
     ///
     /// # Panics

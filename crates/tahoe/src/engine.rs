@@ -26,32 +26,6 @@ use crate::telemetry::decision::{DecisionCandidate, DecisionRecord};
 use crate::telemetry::{timeseries, Counter, TelemetryCtx, TelemetrySink, PID_ENGINE};
 use crate::tune;
 
-/// How the engine picks the device-node encoding (DESIGN.md §2.13).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NodeEncodingChoice {
-    /// Whole-node records — the historical layout and the default, so the
-    /// presets stay bit-identical to what they always produced.
-    #[default]
-    Classic,
-    /// Packed struct-of-arrays lanes; falls back to classic when the
-    /// attribute count exceeds [`crate::format::PackedWidth`]'s 29-bit cap.
-    Packed,
-    /// Packed whenever the attribute count is representable (same fallback
-    /// rule as `Packed` — the format layer decides).
-    Auto,
-}
-
-impl NodeEncodingChoice {
-    /// The concrete encoding to request from the format layer.
-    #[must_use]
-    pub fn resolve(self) -> NodeEncoding {
-        match self {
-            Self::Classic => NodeEncoding::Classic,
-            Self::Packed | Self::Auto => NodeEncoding::Packed,
-        }
-    }
-}
-
 /// Which of Tahoe's techniques an engine applies (the knobs behind the
 /// paper's Fig. 8 breakdown).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -81,8 +55,10 @@ pub struct EngineOptions {
     pub track_probabilities: bool,
     /// Device-node encoding (DESIGN.md §2.13). The presets keep the classic
     /// whole-node layout so their simulated traces stay byte-identical;
-    /// `tahoe-cli` defaults to `Auto`.
-    pub node_encoding: NodeEncodingChoice,
+    /// `tahoe-cli` defaults to `Packed`. A `Packed` request falls back to
+    /// classic when the attribute count exceeds [`crate::format::PackedWidth`]'s
+    /// 29-bit cap (the format layer decides).
+    pub node_encoding: NodeEncoding,
     /// Online recalibration of the §6 constants from the engine's own drift
     /// stream (DESIGN.md §2.16). Off in the presets so their selections and
     /// exports stay bit-identical to the historical engine; `tahoe-cli`
@@ -105,7 +81,7 @@ impl EngineOptions {
             similarity: SimilarityParams::default(),
             functional: true,
             track_probabilities: false,
-            node_encoding: NodeEncodingChoice::Classic,
+            node_encoding: NodeEncoding::Classic,
             calibration: false,
         }
     }
@@ -123,7 +99,7 @@ impl EngineOptions {
             similarity: SimilarityParams::default(),
             functional: true,
             track_probabilities: false,
-            node_encoding: NodeEncodingChoice::Classic,
+            node_encoding: NodeEncoding::Classic,
             calibration: false,
         }
     }
@@ -371,7 +347,7 @@ impl Engine {
         let config = FormatConfig {
             varlen_attr: self.options.varlen_attr,
             mode: None,
-            encoding: self.options.node_encoding.resolve(),
+            encoding: self.options.node_encoding,
         };
         let t0 = Instant::now();
         // Release the previous image before building the replacement —
@@ -977,7 +953,7 @@ mod tests {
         let reference = predict_dataset(&forest, &samples);
         let classic = Engine::tahoe(DeviceSpec::tesla_p100(), forest.clone());
         let options = EngineOptions {
-            node_encoding: NodeEncodingChoice::Auto,
+            node_encoding: NodeEncoding::Packed,
             ..EngineOptions::tahoe()
         };
         let mut packed = Engine::new(DeviceSpec::tesla_p100(), forest, options);

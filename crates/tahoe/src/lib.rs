@@ -60,7 +60,7 @@ pub mod telemetry;
 pub mod tune;
 
 pub use cluster::{ClusterRun, DeviceRun, GpuCluster};
-pub use engine::{Engine, EngineOptions, InferenceResult, NodeEncodingChoice};
+pub use engine::{Engine, EngineOptions, InferenceResult};
 pub use format::{DeviceForest, FormatConfig, LayoutPlan, NodeEncoding, PackedWidth};
 pub use perfmodel::{Calibrator, ModelInputs, Prediction};
 pub use profile::{KernelProfile, ProfilesExport};

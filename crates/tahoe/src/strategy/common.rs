@@ -4,7 +4,7 @@ use std::cell::RefCell;
 
 use tahoe_datasets::SampleMatrix;
 use tahoe_gpu_sim::device::DeviceSpec;
-use tahoe_gpu_sim::kernel::{Detail, KernelResult, KernelSim};
+use tahoe_gpu_sim::kernel::{sample_plan, Detail, KernelResult, KernelSim};
 use tahoe_gpu_sim::memory::GlobalBuffer;
 use tahoe_gpu_sim::{BlockSim, WarpSim};
 
@@ -174,18 +174,6 @@ pub fn launch_kernel<'a>(
     sim
 }
 
-/// Round-robin tree assignment: thread `t` owns layout trees
-/// `t, t + T, t + 2T, ...` (§2: "trees in the tree ensemble are evenly
-/// assigned to threads in a round-robin way").
-#[must_use]
-pub fn round_robin_trees(n_trees: usize, n_threads: usize) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); n_threads];
-    for tree in 0..n_trees {
-        out[tree % n_threads].push(tree as u32);
-    }
-    out
-}
-
 /// Simulated address of `samples[sample][attr]`.
 #[must_use]
 pub fn sample_attr_addr(
@@ -197,32 +185,20 @@ pub fn sample_attr_addr(
     buf.elem_addr((sample * n_attributes + attr) as u64, 4)
 }
 
-/// Reusable buffers for [`simulate_staging`]'s access loop.
-#[derive(Default)]
-struct StagingScratch {
-    lanes: Vec<u8>,
-    accesses: Vec<(u8, u64)>,
-}
-
-thread_local! {
-    static STAGING_SCRATCH: RefCell<StagingScratch> = RefCell::new(StagingScratch::default());
-}
-
 /// Simulates a block cooperatively streaming `n_words` consecutive f32 words
 /// from global memory into shared memory (fully coalesced reads + shared
 /// writes), spreading the work over the block's warps.
 ///
 /// Used for the sample staging of shared-data and the forest staging of
 /// splitting-shared-forest. Returns nothing; costs accrue on the block.
-/// Access buffers are reused from a per-thread pool, so blocks fanned out by
-/// `KernelSim::simulate_blocks` stage without per-step allocations.
+/// Access buffers come from the worker's `BlockScratch`, so blocks fanned
+/// out by `KernelSim::simulate_blocks` stage without per-step allocations.
 pub fn simulate_staging(block: &mut BlockSim<'_>, base_addr: u64, n_words: usize, n_warps: usize) {
     let warp_size = block.device().warp_size as usize;
     let total_steps = n_words.div_ceil(warp_size);
-    STAGING_SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        scratch.lanes.clear();
-        scratch.lanes.extend(0..warp_size as u8);
+    with_block_scratch(|scratch| {
+        scratch.active.clear();
+        scratch.active.extend(0..warp_size as u8);
         for w in 0..n_warps {
             let mut warp = block.warp();
             // Warp w handles steps w, w + W, ... (grid-stride loop).
@@ -235,7 +211,7 @@ pub fn simulate_staging(block: &mut BlockSim<'_>, base_addr: u64, n_words: usize
                     scratch.accesses.push((lane as u8, base_addr + word as u64 * 4));
                 }
                 warp.gmem_read_streamed(&scratch.accesses, 4, None);
-                warp.smem_access(&scratch.lanes[..end - start], 4);
+                warp.smem_access(&scratch.active[..end - start], 4);
                 step += n_warps;
             }
             // Staging is cooperative block-wide work, not a per-thread
@@ -317,150 +293,190 @@ pub fn stage_forest_slice(
     }
 }
 
-/// Per-lane traversal state machine over one tree, shared by the
-/// thread-per-sample strategies.
-///
-/// `lane_samples[lane] = Some(sample_idx)` for active lanes. Runs the level-
-/// synchronous loop: node read (from `node_src`), attribute read (from
-/// `attr_src`), node evaluation, advance — until every lane reaches a leaf.
-pub struct TraversalConfig {
-    /// Where node reads come from.
+/// Where a warp walk reads nodes and attributes: the §5.1 strategies differ
+/// in what they keep in shared memory.
+#[derive(Clone, Copy)]
+pub(crate) struct TraversalConfig {
+    /// Node reads hit the staged forest in shared memory; otherwise they are
+    /// dependent global reads, tagged with the tree level (Fig. 2a).
     pub nodes_shared: bool,
-    /// Where attribute reads come from.
+    /// Attribute reads hit the staged samples in shared memory; otherwise
+    /// they are global reads of the batch.
     pub attrs_shared: bool,
-    /// Tag gmem node reads with the tree level (Fig. 2a instrumentation).
-    pub tag_levels: bool,
 }
 
-/// Walks `tree` for every lane's sample, charging accesses to `warp`.
-#[allow(clippy::too_many_arguments)]
-pub fn traverse_tree_warp(
+/// Walks one warp level-synchronously until every lane reaches a leaf.
+///
+/// `start(lane)` is an active lane's start slot and sample, `None` for an
+/// idle lane. The thread-per-sample strategies start every lane at one
+/// tree's root, each with its own sample; shared data starts each lane at
+/// its round-robin tree, all on the one staged sample. Every level issues
+/// the node read, then — for lanes at decision nodes — the attribute read
+/// and the node evaluation.
+pub(crate) fn traverse_warp(
     warp: &mut WarpSim<'_>,
-    forest: &DeviceForest,
-    samples: &SampleMatrix,
-    sample_buf: GlobalBuffer,
-    layout_tree: usize,
-    lane_samples: &[Option<usize>],
-    cfg: &TraversalConfig,
-    scratch: &mut TraversalScratch,
+    ctx: &LaunchContext<'_>,
+    cfg: TraversalConfig,
+    start: impl Fn(usize) -> Option<(u32, usize)>,
+    scratch: &mut BlockScratch,
 ) {
-    let root = forest.roots()[layout_tree];
-    scratch.slots.clear();
-    scratch
-        .slots
-        .extend(lane_samples.iter().map(|s| s.map(|_| root)));
-    let n_attr = samples.n_attributes();
+    let forest = ctx.forest;
+    let values = ctx.samples.values();
+    let n_attr = ctx.samples.n_attributes();
+    let node_bytes = forest.node_bytes() as u64;
     let packed = forest.encoding() == NodeEncoding::Packed;
+    let child_lane = forest.lanes().len() > 2;
+    let s = scratch;
+    s.lanes.clear();
+    s.lanes.extend((0..ctx.device.warp_size as usize).map(start));
     let mut level = 0u32;
     loop {
-        // Gather active lanes' node reads. Lane 0 is the whole record
+        // Gather the active lanes' node reads. Lane 0 is the whole record
         // (classic) or the structural-bits entry (packed); the packed
-        // encoding additionally gathers the value and child lanes for a
-        // joint struct-of-arrays fetch.
-        scratch.node_accesses.clear();
-        scratch.value_accesses.clear();
-        scratch.child_accesses.clear();
-        for (lane, slot) in scratch.slots.iter().enumerate() {
-            if let Some(slot) = slot {
-                scratch
-                    .node_accesses
-                    .push((lane as u8, forest.lane_addr(0, *slot)));
-                if packed {
-                    scratch
-                        .value_accesses
-                        .push((lane as u8, forest.lane_addr(1, *slot)));
-                    if forest.lanes().len() > 2 {
-                        scratch
-                            .child_accesses
-                            .push((lane as u8, forest.lane_addr(2, *slot)));
-                    }
+        // encoding also gathers the value and child lanes for a joint
+        // struct-of-arrays fetch.
+        s.active.clear();
+        s.accesses.clear();
+        s.value_accesses.clear();
+        s.child_accesses.clear();
+        for (lane, state) in s.lanes.iter().enumerate() {
+            let Some((slot, _)) = *state else { continue };
+            let lane = lane as u8;
+            if cfg.nodes_shared {
+                s.active.push(lane);
+                continue;
+            }
+            s.accesses.push((lane, forest.lane_addr(0, slot)));
+            if packed {
+                s.value_accesses.push((lane, forest.lane_addr(1, slot)));
+                if child_lane {
+                    s.child_accesses.push((lane, forest.lane_addr(2, slot)));
                 }
             }
         }
-        if scratch.node_accesses.is_empty() {
+        if s.active.is_empty() && s.accesses.is_empty() {
             break;
         }
-        let node_bytes = forest.node_bytes() as u64;
         if cfg.nodes_shared {
-            scratch.active_lanes.clear();
-            scratch
-                .active_lanes
-                .extend(scratch.node_accesses.iter().map(|&(l, _)| l));
-            warp.smem_access(&scratch.active_lanes, node_bytes);
+            warp.smem_access(&s.active, node_bytes);
+        } else if packed {
+            // All lanes are indexed by the already-known slot, so the loads
+            // overlap: one dependent latency, every lane's bandwidth charged
+            // (see `WarpSim::gmem_read_joint`).
+            packed_node_read(
+                warp,
+                forest,
+                &s.accesses,
+                &s.value_accesses,
+                &s.child_accesses,
+                Some(level),
+            );
         } else {
-            let tag = cfg.tag_levels.then_some(level);
-            if packed {
-                // All lanes are indexed by the already-known slot, so the
-                // loads overlap: one dependent latency, every lane's
-                // bandwidth charged (see `WarpSim::gmem_read_joint`).
-                packed_node_read(
-                    warp,
-                    forest,
-                    &scratch.node_accesses,
-                    &scratch.value_accesses,
-                    &scratch.child_accesses,
-                    tag,
-                );
-            } else {
-                warp.gmem_read(&scratch.node_accesses, node_bytes, tag);
-            }
+            warp.gmem_read(&s.accesses, node_bytes, Some(level));
         }
         // Attribute reads + evaluation for lanes at decision nodes.
-        scratch.attr_accesses.clear();
-        scratch.eval_lanes.clear();
-        #[allow(clippy::needless_range_loop)] // `lane` is the SIMT lane id.
-        for lane in 0..scratch.slots.len() {
-            let Some(slot) = scratch.slots[lane] else { continue };
+        s.attr_accesses.clear();
+        s.eval.clear();
+        for (lane, state) in s.lanes.iter_mut().enumerate() {
+            let Some((slot, sample)) = *state else { continue };
             let node = forest.node(slot);
             if node.leaf {
-                scratch.slots[lane] = None;
+                *state = None;
                 continue;
             }
-            let sample = lane_samples[lane].expect("active lane has a sample");
-            scratch.eval_lanes.push(lane as u8);
-            scratch.attr_accesses.push((
-                lane as u8,
-                sample_attr_addr(sample_buf, n_attr, sample, node.attribute as usize),
-            ));
-            let value = samples.get(sample, node.attribute as usize);
-            scratch.slots[lane] = Some(node.next_slot(value).expect("decision nodes route"));
-        }
-        if !scratch.eval_lanes.is_empty() {
-            if cfg.attrs_shared {
-                warp.smem_access(&scratch.eval_lanes, 4);
-            } else {
-                warp.gmem_read(&scratch.attr_accesses, 4, None);
+            let attr = node.attribute as usize;
+            s.eval.push(lane as u8);
+            if !cfg.attrs_shared {
+                s.attr_accesses
+                    .push((lane as u8, sample_attr_addr(ctx.sample_buf, n_attr, sample, attr)));
             }
-            warp.node_eval(&scratch.eval_lanes);
+            let next = node.next_slot(values[sample * n_attr + attr]);
+            *state = Some((next.expect("decision nodes route"), sample));
+        }
+        if !s.eval.is_empty() {
+            if cfg.attrs_shared {
+                warp.smem_access(&s.eval, 4);
+            } else {
+                warp.gmem_read(&s.attr_accesses, 4, None);
+            }
+            warp.node_eval(&s.eval);
         }
         level += 1;
     }
 }
 
-/// Reusable buffers for the traversal loop (allocation-free inner loop).
-#[derive(Default)]
-pub struct TraversalScratch {
-    slots: Vec<Option<u32>>,
-    node_accesses: Vec<(u8, u64)>,
-    value_accesses: Vec<(u8, u64)>,
-    child_accesses: Vec<(u8, u64)>,
-    attr_accesses: Vec<(u8, u64)>,
-    active_lanes: Vec<u8>,
-    eval_lanes: Vec<u8>,
+/// The thread-per-sample kernel body of direct and shared forest: thread `i`
+/// of block `b` owns sample `b × threads + i` and walks every tree for it,
+/// reading attributes from global memory. Warps past the batch's end are not
+/// launched.
+///
+/// # Panics
+///
+/// Panics if the batch is empty.
+pub(crate) fn run_per_sample(
+    ctx: &LaunchContext<'_>,
+    strategy: Strategy,
+    geo: Geometry,
+    nodes_shared: bool,
+) -> StrategyRun {
+    let n = ctx.samples.n_samples();
+    assert!(n > 0, "cannot infer an empty batch");
+    let warp = ctx.device.warp_size as usize;
+    let threads = geo.threads_per_block;
+    let cfg = TraversalConfig {
+        nodes_shared,
+        attrs_shared: false,
+    };
+    let smem = geo.smem_per_block;
+    let mut kernel = launch_kernel(ctx, strategy.name(), geo.grid_blocks, threads, smem);
+    let plan = sample_plan(geo.grid_blocks, ctx.detail);
+    kernel.simulate_blocks(&plan, |block_idx, mut block| {
+        with_block_scratch(|scratch| {
+            for w in 0..threads / warp {
+                let first = block_idx * threads + w * warp;
+                if first >= n {
+                    break;
+                }
+                let mut warp_sim = block.warp();
+                for &root in ctx.forest.roots() {
+                    let lane_start =
+                        |lane: usize| (first + lane < n).then_some((root, first + lane));
+                    traverse_warp(&mut warp_sim, ctx, cfg, lane_start, scratch);
+                }
+                block.push_warp(warp_sim.finish());
+            }
+        });
+        block.finish()
+    });
+    StrategyRun {
+        strategy,
+        kernel: kernel.finish(),
+        geometry: geo,
+        n_samples: n,
+    }
 }
 
-/// Per-worker reusable buffers for one block's strategy simulation.
+/// Per-worker reusable buffers for one block's strategy simulation: the
+/// warp walk's lane states and access lists, which staging reuses for its
+/// word accesses.
 ///
 /// Blocks fan out across host threads (`KernelSim::simulate_blocks`), so the
 /// scratch lives in a thread-local pool instead of being threaded through the
 /// closure: each worker reuses its buffers across every block it claims, and
 /// a 1-thread run reuses one set across the whole grid.
 #[derive(Default)]
-pub struct BlockScratch {
-    /// Traversal-loop buffers.
-    pub traversal: TraversalScratch,
-    /// Per-warp lane → sample assignment.
-    pub lane_samples: Vec<Option<usize>>,
+pub(crate) struct BlockScratch {
+    /// Per-lane `(slot, sample)` of the walk; `None` once idle.
+    lanes: Vec<Option<(u32, usize)>>,
+    /// Node-read (lane 0) or staged-word accesses.
+    accesses: Vec<(u8, u64)>,
+    value_accesses: Vec<(u8, u64)>,
+    child_accesses: Vec<(u8, u64)>,
+    attr_accesses: Vec<(u8, u64)>,
+    /// Lanes issuing this step's node read (or staging write).
+    active: Vec<u8>,
+    /// Lanes evaluating a decision node this level.
+    eval: Vec<u8>,
 }
 
 thread_local! {
@@ -471,32 +487,15 @@ thread_local! {
 ///
 /// # Panics
 ///
-/// Panics on re-entrant use from the same thread (the strategies call it
-/// once per simulated block, never nested).
-pub fn with_block_scratch<R>(f: impl FnOnce(&mut BlockScratch) -> R) -> R {
+/// Panics on re-entrant use from the same thread (a block stages, then
+/// walks; the two never nest).
+pub(crate) fn with_block_scratch<R>(f: impl FnOnce(&mut BlockScratch) -> R) -> R {
     BLOCK_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_spreads_trees_evenly() {
-        let a = round_robin_trees(10, 4);
-        assert_eq!(a[0], vec![0, 4, 8]);
-        assert_eq!(a[1], vec![1, 5, 9]);
-        assert_eq!(a[2], vec![2, 6]);
-        assert_eq!(a[3], vec![3, 7]);
-    }
-
-    #[test]
-    fn round_robin_with_more_threads_than_trees() {
-        let a = round_robin_trees(2, 4);
-        assert_eq!(a[0], vec![0]);
-        assert_eq!(a[1], vec![1]);
-        assert!(a[2].is_empty());
-    }
 
     #[test]
     fn strategy_names_and_reduction_flags() {

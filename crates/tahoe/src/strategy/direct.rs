@@ -5,12 +5,7 @@
 //! moderately coalesced (threads on the same tree at the same level), while
 //! attribute reads scatter across samples.
 
-use tahoe_gpu_sim::kernel::sample_plan;
-
-use super::common::{
-    launch_kernel, traverse_tree_warp, with_block_scratch, Geometry, LaunchContext, Strategy,
-    StrategyRun, TraversalConfig,
-};
+use super::common::{run_per_sample, Geometry, LaunchContext, Strategy, StrategyRun};
 
 /// Launch geometry: one thread per sample.
 #[must_use]
@@ -32,54 +27,7 @@ pub fn geometry(ctx: &LaunchContext<'_>) -> Geometry {
 /// Panics if the batch is empty.
 #[must_use]
 pub fn run(ctx: &LaunchContext<'_>) -> StrategyRun {
-    let n = ctx.samples.n_samples();
-    assert!(n > 0, "cannot infer an empty batch");
-    let geo = geometry(ctx);
-    let warp = ctx.device.warp_size as usize;
-    let n_warps = geo.threads_per_block / warp;
-    let cfg = TraversalConfig {
-        nodes_shared: false,
-        attrs_shared: false,
-        tag_levels: true,
-    };
-    let mut kernel =
-        launch_kernel(ctx, Strategy::Direct.name(), geo.grid_blocks, geo.threads_per_block, 0);
-    let plan = sample_plan(geo.grid_blocks, ctx.detail);
-    kernel.simulate_blocks(&plan, |block_idx, mut block| {
-        with_block_scratch(|scratch| {
-            for w in 0..n_warps {
-                scratch.lane_samples.clear();
-                for lane in 0..warp {
-                    let sample = block_idx * geo.threads_per_block + w * warp + lane;
-                    scratch.lane_samples.push((sample < n).then_some(sample));
-                }
-                if scratch.lane_samples.iter().all(Option::is_none) {
-                    continue;
-                }
-                let mut warp_sim = block.warp();
-                for tree in 0..ctx.forest.n_trees() {
-                    traverse_tree_warp(
-                        &mut warp_sim,
-                        ctx.forest,
-                        ctx.samples,
-                        ctx.sample_buf,
-                        tree,
-                        &scratch.lane_samples,
-                        &cfg,
-                        &mut scratch.traversal,
-                    );
-                }
-                block.push_warp(warp_sim.finish());
-            }
-        });
-        block.finish()
-    });
-    StrategyRun {
-        strategy: Strategy::Direct,
-        kernel: kernel.finish(),
-        geometry: geo,
-        n_samples: n,
-    }
+    run_per_sample(ctx, Strategy::Direct, geometry(ctx), false)
 }
 
 #[cfg(test)]

@@ -36,15 +36,6 @@ pub fn geometry(strategy: Strategy, ctx: &LaunchContext<'_>) -> Option<Geometry>
     }
 }
 
-/// Runs every feasible strategy (Fig. 5's per-dataset comparison).
-#[must_use]
-pub fn run_all(ctx: &LaunchContext<'_>) -> Vec<StrategyRun> {
-    Strategy::ALL
-        .into_iter()
-        .filter_map(|s| run(s, ctx))
-        .collect()
-}
-
 /// Test fixtures shared by the strategy unit tests and integration tests.
 #[doc(hidden)]
 pub mod testutil {
@@ -161,22 +152,11 @@ mod tests {
     use tahoe_gpu_sim::kernel::Detail;
 
     #[test]
-    fn run_all_returns_every_feasible_strategy() {
-        let fx = Fixture::trained("letter");
-        let runs = run_all(&context(&fx, Detail::Sampled(2)));
-        // Small forest: all four are feasible.
-        assert_eq!(runs.len(), 4);
-        let names: Vec<&str> = runs.iter().map(|r| r.strategy.name()).collect();
-        assert_eq!(
-            names,
-            vec!["shared data", "direct", "shared forest", "splitting shared forest"]
-        );
-    }
-
-    #[test]
     fn all_strategies_report_positive_time() {
         let fx = Fixture::trained("ijcnn1");
-        for r in run_all(&context(&fx, Detail::Sampled(2))) {
+        for s in Strategy::ALL {
+            let r = run(s, &context(&fx, Detail::Sampled(2))).expect("small forest");
+            assert_eq!(r.strategy, s);
             assert!(r.kernel.total_ns > 0.0, "{}", r.strategy);
             assert!(r.throughput_samples_per_us() > 0.0, "{}", r.strategy);
             assert!(r.ns_per_sample() > 0.0, "{}", r.strategy);

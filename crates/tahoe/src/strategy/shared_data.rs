@@ -17,10 +17,9 @@
 use tahoe_gpu_sim::kernel::sample_plan;
 
 use super::common::{
-    launch_kernel, packed_node_read, round_robin_trees, simulate_staging, Geometry,
-    LaunchContext, Strategy, StrategyRun,
+    launch_kernel, simulate_staging, traverse_warp, with_block_scratch, Geometry, LaunchContext,
+    Strategy, StrategyRun, TraversalConfig,
 };
-use crate::format::{DeviceForest, NodeEncoding};
 
 /// Launch shape shared by `geometry` and `run`.
 struct Shape {
@@ -71,11 +70,17 @@ pub fn run(ctx: &LaunchContext<'_>) -> StrategyRun {
     let geo = geometry(ctx);
     let warp = ctx.device.warp_size as usize;
     let n_warps = s.threads.div_ceil(warp);
-    let assignment = round_robin_trees(ctx.forest.n_trees(), s.threads);
-    let max_rounds = ctx.forest.n_trees().div_ceil(s.threads);
+    let n_trees = ctx.forest.n_trees();
+    let roots = ctx.forest.roots();
+    let max_rounds = n_trees.div_ceil(s.threads);
     // The reduction combines one partial per tree (threads with several trees
     // pre-accumulate), so its cost scales with min(trees, threads).
-    let reduce_values = ctx.forest.n_trees().min(s.threads);
+    let reduce_values = n_trees.min(s.threads);
+    // Nodes come from global memory, attributes from the staged samples.
+    let cfg = TraversalConfig {
+        nodes_shared: false,
+        attrs_shared: true,
+    };
     let mut kernel = launch_kernel(ctx, Strategy::SharedData.name(), s.grid, s.threads, s.smem);
     let n_attr = ctx.samples.n_attributes();
     let plan = sample_plan(s.grid, ctx.detail);
@@ -89,23 +94,22 @@ pub fn run(ctx: &LaunchContext<'_>) -> StrategyRun {
             simulate_staging(&mut block, base, words, n_warps);
         }
         // Traversal: warp-level lockstep over (sample, tree round, level).
-        with_warp_scratch(|scratch| {
+        // Trees are assigned round-robin (§2): thread `t` walks layout trees
+        // `t, t + threads, t + 2 × threads, ...`.
+        with_block_scratch(|scratch| {
             for w in 0..n_warps {
                 let mut warp_sim = block.warp();
                 for sample in s0..s1 {
-                    for r in 0..max_rounds {
-                        scratch.lane_trees.clear();
-                        for lane in 0..warp {
-                            let thread = w * warp + lane;
-                            scratch.lane_trees.push(assignment[thread].get(r).copied());
+                    for round in 0..max_rounds {
+                        let first = round * s.threads + w * warp;
+                        if first >= n_trees {
+                            break; // this warp has no tree left
                         }
-                        traverse_assigned_trees(
-                            &mut warp_sim,
-                            ctx.forest,
-                            ctx.samples,
-                            sample,
-                            scratch,
-                        );
+                        let lane_start = |lane: usize| {
+                            let tree = first + lane;
+                            (tree < n_trees).then(|| (roots[tree], sample))
+                        };
+                        traverse_warp(&mut warp_sim, ctx, cfg, lane_start, scratch);
                     }
                 }
                 block.push_warp(warp_sim.finish());
@@ -122,105 +126,6 @@ pub fn run(ctx: &LaunchContext<'_>) -> StrategyRun {
         kernel: kernel.finish(),
         geometry: geo,
         n_samples: n,
-    }
-}
-
-/// Reusable buffers for the lockstep loop, pooled per worker thread:
-/// `simulate_blocks` fans blocks out across host threads, and each worker
-/// reuses one scratch across every block it claims.
-#[derive(Default)]
-struct WarpScratch {
-    lane_trees: Vec<Option<u32>>,
-    slots: Vec<Option<u32>>,
-    node_accesses: Vec<(u8, u64)>,
-    value_accesses: Vec<(u8, u64)>,
-    child_accesses: Vec<(u8, u64)>,
-    eval_lanes: Vec<u8>,
-}
-
-thread_local! {
-    static WARP_SCRATCH: std::cell::RefCell<WarpScratch> =
-        std::cell::RefCell::new(WarpScratch::default());
-}
-
-/// Runs `f` with the calling worker thread's reusable [`WarpScratch`].
-fn with_warp_scratch<R>(f: impl FnOnce(&mut WarpScratch) -> R) -> R {
-    WARP_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-/// Level-synchronous traversal where each lane walks its *own* tree for the
-/// same sample (the thread-per-tree pattern of shared data); reads
-/// `scratch.lane_trees` as the lane → tree assignment.
-fn traverse_assigned_trees(
-    warp: &mut tahoe_gpu_sim::WarpSim<'_>,
-    forest: &DeviceForest,
-    samples: &tahoe_datasets::SampleMatrix,
-    sample: usize,
-    scratch: &mut WarpScratch,
-) {
-    scratch.slots.clear();
-    for t in &scratch.lane_trees {
-        scratch
-            .slots
-            .push(t.map(|tree| forest.roots()[tree as usize]));
-    }
-    let row = samples.row(sample);
-    let packed = forest.encoding() == NodeEncoding::Packed;
-    let mut level = 0u32;
-    loop {
-        scratch.node_accesses.clear();
-        scratch.value_accesses.clear();
-        scratch.child_accesses.clear();
-        for (lane, slot) in scratch.slots.iter().enumerate() {
-            if let Some(slot) = slot {
-                scratch
-                    .node_accesses
-                    .push((lane as u8, forest.lane_addr(0, *slot)));
-                if packed {
-                    scratch
-                        .value_accesses
-                        .push((lane as u8, forest.lane_addr(1, *slot)));
-                    if forest.lanes().len() > 2 {
-                        scratch
-                            .child_accesses
-                            .push((lane as u8, forest.lane_addr(2, *slot)));
-                    }
-                }
-            }
-        }
-        if scratch.node_accesses.is_empty() {
-            break;
-        }
-        if packed {
-            packed_node_read(
-                warp,
-                forest,
-                &scratch.node_accesses,
-                &scratch.value_accesses,
-                &scratch.child_accesses,
-                Some(level),
-            );
-        } else {
-            warp.gmem_read(&scratch.node_accesses, forest.node_bytes() as u64, Some(level));
-        }
-        scratch.eval_lanes.clear();
-        for lane in 0..scratch.slots.len() {
-            let Some(slot) = scratch.slots[lane] else { continue };
-            let node = forest.node(slot);
-            if node.leaf {
-                scratch.slots[lane] = None;
-                continue;
-            }
-            scratch.eval_lanes.push(lane as u8);
-            let value = row[node.attribute as usize];
-            scratch.slots[lane] = Some(node.next_slot(value).expect("decision nodes route"));
-        }
-        if !scratch.eval_lanes.is_empty() {
-            // Attributes come from shared memory in this strategy.
-            warp.smem_access(&scratch.eval_lanes, 4);
-            warp.node_eval(&scratch.eval_lanes);
-        }
-        level += 1;
     }
 }
 

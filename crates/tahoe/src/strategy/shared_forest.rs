@@ -6,18 +6,7 @@
 //! memory; the paper ignores the (amortized) staging cost, and so do we
 //! (Eq. 6: "We ignore the time of loading the forest … easily amortized").
 
-use tahoe_gpu_sim::kernel::sample_plan;
-
-use super::common::{
-    launch_kernel, traverse_tree_warp, with_block_scratch, Geometry, LaunchContext, Strategy,
-    StrategyRun, TraversalConfig,
-};
-
-/// Whether the forest fits in one block's shared memory.
-#[must_use]
-pub fn feasible(ctx: &LaunchContext<'_>) -> bool {
-    ctx.forest.forest_smem_bytes() <= ctx.device.shared_mem_per_block
-}
+use super::common::{run_per_sample, Geometry, LaunchContext, Strategy, StrategyRun};
 
 /// Launch geometry: one thread per sample, forest-sized shared memory.
 ///
@@ -25,7 +14,7 @@ pub fn feasible(ctx: &LaunchContext<'_>) -> bool {
 /// performance result is not shown").
 #[must_use]
 pub fn geometry(ctx: &LaunchContext<'_>) -> Option<Geometry> {
-    if !feasible(ctx) {
+    if ctx.forest.forest_smem_bytes() > ctx.device.shared_mem_per_block {
         return None;
     }
     let n = ctx.samples.n_samples();
@@ -45,59 +34,7 @@ pub fn geometry(ctx: &LaunchContext<'_>) -> Option<Geometry> {
 /// Panics if the batch is empty.
 #[must_use]
 pub fn run(ctx: &LaunchContext<'_>) -> Option<StrategyRun> {
-    let n = ctx.samples.n_samples();
-    assert!(n > 0, "cannot infer an empty batch");
-    let geo = geometry(ctx)?;
-    let warp = ctx.device.warp_size as usize;
-    let n_warps = geo.threads_per_block / warp;
-    let cfg = TraversalConfig {
-        nodes_shared: true,
-        attrs_shared: false,
-        tag_levels: false,
-    };
-    let mut kernel = launch_kernel(
-        ctx,
-        Strategy::SharedForest.name(),
-        geo.grid_blocks,
-        geo.threads_per_block,
-        geo.smem_per_block,
-    );
-    let plan = sample_plan(geo.grid_blocks, ctx.detail);
-    kernel.simulate_blocks(&plan, |block_idx, mut block| {
-        with_block_scratch(|scratch| {
-            for w in 0..n_warps {
-                scratch.lane_samples.clear();
-                for lane in 0..warp {
-                    let sample = block_idx * geo.threads_per_block + w * warp + lane;
-                    scratch.lane_samples.push((sample < n).then_some(sample));
-                }
-                if scratch.lane_samples.iter().all(Option::is_none) {
-                    continue;
-                }
-                let mut warp_sim = block.warp();
-                for tree in 0..ctx.forest.n_trees() {
-                    traverse_tree_warp(
-                        &mut warp_sim,
-                        ctx.forest,
-                        ctx.samples,
-                        ctx.sample_buf,
-                        tree,
-                        &scratch.lane_samples,
-                        &cfg,
-                        &mut scratch.traversal,
-                    );
-                }
-                block.push_warp(warp_sim.finish());
-            }
-        });
-        block.finish()
-    });
-    Some(StrategyRun {
-        strategy: Strategy::SharedForest,
-        kernel: kernel.finish(),
-        geometry: geo,
-        n_samples: n,
-    })
+    Some(run_per_sample(ctx, Strategy::SharedForest, geometry(ctx)?, true))
 }
 
 #[cfg(test)]
@@ -111,7 +48,7 @@ mod tests {
         // letter at Smoke scale is small; it must fit.
         let fx = Fixture::trained("letter");
         let ctx = context(&fx, Detail::Sampled(2));
-        assert!(feasible(&ctx), "small forest must fit shared memory");
+        assert!(geometry(&ctx).is_some(), "small forest must fit shared memory");
     }
 
     #[test]

@@ -17,8 +17,8 @@ use tahoe_gpu_sim::kernel::sample_plan;
 use tahoe_gpu_sim::occupancy::concurrent_blocks;
 
 use super::common::{
-    launch_kernel, stage_forest_slice, traverse_tree_warp, with_block_scratch, Geometry,
-    LaunchContext, Strategy, StrategyRun, TraversalConfig,
+    launch_kernel, stage_forest_slice, traverse_warp, with_block_scratch, Geometry, LaunchContext,
+    Strategy, StrategyRun, TraversalConfig,
 };
 use crate::format::DeviceForest;
 
@@ -53,8 +53,9 @@ pub fn partition_trees(
     Some(parts)
 }
 
-/// Computes `(parts, tiles, smem)` for a context; `None` when infeasible.
-fn shape(ctx: &LaunchContext<'_>) -> Option<(Vec<std::ops::Range<usize>>, usize, usize)> {
+/// The forest parts and the `P × T`-block launch geometry for a context;
+/// `None` if some tree cannot fit shared memory at all.
+fn shape(ctx: &LaunchContext<'_>) -> Option<(Vec<std::ops::Range<usize>>, Geometry)> {
     let parts = partition_trees(ctx.forest, ctx.device.shared_mem_per_block)?;
     let smem = parts
         .iter()
@@ -66,7 +67,13 @@ fn shape(ctx: &LaunchContext<'_>) -> Option<(Vec<std::ops::Range<usize>>, usize,
     let concurrent = concurrent_blocks(ctx.device, threads, smem);
     let max_tiles = n.div_ceil(threads).max(1);
     let tiles = (concurrent / parts.len().max(1)).clamp(1, max_tiles);
-    Some((parts, tiles, smem))
+    let geo = Geometry {
+        threads_per_block: threads,
+        grid_blocks: parts.len() * tiles,
+        smem_per_block: smem,
+        parts: parts.len(),
+    };
+    Some((parts, geo))
 }
 
 /// Launch geometry: `P × T` blocks.
@@ -74,16 +81,14 @@ fn shape(ctx: &LaunchContext<'_>) -> Option<(Vec<std::ops::Range<usize>>, usize,
 /// Returns `None` if some tree cannot fit shared memory at all.
 #[must_use]
 pub fn geometry(ctx: &LaunchContext<'_>) -> Option<Geometry> {
-    let (parts, tiles, smem) = shape(ctx)?;
-    Some(Geometry {
-        threads_per_block: ctx.threads(),
-        grid_blocks: parts.len() * tiles,
-        smem_per_block: smem,
-        parts: parts.len(),
-    })
+    shape(ctx).map(|(_, geo)| geo)
 }
 
 /// Runs the strategy; `None` when infeasible.
+///
+/// Unlike the thread-per-sample body, it pushes every warp of the block,
+/// even one with no samples left in its tile: those idle lanes reach the
+/// imbalance statistics and the trace.
 ///
 /// # Panics
 ///
@@ -92,24 +97,23 @@ pub fn geometry(ctx: &LaunchContext<'_>) -> Option<Geometry> {
 pub fn run(ctx: &LaunchContext<'_>) -> Option<StrategyRun> {
     let n = ctx.samples.n_samples();
     assert!(n > 0, "cannot infer an empty batch");
-    let (parts, tiles, smem) = shape(ctx)?;
-    let geo = geometry(ctx)?;
+    let (parts, geo) = shape(ctx)?;
     let n_parts = parts.len();
     let warp = ctx.device.warp_size as usize;
     let threads = geo.threads_per_block;
     let n_warps = threads / warp;
-    let tile_len = n.div_ceil(tiles);
+    let tile_len = n.div_ceil(geo.tiles());
+    let roots = ctx.forest.roots();
     let cfg = TraversalConfig {
         nodes_shared: true,
         attrs_shared: false,
-        tag_levels: false,
     };
     let mut kernel = launch_kernel(
         ctx,
         Strategy::SplittingSharedForest.name(),
         geo.grid_blocks,
         threads,
-        smem,
+        geo.smem_per_block,
     );
     let plan = sample_plan(geo.grid_blocks, ctx.detail);
     kernel.simulate_blocks(&plan, |block_idx, mut block| {
@@ -125,25 +129,14 @@ pub fn run(ctx: &LaunchContext<'_>) -> Option<StrategyRun> {
             for w in 0..n_warps {
                 let mut warp_sim = block.warp();
                 for round in 0..rounds {
-                    scratch.lane_samples.clear();
-                    for lane in 0..warp {
-                        let sample = t0 + round * threads + w * warp + lane;
-                        scratch.lane_samples.push((sample < t1).then_some(sample));
-                    }
-                    if scratch.lane_samples.iter().all(Option::is_none) {
+                    let first = t0 + round * threads + w * warp;
+                    if first >= t1 {
                         continue;
                     }
-                    for tree in part.clone() {
-                        traverse_tree_warp(
-                            &mut warp_sim,
-                            ctx.forest,
-                            ctx.samples,
-                            ctx.sample_buf,
-                            tree,
-                            &scratch.lane_samples,
-                            &cfg,
-                            &mut scratch.traversal,
-                        );
+                    for &root in &roots[part.clone()] {
+                        let lane_start =
+                            |lane: usize| (first + lane < t1).then_some((root, first + lane));
+                        traverse_warp(&mut warp_sim, ctx, cfg, lane_start, scratch);
                     }
                 }
                 block.push_warp(warp_sim.finish());

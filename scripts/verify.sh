@@ -7,6 +7,9 @@ set -eu
 
 cargo build --workspace --release
 cargo clippy --workspace --all-targets --release -- -D warnings
+# Rustdoc under the same gate: a deleted or private item must not leave a
+# dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test --workspace --release
 # The benchmark (bench-ledger/, run by BENCHMARK.json) is a workspace of its
 # own that nothing above compiles; lint it under the same -D warnings gate,

@@ -25,7 +25,8 @@ use tahoe_repro::datasets::{
     self, Dataset, DatasetSpec, Scale, Task,
 };
 use tahoe_repro::engine::cluster::GpuCluster;
-use tahoe_repro::engine::engine::{Engine, EngineOptions, NodeEncodingChoice};
+use tahoe_repro::engine::engine::{Engine, EngineOptions};
+use tahoe_repro::engine::format::NodeEncoding;
 use tahoe_repro::engine::profile::{HistogramExport, ProfilesExport};
 use tahoe_repro::engine::telemetry::decision::{DecisionRecord, DecisionsExport};
 use tahoe_repro::engine::serving::{BatchingPolicy, ClusterServingSim};
@@ -90,8 +91,8 @@ common flags:
   --kind <gbdt|rf>         ensemble type for CSV training (default gbdt)
   --task <class|reg>       CSV label type (default class)
   --strategy <s>           auto|shared-data|direct|shared-forest|splitting
-  --node-encoding <e>      infer/bench/serve: classic|packed|auto (default
-                           auto — packed struct-of-arrays lanes when the
+  --node-encoding <e>      infer/bench/serve: classic|packed (default
+                           packed — struct-of-arrays lanes when the
                            attribute count allows it, classic otherwise)
   --batch N                inference batch size (default: whole dataset)
   --out <file>             write predictions as CSV
@@ -131,7 +132,7 @@ struct Flags {
     kind: Option<String>,
     task: Option<String>,
     strategy: Option<String>,
-    node_encoding: Option<String>,
+    node_encoding: NodeEncoding,
     batch: Option<usize>,
     gpus: Option<usize>,
     devices: Option<String>,
@@ -158,7 +159,7 @@ impl Flags {
             kind: None,
             task: None,
             strategy: None,
-            node_encoding: None,
+            node_encoding: NodeEncoding::Packed,
             batch: None,
             gpus: None,
             devices: None,
@@ -198,7 +199,15 @@ impl Flags {
                 "--kind" => f.kind = Some(value()?),
                 "--task" => f.task = Some(value()?),
                 "--strategy" => f.strategy = Some(value()?),
-                "--node-encoding" => f.node_encoding = Some(value()?),
+                "--node-encoding" => {
+                    f.node_encoding = match value()?.as_str() {
+                        "classic" => NodeEncoding::Classic,
+                        "packed" => NodeEncoding::Packed,
+                        other => {
+                            return Err(format!("unknown node encoding '{other}' (classic|packed)"))
+                        }
+                    };
+                }
                 "--batch" => f.batch = Some(parse_num(&value()?, "--batch")?),
                 "--gpus" => f.gpus = Some(parse_num(&value()?, "--gpus")?),
                 "--devices" => f.devices = Some(value()?),
@@ -311,15 +320,6 @@ impl Flags {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
-    }
-
-    fn node_encoding(&self) -> Result<NodeEncodingChoice, String> {
-        match self.node_encoding.as_deref().unwrap_or("auto") {
-            "classic" => Ok(NodeEncodingChoice::Classic),
-            "packed" => Ok(NodeEncodingChoice::Packed),
-            "auto" => Ok(NodeEncodingChoice::Auto),
-            other => Err(format!("unknown node encoding '{other}' (classic|packed|auto)")),
-        }
     }
 
     fn strategy(&self) -> Result<Option<Strategy>, String> {
@@ -480,7 +480,7 @@ fn cmd_infer(flags: &Flags) -> Result<(), String> {
     let batch = batch_samples(flags, &data)?;
     let sink = flags.sink();
     let options = EngineOptions {
-        node_encoding: flags.node_encoding()?,
+        node_encoding: flags.node_encoding,
         calibration: flags.calibrate,
         ..EngineOptions::tahoe()
     };
@@ -527,7 +527,7 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
         forest,
         EngineOptions {
             functional: false,
-            node_encoding: flags.node_encoding()?,
+            node_encoding: flags.node_encoding,
             calibration: flags.calibrate,
             ..EngineOptions::tahoe()
         },
@@ -568,7 +568,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let payloads = batch_samples(flags, &data)?;
     let sink = flags.sink();
     let options = EngineOptions {
-        node_encoding: flags.node_encoding()?,
+        node_encoding: flags.node_encoding,
         calibration: flags.calibrate,
         ..EngineOptions::tahoe()
     };

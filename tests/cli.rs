@@ -116,6 +116,23 @@ fn unknown_flags_and_missing_data_fail_cleanly() {
         Some("error: --trees must be >= 1, got 0")
     );
 
+    // `--node-encoding` takes classic|packed; the retired `auto` is a usage
+    // error on every command that accepts the flag.
+    for command in ["infer", "bench", "serve"] {
+        let out = cli()
+            .args([command, "--node-encoding", "auto"])
+            .output()
+            .unwrap();
+        let what = format!("{command} --node-encoding auto");
+        let stderr = no_panic(&out, &what);
+        assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+        assert_eq!(
+            stderr.lines().next(),
+            Some("error: unknown node encoding 'auto' (classic|packed)"),
+            "{what}"
+        );
+    }
+
     // A CSV too small for the 7-in-10 split to leave inference rows trains
     // fine, but every command that infers fails with one line naming its
     // row count.

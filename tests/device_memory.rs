@@ -9,7 +9,8 @@
 //! of how many batches ran.
 
 use tahoe_repro::datasets::{DatasetSpec, Scale, SampleMatrix};
-use tahoe_repro::engine::engine::{Engine, EngineOptions, NodeEncodingChoice};
+use tahoe_repro::engine::engine::{Engine, EngineOptions};
+use tahoe_repro::engine::format::NodeEncoding;
 use tahoe_repro::engine::serving::{BatchingPolicy, ServingSim};
 use tahoe_repro::engine::strategy::Strategy;
 use tahoe_repro::engine::telemetry::TelemetrySink;
@@ -107,7 +108,7 @@ fn packed_encoding_lowers_high_water_and_raises_feasible_batch() {
     let (forest, samples) = setup("letter");
     let packed_options = |functional: bool| EngineOptions {
         functional,
-        node_encoding: NodeEncodingChoice::Packed,
+        node_encoding: NodeEncoding::Packed,
         ..EngineOptions::tahoe()
     };
     // On a full-size device the packed image's in-use and high-water

@@ -92,14 +92,16 @@ pub enum StorageMode {
 }
 
 /// Result of slot assignment.
+///
+/// A dense map holds one slot per real node, never one entry per padded
+/// slot: a slot's level and children follow from its index alone (see
+/// [`SlotMap::dense_level`] and [`SlotMap::dense_children`]).
 #[derive(Clone, Debug)]
 pub struct SlotMap {
     /// `slot_of[layout_tree_idx][node_id]` → device slot.
     pub slot_of: Vec<Vec<u32>>,
     /// Total slots (including NULL padding in dense mode).
     pub n_slots: usize,
-    /// Tree level of every slot.
-    pub levels: Vec<u32>,
     /// Storage mode used.
     pub mode: StorageMode,
     /// Number of trees in the layout.
@@ -107,6 +109,17 @@ pub struct SlotMap {
 }
 
 impl SlotMap {
+    /// Dense-mode tree level of `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics in sparse mode.
+    #[must_use]
+    pub fn dense_level(&self, slot: u32) -> u32 {
+        assert_eq!(self.mode, StorageMode::Dense, "dense arithmetic in sparse mode");
+        level_of_position(u64::from(slot) / self.n_trees as u64)
+    }
+
     /// Dense-mode child slots of the node in `slot` (derived from heap
     /// arithmetic); meaningless in sparse mode.
     ///
@@ -116,23 +129,21 @@ impl SlotMap {
     #[must_use]
     pub fn dense_children(&self, slot: u32) -> (u32, u32) {
         assert_eq!(self.mode, StorageMode::Dense, "dense arithmetic in sparse mode");
-        let n_trees = self.n_trees as u64;
-        let slot = u64::from(slot);
-        // Invert: slot = base(l) + (pos - (2^l - 1)) * n_trees + tree.
-        let level = self.levels[slot as usize];
-        let base = n_trees * ((1u64 << level) - 1);
-        let rel = slot - base;
-        let tree = rel % n_trees;
-        let pos_in_level = rel / n_trees;
-        let pos = ((1u64 << level) - 1) + pos_in_level;
-        let child_slot = |child_pos: u64| {
-            let cl = level + 1;
-            let cbase = n_trees * ((1u64 << cl) - 1);
-            let crel = (child_pos - ((1u64 << cl) - 1)) * n_trees + tree;
-            u32::try_from(cbase + crel).expect("slot fits in u32")
-        };
-        (child_slot(2 * pos + 1), child_slot(2 * pos + 2))
+        dense_children(self.n_trees, slot)
     }
+}
+
+/// Child slots of the node in `slot` of a dense layout of `n_trees` trees:
+/// heap position `pos` of tree `tree` is slot `pos·n_trees + tree`, and its
+/// children sit at positions `2·pos + 1` and `2·pos + 2` of the same tree.
+pub(crate) fn dense_children(n_trees: usize, slot: u32) -> (u32, u32) {
+    let n_trees = n_trees as u64;
+    let slot = u64::from(slot);
+    let pos = slot / n_trees;
+    let tree = slot % n_trees;
+    let child_slot =
+        |child_pos: u64| u32::try_from(child_pos * n_trees + tree).expect("slot fits in u32");
+    (child_slot(2 * pos + 1), child_slot(2 * pos + 2))
 }
 
 /// Assigns slots for a forest under a layout plan.
@@ -170,31 +181,24 @@ pub(crate) fn assign_slots_at_depth(
             let slots_per_tree = (1u64 << n_levels) - 1;
             let n_slots = usize::try_from(slots_per_tree * n_trees as u64)
                 .expect("dense slot count fits usize");
-            let mut slot_of = Vec::with_capacity(n_trees);
-            for (layout_idx, pos) in positions.iter().enumerate() {
-                let slots = pos
-                    .iter()
-                    .map(|&p| {
-                        let l = level_of_position(p);
-                        let base = n_trees as u64 * ((1u64 << l) - 1);
-                        let rel = (p - ((1u64 << l) - 1)) * n_trees as u64 + layout_idx as u64;
-                        u32::try_from(base + rel).expect("slot fits u32")
-                    })
-                    .collect();
-                slot_of.push(slots);
-            }
-            let mut levels = vec![0u32; n_slots];
-            for l in 0..n_levels {
-                let start = n_trees * ((1usize << l) - 1);
-                let end = n_trees * ((1usize << (l + 1)) - 1);
-                for s in &mut levels[start..end.min(n_slots)] {
-                    *s = l;
-                }
-            }
+            // Heap position `p` of layout tree `t` lives in slot
+            // `p·n_trees + t`: level by level, position by position, tree
+            // by tree.
+            let slot_of = positions
+                .iter()
+                .enumerate()
+                .map(|(layout_idx, pos)| {
+                    pos.iter()
+                        .map(|&p| {
+                            u32::try_from(p * n_trees as u64 + layout_idx as u64)
+                                .expect("slot fits u32")
+                        })
+                        .collect()
+                })
+                .collect();
             SlotMap {
                 slot_of,
                 n_slots,
-                levels,
                 mode,
                 n_trees,
             }
@@ -217,16 +221,13 @@ pub(crate) fn assign_slots_at_depth(
                 .iter()
                 .map(|p| vec![0u32; p.len()])
                 .collect();
-            let mut levels = Vec::with_capacity(keyed.len());
-            for (slot, &(level, _p, layout_idx, node_id)) in keyed.iter().enumerate() {
+            for (slot, &(_level, _p, layout_idx, node_id)) in keyed.iter().enumerate() {
                 slot_of[layout_idx as usize][node_id as usize] =
                     u32::try_from(slot).expect("slot fits u32");
-                levels.push(level);
             }
             SlotMap {
                 slot_of,
                 n_slots: keyed.len(),
-                levels,
                 mode,
                 n_trees,
             }
@@ -260,7 +261,6 @@ pub fn assign_slots_paired(forest: &Forest, plan: &LayoutPlan) -> SlotMap {
         .iter()
         .map(|p| vec![0u32; p.len()])
         .collect();
-    let mut levels = Vec::new();
     let mut base = 0u64;
     for (layout_idx, pos) in positions.iter().enumerate() {
         let mut keyed: Vec<(u64, u32)> = pos
@@ -269,17 +269,15 @@ pub fn assign_slots_paired(forest: &Forest, plan: &LayoutPlan) -> SlotMap {
             .map(|(id, &p)| (p, id as u32))
             .collect();
         keyed.sort_unstable();
-        for (i, &(p, node_id)) in keyed.iter().enumerate() {
+        for (i, &(_p, node_id)) in keyed.iter().enumerate() {
             slot_of[layout_idx][node_id as usize] =
                 u32::try_from(base + i as u64).expect("slot fits u32");
-            levels.push(level_of_position(p));
         }
         base += pos.len() as u64;
     }
     SlotMap {
         slot_of,
-        n_slots: levels.len(),
-        levels,
+        n_slots: usize::try_from(base).expect("slot count fits usize"),
         mode: StorageMode::Sparse,
         n_trees,
     }
@@ -387,9 +385,9 @@ mod tests {
         assert_eq!(map.slot_of[1][1], 4);
         assert_eq!(map.slot_of[2][1], 5);
         // Levels.
-        assert_eq!(map.levels[0], 0);
-        assert_eq!(map.levels[3], 1);
-        assert_eq!(map.levels[9], 2);
+        assert_eq!(map.dense_level(0), 0);
+        assert_eq!(map.dense_level(3), 1);
+        assert_eq!(map.dense_level(9), 2);
     }
 
     #[test]
@@ -412,7 +410,14 @@ mod tests {
         // No padding: 3 + 5 + 3 nodes.
         assert_eq!(map.n_slots, 11);
         // Levels must be non-decreasing across slots.
-        for w in map.levels.windows(2) {
+        let mut levels = vec![0; map.n_slots];
+        for (layout_idx, &orig) in plan.tree_order.iter().enumerate() {
+            let tree = &f.trees()[orig];
+            for (id, &p) in heap_positions(tree, &plan.swaps[orig]).iter().enumerate() {
+                levels[map.slot_of[layout_idx][id] as usize] = level_of_position(p);
+            }
+        }
+        for w in levels.windows(2) {
             assert!(w[0] <= w[1]);
         }
         // Roots first, in tree order.

@@ -7,6 +7,10 @@
 //! index) and Tahoe's adaptive format (similarity tree order, probability
 //! child swaps, variable-length attribute index) — a layout plan plus a
 //! format config fully determine the result.
+//!
+//! The simulated image is padded (dense mode keeps a NULL slot for every
+//! missing node of a complete tree, so addresses are arithmetic); the host
+//! mirror the kernels walk is not: it keeps one record per real node.
 
 pub mod layout;
 pub mod node;
@@ -17,7 +21,7 @@ use tahoe_gpu_sim::memory::{DeviceMemory, OomError};
 use tahoe_gpu_sim::GlobalBuffer;
 
 pub use layout::{assign_slots, assign_slots_paired, LayoutPlan, SlotMap, StorageMode};
-use layout::assign_slots_at_depth;
+use layout::{assign_slots_at_depth, dense_children};
 pub use node::{AttrWidth, DeviceNode, PackedWidth, NO_SLOT};
 
 use tahoe_forest::Node as HostNode;
@@ -99,11 +103,50 @@ pub struct NodeLane {
     pub elem_bytes: usize,
 }
 
+/// One real node of a [`DeviceForest`]'s host mirror: its decoded fields,
+/// its slot in the simulated image, and its children as indices into the
+/// mirror rather than slots, so a walk reads one record per step.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct MirrorNode {
+    /// Slot in the simulated image (what device addresses derive from).
+    pub slot: u32,
+    /// Attribute index tested (0 for leaves).
+    pub attribute: u32,
+    /// Split threshold, or the leaf value for leaves.
+    pub scalar: f32,
+    /// Mirror index of the layout-left child (unused for leaves).
+    pub left: u32,
+    /// Mirror index of the layout-right child (unused for leaves).
+    pub right: u32,
+    /// Whether this is a leaf.
+    pub leaf: bool,
+    /// Default direction (in layout orientation) on missing values.
+    pub default_left: bool,
+    /// Whether the comparison is inverted (children were swapped).
+    pub inverted: bool,
+}
+
+impl MirrorNode {
+    /// Mirror index of the child a decision node routes `value` to.
+    #[inline]
+    pub fn next(&self, value: f32) -> u32 {
+        if node::goes_left(value, self.scalar, self.default_left, self.inverted) {
+            self.left
+        } else {
+            self.right
+        }
+    }
+}
+
 /// A forest laid out in simulated device memory.
+///
+/// The host mirror holds the real nodes only, in ascending slot order; the
+/// image it stands for (its size, bytes, lanes and addresses) still covers
+/// every padded slot.
 #[derive(Clone, Debug)]
 pub struct DeviceForest {
-    nodes: Vec<Option<DeviceNode>>,
-    levels: Vec<u32>,
+    nodes: Vec<MirrorNode>,
+    n_slots: usize,
     roots: Vec<u32>,
     nodes_per_tree: Vec<u32>,
     node_bytes: usize,
@@ -149,6 +192,96 @@ fn put_uint(width: AttrWidth, value: u32, out: &mut Vec<u8>) {
 /// Reads the little-endian unsigned entry at `buf[0..width.bytes()]`.
 fn get_uint(width: AttrWidth, mut buf: &[u8]) -> u32 {
     node::take_le(&mut buf, width.bytes())
+}
+
+/// The host mirror of a laid-out forest: one record per real node, in
+/// ascending slot order, with children as mirror indices; plus the node
+/// count of each tree in layout order.
+fn mirror_nodes(
+    forest: &Forest,
+    plan: &LayoutPlan,
+    map: &SlotMap,
+) -> (Vec<MirrorNode>, Vec<u32>) {
+    // `first[t]`: tree-major index of layout tree `t`'s root.
+    let mut n_nodes = 0;
+    let mut first = vec![0];
+    first.extend(map.slot_of.iter().map(|slots| {
+        n_nodes += slots.len();
+        n_nodes
+    }));
+    let index_of = mirror_indices(map);
+    let mut nodes = vec![MirrorNode::default(); n_nodes];
+    let mut nodes_per_tree = Vec::with_capacity(forest.n_trees());
+    for (layout_idx, &orig) in plan.tree_order.iter().enumerate() {
+        let tree = &forest.trees()[orig];
+        let swaps = &plan.swaps[orig];
+        let index = &index_of[first[layout_idx]..first[layout_idx + 1]];
+        nodes_per_tree.push(tree.n_nodes() as u32);
+        for (id, host) in tree.nodes().iter().enumerate() {
+            let slot = map.slot_of[layout_idx][id];
+            nodes[index[id] as usize] = match *host {
+                HostNode::Leaf { value } => MirrorNode {
+                    slot,
+                    scalar: value,
+                    leaf: true,
+                    ..MirrorNode::default()
+                },
+                HostNode::Decision {
+                    attribute,
+                    threshold,
+                    default_left,
+                    left,
+                    right,
+                    ..
+                } => {
+                    let swapped = swaps[id];
+                    let (l, r) = if swapped { (right, left) } else { (left, right) };
+                    MirrorNode {
+                        slot,
+                        attribute,
+                        scalar: threshold,
+                        left: index[l as usize],
+                        right: index[r as usize],
+                        leaf: false,
+                        default_left: default_left ^ swapped,
+                        inverted: swapped,
+                    }
+                }
+            };
+        }
+    }
+    (nodes, nodes_per_tree)
+}
+
+/// Each node's mirror index (the rank of its slot among the occupied slots),
+/// tree-major in layout order.
+fn mirror_indices(map: &SlotMap) -> Vec<u32> {
+    let slots = map.slot_of.iter().flatten();
+    match map.mode {
+        // No padding: the slots are exactly the ranks.
+        StorageMode::Sparse => slots.copied().collect(),
+        // A dense slot is `position·n_trees + tree`. Count the nodes at each
+        // heap position, then hand out ranks tree by tree in layout order,
+        // which keeps each position's nodes in ascending slot order.
+        StorageMode::Dense => {
+            let n_trees = map.n_trees as u32;
+            let mut ranks: Vec<u32> = slots.map(|&slot| slot / n_trees).collect();
+            let mut next = vec![0u32; map.n_slots / map.n_trees];
+            for &pos in &ranks {
+                next[pos as usize] += 1;
+            }
+            let mut below = 0;
+            for n in &mut next {
+                (*n, below) = (below, below + *n);
+            }
+            for rank in &mut ranks {
+                let pos = *rank as usize;
+                *rank = next[pos];
+                next[pos] += 1;
+            }
+            ranks
+        }
+    }
 }
 
 impl DeviceForest {
@@ -243,53 +376,14 @@ impl DeviceForest {
                     + child_width.map_or(0, AttrWidth::bytes)
             }
         };
-        let mut nodes: Vec<Option<DeviceNode>> = vec![None; map.n_slots];
-        let mut nodes_per_tree = Vec::with_capacity(forest.n_trees());
-        for (layout_idx, &orig) in plan.tree_order.iter().enumerate() {
-            let tree = &forest.trees()[orig];
-            let swaps = &plan.swaps[orig];
-            nodes_per_tree.push(tree.n_nodes() as u32);
-            for (id, host) in tree.nodes().iter().enumerate() {
-                let slot = map.slot_of[layout_idx][id] as usize;
-                let device = match *host {
-                    HostNode::Leaf { value } => DeviceNode::leaf(value),
-                    HostNode::Decision {
-                        attribute,
-                        threshold,
-                        default_left,
-                        left,
-                        right,
-                        ..
-                    } => {
-                        let swapped = swaps[id];
-                        let (lslot, rslot) = if swapped {
-                            (
-                                map.slot_of[layout_idx][right as usize],
-                                map.slot_of[layout_idx][left as usize],
-                            )
-                        } else {
-                            (
-                                map.slot_of[layout_idx][left as usize],
-                                map.slot_of[layout_idx][right as usize],
-                            )
-                        };
-                        DeviceNode {
-                            attribute,
-                            scalar: threshold,
-                            left: lslot,
-                            right: rslot,
-                            leaf: false,
-                            default_left: default_left ^ swapped,
-                            inverted: swapped,
-                        }
-                    }
-                };
-                nodes[slot] = Some(device);
-            }
-        }
+        let (nodes, nodes_per_tree) = mirror_nodes(forest, plan, &map);
+        // Every slot below the last root holds a real node in every layout
+        // (dense level 0 is full; sparse layouts have no padding), so each
+        // root's slot is also its mirror index.
         let roots: Vec<u32> = (0..forest.n_trees())
             .map(|layout_idx| map.slot_of[layout_idx][0])
             .collect();
+        debug_assert!(roots.iter().all(|&r| nodes[r as usize].slot == r));
         // One device allocation per lane; roll back the lanes already
         // allocated if a later one does not fit, so a failed build leaves
         // `mem` untouched.
@@ -316,7 +410,7 @@ impl DeviceForest {
         }
         Ok(Self {
             nodes,
-            levels: map.levels,
+            n_slots: map.n_slots,
             roots,
             nodes_per_tree,
             node_bytes,
@@ -375,19 +469,19 @@ impl DeviceForest {
     }
 
     /// Encodes the full device image (used for storage accounting and
-    /// round-trip validation; kernels traverse the decoded `nodes`).
+    /// round-trip validation; kernels walk the host mirror).
     ///
     /// Classic encoding concatenates whole-node records; the packed encoding
     /// concatenates its lanes (all structural entries, then all f32 values,
     /// then — sparse mode — all child offsets), mirroring the separate
-    /// device allocations.
+    /// device allocations. Dense padding slots encode as NULL entries.
     #[must_use]
     pub fn encode_image(&self) -> Vec<u8> {
         let explicit = self.mode == StorageMode::Sparse;
-        let mut out = Vec::with_capacity(self.nodes.len() * self.node_bytes);
+        let mut out = Vec::with_capacity(self.image_bytes());
         match self.encoding {
             NodeEncoding::Classic => {
-                for slot in &self.nodes {
+                for slot in self.slots() {
                     match slot {
                         Some(n) => n.encode(self.attr_width, explicit, &mut out),
                         None => DeviceNode::encode_null(self.attr_width, explicit, &mut out),
@@ -396,18 +490,18 @@ impl DeviceForest {
             }
             NodeEncoding::Packed => {
                 let pw = self.packed_width.expect("packed encoding has a width");
-                for slot in &self.nodes {
+                for slot in self.slots() {
                     match slot {
                         Some(n) => pw.put(n.packed_entry(pw), &mut out),
                         None => pw.put(pw.null_entry(), &mut out),
                     }
                 }
-                for slot in &self.nodes {
-                    out.extend_from_slice(&slot.as_ref().map_or(0.0, |n| n.scalar).to_le_bytes());
+                for slot in self.slots() {
+                    out.extend_from_slice(&slot.map_or(0.0, |n| n.scalar).to_le_bytes());
                 }
                 if let Some(cw) = self.child_width {
-                    for (i, slot) in self.nodes.iter().enumerate() {
-                        let n = slot.as_ref().expect("packed sparse has no NULL slots");
+                    for (slot, n) in self.slots().enumerate() {
+                        let n = n.expect("packed sparse has no NULL slots");
                         let entry = if n.leaf {
                             uint_sentinel(cw)
                         } else {
@@ -416,7 +510,7 @@ impl DeviceForest {
                                 n.left + 1,
                                 "paired layout keeps siblings adjacent"
                             );
-                            n.left - self.tree_base_of_slot(i as u32)
+                            n.left - self.tree_base_of_slot(slot as u32)
                         };
                         debug_assert!(n.leaf || entry < uint_sentinel(cw));
                         put_uint(cw, entry, &mut out);
@@ -427,13 +521,39 @@ impl DeviceForest {
         out
     }
 
+    /// Every slot of the image in order: the node it holds, with child
+    /// slots, or `None` for a NULL (dense padding) slot.
+    fn slots(&self) -> impl Iterator<Item = Option<DeviceNode>> + '_ {
+        let mut next = self.nodes.iter().peekable();
+        (0..self.n_slots as u32)
+            .map(move |slot| next.next_if(|n| n.slot == slot).map(|n| self.device_node(n)))
+    }
+
+    /// The decoded form of a mirror record: children as slots.
+    fn device_node(&self, n: &MirrorNode) -> DeviceNode {
+        let (left, right) = if n.leaf {
+            (NO_SLOT, NO_SLOT)
+        } else {
+            (self.nodes[n.left as usize].slot, self.nodes[n.right as usize].slot)
+        };
+        DeviceNode {
+            attribute: n.attribute,
+            scalar: n.scalar,
+            left,
+            right,
+            leaf: n.leaf,
+            default_left: n.default_left,
+            inverted: n.inverted,
+        }
+    }
+
     /// Decodes an image back into per-slot nodes (children resolved via heap
     /// arithmetic in dense mode, or from the packed child lane in packed
     /// sparse mode). Used by tests to prove the byte format is faithful.
     #[must_use]
     pub fn decode_image(&self, image: &[u8]) -> Vec<Option<DeviceNode>> {
         let explicit = self.mode == StorageMode::Sparse;
-        let n_slots = self.nodes.len();
+        let n_slots = self.n_slots;
         let mut out = Vec::with_capacity(n_slots);
         match self.encoding {
             NodeEncoding::Classic => {
@@ -442,7 +562,7 @@ impl DeviceForest {
                     let mut decoded = DeviceNode::decode(self.attr_width, explicit, &mut cursor);
                     if let Some(n) = decoded.as_mut() {
                         if !explicit && !n.leaf {
-                            let (l, r) = self.dense_children(slot as u32);
+                            let (l, r) = dense_children(self.stats.n_trees, slot as u32);
                             n.left = l;
                             n.right = r;
                         }
@@ -469,7 +589,7 @@ impl DeviceForest {
                                     n.right = n.left + 1;
                                 }
                                 None => {
-                                    let (l, r) = self.dense_children(slot as u32);
+                                    let (l, r) = dense_children(self.stats.n_trees, slot as u32);
                                     n.left = l;
                                     n.right = r;
                                 }
@@ -491,44 +611,19 @@ impl DeviceForest {
         self.roots[t]
     }
 
-    /// Dense-mode child slots via heap arithmetic.
-    fn dense_children(&self, slot: u32) -> (u32, u32) {
-        let n_trees = self.stats.n_trees as u64;
-        let slot64 = u64::from(slot);
-        let level = self.levels[slot as usize];
-        let base = n_trees * ((1u64 << level) - 1);
-        let rel = slot64 - base;
-        let tree = rel % n_trees;
-        let pos = ((1u64 << level) - 1) + rel / n_trees;
-        let child = |p: u64| {
-            let cl = level + 1;
-            let cbase = n_trees * ((1u64 << cl) - 1);
-            u32::try_from(cbase + (p - ((1u64 << cl) - 1)) * n_trees + tree)
-                .expect("slot fits u32")
-        };
-        (child(2 * pos + 1), child(2 * pos + 2))
+    /// The mirror record at `index` (walks start at a root: see
+    /// [`DeviceForest::roots`]).
+    #[inline]
+    pub(crate) fn record(&self, index: u32) -> &MirrorNode {
+        &self.nodes[index as usize]
     }
 
-    /// The node in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a NULL slot — reaching one during traversal is a layout bug.
+    /// The node in `slot`, or `None` for a NULL (dense padding) slot or a
+    /// slot past the image.
     #[must_use]
-    pub fn node(&self, slot: u32) -> &DeviceNode {
-        self.nodes[slot as usize]
-            .as_ref()
-            .expect("traversal reached a NULL slot")
-    }
-
-    /// The node in `slot`, or `None` for a NULL (dense padding) slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    #[must_use]
-    pub fn node_opt(&self, slot: usize) -> Option<&DeviceNode> {
-        self.nodes[slot].as_ref()
+    pub fn node_opt(&self, slot: u32) -> Option<DeviceNode> {
+        let index = self.nodes.binary_search_by_key(&slot, |n| n.slot).ok()?;
+        Some(self.device_node(&self.nodes[index]))
     }
 
     /// Simulated device address of a slot in lane 0 (the whole node record
@@ -538,13 +633,8 @@ impl DeviceForest {
         self.lane_addr(0, slot)
     }
 
-    /// Tree level of a slot.
-    #[must_use]
-    pub fn level_of(&self, slot: u32) -> u32 {
-        self.levels[slot as usize]
-    }
-
-    /// Root slot of each tree, in layout order.
+    /// Root slot of each tree, in layout order. Every slot below a root
+    /// holds a real node, so a root's slot is also its mirror index.
     #[must_use]
     pub fn roots(&self) -> &[u32] {
         &self.roots
@@ -583,7 +673,7 @@ impl DeviceForest {
     /// Total image size in bytes (including dense NULL padding).
     #[must_use]
     pub fn image_bytes(&self) -> usize {
-        self.nodes.len() * self.node_bytes
+        self.n_slots * self.node_bytes
     }
 
     /// Shared-memory footprint of trees `[from, to)` in layout order (NULL
@@ -628,16 +718,11 @@ impl DeviceForest {
     /// Panics if the sample has fewer attributes than the forest tests.
     #[must_use]
     pub fn tree_leaf(&self, layout_tree: usize, sample: &[f32]) -> f32 {
-        let mut slot = self.roots[layout_tree];
-        loop {
-            let n = self.node(slot);
-            if n.leaf {
-                return n.scalar;
-            }
-            slot = n
-                .next_slot(sample[n.attribute as usize])
-                .expect("non-leaf nodes always route");
+        let mut n = self.record(self.roots[layout_tree]);
+        while !n.leaf {
+            n = self.record(n.next(sample[n.attribute as usize]));
         }
+        n.scalar
     }
 
     /// Combines a raw sum of tree outputs into the forest prediction.
@@ -753,9 +838,88 @@ mod tests {
             let image = df.encode_image();
             assert_eq!(image.len(), df.image_bytes());
             let decoded = df.decode_image(&image);
-            assert_eq!(decoded.len(), df.nodes.len());
-            for (slot, (a, b)) in df.nodes.iter().zip(&decoded).enumerate() {
-                assert_eq!(a, b, "{name}: slot {slot} mismatch");
+            assert_eq!(decoded.len(), df.n_slots);
+            for (slot, b) in decoded.iter().enumerate() {
+                assert_eq!(df.node_opt(slot as u32), *b, "{name}: slot {slot} mismatch");
+            }
+        }
+    }
+
+    /// A depth-8 chain tree (every decision's left child a leaf) plus ten
+    /// stumps: 47 real nodes padded to 11 × 511 dense slots.
+    fn padded_forest() -> Forest {
+        use tahoe_datasets::Task;
+        use tahoe_forest::Tree;
+        let depth = 8u32;
+        let mut chain = Vec::new();
+        for i in 0..depth {
+            chain.push(HostNode::Decision {
+                attribute: i % 3,
+                threshold: i as f32 * 0.25,
+                default_left: i % 2 == 0,
+                left: 2 * i + 1,
+                right: 2 * i + 2,
+                left_prob: 0.5,
+            });
+            chain.push(HostNode::Leaf { value: i as f32 });
+        }
+        chain.push(HostNode::Leaf { value: -1.0 });
+        let mut trees = vec![Tree::new(chain)];
+        for t in 0..10 {
+            trees.push(Tree::new(vec![
+                HostNode::Decision {
+                    attribute: t % 3,
+                    threshold: 0.5,
+                    default_left: t % 2 == 1,
+                    left: 1,
+                    right: 2,
+                    left_prob: 0.5,
+                },
+                HostNode::Leaf { value: t as f32 },
+                HostNode::Leaf { value: -(t as f32) },
+            ]));
+        }
+        Forest::new(trees, 3, ForestKind::Gbdt, Task::Regression, 0.5)
+    }
+
+    #[test]
+    fn host_mirror_holds_only_real_nodes() {
+        let forest = padded_forest();
+        let total_nodes = forest.stats().total_nodes;
+        assert_eq!(total_nodes, 47);
+        let mut plan = LayoutPlan::identity(&forest);
+        plan.tree_order.reverse();
+        plan.swaps[0][2] = true;
+        let config = FormatConfig {
+            mode: Some(StorageMode::Dense),
+            ..FormatConfig::adaptive()
+        };
+        let mut mem = DeviceMemory::new();
+        let df = DeviceForest::build(&forest, &plan, config, &mut mem);
+        let n_slots = 11 * ((1 << 9) - 1);
+        assert!(n_slots >= 10 * total_nodes, "the forest must be padded ≥ 10×");
+        // The mirror keeps one record per real node, in ascending slot order.
+        assert_eq!(df.nodes.len(), total_nodes);
+        assert_eq!(df.nodes.capacity(), total_nodes);
+        assert!(df.nodes.windows(2).all(|w| w[0].slot < w[1].slot));
+        // The simulated image still covers every padded slot.
+        assert_eq!(df.n_slots, n_slots);
+        assert_eq!(df.image_bytes(), n_slots * df.node_bytes());
+        assert_eq!(df.encode_image().len(), df.image_bytes());
+        assert_eq!(df.buffers()[0].bytes, df.image_bytes() as u64);
+        // Every slot decodes to the mirror's node, padding to NULL.
+        let decoded = df.decode_image(&df.encode_image());
+        assert_eq!(decoded.iter().filter(|d| d.is_some()).count(), total_nodes);
+        for (slot, d) in decoded.iter().enumerate() {
+            assert_eq!(df.node_opt(slot as u32), *d, "slot {slot}");
+        }
+        // Walking the mirror reaches the reference's leaf in every tree.
+        let values: Vec<f32> = (0..63).map(|i| (i as f32 * 0.37).fract() * 2.0).collect();
+        let samples = SampleMatrix::from_vec(21, 3, values);
+        for row in samples.rows() {
+            for (layout_tree, &orig) in df.tree_order().iter().enumerate() {
+                let want = forest.trees()[orig].predict(row);
+                assert_eq!(df.tree_leaf(layout_tree, row).to_bits(), want.to_bits());
             }
         }
     }
@@ -871,8 +1035,8 @@ mod tests {
             let image = df.encode_image();
             assert_eq!(image.len(), df.image_bytes());
             let decoded = df.decode_image(&image);
-            for (slot, (a, b)) in df.nodes.iter().zip(&decoded).enumerate() {
-                assert_eq!(a, b, "{mode:?}: slot {slot} mismatch");
+            for (slot, b) in decoded.iter().enumerate() {
+                assert_eq!(df.node_opt(slot as u32), *b, "{mode:?}: slot {slot} mismatch");
             }
         }
     }

@@ -144,7 +144,18 @@ pub(crate) fn take_le(buf: &mut &[u8], n: usize) -> u32 {
     u32::from_le_bytes(word)
 }
 
-/// Decoded device node (the working representation kernels traverse).
+/// The routing rule of a decision node: whether `value` goes to the layout-left
+/// child (see [`DeviceNode`]).
+#[inline]
+pub(crate) fn goes_left(value: f32, threshold: f32, default_left: bool, inverted: bool) -> bool {
+    if value.is_nan() {
+        default_left
+    } else {
+        (value < threshold) ^ inverted
+    }
+}
+
+/// Decoded device node: one slot of the image, with children as slots.
 ///
 /// For decision nodes the routing rule is:
 ///
@@ -194,11 +205,7 @@ impl DeviceNode {
         if self.leaf {
             return None;
         }
-        let go_left = if value.is_nan() {
-            self.default_left
-        } else {
-            (value < self.scalar) ^ self.inverted
-        };
+        let go_left = goes_left(value, self.scalar, self.default_left, self.inverted);
         Some(if go_left { self.left } else { self.right })
     }
 

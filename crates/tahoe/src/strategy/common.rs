@@ -307,12 +307,16 @@ pub(crate) struct TraversalConfig {
 
 /// Walks one warp level-synchronously until every lane reaches a leaf.
 ///
-/// `start(lane)` is an active lane's start slot and sample, `None` for an
+/// `start(lane)` is an active lane's start root and sample, `None` for an
 /// idle lane. The thread-per-sample strategies start every lane at one
 /// tree's root, each with its own sample; shared data starts each lane at
 /// its round-robin tree, all on the one staged sample. Every level issues
 /// the node read, then — for lanes at decision nodes — the attribute read
 /// and the node evaluation.
+///
+/// Lanes walk the forest's host mirror by record index (a root's slot is
+/// its index, see [`DeviceForest::roots`]); a record's slot only places its
+/// simulated read.
 pub(crate) fn traverse_warp(
     warp: &mut WarpSim<'_>,
     ctx: &LaunchContext<'_>,
@@ -340,12 +344,13 @@ pub(crate) fn traverse_warp(
         s.value_accesses.clear();
         s.child_accesses.clear();
         for (lane, state) in s.lanes.iter().enumerate() {
-            let Some((slot, _)) = *state else { continue };
+            let Some((index, _)) = *state else { continue };
             let lane = lane as u8;
             if cfg.nodes_shared {
                 s.active.push(lane);
                 continue;
             }
+            let slot = forest.record(index).slot;
             s.accesses.push((lane, forest.lane_addr(0, slot)));
             if packed {
                 s.value_accesses.push((lane, forest.lane_addr(1, slot)));
@@ -378,8 +383,8 @@ pub(crate) fn traverse_warp(
         s.attr_accesses.clear();
         s.eval.clear();
         for (lane, state) in s.lanes.iter_mut().enumerate() {
-            let Some((slot, sample)) = *state else { continue };
-            let node = forest.node(slot);
+            let Some((index, sample)) = *state else { continue };
+            let node = forest.record(index);
             if node.leaf {
                 *state = None;
                 continue;
@@ -390,8 +395,7 @@ pub(crate) fn traverse_warp(
                 s.attr_accesses
                     .push((lane as u8, sample_attr_addr(ctx.sample_buf, n_attr, sample, attr)));
             }
-            let next = node.next_slot(values[sample * n_attr + attr]);
-            *state = Some((next.expect("decision nodes route"), sample));
+            *state = Some((node.next(values[sample * n_attr + attr]), sample));
         }
         if !s.eval.is_empty() {
             if cfg.attrs_shared {
@@ -466,7 +470,7 @@ pub(crate) fn run_per_sample(
 /// a 1-thread run reuses one set across the whole grid.
 #[derive(Default)]
 pub(crate) struct BlockScratch {
-    /// Per-lane `(slot, sample)` of the walk; `None` once idle.
+    /// Per-lane `(mirror index, sample)` of the walk; `None` once idle.
     lanes: Vec<Option<(u32, usize)>>,
     /// Node-read (lane 0) or staged-word accesses.
     accesses: Vec<(u8, u64)>,

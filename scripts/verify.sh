@@ -138,11 +138,17 @@ TAHOE_SIM_THREADS=4 cargo run --release --bin tahoe-cli -- serve \
 cmp_views "$FIG9_W1/serve" "$FIG9_W4/serve"
 grep -q '"slo_windows"' "$FIG9_W1/serve/timeseries.json"
 # The serving trace carries the per-request flow events, and `tahoe-cli
-# explain` digests the decisions view end-to-end.
+# explain` digests the decisions view end-to-end. `grep -q` closes the pipe
+# at its first match and the pipeline's status is grep's, so a CLI panic on
+# the closed pipe is caught from its stderr instead.
 grep -q '"request path"' "$FIG9_W1/serve/trace.json"
 cargo run --release --bin tahoe-cli -- explain \
-    --telemetry "$FIG9_W1/serve" --top 3 \
+    --telemetry "$FIG9_W1/serve" --top 3 2>"$FIG9_W1/explain.stderr" \
     | grep -q "chose '"
+if grep -q "panicked" "$FIG9_W1/explain.stderr"; then
+    cat "$FIG9_W1/explain.stderr" >&2
+    exit 1
+fi
 grep -q '"calibration_generation"' "$FIG9_W1/serve/decisions.json"
 
 # Closed tuning loop (DESIGN.md §2.16), end to end: a single-device

@@ -18,8 +18,10 @@
 //! `--data` accepts either a Table 2 dataset name (synthetic generation) or a
 //! path to a CSV file (label in the last column; `?`/`NA`/empty = missing).
 
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::OnceLock;
 
 use tahoe_repro::datasets::{
     self, Dataset, DatasetSpec, Scale, Task,
@@ -37,6 +39,34 @@ use tahoe_repro::forest::train::random_forest::{self, RandomForestParams};
 use tahoe_repro::forest::train::TrainParams;
 use tahoe_repro::forest::{io as forest_io, Forest};
 use tahoe_repro::gpu::device::DeviceSpec;
+
+/// Writes one line to stdout through [`write_line`], the CLI's one output
+/// path.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_line(format_args!($($arg)*))
+    };
+}
+
+/// Set at the first failed stdout write, after which lines are dropped:
+/// `None` when the reader went away, else the error that fails the run.
+static STDOUT_ENDED: OnceLock<Option<String>> = OnceLock::new();
+
+/// Writes `args` and a newline to stdout. When the reader goes away
+/// (`BrokenPipe`, as in `tahoe-cli inspect … | head -1`), output ends
+/// quietly and the command still finishes its other work; any other write
+/// error ends output too and fails the run once the command returns.
+fn write_line(args: std::fmt::Arguments<'_>) {
+    if STDOUT_ENDED.get().is_some() {
+        return;
+    }
+    let mut stdout = io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.write_all(b"\n")) {
+        let error =
+            (e.kind() != io::ErrorKind::BrokenPipe).then(|| format!("writing to stdout: {e}"));
+        let _ = STDOUT_ENDED.set(error);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,11 +86,15 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(&flags),
         "explain" => cmd_explain(&flags),
         "--help" | "-h" | "help" => {
-            print!("{HELP}");
+            out!("{}", HELP.trim_end_matches('\n'));
             Ok(())
         }
         other => Err(format!("unknown command '{other}'")),
     };
+    let result = result.and_then(|()| match STDOUT_ENDED.get() {
+        Some(Some(e)) => Err(e.clone()),
+        _ => Ok(()),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -92,8 +126,9 @@ common flags:
   --task <class|reg>       CSV label type (default class)
   --strategy <s>           auto|shared-data|direct|shared-forest|splitting
   --node-encoding <e>      infer/bench/serve: classic|packed (default
-                           packed — struct-of-arrays lanes when the
-                           attribute count allows it, classic otherwise)
+                           classic — whole-node records, the encoding every
+                           paper figure measures; packed: struct-of-arrays
+                           lanes when the attribute count allows it)
   --batch N                inference batch size (default: whole dataset)
   --out <file>             write predictions as CSV
   --prune EPS              collapse near-constant subtrees after training
@@ -159,7 +194,7 @@ impl Flags {
             kind: None,
             task: None,
             strategy: None,
-            node_encoding: NodeEncoding::Packed,
+            node_encoding: NodeEncoding::Classic,
             batch: None,
             gpus: None,
             devices: None,
@@ -301,7 +336,7 @@ impl Flags {
         if let Some(dir) = &self.telemetry {
             sink.write_views(dir)
                 .map_err(|e| format!("writing telemetry to {}: {e}", dir.display()))?;
-            println!("wrote telemetry views ({}) to {}", VIEW_FILES.join(", "), dir.display());
+            out!("wrote telemetry views ({}) to {}", VIEW_FILES.join(", "), dir.display());
         }
         Ok(())
     }
@@ -392,7 +427,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     let forest = match flags.prune {
         Some(eps) => {
             let pruned = tahoe_repro::forest::prune_forest(&forest, eps);
-            println!(
+            out!(
                 "pruned {} -> {} nodes (tolerance {eps})",
                 forest.stats().total_nodes,
                 pruned.stats().total_nodes
@@ -403,7 +438,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     };
     forest_io::save_forest(&forest, model_path).map_err(|e| e.to_string())?;
     let stats = forest.stats();
-    println!(
+    out!(
         "trained {} trees (avg depth {:.1}, {} nodes) on {} samples -> {}",
         stats.n_trees,
         stats.avg_depth,
@@ -491,7 +526,7 @@ fn cmd_infer(flags: &Flags) -> Result<(), String> {
         }
     }
     let result = engine.infer_with(&batch, force);
-    println!(
+    out!(
         "device {}  strategy '{}'  batch {}  simulated {:.1} us  {:.2} samples/us",
         engine.device().name,
         result.strategy,
@@ -499,7 +534,7 @@ fn cmd_infer(flags: &Flags) -> Result<(), String> {
         result.run.kernel.total_ns / 1e3,
         result.run.throughput_samples_per_us()
     );
-    println!(
+    out!(
         "node encoding {:?}  {} B/node  image {} B",
         engine.device_forest().encoding(),
         engine.device_forest().node_bytes(),
@@ -511,7 +546,7 @@ fn cmd_infer(flags: &Flags) -> Result<(), String> {
             text.push_str(&format!("{p}\n"));
         }
         std::fs::write(out, text).map_err(|e| e.to_string())?;
-        println!("wrote {} predictions to {}", result.predictions.len(), out.display());
+        out!("wrote {} predictions to {}", result.predictions.len(), out.display());
     }
     flags.export_telemetry(&sink)
 }
@@ -533,20 +568,20 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
         },
         sink.clone(),
     );
-    println!(
+    out!(
         "node encoding {:?}  {} B/node  image {} B",
         engine.device_forest().encoding(),
         engine.device_forest().node_bytes(),
         engine.device_forest().image_bytes()
     );
-    println!("{:<26} {:>14} {:>12}", "strategy", "ns/sample", "samples/us");
+    out!("{:<26} {:>14} {:>12}", "strategy", "ns/sample", "samples/us");
     for s in Strategy::ALL {
         if !engine.feasible(s, &batch) {
-            println!("{:<26} {:>14} {:>12}", s.name(), "-", "-");
+            out!("{:<26} {:>14} {:>12}", s.name(), "-", "-");
             continue;
         }
         let run = engine.infer_with(&batch, Some(s));
-        println!(
+        out!(
             "{:<26} {:>14.1} {:>12.3}",
             s.name(),
             run.run.ns_per_sample(),
@@ -554,7 +589,7 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
         );
     }
     let auto = engine.infer(&batch);
-    println!("model selects: {}", auto.strategy);
+    out!("model selects: {}", auto.strategy);
     flags.export_telemetry(&sink)
 }
 
@@ -580,14 +615,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         flags.slo_ns,
     );
     let r = &report.report;
-    println!(
+    out!(
         "served {} requests in {} batches over {} device(s)  makespan {:.1} us",
         r.n_requests(),
         r.batches.len(),
         report.per_device.len(),
         r.makespan_ns / 1e3
     );
-    println!(
+    out!(
         "throughput {:.3} req/us  latency mean {:.1} us  p50 {:.1} us  p99 {:.1} us",
         r.throughput_per_us(),
         r.mean_latency_ns() / 1e3,
@@ -595,13 +630,13 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         r.latency_percentile_ns(0.99) / 1e3
     );
     if let (Some(deadline), Some(attainment)) = (r.deadline_ns, r.slo_attainment()) {
-        println!(
+        out!(
             "slo deadline {:.1} us  attainment {:.2}%",
             deadline / 1e3,
             100.0 * attainment
         );
     }
-    println!(
+    out!(
         "{:<4} {:<12} {:>8} {:>9} {:>12} {:>8} {:>12}",
         "gpu", "device", "batches", "requests", "busy us", "util %", "mem high"
     );
@@ -611,7 +646,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         } else {
             0.0
         };
-        println!(
+        out!(
             "{:<4} {:<12} {:>8} {:>9} {:>12.1} {:>8.1} {:>12}",
             d.device,
             d.device_name,
@@ -636,7 +671,7 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
 /// their wall-time breakdowns, then histograms and the decisions' model-drift
 /// summary.
 fn print_profile_report(export: &ProfilesExport, decisions: &[DecisionRecord], top: usize) {
-    println!("kernel launches: {}", export.kernels.len());
+    out!("kernel launches: {}", export.kernels.len());
     let mut order: Vec<usize> = (0..export.kernels.len()).collect();
     order.sort_by(|&a, &b| {
         export.kernels[b]
@@ -648,14 +683,14 @@ fn print_profile_report(export: &ProfilesExport, decisions: &[DecisionRecord], t
         let k = &export.kernels[i];
         let b = &k.breakdown;
         let pct = |part: f64| 100.0 * part / k.total_ns.max(f64::MIN_POSITIVE);
-        println!(
+        out!(
             "#{:<2} {:<26} {:>12.1} us  on {}",
             rank + 1,
             k.label,
             k.total_ns / 1e3,
             k.device
         );
-        println!(
+        out!(
             "    grid {} x {} thr, {} B smem/block, {} waves; occupancy {:.0}% (limited by {})",
             k.grid_blocks,
             k.threads_per_block,
@@ -669,14 +704,14 @@ fn print_profile_report(export: &ProfilesExport, decisions: &[DecisionRecord], t
         } else {
             String::new()
         };
-        println!(
+        out!(
             "    warp-exec {:.1}%  gmem coalescing {:.1}% ({:.2} txn/req){node_bytes}  roofline {:.1}%",
             100.0 * k.warp_exec_efficiency,
             100.0 * k.gmem_coalescing_efficiency,
             k.transactions_per_request,
             100.0 * k.roofline_utilization
         );
-        println!(
+        out!(
             "    traversal {:.1}%  staging {:.1}%  block-red {:.1}%  global-red {:.1}%  bw-stall {:.1}%",
             pct(b.traversal_ns),
             pct(b.staging_ns),
@@ -688,9 +723,9 @@ fn print_profile_report(export: &ProfilesExport, decisions: &[DecisionRecord], t
     print_histogram("kernel durations", &export.kernel_durations);
     print_histogram("serving latencies", &export.serving_latencies);
     if decisions.is_empty() {
-        println!("model drift: no records");
+        out!("model drift: no records");
     } else {
-        println!("model drift (|predicted - simulated| / simulated):");
+        out!("model drift (|predicted - simulated| / simulated):");
         let mut by_strategy: std::collections::BTreeMap<&str, (u64, f64, f64)> =
             std::collections::BTreeMap::new();
         for d in decisions {
@@ -700,7 +735,7 @@ fn print_profile_report(export: &ProfilesExport, decisions: &[DecisionRecord], t
             e.2 = e.2.max(d.relative_error.abs());
         }
         for (strategy, (n, sum, max)) in by_strategy {
-            println!(
+            out!(
                 "  {:<26} {:>3} launches  mean {:>6.1}%  max {:>6.1}%",
                 strategy,
                 n,
@@ -713,10 +748,10 @@ fn print_profile_report(export: &ProfilesExport, decisions: &[DecisionRecord], t
 
 fn print_histogram(name: &str, hist: &HistogramExport) {
     if hist.count == 0 {
-        println!("{name}: no samples");
+        out!("{name}: no samples");
         return;
     }
-    println!(
+    out!(
         "{name}: {} samples  mean {:.1} us  p50 <= {:.1} us  p99 <= {:.1} us  max {:.1} us",
         hist.count,
         hist.mean_ns() / 1e3,
@@ -736,17 +771,17 @@ fn cmd_explain(flags: &Flags) -> Result<(), String> {
 /// candidate ladder, rejection reasons, chosen plan, and realized drift,
 /// followed by a request-path summary when the export came from `serve`.
 fn print_decision_report(export: &DecisionsExport, top: usize) {
-    println!("tuning decisions: {}", export.decisions.len());
+    out!("tuning decisions: {}", export.decisions.len());
     for (i, d) in export.decisions.iter().take(top).enumerate() {
         let forced = if d.forced { "  (strategy forced; ranking bypassed)" } else { "" };
-        println!(
+        out!(
             "#{:<2} batch {} on device {}  {} samples{forced}",
             i + 1,
             d.batch,
             d.device,
             d.n_samples
         );
-        println!(
+        out!(
             "    chose '{}' @ {} threads/block  predicted {:.1} us  simulated {:.1} us  drift {:+.1}%  gen {}",
             d.chosen_strategy,
             d.chosen_block_threads,
@@ -772,7 +807,7 @@ fn print_decision_report(export: &DecisionsExport, top: usize) {
             } else {
                 ""
             };
-            println!(
+            out!(
                 "    {:>2}. {:<26} {:>5} thr {:>12.1} us{marker}",
                 rank + 1,
                 c.strategy,
@@ -791,11 +826,11 @@ fn print_decision_report(export: &DecisionsExport, top: usize) {
             }
             let summary: Vec<String> =
                 reasons.iter().map(|(r, n)| format!("{n} x {r}")).collect();
-            println!("    rejected {rejected} candidates: {}", summary.join(", "));
+            out!("    rejected {rejected} candidates: {}", summary.join(", "));
         }
     }
     if export.decisions.len() > top {
-        println!("... and {} more decisions", export.decisions.len() - top);
+        out!("... and {} more decisions", export.decisions.len() - top);
     }
     if !export.decisions.is_empty() {
         let mean_abs = |records: &[&DecisionRecord]| {
@@ -807,7 +842,7 @@ fn print_decision_report(export: &DecisionsExport, top: usize) {
         let calibrated: Vec<_> =
             export.decisions.iter().filter(|d| d.calibration_generation > 0).collect();
         if !calibrated.is_empty() && !raw.is_empty() {
-            println!(
+            out!(
                 "calibration: mean |drift| {:.2}% uncalibrated (gen 0, {} decisions) -> {:.2}% calibrated (gen > 0, {} decisions)",
                 100.0 * mean_abs(&raw),
                 raw.len(),
@@ -817,7 +852,7 @@ fn print_decision_report(export: &DecisionsExport, top: usize) {
         }
     }
     if export.requests.is_empty() {
-        println!("request paths: no records (infer/bench exports have none)");
+        out!("request paths: no records (infer/bench exports have none)");
         return;
     }
     let n = export.requests.len() as f64;
@@ -831,14 +866,14 @@ fn print_decision_report(export: &DecisionsExport, top: usize) {
             worst = r;
         }
     }
-    println!(
+    out!(
         "request paths: {} requests  mean form {:.1} us  queue {:.1} us  execute {:.1} us",
         export.requests.len(),
         form / n / 1e3,
         queue / n / 1e3,
         execute / n / 1e3
     );
-    println!(
+    out!(
         "worst request #{} (batch {}, device {}): total {:.1} us = form {:.1} + queue {:.1} + execute {:.1} (reduction {:.1} within execute)",
         worst.request,
         worst.batch,
@@ -855,15 +890,15 @@ fn cmd_inspect(flags: &Flags) -> Result<(), String> {
     let path = flags.model.as_deref().ok_or("missing --model")?;
     let forest = forest_io::load_forest(path).map_err(|e| e.to_string())?;
     let stats = forest.stats();
-    println!("model: {}", path.display());
-    println!("  kind:           {:?}", forest.kind());
-    println!("  task:           {:?}", forest.task());
-    println!("  trees:          {}", stats.n_trees);
-    println!("  attributes:     {}", stats.n_attributes);
-    println!("  total nodes:    {}", stats.total_nodes);
-    println!("  max depth:      {}", stats.max_depth);
-    println!("  avg depth:      {:.2}", stats.avg_depth);
-    println!("  avg nodes/tree: {:.1}", stats.avg_nodes_per_tree());
+    out!("model: {}", path.display());
+    out!("  kind:           {:?}", forest.kind());
+    out!("  task:           {:?}", forest.task());
+    out!("  trees:          {}", stats.n_trees);
+    out!("  attributes:     {}", stats.n_attributes);
+    out!("  total nodes:    {}", stats.total_nodes);
+    out!("  max depth:      {}", stats.max_depth);
+    out!("  avg depth:      {:.2}", stats.avg_depth);
+    out!("  avg nodes/tree: {:.1}", stats.avg_nodes_per_tree());
     let depths: Vec<usize> = forest
         .trees()
         .iter()
@@ -871,6 +906,6 @@ fn cmd_inspect(flags: &Flags) -> Result<(), String> {
         .collect();
     let min = depths.iter().min().copied().unwrap_or(0);
     let max = depths.iter().max().copied().unwrap_or(0);
-    println!("  depth range:    {min}..{max}");
+    out!("  depth range:    {min}..{max}");
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `tahoe-cli` binary.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tahoe-cli"))
@@ -407,4 +407,27 @@ fn malformed_models_fail_with_a_one_line_error() {
         }
         std::fs::remove_file(&model).ok();
     }
+}
+
+#[test]
+fn closed_stdout_ends_output_quietly() {
+    // As in `tahoe-cli inspect … | head -1`: the reader is gone before the
+    // first line, so every write meets a closed pipe.
+    let model = temp_path("closed_stdout.json");
+    std::fs::write(&model, hand_written_model(3, 1)).unwrap();
+    for args in [vec!["inspect", "--model", model.to_str().unwrap()], vec!["--help"]] {
+        let mut child = cli()
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn tahoe-cli");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for tahoe-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(out.status.success(), "{args:?} failed: {stderr}");
+        assert!(stderr.is_empty(), "{args:?} wrote to stderr: {stderr}");
+    }
+    std::fs::remove_file(&model).ok();
 }

@@ -160,8 +160,8 @@ proptest! {
         let image = df.encode_image();
         prop_assert_eq!(image.len(), df.image_bytes());
         let decoded = df.decode_image(&image);
-        for (slot, (a, b)) in decoded.iter().enumerate().map(|(i, d)| (i, (d, df.node_opt(i)))) {
-            prop_assert_eq!(a.as_ref(), b, "slot {} mismatch", slot);
+        for (slot, (a, b)) in decoded.iter().enumerate().map(|(i, d)| (i, (d, df.node_opt(i as u32)))) {
+            prop_assert_eq!(a, &b, "slot {} mismatch", slot);
         }
     }
 

@@ -1,12 +1,14 @@
 //! Pins the simulated outcome of every strategy kernel, bit for bit.
 //!
 //! Each cell runs one strategy on one smoke-scale dataset under one node
-//! encoding (classic, packed with its automatic storage mode, packed forced
-//! into the 3-lane sparse mode), one simulation detail and one block size,
-//! and renders its `KernelResult` as integers and f64 bit patterns. The
-//! rendered table must equal `strategy_bits.golden` line for line, so a
-//! change to the strategy kernels that moves any simulated number by one ULP
-//! fails here. On a mismatch the test prints the whole regenerated table.
+//! encoding (classic with its automatic storage mode, classic forced into
+//! the sparse mode with explicit children, packed with its automatic storage
+//! mode, packed forced into the 3-lane sparse mode), one simulation detail
+//! and one block size, and renders its `KernelResult` as integers and f64
+//! bit patterns. The rendered table must equal `strategy_bits.golden` line
+//! for line, so a change to the strategy kernels that moves any simulated
+//! number by one ULP fails here. On a mismatch the test prints the whole
+//! regenerated table.
 
 use std::fmt::Write as _;
 
@@ -88,12 +90,17 @@ fn with_format(mut fx: Fixture, config: FormatConfig) -> Fixture {
 }
 
 fn table() -> String {
+    let sparse_classic = FormatConfig {
+        mode: Some(StorageMode::Sparse),
+        ..FormatConfig::adaptive()
+    };
     let sparse_packed = FormatConfig {
         mode: Some(StorageMode::Sparse),
         ..FormatConfig::packed()
     };
     let encodings = [
         ("classic", FormatConfig::adaptive()),
+        ("classic-sparse", sparse_classic),
         ("packed", FormatConfig::packed()),
         ("packed-sparse", sparse_packed),
     ];

@@ -41,9 +41,6 @@ fn main() {
     let ablations = exp::ablations::run(&env);
     exp::ablations::report(&ablations);
 
-    let format = exp::format::run(&env);
-    exp::format::report(&format);
-
     env.export_telemetry();
     println!("\n[all] done — JSON records in results/");
 }

@@ -204,46 +204,6 @@ fn main() {
         }
     });
 
-    section("BENCH_format", &|v, out| {
-        let _ = writeln!(out, "\n## Node encoding — classic vs packed");
-        let _ = writeln!(
-            out,
-            "| dataset | mode | B/node | image (MiB) | staged txns | feasible batch |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|---|---|");
-        let rows = v["rows"].as_array().cloned().unwrap_or_default();
-        for r in &rows {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} -> {} | {:.2} -> {:.2} | {} -> {} | {} -> {} |",
-                r["dataset"].as_str().unwrap_or("?"),
-                r["mode"].as_str().unwrap_or("?"),
-                r["classic_node_bytes"],
-                r["packed_node_bytes"],
-                r["classic_image_bytes"].as_f64().unwrap_or(0.0) / (1024.0 * 1024.0),
-                r["packed_image_bytes"].as_f64().unwrap_or(0.0) / (1024.0 * 1024.0),
-                r["classic_gmem_transactions"],
-                r["packed_gmem_transactions"],
-                r["classic_feasible_batch"],
-                r["packed_feasible_batch"],
-            );
-        }
-        let best_sparse = v["sparse_rows"]
-            .as_array()
-            .into_iter()
-            .flatten()
-            .filter_map(|r| {
-                Some((r["dataset"].as_str()?, r["node_bytes_ratio"].as_f64()?))
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        if let Some((name, ratio)) = best_sparse {
-            let _ = writeln!(
-                out,
-                "- best forced-sparse bytes-per-node saving: {ratio:.2}x ({name})"
-            );
-        }
-    });
-
     section("fig9_scaling", &|v, out| {
         let _ = writeln!(out, "\n## Fig. 9 — multi-GPU scaling (V100s)");
         let rows = v["rows"].as_array().cloned().unwrap_or_default();

@@ -3,7 +3,6 @@
 pub mod ablations;
 pub mod breakdown;
 pub mod coalescing;
-pub mod format;
 pub mod model_accuracy;
 pub mod motivation;
 pub mod overall;

@@ -134,68 +134,6 @@ impl<'d> WarpSim<'d> {
         self.gmem_access(accesses, elem_bytes, level, true);
     }
 
-    /// One *joint* dependent global-read step over several access sets — the
-    /// struct-of-arrays node fetch, where a warp reads a node's structural
-    /// entry, its value, and (sparse) its child offset from separate lanes.
-    ///
-    /// Each set is `(accesses, elem_bytes)` with `(lane, address)` pairs in
-    /// lane order. All sets are indexed by the *same* already-known slot, so
-    /// the loads issue back-to-back and overlap: the warp pays **one**
-    /// dependent `gmem_latency_ns` for the whole step, while the bandwidth
-    /// side (transactions, requested/fetched bytes) charges every set in
-    /// full. Lane busy time and SIMT activity count each lane once per step
-    /// (the union of the sets' active lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any set has more lanes than the warp is wide.
-    pub fn gmem_read_joint(&mut self, sets: &[(&[(u8, u64)], u64)], level: Option<u32>) {
-        if sets.iter().all(|(accesses, _)| accesses.is_empty()) {
-            return;
-        }
-        let mut lane_mask = 0u64;
-        for &(accesses, elem_bytes) in sets {
-            assert!(
-                accesses.len() <= self.device.warp_size as usize,
-                "more active lanes than the warp width"
-            );
-            if accesses.is_empty() {
-                continue;
-            }
-            let addrs = &mut self.addr_scratch[..accesses.len()];
-            for (slot, &(lane, addr)) in addrs.iter_mut().zip(accesses) {
-                *slot = addr;
-                lane_mask |= 1 << lane;
-            }
-            let distance = adjacent_lane_distance(addrs);
-            let txns = count_transactions(addrs, elem_bytes, self.device.transaction_bytes);
-            let step = AccessStats {
-                requested_bytes: accesses.len() as u64 * elem_bytes,
-                fetched_bytes: txns * self.device.transaction_bytes,
-                transactions: txns,
-                steps: 1,
-            };
-            self.result.gmem.merge(&step);
-            if let Some(lvl) = level {
-                let entry = self.result.levels.entry(lvl).or_default();
-                entry.access.merge(&step);
-                if let Some(d) = distance {
-                    entry.distance_sum += d;
-                    entry.distance_steps += 1;
-                }
-            }
-        }
-        let latency = self.device.gmem_latency_ns;
-        self.result.serial_ns += latency;
-        self.result.steps += 1;
-        self.result.active_lane_steps += u64::from(lane_mask.count_ones());
-        for lane in 0..self.device.warp_size as usize {
-            if lane_mask & (1 << lane) != 0 {
-                self.result.lane_busy_ns[lane] += latency;
-            }
-        }
-    }
-
     fn gmem_access(
         &mut self,
         accesses: &[(u8, u64)],
@@ -395,52 +333,6 @@ mod tests {
         let streamed = d.gmem_latency_ns / d.mlp;
         assert!((r.streamed_ns - streamed).abs() < 1e-9);
         assert!((r.serial_ns - (d.gmem_latency_ns + streamed)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn joint_read_pays_one_latency_but_all_bandwidth() {
-        let d = device();
-        let mut w = WarpSim::new(&d);
-        let bits: Vec<(u8, u64)> = (0..32).map(|i| (i as u8, 0x1000 + i)).collect();
-        let vals: Vec<(u8, u64)> = (0..32).map(|i| (i as u8, 0x8000 + i * 4)).collect();
-        w.gmem_read_joint(&[(&bits, 1), (&vals, 4)], Some(2));
-        let r = w.finish();
-        // One dependent latency for the whole struct-of-arrays fetch...
-        assert!((r.serial_ns - d.gmem_latency_ns).abs() < 1e-9);
-        assert_eq!(r.steps, 1);
-        assert_eq!(r.active_lane_steps, 32);
-        // ...but the bandwidth side charges both sets in full.
-        assert_eq!(r.gmem.requested_bytes, 32 + 128);
-        assert_eq!(r.gmem.transactions, 2);
-        assert_eq!(r.gmem.steps, 2);
-        assert_eq!(r.levels[&2].access.steps, 2);
-        // Each lane is busy once per joint step.
-        assert!((r.lane_busy_ns[0] - d.gmem_latency_ns).abs() < 1e-9);
-        assert!((r.lane_busy_ns[31] - d.gmem_latency_ns).abs() < 1e-9);
-    }
-
-    #[test]
-    fn joint_read_unions_partial_lane_sets() {
-        let d = device();
-        let mut w = WarpSim::new(&d);
-        // Bits read by lanes 0 and 3; value read only by lane 3.
-        w.gmem_read_joint(&[(&[(0, 0x1000), (3, 0x1003)], 1), (&[(3, 0x8000)], 4)], None);
-        let r = w.finish();
-        assert_eq!(r.active_lane_steps, 2);
-        assert!(r.lane_busy_ns[0] > 0.0);
-        assert!((r.lane_busy_ns[3] - d.gmem_latency_ns).abs() < 1e-9, "lane 3 busy once");
-        assert_eq!(r.lane_busy_ns[1], 0.0);
-    }
-
-    #[test]
-    fn joint_read_with_all_empty_sets_is_a_noop() {
-        let d = device();
-        let mut w = WarpSim::new(&d);
-        w.gmem_read_joint(&[(&[], 1), (&[], 4)], Some(0));
-        let r = w.finish();
-        assert_eq!(r.steps, 0);
-        assert_eq!(r.serial_ns, 0.0);
-        assert!(r.levels.is_empty());
     }
 
     #[test]

@@ -392,7 +392,7 @@ mod tests {
             );
             let slot = cluster.engine_mut(d);
             assert_eq!(slot.hardware_params(), alone.hardware_params(), "slot {d}");
-            assert_eq!(slot.device_forest().buffers(), alone.device_forest().buffers());
+            assert_eq!(slot.device_forest().buffer(), alone.device_forest().buffer());
             assert_eq!(
                 slot.device_forest().encode_image(),
                 alone.device_forest().encode_image(),

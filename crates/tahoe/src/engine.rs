@@ -17,7 +17,7 @@ use tahoe_gpu_sim::kernel::Detail;
 use tahoe_gpu_sim::memory::{DeviceMemory, OomError, ALLOC_ALIGN, GLOBAL_BASE};
 use tahoe_gpu_sim::{measure, GlobalBuffer, MeasuredParams};
 
-use crate::format::{DeviceForest, FormatConfig, LayoutPlan, NodeEncoding};
+use crate::format::{DeviceForest, FormatConfig, LayoutPlan};
 use crate::perfmodel::{Calibrator, ModelInputs, Prediction};
 use crate::rearrange::{self, RearrangeReport, SimilarityParams};
 use crate::strategy::common::THREADS_PER_BLOCK;
@@ -53,12 +53,6 @@ pub struct EngineOptions {
     /// re-annotates the forest and rebuilds the layout. Off by default: it
     /// costs an extra traversal pass per batch.
     pub track_probabilities: bool,
-    /// Device-node encoding (DESIGN.md §2.13). The presets keep the classic
-    /// whole-node layout so their simulated traces stay byte-identical;
-    /// `tahoe-cli` defaults to `Packed`. A `Packed` request falls back to
-    /// classic when the attribute count exceeds [`crate::format::PackedWidth`]'s
-    /// 29-bit cap (the format layer decides).
-    pub node_encoding: NodeEncoding,
     /// Online recalibration of the §6 constants from the engine's own drift
     /// stream (DESIGN.md §2.16). Off in the presets so their selections and
     /// exports stay bit-identical to the historical engine; `tahoe-cli`
@@ -81,7 +75,6 @@ impl EngineOptions {
             similarity: SimilarityParams::default(),
             functional: true,
             track_probabilities: false,
-            node_encoding: NodeEncoding::Classic,
             calibration: false,
         }
     }
@@ -99,7 +92,6 @@ impl EngineOptions {
             similarity: SimilarityParams::default(),
             functional: true,
             track_probabilities: false,
-            node_encoding: NodeEncoding::Classic,
             calibration: false,
         }
     }
@@ -158,10 +150,8 @@ pub struct Engine {
     /// device models instead of rearranging again.
     plan: LayoutPlan,
     mem: DeviceMemory,
-    /// Live allocations holding the forest image — one per node lane (the
-    /// classic encoding has one, packed two or three); freed on
-    /// reconversion.
-    forest_bufs: Vec<GlobalBuffer>,
+    /// Live allocation holding the forest image; freed on reconversion.
+    forest_buf: Option<GlobalBuffer>,
     /// Cached per-batch staging buffer, reused (or grown) across batches.
     sample_buf: Option<GlobalBuffer>,
     conversion: ConversionReport,
@@ -249,7 +239,7 @@ impl Engine {
                 swaps: Vec::new(),
             },
             mem,
-            forest_bufs: Vec::new(),
+            forest_buf: None,
             sample_buf: None,
             conversion: ConversionReport::default(),
             sink,
@@ -285,7 +275,7 @@ impl Engine {
             device_forest: self.device_forest.clone(),
             plan: self.plan.clone(),
             mem,
-            forest_bufs: self.forest_bufs.clone(),
+            forest_buf: self.forest_buf,
             sample_buf: self.sample_buf,
             conversion: self.conversion,
             counter: self.counter.clone(),
@@ -347,18 +337,17 @@ impl Engine {
         let config = FormatConfig {
             varlen_attr: self.options.varlen_attr,
             mode: None,
-            encoding: self.options.node_encoding,
         };
         let t0 = Instant::now();
         // Release the previous image before building the replacement —
         // without this, every `update_forest`/`refresh_probabilities` cycle
         // leaked a full forest image of simulated DRAM.
-        for old in std::mem::take(&mut self.forest_bufs) {
+        if let Some(old) = self.forest_buf.take() {
             self.mem.free(old);
         }
         self.device_forest = DeviceForest::try_build(&self.forest, &plan, config, &mut self.mem)
             .unwrap_or_else(|e| panic!("forest image exceeds device DRAM: {e}"));
-        self.forest_bufs = self.device_forest.buffers();
+        self.forest_buf = Some(self.device_forest.buffer());
         let report = ConversionReport {
             rearrange,
             convert_ns: t0.elapsed().as_nanos() as u64,
@@ -945,30 +934,6 @@ mod tests {
             b.run.kernel.gmem.fetched_bytes,
             a.run.kernel.gmem.fetched_bytes
         );
-    }
-
-    #[test]
-    fn packed_encoding_matches_reference_and_shrinks_image() {
-        let (forest, samples) = setup("letter");
-        let reference = predict_dataset(&forest, &samples);
-        let classic = Engine::tahoe(DeviceSpec::tesla_p100(), forest.clone());
-        let options = EngineOptions {
-            node_encoding: NodeEncoding::Packed,
-            ..EngineOptions::tahoe()
-        };
-        let mut packed = Engine::new(DeviceSpec::tesla_p100(), forest, options);
-        assert_eq!(packed.device_forest().encoding(), NodeEncoding::Packed);
-        assert!(
-            packed.device_forest().image_bytes() < classic.device_forest().image_bytes(),
-            "packed {} !< classic {}",
-            packed.device_forest().image_bytes(),
-            classic.device_forest().image_bytes()
-        );
-        let result = packed.infer(&samples);
-        assert_eq!(result.predictions.len(), reference.len());
-        for (a, b) in result.predictions.iter().zip(&reference) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
     }
 
     #[test]

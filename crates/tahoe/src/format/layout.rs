@@ -235,54 +235,6 @@ pub(crate) fn assign_slots_at_depth(
     }
 }
 
-/// Assigns sparse slots for the packed struct-of-arrays encoding: each tree's
-/// nodes occupy one *consecutive* slot range in BFS (heap-position) order.
-///
-/// Two properties the packed child lane depends on (and which the
-/// level-interleaved [`assign_slots`] sparse order does not provide):
-///
-/// 1. **Trees are contiguous** — tree `t` spans
-///    `[roots[t], roots[t] + n_nodes_t)`, so a child slot can be stored as a
-///    small tree-relative offset and staging ranges are exact.
-/// 2. **Siblings are adjacent** — decision nodes always have both children
-///    (trees are structurally full), and heap positions `2p+1`/`2p+2` sort
-///    consecutively, so the layout-right child always sits at
-///    `layout-left + 1` and only the left offset needs storing.
-#[must_use]
-pub fn assign_slots_paired(forest: &Forest, plan: &LayoutPlan) -> SlotMap {
-    plan.validate(forest);
-    let n_trees = forest.n_trees();
-    let positions: Vec<Vec<u64>> = plan
-        .tree_order
-        .iter()
-        .map(|&orig| heap_positions(&forest.trees()[orig], &plan.swaps[orig]))
-        .collect();
-    let mut slot_of: Vec<Vec<u32>> = positions
-        .iter()
-        .map(|p| vec![0u32; p.len()])
-        .collect();
-    let mut base = 0u64;
-    for (layout_idx, pos) in positions.iter().enumerate() {
-        let mut keyed: Vec<(u64, u32)> = pos
-            .iter()
-            .enumerate()
-            .map(|(id, &p)| (p, id as u32))
-            .collect();
-        keyed.sort_unstable();
-        for (i, &(_p, node_id)) in keyed.iter().enumerate() {
-            slot_of[layout_idx][node_id as usize] =
-                u32::try_from(base + i as u64).expect("slot fits u32");
-        }
-        base += pos.len() as u64;
-    }
-    SlotMap {
-        slot_of,
-        n_slots: usize::try_from(base).expect("slot count fits usize"),
-        mode: StorageMode::Sparse,
-        n_trees,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,53 +390,6 @@ mod tests {
         assert_eq!(map.slot_of[0][0], 0);
         // slot_of is indexed by layout position, not original index.
         assert_eq!(map.slot_of.len(), 3);
-    }
-
-    #[test]
-    fn paired_slots_keep_trees_contiguous_and_siblings_adjacent() {
-        let f = forest();
-        let plan = LayoutPlan::identity(&f);
-        let map = assign_slots_paired(&f, &plan);
-        assert_eq!(map.n_slots, 11);
-        // Tree bases: 0, 3, 8 (3 + 5 + 3 nodes, each tree contiguous).
-        assert_eq!(map.slot_of[0][0], 0);
-        assert_eq!(map.slot_of[1][0], 3);
-        assert_eq!(map.slot_of[2][0], 8);
-        // Within every tree, each decision node's children occupy adjacent
-        // slots, layout-left first.
-        for (layout_idx, &orig) in plan.tree_order.iter().enumerate() {
-            for node in f.trees()[orig].nodes() {
-                if let Some((l, r)) = node.children() {
-                    let ls = map.slot_of[layout_idx][l as usize];
-                    let rs = map.slot_of[layout_idx][r as usize];
-                    assert_eq!(rs, ls + 1, "tree {layout_idx}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn paired_slots_keep_sibling_adjacency_under_swaps() {
-        let f = forest();
-        let mut plan = LayoutPlan::identity(&f);
-        // Swap every decision node; the layout-left child (the original
-        // right) must still land one slot before the layout-right child.
-        for (t, tree) in f.trees().iter().enumerate() {
-            for (i, n) in tree.nodes().iter().enumerate() {
-                plan.swaps[t][i] = !n.is_leaf();
-            }
-        }
-        let map = assign_slots_paired(&f, &plan);
-        for (layout_idx, &orig) in plan.tree_order.iter().enumerate() {
-            for node in f.trees()[orig].nodes() {
-                if let Some((l, r)) = node.children() {
-                    // Swapped: original right is layout-left.
-                    let ls = map.slot_of[layout_idx][r as usize];
-                    let rs = map.slot_of[layout_idx][l as usize];
-                    assert_eq!(rs, ls + 1, "tree {layout_idx}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -50,93 +50,14 @@ impl AttrWidth {
     }
 }
 
-/// Width of one packed structural entry (the struct-of-arrays encoding).
-///
-/// A packed entry bit-packs the attribute index with the three per-node
-/// flags into a single 1-, 2-, or 4-byte integer (the reference CUDA code's
-/// `encode_node_adaptive` scheme): the **top three bits** hold
-/// `leaf | default_left << 1 | inverted << 2` and the low `8·bytes − 3`
-/// bits hold the attribute index. Thresholds/leaf values live in a separate
-/// f32 lane, so the structural lane is all a warp touches until the final
-/// value read.
-///
-/// The all-ones entry is reserved as the NULL (padding) sentinel, which is
-/// why [`Self::capacity`] excludes the all-ones attribute index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PackedWidth {
-    /// One byte: 5 attribute bits (≤ 31 attributes).
-    U8,
-    /// Two bytes: 13 attribute bits (≤ 8 191 attributes).
-    U16,
-    /// Four bytes: 29 attribute bits.
-    U32,
-}
-
-/// Flag bits packed into the top of each structural entry.
-const PACKED_FLAG_BITS: u32 = 3;
-
-impl PackedWidth {
-    /// Entry width in bytes.
-    #[must_use]
-    pub fn bytes(self) -> usize {
-        match self {
-            PackedWidth::U8 => 1,
-            PackedWidth::U16 => 2,
-            PackedWidth::U32 => 4,
-        }
-    }
-
-    /// Bits available for the attribute index.
-    #[must_use]
-    pub fn fid_bits(self) -> u32 {
-        8 * self.bytes() as u32 - PACKED_FLAG_BITS
-    }
-
-    /// Largest attribute count this width can index (the all-ones index is
-    /// the NULL sentinel, so it is excluded).
-    #[must_use]
-    pub fn capacity(self) -> u32 {
-        (1u32 << self.fid_bits()) - 1
-    }
-
-    /// Minimal width able to index `n_attributes`, or `None` when even the
-    /// 4-byte entry cannot (fall back to the classic encoding).
-    #[must_use]
-    pub fn minimal(n_attributes: u32) -> Option<Self> {
-        [PackedWidth::U8, PackedWidth::U16, PackedWidth::U32]
-            .into_iter()
-            .find(|w| n_attributes <= w.capacity())
-    }
-
-    /// The NULL (padding) sentinel: all bits set.
-    #[must_use]
-    pub fn null_entry(self) -> u32 {
-        match self {
-            PackedWidth::U8 => 0xFF,
-            PackedWidth::U16 => 0xFFFF,
-            PackedWidth::U32 => u32::MAX,
-        }
-    }
-
-    /// Writes one entry (little-endian at widths > 1 byte).
-    pub fn put(self, entry: u32, out: &mut Vec<u8>) {
-        put_le(out, entry, self.bytes());
-    }
-
-    /// Reads one entry and advances `buf` past it.
-    pub fn get(self, buf: &mut &[u8]) -> u32 {
-        take_le(buf, self.bytes())
-    }
-}
-
 /// Appends the low `n` (at most 4) bytes of `value`, little-endian.
-pub(crate) fn put_le(out: &mut Vec<u8>, value: u32, n: usize) {
+fn put_le(out: &mut Vec<u8>, value: u32, n: usize) {
     out.extend_from_slice(&value.to_le_bytes()[..n]);
 }
 
 /// Reads the next `n` (at most 4) bytes of `buf` as a little-endian unsigned
 /// value and advances `buf` past them.
-pub(crate) fn take_le(buf: &mut &[u8], n: usize) -> u32 {
+fn take_le(buf: &mut &[u8], n: usize) -> u32 {
     let (head, rest) = buf.split_at(n);
     *buf = rest;
     let mut word = [0u8; 4];
@@ -281,50 +202,6 @@ impl DeviceNode {
             inverted: flags & 4 != 0,
         })
     }
-
-    /// Bit-packs this node's attribute index and flags into one structural
-    /// entry of the given width (the packed struct-of-arrays encoding).
-    ///
-    /// The scalar and (sparse mode) child slots live in their own lanes; see
-    /// [`crate::format::DeviceForest`].
-    #[must_use]
-    pub fn packed_entry(&self, width: PackedWidth) -> u32 {
-        debug_assert!(
-            self.attribute < width.capacity(),
-            "attribute {} does not fit {width:?} (capacity {})",
-            self.attribute,
-            width.capacity()
-        );
-        (u32::from(self.flags()) << width.fid_bits()) | self.attribute
-    }
-
-    /// Rebuilds a node from its packed structural entry plus the per-lane
-    /// scalar and child slots; `None` for the NULL sentinel entry.
-    ///
-    /// Dense-mode callers pass [`NO_SLOT`] children and fill them in from
-    /// heap arithmetic, mirroring [`Self::decode`].
-    #[must_use]
-    pub fn from_packed(
-        width: PackedWidth,
-        entry: u32,
-        scalar: f32,
-        left: u32,
-        right: u32,
-    ) -> Option<Self> {
-        if entry == width.null_entry() {
-            return None;
-        }
-        let flags = (entry >> width.fid_bits()) as u8;
-        Some(Self {
-            attribute: entry & width.capacity(),
-            scalar,
-            left,
-            right,
-            leaf: flags & 1 != 0,
-            default_left: flags & 2 != 0,
-            inverted: flags & 4 != 0,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -353,60 +230,6 @@ mod tests {
         assert_eq!(AttrWidth::minimal(65_536), AttrWidth::U16);
         assert_eq!(AttrWidth::minimal(65_537), AttrWidth::U32);
         assert_eq!(AttrWidth::minimal(u32::MAX), AttrWidth::U32);
-    }
-
-    #[test]
-    fn packed_width_thresholds() {
-        // 3 flag bits leave 5/13/29 attribute bits; the all-ones index is
-        // the NULL sentinel, so capacities are 31/8 191/2^29 − 1.
-        assert_eq!(PackedWidth::minimal(1), Some(PackedWidth::U8));
-        assert_eq!(PackedWidth::minimal(31), Some(PackedWidth::U8));
-        assert_eq!(PackedWidth::minimal(32), Some(PackedWidth::U16));
-        assert_eq!(PackedWidth::minimal(8_191), Some(PackedWidth::U16));
-        assert_eq!(PackedWidth::minimal(8_192), Some(PackedWidth::U32));
-        assert_eq!(PackedWidth::minimal((1 << 29) - 1), Some(PackedWidth::U32));
-        assert_eq!(PackedWidth::minimal(1 << 29), None);
-    }
-
-    #[test]
-    fn packed_entry_roundtrips_all_widths() {
-        for width in [PackedWidth::U8, PackedWidth::U16, PackedWidth::U32] {
-            for flags in 0..8u8 {
-                let n = DeviceNode {
-                    attribute: width.capacity() - 1,
-                    scalar: -3.25,
-                    left: 7,
-                    right: 8,
-                    leaf: flags & 1 != 0,
-                    default_left: flags & 2 != 0,
-                    inverted: flags & 4 != 0,
-                };
-                let entry = n.packed_entry(width);
-                let mut buf = Vec::new();
-                width.put(entry, &mut buf);
-                assert_eq!(buf.len(), width.bytes(), "{width:?}");
-                let read = width.get(&mut buf.as_slice());
-                assert_eq!(read, entry, "{width:?} flags={flags}");
-                let back =
-                    DeviceNode::from_packed(width, read, n.scalar, n.left, n.right).unwrap();
-                assert_eq!(back, n, "{width:?} flags={flags}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_null_sentinel_is_distinct_from_every_node() {
-        // A NULL entry is all-ones: flags = 7 plus the reserved all-ones
-        // attribute index. Real nodes never use the reserved index, so the
-        // sentinel cannot collide.
-        for width in [PackedWidth::U8, PackedWidth::U16, PackedWidth::U32] {
-            assert!(DeviceNode::from_packed(width, width.null_entry(), 0.0, 0, 0).is_none());
-            let leaf = DeviceNode::leaf(1.0);
-            assert_ne!(leaf.packed_entry(width), width.null_entry());
-            let mut buf = Vec::new();
-            width.put(width.null_entry(), &mut buf);
-            assert_eq!(width.get(&mut buf.as_slice()), width.null_entry());
-        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod tune;
 
 pub use cluster::{ClusterRun, DeviceRun, GpuCluster};
 pub use engine::{Engine, EngineOptions, InferenceResult};
-pub use format::{DeviceForest, FormatConfig, LayoutPlan, NodeEncoding, PackedWidth};
+pub use format::{DeviceForest, FormatConfig, LayoutPlan};
 pub use perfmodel::{Calibrator, ModelInputs, Prediction};
 pub use profile::{KernelProfile, ProfilesExport};
 pub use rearrange::{adaptive_plan, similarity_order, SimilarityParams};

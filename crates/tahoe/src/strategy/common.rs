@@ -8,7 +8,7 @@ use tahoe_gpu_sim::kernel::{sample_plan, Detail, KernelResult, KernelSim};
 use tahoe_gpu_sim::memory::GlobalBuffer;
 use tahoe_gpu_sim::{BlockSim, WarpSim};
 
-use crate::format::{DeviceForest, NodeEncoding};
+use crate::format::DeviceForest;
 use crate::telemetry::TelemetryCtx;
 
 /// The four inference strategies of §5.1.
@@ -227,38 +227,9 @@ pub fn simulate_staging(block: &mut BlockSim<'_>, base_addr: u64, n_words: usize
     });
 }
 
-/// Issues the packed encoding's joint struct-of-arrays node fetch: the
-/// bits/value(/child) lanes of the same slots, one dependent latency total
-/// (see [`WarpSim::gmem_read_joint`]).
-pub(crate) fn packed_node_read(
-    warp: &mut WarpSim<'_>,
-    forest: &DeviceForest,
-    node_accesses: &[(u8, u64)],
-    value_accesses: &[(u8, u64)],
-    child_accesses: &[(u8, u64)],
-    level: Option<u32>,
-) {
-    let lanes = forest.lanes();
-    let mut sets: [(&[(u8, u64)], u64); 3] = [(&[], 0); 3];
-    sets[0] = (node_accesses, lanes[0].elem_bytes as u64);
-    sets[1] = (value_accesses, lanes[1].elem_bytes as u64);
-    let mut n_sets = 2;
-    if let Some(child_lane) = lanes.get(2) {
-        sets[2] = (child_accesses, child_lane.elem_bytes as u64);
-        n_sets = 3;
-    }
-    warp.gmem_read_joint(&sets[..n_sets], level);
-}
-
 /// Simulates a block staging layout trees `[from, to)` of the forest into
-/// shared memory.
-///
-/// Classic encoding streams the single whole-node lane starting at the
-/// slice's first root — the historical behaviour, preserved byte-for-byte
-/// (word count truncates, base is the root's address). The packed encoding
-/// streams each struct-of-arrays lane separately, so the smaller image shows
-/// up directly as fewer staged words (and fewer streamed transactions in the
-/// coalescing report).
+/// shared memory: the slice's node records stream as whole words from the
+/// first root's address (a trailing partial word is not charged).
 pub fn stage_forest_slice(
     block: &mut BlockSim<'_>,
     forest: &DeviceForest,
@@ -274,23 +245,7 @@ pub fn stage_forest_slice(
         return;
     }
     let first_root = forest.roots()[from];
-    match forest.encoding() {
-        NodeEncoding::Classic => {
-            simulate_staging(block, forest.node_addr(first_root), slice_bytes / 4, n_warps);
-        }
-        NodeEncoding::Packed => {
-            let n_nodes = slice_bytes / forest.node_bytes();
-            for (lane_idx, lane) in forest.lanes().iter().enumerate() {
-                let words = (n_nodes * lane.elem_bytes).div_ceil(4);
-                simulate_staging(
-                    block,
-                    forest.lane_addr(lane_idx, first_root),
-                    words,
-                    n_warps,
-                );
-            }
-        }
-    }
+    simulate_staging(block, forest.node_addr(first_root), slice_bytes / 4, n_warps);
 }
 
 /// Where a warp walk reads nodes and attributes: the §5.1 strategies differ
@@ -328,21 +283,14 @@ pub(crate) fn traverse_warp(
     let values = ctx.samples.values();
     let n_attr = ctx.samples.n_attributes();
     let node_bytes = forest.node_bytes() as u64;
-    let packed = forest.encoding() == NodeEncoding::Packed;
-    let child_lane = forest.lanes().len() > 2;
     let s = scratch;
     s.lanes.clear();
     s.lanes.extend((0..ctx.device.warp_size as usize).map(start));
     let mut level = 0u32;
     loop {
-        // Gather the active lanes' node reads. Lane 0 is the whole record
-        // (classic) or the structural-bits entry (packed); the packed
-        // encoding also gathers the value and child lanes for a joint
-        // struct-of-arrays fetch.
+        // Gather the active lanes' node reads.
         s.active.clear();
         s.accesses.clear();
-        s.value_accesses.clear();
-        s.child_accesses.clear();
         for (lane, state) in s.lanes.iter().enumerate() {
             let Some((index, _)) = *state else { continue };
             let lane = lane as u8;
@@ -350,32 +298,13 @@ pub(crate) fn traverse_warp(
                 s.active.push(lane);
                 continue;
             }
-            let slot = forest.record(index).slot;
-            s.accesses.push((lane, forest.lane_addr(0, slot)));
-            if packed {
-                s.value_accesses.push((lane, forest.lane_addr(1, slot)));
-                if child_lane {
-                    s.child_accesses.push((lane, forest.lane_addr(2, slot)));
-                }
-            }
+            s.accesses.push((lane, forest.node_addr(forest.record(index).slot)));
         }
         if s.active.is_empty() && s.accesses.is_empty() {
             break;
         }
         if cfg.nodes_shared {
             warp.smem_access(&s.active, node_bytes);
-        } else if packed {
-            // All lanes are indexed by the already-known slot, so the loads
-            // overlap: one dependent latency, every lane's bandwidth charged
-            // (see `WarpSim::gmem_read_joint`).
-            packed_node_read(
-                warp,
-                forest,
-                &s.accesses,
-                &s.value_accesses,
-                &s.child_accesses,
-                Some(level),
-            );
         } else {
             warp.gmem_read(&s.accesses, node_bytes, Some(level));
         }
@@ -472,10 +401,9 @@ pub(crate) fn run_per_sample(
 pub(crate) struct BlockScratch {
     /// Per-lane `(mirror index, sample)` of the walk; `None` once idle.
     lanes: Vec<Option<(u32, usize)>>,
-    /// Node-read (lane 0) or staged-word accesses.
+    /// Node-read or staged-word accesses.
     accesses: Vec<(u8, u64)>,
-    value_accesses: Vec<(u8, u64)>,
-    child_accesses: Vec<(u8, u64)>,
+    /// Attribute-read accesses.
     attr_accesses: Vec<(u8, u64)>,
     /// Lanes issuing this step's node read (or staging write).
     active: Vec<u8>,

@@ -87,20 +87,6 @@ pub mod testutil {
             Self::build(name, None, Some(n))
         }
 
-        /// As [`Fixture::trained`], using the packed struct-of-arrays node
-        /// encoding (DESIGN.md §2.13) instead of the classic one.
-        #[must_use]
-        pub fn trained_packed(name: &str) -> Self {
-            let mut fx = Self::build(name, None, None);
-            let mut mem = DeviceMemory::new();
-            fx.sample_buf =
-                mem.alloc((fx.samples.n_samples() * fx.samples.n_attributes() * 4) as u64);
-            let plan = LayoutPlan::identity(&fx.forest);
-            fx.device_forest =
-                DeviceForest::build(&fx.forest, &plan, FormatConfig::packed(), &mut mem);
-            fx
-        }
-
         fn build(name: &str, trees: Option<usize>, batch: Option<usize>) -> Self {
             let spec = DatasetSpec::by_name(name).expect("known dataset");
             let data = spec.generate(Scale::Smoke);

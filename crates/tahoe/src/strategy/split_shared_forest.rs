@@ -121,8 +121,7 @@ pub fn run(ctx: &LaunchContext<'_>) -> Option<StrategyRun> {
         let tile = block_idx / n_parts;
         let t0 = tile * tile_len;
         let t1 = (t0 + tile_len).min(n);
-        // Stage this part's trees from global to shared memory (coalesced;
-        // the packed encoding streams each image lane separately).
+        // Stage this part's trees from global to shared memory (coalesced).
         stage_forest_slice(&mut block, ctx.forest, part.start, part.end, n_warps);
         let rounds = (t1.saturating_sub(t0)).div_ceil(threads);
         with_block_scratch(|scratch| {

@@ -1,12 +1,12 @@
 //! Pins every device image and its host predictions, bit for bit.
 //!
 //! Each cell builds one smoke-scale forest under one format configuration
-//! (adaptive, traditional, packed), one forced storage mode (dense, sparse)
+//! (adaptive, traditional), one forced storage mode (dense, sparse)
 //! and one layout plan (identity, the §4 adaptive plan), and renders:
 //!
 //! - `image_bytes()` and `node_bytes()`;
 //! - an FNV hash of `encode_image()`, the simulated image with its padding;
-//! - an FNV hash of every root's lane-0 address;
+//! - an FNV hash of every root's node address;
 //! - an FNV hash of `predict_batch`'s f32 bits on the infer split.
 //!
 //! The rendered table must equal `image_bits.golden` line for line. The
@@ -38,16 +38,15 @@ fn render(df: &DeviceForest, fx: &Fixture) -> String {
     let roots = fnv(df
         .roots()
         .iter()
-        .flat_map(|&r| df.lane_addr(0, r).to_le_bytes()));
+        .flat_map(|&r| df.node_addr(r).to_le_bytes()));
     let predictions = fnv(df
         .predict_batch(&fx.samples)
         .iter()
         .flat_map(|p| p.to_bits().to_le_bytes()));
     format!(
-        "image_bytes={} node_bytes={} lanes={} image={:016x} roots={:016x} predict={:016x}",
+        "image_bytes={} node_bytes={} image={:016x} roots={:016x} predict={:016x}",
         df.image_bytes(),
         df.node_bytes(),
-        df.lanes().len(),
         fnv(image),
         roots,
         predictions,
@@ -58,7 +57,6 @@ fn table() -> String {
     let configs = [
         ("adaptive", FormatConfig::adaptive()),
         ("traditional", FormatConfig::traditional()),
-        ("packed", FormatConfig::packed()),
     ];
     let mut out = String::new();
     for dataset in ["letter", "higgs", "ijcnn1"] {

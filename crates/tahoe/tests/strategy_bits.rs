@@ -1,14 +1,12 @@
 //! Pins the simulated outcome of every strategy kernel, bit for bit.
 //!
-//! Each cell runs one strategy on one smoke-scale dataset under one node
-//! encoding (classic with its automatic storage mode, classic forced into
-//! the sparse mode with explicit children, packed with its automatic storage
-//! mode, packed forced into the 3-lane sparse mode), one simulation detail
-//! and one block size, and renders its `KernelResult` as integers and f64
-//! bit patterns. The rendered table must equal `strategy_bits.golden` line
-//! for line, so a change to the strategy kernels that moves any simulated
-//! number by one ULP fails here. On a mismatch the test prints the whole
-//! regenerated table.
+//! Each cell runs one strategy on one smoke-scale dataset under one image
+//! (the adaptive format with its automatic storage mode, or forced into the
+//! sparse mode with explicit children), one simulation detail and one block
+//! size, and renders its `KernelResult` as integers and f64 bit patterns.
+//! The rendered table must equal `strategy_bits.golden` line for line, so a
+//! change to the strategy kernels that moves any simulated number by one ULP
+//! fails here. On a mismatch the test prints the whole regenerated table.
 
 use std::fmt::Write as _;
 
@@ -94,23 +92,14 @@ fn table() -> String {
         mode: Some(StorageMode::Sparse),
         ..FormatConfig::adaptive()
     };
-    let sparse_packed = FormatConfig {
-        mode: Some(StorageMode::Sparse),
-        ..FormatConfig::packed()
-    };
     let encodings = [
         ("classic", FormatConfig::adaptive()),
         ("classic-sparse", sparse_classic),
-        ("packed", FormatConfig::packed()),
-        ("packed-sparse", sparse_packed),
     ];
     let mut out = String::new();
     for dataset in ["letter", "higgs", "ijcnn1"] {
         for (encoding, config) in encodings {
             let fx = with_format(Fixture::trained(dataset), config);
-            if encoding == "packed-sparse" {
-                assert_eq!(fx.device_forest.lanes().len(), 3, "{dataset}: sparse packed lanes");
-            }
             for detail in [Detail::Sampled(4), Detail::Full] {
                 for threads in [256, 32] {
                     let mut ctx = context(&fx, detail);

@@ -36,8 +36,8 @@ rm -rf "$STUB_TARGET"
 # view and its critical-path sum invariant plus the calibrated-engine
 # byte-diff (DESIGN.md §2.16), and drift_audit bounds model-vs-simulator
 # error. property_based rides along so
-# the functional equivalence proofs (every format/plan/strategy, classic and
-# packed node encodings, vs the CPU reference) hold at both worker counts.
+# the functional equivalence proofs (every format/plan/strategy vs the CPU
+# reference) hold at both worker counts.
 # The rearrange unit tests pin the §4.2 tree orders and checksums, whose
 # SimHash stage runs on the worker pool.
 for workers in 1 4; do

@@ -28,7 +28,6 @@ use tahoe_repro::datasets::{
 };
 use tahoe_repro::engine::cluster::GpuCluster;
 use tahoe_repro::engine::engine::{Engine, EngineOptions};
-use tahoe_repro::engine::format::NodeEncoding;
 use tahoe_repro::engine::profile::{HistogramExport, ProfilesExport};
 use tahoe_repro::engine::telemetry::decision::{DecisionRecord, DecisionsExport};
 use tahoe_repro::engine::serving::{BatchingPolicy, ClusterServingSim};
@@ -125,10 +124,6 @@ common flags:
   --kind <gbdt|rf>         ensemble type for CSV training (default gbdt)
   --task <class|reg>       CSV label type (default class)
   --strategy <s>           auto|shared-data|direct|shared-forest|splitting
-  --node-encoding <e>      infer/bench/serve: classic|packed (default
-                           classic — whole-node records, the encoding every
-                           paper figure measures; packed: struct-of-arrays
-                           lanes when the attribute count allows it)
   --batch N                inference batch size (default: whole dataset)
   --out <file>             write predictions as CSV
   --prune EPS              collapse near-constant subtrees after training
@@ -167,7 +162,6 @@ struct Flags {
     kind: Option<String>,
     task: Option<String>,
     strategy: Option<String>,
-    node_encoding: NodeEncoding,
     batch: Option<usize>,
     gpus: Option<usize>,
     devices: Option<String>,
@@ -194,7 +188,6 @@ impl Flags {
             kind: None,
             task: None,
             strategy: None,
-            node_encoding: NodeEncoding::Classic,
             batch: None,
             gpus: None,
             devices: None,
@@ -223,30 +216,15 @@ impl Flags {
                     let v = value()?;
                     f.scale = Scale::parse(&v).ok_or(format!("unknown scale '{v}'"))?;
                 }
-                "--trees" => {
-                    let n = parse_num(&value()?, "--trees")?;
-                    if n == 0 {
-                        return Err("--trees must be >= 1, got 0".into());
-                    }
-                    f.trees = Some(n);
-                }
+                "--trees" => f.trees = Some(parse_positive(&value()?, "--trees")?),
                 "--depth" => f.depth = Some(parse_num(&value()?, "--depth")?),
                 "--kind" => f.kind = Some(value()?),
                 "--task" => f.task = Some(value()?),
                 "--strategy" => f.strategy = Some(value()?),
-                "--node-encoding" => {
-                    f.node_encoding = match value()?.as_str() {
-                        "classic" => NodeEncoding::Classic,
-                        "packed" => NodeEncoding::Packed,
-                        other => {
-                            return Err(format!("unknown node encoding '{other}' (classic|packed)"))
-                        }
-                    };
-                }
-                "--batch" => f.batch = Some(parse_num(&value()?, "--batch")?),
-                "--gpus" => f.gpus = Some(parse_num(&value()?, "--gpus")?),
+                "--batch" => f.batch = Some(parse_positive(&value()?, "--batch")?),
+                "--gpus" => f.gpus = Some(parse_positive(&value()?, "--gpus")?),
                 "--devices" => f.devices = Some(value()?),
-                "--requests" => f.requests = Some(parse_num(&value()?, "--requests")?),
+                "--requests" => f.requests = Some(parse_positive(&value()?, "--requests")?),
                 "--interarrival" => {
                     let v = value()?;
                     let ns: f64 = v
@@ -306,11 +284,7 @@ impl Flags {
             }
             return Ok(devices);
         }
-        let n = self.gpus.unwrap_or(1);
-        if n == 0 {
-            return Err("--gpus must be at least 1".to_string());
-        }
-        Ok(vec![self.device()?; n])
+        Ok(vec![self.device()?; self.gpus.unwrap_or(1)])
     }
 
     fn batching_policy(&self) -> Result<BatchingPolicy, String> {
@@ -371,6 +345,14 @@ impl Flags {
 
 fn parse_num(v: &str, flag: &str) -> Result<usize, String> {
     v.parse().map_err(|_| format!("bad number '{v}' for {flag}"))
+}
+
+/// As [`parse_num`], rejecting 0 (a count that must be at least one).
+fn parse_positive(v: &str, flag: &str) -> Result<usize, String> {
+    match parse_num(v, flag)? {
+        0 => Err(format!("{flag} must be >= 1, got 0")),
+        n => Ok(n),
+    }
 }
 
 fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
@@ -502,7 +484,7 @@ fn batch_samples(
             if n == 1 { "" } else { "s" }
         ));
     }
-    let n = flags.batch.unwrap_or(infer.len()).max(1);
+    let n = flags.batch.unwrap_or(infer.len());
     let idx: Vec<usize> = (0..n).map(|i| i % infer.len()).collect();
     Ok(infer.samples.select(&idx))
 }
@@ -515,7 +497,6 @@ fn cmd_infer(flags: &Flags) -> Result<(), String> {
     let batch = batch_samples(flags, &data)?;
     let sink = flags.sink();
     let options = EngineOptions {
-        node_encoding: flags.node_encoding,
         calibration: flags.calibrate,
         ..EngineOptions::tahoe()
     };
@@ -535,8 +516,7 @@ fn cmd_infer(flags: &Flags) -> Result<(), String> {
         result.run.throughput_samples_per_us()
     );
     out!(
-        "node encoding {:?}  {} B/node  image {} B",
-        engine.device_forest().encoding(),
+        "{} B/node  image {} B",
         engine.device_forest().node_bytes(),
         engine.device_forest().image_bytes()
     );
@@ -562,15 +542,13 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
         forest,
         EngineOptions {
             functional: false,
-            node_encoding: flags.node_encoding,
             calibration: flags.calibrate,
             ..EngineOptions::tahoe()
         },
         sink.clone(),
     );
     out!(
-        "node encoding {:?}  {} B/node  image {} B",
-        engine.device_forest().encoding(),
+        "{} B/node  image {} B",
         engine.device_forest().node_bytes(),
         engine.device_forest().image_bytes()
     );
@@ -598,12 +576,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let forest = load_model(flags, &data)?;
     let devices = flags.cluster_devices()?;
     let policy = flags.batching_policy()?;
-    let n_requests = flags.requests.unwrap_or(1_000).max(1);
+    let n_requests = flags.requests.unwrap_or(1_000);
     let interarrival_ns = flags.interarrival.unwrap_or(1_000.0);
     let payloads = batch_samples(flags, &data)?;
     let sink = flags.sink();
     let options = EngineOptions {
-        node_encoding: flags.node_encoding,
         calibration: flags.calibrate,
         ..EngineOptions::tahoe()
     };

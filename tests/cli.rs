@@ -116,19 +116,29 @@ fn unknown_flags_and_missing_data_fail_cleanly() {
         Some("error: --trees must be >= 1, got 0")
     );
 
-    // `--node-encoding` takes classic|packed; the retired `auto` is a usage
-    // error on every command that accepts the flag.
+    // Zero counts are usage errors too, caught before any data loads.
+    for (command, flag) in [("infer", "--batch"), ("serve", "--requests"), ("serve", "--gpus")] {
+        let out = cli().args([command, flag, "0"]).output().unwrap();
+        let what = format!("{command} {flag} 0");
+        let stderr = no_panic(&out, &what);
+        assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+        let want = format!("error: {flag} must be >= 1, got 0");
+        assert_eq!(stderr.lines().next(), Some(want.as_str()), "{what}");
+    }
+
+    // There is one node encoding, so `--node-encoding` is an unknown flag
+    // on every command that once took it.
     for command in ["infer", "bench", "serve"] {
         let out = cli()
-            .args([command, "--node-encoding", "auto"])
+            .args([command, "--node-encoding", "classic"])
             .output()
             .unwrap();
-        let what = format!("{command} --node-encoding auto");
+        let what = format!("{command} --node-encoding classic");
         let stderr = no_panic(&out, &what);
         assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
         assert_eq!(
             stderr.lines().next(),
-            Some("error: unknown node encoding 'auto' (classic|packed)"),
+            Some("error: unknown flag '--node-encoding'"),
             "{what}"
         );
     }
@@ -251,14 +261,13 @@ fn serve_decisions_export_and_explain() {
         .expect("run train");
     assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
 
-    // serve accepts --node-encoding and --telemetry; the dir holds exactly
+    // serve accepts --telemetry; the dir holds exactly
     // the five views, and the decisions view carries both decision audits
     // and per-request critical-path records.
     let out = cli()
         .args(["serve", "--data", "letter", "--scale", "smoke"])
         .args(["--model", model.to_str().unwrap()])
         .args(["--devices", "k80,p100", "--requests", "100", "--interarrival", "50"])
-        .args(["--node-encoding", "packed"])
         .args(["--telemetry", telemetry.to_str().unwrap()])
         .output()
         .expect("run serve");

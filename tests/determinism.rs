@@ -139,15 +139,8 @@ fn run_config(ctx: &LaunchContext<'_>, s: Strategy, workers: usize) -> ConfigRun
 #[test]
 fn parallel_simulation_is_bit_identical_to_one_thread() {
     let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Both node encodings (DESIGN.md §2.13): the packed struct-of-arrays
-    // image takes different traversal/staging paths, so it gets the same
-    // treatment.
-    for (dataset, packed) in [("letter", false), ("higgs", false), ("letter", true)] {
-        let fx = if packed {
-            Fixture::trained_packed(dataset)
-        } else {
-            Fixture::trained(dataset)
-        };
+    for dataset in ["letter", "higgs"] {
+        let fx = Fixture::trained(dataset);
         // Full detail on the smoke-scale grid: every block simulated, so the
         // merge order is exercised across the whole grid. 32-thread blocks
         // keep every strategy's grid above the parallel driver's sequential
@@ -156,7 +149,6 @@ fn parallel_simulation_is_bit_identical_to_one_thread() {
         // never run.
         let mut ctx = context(&fx, Detail::Full);
         ctx.block_threads = 32;
-        let dataset = format!("{dataset}{}", if packed { "+packed" } else { "" });
         for s in Strategy::ALL {
             // 4 workers even on a 1-core host: oversubscription changes
             // scheduling, never results.

@@ -10,7 +10,6 @@
 
 use tahoe_repro::datasets::{DatasetSpec, Scale, SampleMatrix};
 use tahoe_repro::engine::engine::{Engine, EngineOptions};
-use tahoe_repro::engine::format::NodeEncoding;
 use tahoe_repro::engine::serving::{BatchingPolicy, ServingSim};
 use tahoe_repro::engine::strategy::Strategy;
 use tahoe_repro::engine::telemetry::TelemetrySink;
@@ -100,65 +99,6 @@ fn update_forest_releases_the_old_image() {
             settled,
             "reconversion leaked the previous forest image"
         );
-    }
-}
-
-#[test]
-fn packed_encoding_lowers_high_water_and_raises_feasible_batch() {
-    let (forest, samples) = setup("letter");
-    let packed_options = |functional: bool| EngineOptions {
-        functional,
-        node_encoding: NodeEncoding::Packed,
-        ..EngineOptions::tahoe()
-    };
-    // On a full-size device the packed image's in-use and high-water
-    // footprints are strictly below the classic ones.
-    let classic_probe = fast_engine(DeviceSpec::tesla_p100(), forest.clone());
-    let packed_probe =
-        Engine::new(DeviceSpec::tesla_p100(), forest.clone(), packed_options(false));
-    let classic_span = classic_probe.memory().in_use_bytes();
-    let packed_span = packed_probe.memory().in_use_bytes();
-    assert!(
-        packed_span < classic_span,
-        "packed image {packed_span} !< classic image {classic_span}"
-    );
-    assert!(
-        packed_probe.memory().high_water_bytes() < classic_probe.memory().high_water_bytes(),
-        "packed high-water {} !< classic high-water {}",
-        packed_probe.memory().high_water_bytes(),
-        classic_probe.memory().high_water_bytes()
-    );
-    // On a cramped device sized to the classic image, the bytes the packed
-    // encoding saves become staging room: its largest unsplit-feasible batch
-    // is strictly larger.
-    let mut device = DeviceSpec::tesla_p100();
-    device.dram_bytes = classic_span + 2_048;
-    let classic = fast_engine(device.clone(), forest.clone());
-    let packed = Engine::new(device.clone(), forest.clone(), packed_options(false));
-    let max_feasible = |engine: &Engine| {
-        (1..=samples.n_samples())
-            .rev()
-            .find(|&n| {
-                let idx: Vec<usize> = (0..n).collect();
-                engine.feasible(Strategy::SharedData, &samples.select(&idx))
-            })
-            .unwrap_or(0)
-    };
-    let classic_max = max_feasible(&classic);
-    let packed_max = max_feasible(&packed);
-    assert!(
-        packed_max > classic_max,
-        "packed feasible batch {packed_max} !> classic {classic_max}"
-    );
-    // And the packed engine still reproduces the CPU reference on the
-    // cramped device.
-    let idx: Vec<usize> = (0..packed_max.min(64)).collect();
-    let batch = samples.select(&idx);
-    let reference = predict_dataset(&forest, &batch);
-    let mut packed = Engine::new(device, forest, packed_options(true));
-    let result = packed.infer(&batch);
-    for (a, b) in result.predictions.iter().zip(&reference) {
-        assert!((a - b).abs() < 1e-4, "{a} vs {b}");
     }
 }
 

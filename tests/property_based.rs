@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use tahoe_repro::datasets::{ForestKind, Task};
 use tahoe_repro::engine::format::{
-    assign_slots, AttrWidth, DeviceForest, DeviceNode, FormatConfig, LayoutPlan, NodeEncoding,
-    PackedWidth, StorageMode, NO_SLOT,
+    assign_slots, AttrWidth, DeviceForest, DeviceNode, FormatConfig, LayoutPlan, StorageMode,
+    NO_SLOT,
 };
 use tahoe_repro::engine::rearrange::{node_swap, similarity_order, SimilarityParams};
 use tahoe_repro::forest::{Forest, Node, Tree};
@@ -100,7 +100,6 @@ proptest! {
         swap_all in proptest::bool::ANY,
         sparse in proptest::bool::ANY,
         missing in proptest::bool::ANY,
-        packed in proptest::bool::ANY,
     ) {
         let n_attrs = 8u32;
         let forest = random_forest(n_trees, max_depth, n_attrs, seed);
@@ -123,14 +122,9 @@ proptest! {
         let config = FormatConfig {
             varlen_attr: true,
             mode: Some(if sparse { StorageMode::Sparse } else { StorageMode::Dense }),
-            encoding: if packed { NodeEncoding::Packed } else { NodeEncoding::Classic },
         };
         let mut mem = DeviceMemory::new();
         let df = DeviceForest::build(&forest, &plan, config, &mut mem);
-        prop_assert_eq!(
-            df.encoding(),
-            if packed { NodeEncoding::Packed } else { NodeEncoding::Classic }
-        );
         for s in 0..8u64 {
             let sample = random_sample(n_attrs, seed ^ (s * 77), missing);
             let a = host_sum(&forest, &sample);
@@ -146,14 +140,12 @@ proptest! {
         max_depth in 1usize..5,
         varlen in proptest::bool::ANY,
         sparse in proptest::bool::ANY,
-        packed in proptest::bool::ANY,
     ) {
         let forest = random_forest(n_trees, max_depth, 300, seed);
         let plan = LayoutPlan::identity(&forest);
         let config = FormatConfig {
             varlen_attr: varlen,
             mode: Some(if sparse { StorageMode::Sparse } else { StorageMode::Dense }),
-            encoding: if packed { NodeEncoding::Packed } else { NodeEncoding::Classic },
         };
         let mut mem = DeviceMemory::new();
         let df = DeviceForest::build(&forest, &plan, config, &mut mem);
@@ -187,7 +179,7 @@ proptest! {
                 inverted,
             }
         };
-        // Classic whole-node records: every attribute width × child mode.
+        // Every attribute width × child mode.
         for attr in [AttrWidth::U8, AttrWidth::U16, AttrWidth::U32] {
             for explicit in [false, true] {
                 let mut buf = Vec::new();
@@ -202,26 +194,6 @@ proptest! {
                     prop_assert_eq!(back, DeviceNode { left: NO_SLOT, right: NO_SLOT, ..node });
                 }
             }
-        }
-        // Packed struct-of-arrays lanes: every entry width × child mode.
-        for width in [PackedWidth::U8, PackedWidth::U16, PackedWidth::U32] {
-            let entry = node.packed_entry(width);
-            prop_assert_ne!(entry, width.null_entry(), "entry must not collide with NULL");
-            let mut lane = Vec::new();
-            width.put(entry, &mut lane);
-            prop_assert_eq!(lane.len(), width.bytes());
-            let read = width.get(&mut lane.as_slice());
-            prop_assert_eq!(read, entry);
-            for (l, r) in [(node.left, node.right), (NO_SLOT, NO_SLOT)] {
-                let back = DeviceNode::from_packed(width, read, node.scalar, l, r)
-                    .expect("non-NULL entry");
-                prop_assert_eq!(back, DeviceNode { left: l, right: r, ..node });
-            }
-            prop_assert!(
-                DeviceNode::from_packed(width, width.null_entry(), 0.0, NO_SLOT, NO_SLOT)
-                    .is_none(),
-                "NULL sentinel must decode to no node"
-            );
         }
     }
 

@@ -288,7 +288,6 @@ pub(crate) fn traverse_warp(
     s.lanes.extend((0..ctx.device.warp_size as usize).map(start));
     let mut level = 0u32;
     loop {
-        // Gather the active lanes' node reads.
         s.active.clear();
         s.accesses.clear();
         for (lane, state) in s.lanes.iter().enumerate() {

@@ -162,7 +162,7 @@ pub fn report_fig7(result: &OverallResult) {
     write_json("fig7_overall", result);
 }
 
-/// Prints Table 3 from the same runs.
+/// Prints Table 3 from the same runs; its record is `fig7_overall`'s.
 pub fn report_table3(result: &OverallResult) {
     let mut t = Table::new(
         "Table 3 — average coefficient of variation of per-thread time",
@@ -186,5 +186,4 @@ pub fn report_table3(result: &OverallResult) {
         "paper (high): FIL 47.2/51.3/54.6% vs Tahoe 13.1/16.2/15.9%;\n\
          paper (low): FIL 36.4/42.9/44.7% vs Tahoe 10.8/13.5/12.5%"
     );
-    write_json("table3_imbalance", result);
 }

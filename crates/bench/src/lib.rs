@@ -14,7 +14,7 @@
 //! | `fig7_overall` | Fig. 7 — Tahoe vs FIL, 15 datasets × 3 GPUs × 2 batch regimes |
 //! | `fig8_breakdown` | Fig. 8 — per-technique contribution breakdown |
 //! | `fig9_scaling` | Fig. 9 — strong (and §7.5 weak) scaling on 1–128 V100s |
-//! | `table3_imbalance` | Table 3 — A.C.V. of FIL vs Tahoe |
+//! | `table3_imbalance` | Table 3 — A.C.V. of FIL vs Tahoe (prints only; record in `fig7_overall`) |
 //! | `sec73_coalescing` | §7.3 — memory-efficiency and throughput improvements |
 //! | `sec73_reduction` | §7.3 — block-reduction removal census |
 //! | `sec73_model_accuracy` | §7.3 — performance-model ordering accuracy |

@@ -26,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::telemetry::{Event, RequestEvent, TelemetrySink};
+use crate::telemetry::{Event, TelemetrySink};
 
 /// One `(strategy, block size)` candidate Algorithm 1 evaluated.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -140,9 +140,9 @@ fn decisions(log: &[Event]) -> impl Iterator<Item = &DecisionRecord> {
 }
 
 /// The request paths of a log, in record order.
-fn requests(log: &[Event]) -> impl Iterator<Item = &RequestPathRecord> {
+pub(crate) fn requests(log: &[Event]) -> impl Iterator<Item = &RequestPathRecord> {
     log.iter().filter_map(|e| match e {
-        Event::Request(r) => Some(&r.path),
+        Event::Request(r) => Some(&**r),
         _ => None,
     })
 }
@@ -158,7 +158,7 @@ impl TelemetrySink {
 
     /// Records one served request. No-op when disabled. Called only from
     /// the serving simulator's caller thread.
-    pub fn record_request(&self, request: RequestEvent) {
+    pub fn record_request(&self, request: RequestPathRecord) {
         if self.is_enabled() {
             self.push([Event::Request(Box::new(request))]);
         }
@@ -321,7 +321,7 @@ mod tests {
     fn disabled_sink_stores_nothing() {
         let sink = TelemetrySink::Disabled;
         sink.push_decision(decision(0));
-        sink.record_request(RequestEvent { path: request(0), done_ns: 0.0, slo_met: None });
+        sink.record_request(request(0));
         let e = sink.decisions();
         assert!(e.decisions.is_empty());
         assert!(e.requests.is_empty());
@@ -331,7 +331,7 @@ mod tests {
     fn recording_sink_accumulates_and_round_trips() {
         let sink = TelemetrySink::recording();
         sink.push_decision(decision(0));
-        sink.record_request(RequestEvent { path: request(0), done_ns: 0.0, slo_met: None });
+        sink.record_request(request(0));
         let e = sink.decisions();
         assert_eq!(e.decisions.len(), 1);
         assert_eq!(e.requests.len(), 1);

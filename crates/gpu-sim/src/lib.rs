@@ -30,8 +30,8 @@
 //!   disabled), its typed counters and the Chrome trace / metrics views.
 //! - [`profile`] — per-kernel Nsight-style reports and latency histograms,
 //!   a view of the log.
-//! - [`timeseries`] — the windowed view of the log: counter deltas, gauges,
-//!   and per-window latency percentiles on fixed simulated-clock windows.
+//! - [`timeseries`] — the windowed view of the log: counter deltas and
+//!   gauges on fixed simulated-clock windows.
 //! - [`decision`] — the flight-recorder view of the log: per-tuning-event
 //!   decision audits and per-request critical-path records.
 //!
@@ -92,10 +92,7 @@ pub use profile::{
 pub use telemetry::{
     Counter, Event, MetricsSnapshot, SpanEvent, SpanName, TelemetrySink, VIEW_FILES,
 };
-pub use timeseries::{
-    LatencyWindowExport, SeriesExport, SeriesPoint, SloWindowExport, TimeSeriesExport,
-    WINDOW_NS,
-};
+pub use timeseries::{SeriesExport, SeriesPoint, TimeSeriesExport, WINDOW_NS};
 pub use warp::{LevelStats, WarpResult, WarpSim, MAX_WARP_LANES};
 
 /// Has no effect; it stays only because `bench-ledger` calls it.

@@ -471,7 +471,7 @@ impl TelemetrySink {
                         kernel_durations.record(l.profile.total_ns);
                         kernels.push(l.profile.clone());
                     }
-                    Event::Request(r) => serving_latencies.record(r.path.total_ns),
+                    Event::Request(r) => serving_latencies.record(r.total_ns),
                     _ => {}
                 }
             }

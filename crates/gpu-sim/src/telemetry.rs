@@ -340,17 +340,6 @@ pub struct ServingBatch {
     pub gpu_ns: f64,
 }
 
-/// One served request: its critical path plus what the windowed views need.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RequestEvent {
-    /// The request's critical path (the flight-recorder record).
-    pub path: RequestPathRecord,
-    /// Completion instant on the simulated clock (ns).
-    pub done_ns: f64,
-    /// Whether the request met its deadline (`None` without a deadline).
-    pub slo_met: Option<bool>,
-}
-
 /// One entry of the telemetry log.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event {
@@ -378,8 +367,8 @@ pub enum Event {
     },
     /// A dispatched serving batch.
     Batch(Box<ServingBatch>),
-    /// A served request.
-    Request(Box<RequestEvent>),
+    /// A served request's critical path.
+    Request(Box<RequestPathRecord>),
     /// A tuning decision (it also names the device's `engine` track).
     Decision(Box<DecisionRecord>),
     /// A gauge sample of a time series.
@@ -469,7 +458,7 @@ impl Event {
             Event::Launch(l) => l.device += d,
             Event::Memory { device, .. } | Event::Gauge { device, .. } => *device += d,
             Event::Batch(b) => b.device += d,
-            Event::Request(r) => r.path.device += d,
+            Event::Request(r) => r.device += d,
             Event::Decision(r) => r.device += d,
             Event::Count { .. } => {}
         }
@@ -477,7 +466,8 @@ impl Event {
     }
 }
 
-/// Flat metrics snapshot — the machine-readable export `report_md` digests.
+/// Flat metrics snapshot — the `metrics.json` view `tahoe-cli profile`
+/// digests.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Counter name → value.
@@ -940,10 +930,7 @@ impl TelemetrySink {
                 }
             }
             let queue_pid = u64::from(device_pid(PID_SERVING, 0));
-            for r in log.iter().filter_map(|e| match e {
-                Event::Request(r) => Some(&r.path),
-                _ => None,
-            }) {
+            for r in crate::decision::requests(log) {
                 let exec_pid = u64::from(device_pid(PID_SERVING, r.device as usize));
                 let dispatch_ns = r.arrival_ns + r.form_ns + r.queue_ns;
                 let end_ns = r.arrival_ns + r.total_ns;

@@ -1,24 +1,21 @@
-//! Windowed time series: counter deltas, gauges, and latency percentiles on
-//! fixed simulated-clock windows (DESIGN.md §2.9).
+//! Windowed time series: counter deltas and gauges on fixed simulated-clock
+//! windows (DESIGN.md §2.9).
 //!
 //! The counters and kernel profiles are end-of-run aggregates — queue
-//! build-up, device utilization, and tail-latency excursions *over time*
-//! are invisible in them. This view bins the log into fixed windows of
-//! [`WINDOW_NS`] (1 ms of simulated time) and exports them as
+//! build-up and device utilization *over time* are invisible in them. This
+//! view bins the log into fixed windows of [`WINDOW_NS`] (1 ms of simulated
+//! time) and exports them as
 //! [`TelemetrySink::timeseries_json`] (the `timeseries.json` view) and as
 //! Perfetto counter tracks (`"ph":"C"`) inside the Chrome trace.
 //!
-//! Three sample shapes, each derived from the events that carry them:
+//! Two sample shapes, each derived from the events that carry them:
 //!
 //! - **sums** — per-window deltas: a launch's busy time and fetched bytes,
 //!   apportioned across the windows its interval overlaps; a serving
 //!   batch's dispatch and its queue wait past the policy's ready instant;
 //! - **gauges** — the last sample in a window wins: a launch's roofline
 //!   utilization, a batch's inflight count over its execution, and the
-//!   recorded [`Event::Gauge`] samples (queue depth, DRAM in-use/high-water);
-//! - **latency/SLO windows** — per-window request-latency histograms (the
-//!   same fixed log2 edges as [`LatencyHistogram`], sliced into p50/p95/p99)
-//!   and deadline-attainment fractions, from the request events.
+//!   recorded [`Event::Gauge`] samples (queue depth, DRAM in-use/high-water).
 //!
 //! Window edges are fixed multiples of [`WINDOW_NS`], never
 //! sample-dependent, each window folds its samples in log order, and every
@@ -29,7 +26,6 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::profile::LatencyHistogram;
 use crate::telemetry::{Event, TelemetrySink};
 
 /// Sampling window: 1 ms of simulated time.
@@ -101,8 +97,6 @@ fn gauge(gauges: &mut Series, key: (u32, &'static str), t_ns: f64, value: f64) {
 pub(crate) fn export(log: &[Event]) -> TimeSeriesExport {
     let mut sums = Series::new();
     let mut gauges = Series::new();
-    let mut latency: BTreeMap<u64, LatencyHistogram> = BTreeMap::new();
-    let mut slo: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     for e in log {
         match e {
             Event::Launch(l) => {
@@ -122,15 +116,6 @@ pub(crate) fn export(log: &[Event]) -> TimeSeriesExport {
             }
             Event::Gauge { device, series, t_ns, value } => {
                 gauge(&mut gauges, (*device, series), *t_ns, *value);
-            }
-            Event::Request(r) => {
-                let w = window_of(r.done_ns);
-                latency.entry(w).or_default().record(r.path.total_ns);
-                if let Some(met) = r.slo_met {
-                    let slot = slo.entry(w).or_insert((0, 0));
-                    slot.0 += 1;
-                    slot.1 += u64::from(met);
-                }
             }
             _ => {}
         }
@@ -152,37 +137,9 @@ pub(crate) fn export(log: &[Event]) -> TimeSeriesExport {
         }
     }
     series.sort_by(|a, b| (a.device, &a.name, &a.kind).cmp(&(b.device, &b.name, &b.kind)));
-    let latency_windows = latency
-        .iter()
-        .map(|(&w, h)| {
-            let e = h.export();
-            LatencyWindowExport {
-                window: w,
-                start_ns: w.saturating_mul(WINDOW_NS),
-                count: e.count,
-                mean_ns: e.mean_ns(),
-                p50_ns: e.quantile_upper_ns(0.50),
-                p95_ns: e.quantile_upper_ns(0.95),
-                p99_ns: e.quantile_upper_ns(0.99),
-                max_ns: e.max_ns,
-            }
-        })
-        .collect();
-    let slo_windows = slo
-        .iter()
-        .map(|(&w, &(total, met))| SloWindowExport {
-            window: w,
-            start_ns: w.saturating_mul(WINDOW_NS),
-            total,
-            met,
-            attainment: if total == 0 { 1.0 } else { met as f64 / total as f64 },
-        })
-        .collect();
     TimeSeriesExport {
         window_ns: WINDOW_NS,
         series,
-        latency_windows,
-        slo_windows,
     }
 }
 
@@ -210,43 +167,6 @@ pub struct SeriesExport {
     pub points: Vec<SeriesPoint>,
 }
 
-/// Latency percentiles of one window, sliced from its fixed-edge log2
-/// histogram (`quantile_upper_ns`, bucket-resolution).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LatencyWindowExport {
-    /// Window index.
-    pub window: u64,
-    /// Window start on the simulated clock.
-    pub start_ns: u64,
-    /// Requests that completed in this window.
-    pub count: u64,
-    /// Mean request latency (ns).
-    pub mean_ns: f64,
-    /// Upper bucket edge containing the median (ns).
-    pub p50_ns: u64,
-    /// Upper bucket edge containing the 95th percentile (ns).
-    pub p95_ns: u64,
-    /// Upper bucket edge containing the 99th percentile (ns).
-    pub p99_ns: u64,
-    /// Largest rounded latency in the window (ns).
-    pub max_ns: u64,
-}
-
-/// Deadline outcomes of one window.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SloWindowExport {
-    /// Window index.
-    pub window: u64,
-    /// Window start on the simulated clock.
-    pub start_ns: u64,
-    /// Requests that completed in this window.
-    pub total: u64,
-    /// Of those, requests that met their deadline.
-    pub met: u64,
-    /// `met / total` (1.0 when the window is empty).
-    pub attainment: f64,
-}
-
 /// The full time-series export — the `timeseries.json` view.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeriesExport {
@@ -254,10 +174,6 @@ pub struct TimeSeriesExport {
     pub window_ns: u64,
     /// Every recorded series, sorted by `(device, name, kind)`.
     pub series: Vec<SeriesExport>,
-    /// Per-window latency percentiles, in ascending window order.
-    pub latency_windows: Vec<LatencyWindowExport>,
-    /// Per-window SLO attainment, in ascending window order.
-    pub slo_windows: Vec<SloWindowExport>,
 }
 
 impl TimeSeriesExport {
@@ -306,26 +222,7 @@ impl TelemetrySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decision::RequestPathRecord;
-    use crate::telemetry::{RequestEvent, ServingBatch};
-
-    fn request(done_ns: f64, total_ns: f64, slo_met: Option<bool>) -> RequestEvent {
-        RequestEvent {
-            path: RequestPathRecord {
-                request: 0,
-                batch: 0,
-                device: 0,
-                arrival_ns: 0.0,
-                form_ns: 0.0,
-                queue_ns: 0.0,
-                execute_ns: total_ns,
-                reduction_ns: 0.0,
-                total_ns,
-            },
-            done_ns,
-            slo_met,
-        }
-    }
+    use crate::telemetry::ServingBatch;
 
     fn batch(dispatch_ns: f64) -> ServingBatch {
         ServingBatch {
@@ -345,12 +242,9 @@ mod tests {
         let sink = TelemetrySink::Disabled;
         sink.record_batch(batch(0.0));
         sink.ts_gauge(0, QUEUE_DEPTH, 0.0, 3.0);
-        sink.record_request(request(0.0, 100.0, Some(true)));
         let e = sink.timeseries();
         assert_eq!(e.window_ns, WINDOW_NS);
         assert!(e.series.is_empty());
-        assert!(e.latency_windows.is_empty());
-        assert!(e.slo_windows.is_empty());
     }
 
     #[test]
@@ -407,47 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn latency_windows_slice_percentiles_from_log2_buckets() {
-        let sink = TelemetrySink::recording();
-        for lat in [100.0, 200.0, 400.0, 100_000.0] {
-            sink.record_request(request(10.0, lat, None));
-        }
-        sink.record_request(request(2_000_000.0, 50.0, None));
-        let e = sink.timeseries();
-        assert_eq!(e.latency_windows.len(), 2);
-        assert!(e.slo_windows.is_empty(), "no deadline, no SLO windows");
-        let w0 = &e.latency_windows[0];
-        assert_eq!((w0.window, w0.count), (0, 4));
-        // Rounded samples land in buckets [64,128), [128,256), [256,512),
-        // [65536,131072): p50 is the 2nd sample's bucket edge.
-        assert_eq!(w0.p50_ns, 256);
-        assert_eq!(w0.p99_ns, 131_072);
-        assert_eq!(w0.max_ns, 100_000);
-        assert!(w0.p50_ns <= w0.p95_ns && w0.p95_ns <= w0.p99_ns);
-        let w1 = &e.latency_windows[1];
-        assert_eq!((w1.window, w1.count, w1.start_ns), (2, 1, 2_000_000));
-    }
-
-    #[test]
-    fn slo_windows_report_attainment() {
-        let sink = TelemetrySink::recording();
-        for (t, met) in [(10.0, true), (20.0, true), (30.0, false), (1_500_000.0, true)] {
-            sink.record_request(request(t, 1.0, Some(met)));
-        }
-        let e = sink.timeseries();
-        assert_eq!(e.slo_windows.len(), 2);
-        assert_eq!(e.slo_windows[0].total, 3);
-        assert_eq!(e.slo_windows[0].met, 2);
-        assert!((e.slo_windows[0].attainment - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(e.slo_windows[1].attainment, 1.0);
-    }
-
-    #[test]
     fn export_round_trips_through_serde() {
         let sink = TelemetrySink::recording();
         sink.record_batch(batch(3_000_000.0));
         sink.ts_gauge(0, ROOFLINE_UTILIZATION, 10.0, 0.42);
-        sink.record_request(request(10.0, 1234.0, Some(true)));
         let e = sink.timeseries();
         let text = sink.timeseries_json();
         let back = TimeSeriesExport::from_json(&text).expect("export parses");

@@ -20,7 +20,7 @@ use crate::cluster::GpuCluster;
 use crate::engine::Engine;
 use crate::strategy::Strategy;
 use crate::telemetry::decision::RequestPathRecord;
-use crate::telemetry::{timeseries, RequestEvent, ServingBatch, TelemetrySink, PID_SERVING};
+use crate::telemetry::{timeseries, ServingBatch, TelemetrySink, PID_SERVING};
 
 /// Dynamic-batching policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -275,8 +275,6 @@ struct BatchPathCtx {
     batch: u64,
     /// Cluster device index that executed the batch (0 for a bare engine).
     device: u32,
-    /// The requests' latency deadline, if any.
-    deadline_ns: Option<f64>,
 }
 
 /// Computes each request's critical path and writes its latency.
@@ -286,10 +284,8 @@ struct BatchPathCtx {
 /// critical-path components sum to it bitwise in the flight-recorder export
 /// (DESIGN.md §2.9). Each component is non-negative: `dispatch_at ≥
 /// ready_at` and rounding is monotone, so `fl(dispatch − arrival) ≥ form`.
-/// Each request is logged in `sink` (with its completion instant and
-/// deadline outcome, which the latency and SLO windows and the serving
-/// histogram derive from) only when it is enabled; the latency arithmetic
-/// runs either way.
+/// Each request's path is logged in `sink` (the serving histogram derives
+/// from it) only when it is enabled; the latency arithmetic runs either way.
 fn record_request_paths(
     sink: &TelemetrySink,
     latencies: &mut [f64],
@@ -305,20 +301,16 @@ fn record_request_paths(
         let total = form + queue + ctx.gpu_ns;
         *lat = total;
         if sink.is_enabled() {
-            sink.record_request(RequestEvent {
-                path: RequestPathRecord {
-                    request: i as u64,
-                    batch: ctx.batch,
-                    device: ctx.device,
-                    arrival_ns: arrival,
-                    form_ns: form,
-                    queue_ns: queue,
-                    execute_ns: ctx.gpu_ns,
-                    reduction_ns: ctx.reduction_ns,
-                    total_ns: total,
-                },
-                done_ns: ctx.dispatch_at + ctx.gpu_ns,
-                slo_met: ctx.deadline_ns.map(|deadline| total <= deadline),
+            sink.record_request(RequestPathRecord {
+                request: i as u64,
+                batch: ctx.batch,
+                device: ctx.device,
+                arrival_ns: arrival,
+                form_ns: form,
+                queue_ns: queue,
+                execute_ns: ctx.gpu_ns,
+                reduction_ns: ctx.reduction_ns,
+                total_ns: total,
             });
         }
     }
@@ -356,9 +348,9 @@ impl<'e> ServingSim<'e> {
     }
 
     /// [`ServingSim::run_uniform_trace`] with every request tagged with a
-    /// latency deadline: the report gains [`ServingReport::slo_attainment`]
-    /// and the time-series export gains per-window SLO windows. The replay
-    /// arithmetic is identical — a deadline only adds observability.
+    /// latency deadline: the report gains [`ServingReport::slo_attainment`].
+    /// The replay arithmetic is identical — a deadline only adds
+    /// observability.
     ///
     /// # Panics
     ///
@@ -459,10 +451,10 @@ impl<'c> ClusterServingSim<'c> {
 
     /// [`ClusterServingSim::run_uniform_trace`] with every request tagged
     /// with a latency deadline (the cluster analogue of
-    /// [`ServingSim::run_uniform_trace_with_deadline`]). Latency and SLO
-    /// windows are cluster-level statistics recorded into the cluster sink;
-    /// per-device series land in each device's private sink and are
-    /// absorbed in device-index order by the flush.
+    /// [`ServingSim::run_uniform_trace_with_deadline`]). Request paths are
+    /// cluster-level records logged in the cluster sink; per-device series
+    /// land in each device's private sink and are absorbed in device-index
+    /// order by the flush.
     ///
     /// # Panics
     ///
@@ -497,9 +489,8 @@ impl<'c> ClusterServingSim<'c> {
 /// Each ready batch goes to the engine that frees up earliest, the lowest
 /// index winning ties. Each dispatched batch is logged in the executing
 /// engine's sink (its spans, dispatch series and serving counters derive
-/// from that one event); the queue depth and the requests (their paths,
-/// latency and SLO windows and the serving-latency histogram) are logged
-/// in `queue_sink`. A bare engine passes its own sink as `queue_sink`, so
+/// from that one event); the queue depth and the request paths (and the
+/// serving-latency histogram they feed) are logged in `queue_sink`. A bare engine passes its own sink as `queue_sink`, so
 /// every event lands in one log in dispatch order, and a 1-device cluster
 /// reproduces a bare engine's floats bit-for-bit.
 ///
@@ -603,7 +594,6 @@ fn dispatch(
                     + result.run.kernel.global_reduction_ns,
                 batch: batches.len() as u64,
                 device: dev as u32,
-                deadline_ns,
             },
         );
         batches.push(record);

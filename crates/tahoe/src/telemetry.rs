@@ -6,8 +6,8 @@
 //! [`crate::strategy::LaunchContext`] carries into every kernel launch.
 
 pub use tahoe_gpu_sim::telemetry::{
-    device_pid, Counter, Event, MetricsSnapshot, RequestEvent, ServingBatch, SpanEvent, SpanName,
-    TelemetrySink, PID_DEVICE_STRIDE, PID_ENGINE, PID_GPU, PID_SERVING, VIEW_FILES,
+    device_pid, Counter, Event, MetricsSnapshot, ServingBatch, SpanEvent, SpanName, TelemetrySink,
+    PID_DEVICE_STRIDE, PID_ENGINE, PID_GPU, PID_SERVING, VIEW_FILES,
 };
 /// The windowed time-series view (series constants and export types) —
 /// see DESIGN.md §2.9.

@@ -32,7 +32,7 @@ rm -rf "$STUB_TARGET"
 # Chrome trace, metrics snapshot, kernel profiles, time series, decisions)
 # byte-for-byte across worker counts; telemetry_schema keeps the trace
 # loadable by Perfetto, profile_schema pins the profiler view,
-# timeseries_schema the windowed view, decision_schema the flight-recorder
+# timeseries_schema the windowed series, decision_schema the flight-recorder
 # view and its critical-path sum invariant plus the calibrated-engine
 # byte-diff (DESIGN.md §2.16), and drift_audit bounds model-vs-simulator
 # error. property_based rides along so
@@ -78,8 +78,10 @@ cmp_views() {
 }
 
 # End-to-end profiler view: a smoke experiment with --telemetry must write
-# byte-identical views at 1 and 4 workers, and report_md must digest the
-# recorded profiles.json into the summary. fig5 runs bare engines, whose
+# byte-identical views at 1 and 4 workers, and `tahoe-cli profile` must
+# digest the recorded profiles.json into per-kernel lines. `grep -q` closes
+# the pipe at its first match and the pipeline's status is grep's, so a CLI
+# panic is caught from its stderr instead. fig5 runs bare engines, whose
 # trace keeps the engine's wall-clock host track (pid 2, tid 0:
 # rearrange/convert/tune), so the trace is compared without those lines;
 # the cluster runs below drop that track and compare all five files whole.
@@ -97,8 +99,13 @@ done
 grep -v '"pid":2,"tid":0,' "$PROFILE_W4/trace.json" > "$PROFILE_W4/simulated_trace"
 grep -v '"pid":2,"tid":0,' "$PROFILE_W1/trace.json" \
     | cmp - "$PROFILE_W4/simulated_trace"
-TAHOE_RESULTS_DIR="$PROFILE_W1" cargo run --release -p tahoe-bench --bin report_md
-grep -q "## Kernel profiles" "$PROFILE_W1/SUMMARY.md"
+cargo run --release --bin tahoe-cli -- profile \
+    --telemetry "$PROFILE_W1" 2>"$PROFILE_W4/profile.stderr" \
+    | grep -q "limited by"
+if grep -q "panicked" "$PROFILE_W4/profile.stderr"; then
+    cat "$PROFILE_W4/profile.stderr" >&2
+    exit 1
+fi
 rm -rf "$PROFILE_W1" "$PROFILE_W4"
 
 # Multi-GPU determinism end-to-end (DESIGN.md S2.11): the fig9 cluster
@@ -133,10 +140,9 @@ TAHOE_SIM_THREADS=4 cargo run --release --bin tahoe-cli -- serve \
     --devices k80,p100,v100,p100 --requests 200 --interarrival 50 --slo-ns 500000 \
     --telemetry "$FIG9_W4/serve"
 # All five views of the cluster (its trace, counters, kernel profiles and
-# histograms, windowed series with SLO windows, decision audits and request
-# paths) are byte-identical at any worker count.
+# histograms, windowed series, decision audits and request paths) are
+# byte-identical at any worker count.
 cmp_views "$FIG9_W1/serve" "$FIG9_W4/serve"
-grep -q '"slo_windows"' "$FIG9_W1/serve/timeseries.json"
 # The serving trace carries the per-request flow events, and `tahoe-cli
 # explain` digests the decisions view end-to-end. `grep -q` closes the pipe
 # at its first match and the pipeline's status is grep's, so a CLI panic on
@@ -154,8 +160,9 @@ grep -q '"calibration_generation"' "$FIG9_W1/serve/decisions.json"
 # Closed tuning loop (DESIGN.md §2.16), end to end: a single-device
 # calibrated serve accumulates enough observations to refit (64-request
 # batches, so 1000 requests cross the 8-observation interval twice), its
-# views are byte-identical at 1 and 4 workers, and report_md digests the
-# uncalibrated-vs-calibrated drift means from the recorded decisions.json.
+# views are byte-identical at 1 and 4 workers, and `tahoe-cli explain`
+# digests the uncalibrated-vs-calibrated drift means from the recorded
+# decisions.json (its stderr is checked for a panic as above).
 TUNE_W1=$(mktemp -d)
 TUNE_W4=$(mktemp -d)
 TAHOE_SIM_THREADS=1 cargo run --release --bin tahoe-cli -- serve \
@@ -166,7 +173,12 @@ TAHOE_SIM_THREADS=4 cargo run --release --bin tahoe-cli -- serve \
     --requests 1000 --interarrival 50 --calibrate --telemetry "$TUNE_W4"
 cmp_views "$TUNE_W1" "$TUNE_W4"
 grep -q '"calibration_generation": [1-9]' "$TUNE_W1/decisions.json"
-TAHOE_RESULTS_DIR="$TUNE_W1" cargo run --release -p tahoe-bench --bin report_md
-grep -q "calibration: mean |drift|" "$TUNE_W1/SUMMARY.md"
+cargo run --release --bin tahoe-cli -- explain \
+    --telemetry "$TUNE_W1" 2>"$TUNE_W4/explain.stderr" \
+    | grep -q "calibration: mean |drift|"
+if grep -q "panicked" "$TUNE_W4/explain.stderr"; then
+    cat "$TUNE_W4/explain.stderr" >&2
+    exit 1
+fi
 rm -rf "$TUNE_W1" "$TUNE_W4"
 rm -rf "$FIG9_W1" "$FIG9_W4"

@@ -32,7 +32,7 @@ use tahoe_repro::engine::profile::{HistogramExport, ProfilesExport};
 use tahoe_repro::engine::telemetry::decision::{DecisionRecord, DecisionsExport};
 use tahoe_repro::engine::serving::{BatchingPolicy, ClusterServingSim};
 use tahoe_repro::engine::strategy::Strategy;
-use tahoe_repro::engine::telemetry::{TelemetrySink, VIEW_FILES};
+use tahoe_repro::engine::telemetry::{MetricsSnapshot, TelemetrySink, VIEW_FILES};
 use tahoe_repro::forest::train::gbdt::{self, GbdtParams};
 use tahoe_repro::forest::train::random_forest::{self, RandomForestParams};
 use tahoe_repro::forest::train::TrainParams;
@@ -112,7 +112,7 @@ commands:
   bench    compare all four inference strategies on a dataset
   serve    replay a request trace through a simulated multi-GPU cluster
   inspect  print a saved forest's structure summary
-  profile  pretty-print the kernel profiles of a --telemetry dir
+  profile  pretty-print the counters and kernel profiles of a --telemetry dir
   explain  pretty-print the decision audit of a --telemetry dir
 
 common flags:
@@ -138,12 +138,12 @@ common flags:
                            chrome://tracing or Perfetto), metrics.json
                            (counter snapshot), profiles.json (per-kernel
                            profiles, latency histograms), timeseries.json
-                           (busy fraction, queue depth, DRAM, windowed
-                           p50/p95/p99, SLO) and decisions.json (decision
-                           audits with model drift, request critical paths);
+                           (busy time, queue depth, DRAM per 1 ms window)
+                           and decisions.json (decision audits with model
+                           drift, request critical paths);
                            profile/explain: the dir to read
-  --slo-ns NS              serve: per-request latency deadline; tags each
-                           request and reports windowed SLO attainment
+  --slo-ns NS              serve: per-request latency deadline; prints the
+                           fraction of requests that met it
   --calibrate              infer/bench/serve: fold realized kernel times back
                            into the performance model (drift-driven
                            recalibration; off by default)
@@ -259,7 +259,7 @@ impl Flags {
                     f.slo_ns = Some(ns);
                 }
                 "--calibrate" => f.calibrate = true,
-                "--top" => f.top = Some(parse_num(&value()?, "--top")?),
+                "--top" => f.top = Some(parse_positive(&value()?, "--top")?),
                 other => return Err(format!("unknown flag '{other}'")),
             }
         }
@@ -638,16 +638,31 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_profile(flags: &Flags) -> Result<(), String> {
+    let metrics: MetricsSnapshot = flags.read_view("profile", "metrics.json", |text| {
+        serde_json::from_str(text).map_err(|e| e.to_string())
+    })?;
     let profiles = flags.read_view("profile", "profiles.json", ProfilesExport::from_json)?;
     let decisions = flags.read_view("profile", "decisions.json", DecisionsExport::from_json)?;
-    print_profile_report(&profiles, &decisions.decisions, flags.top.unwrap_or(10));
+    print_profile_report(&metrics, &profiles, &decisions.decisions, flags.top.unwrap_or(10));
     Ok(())
 }
 
-/// Pretty-prints a profiler export: top-N kernels by simulated time with
-/// their wall-time breakdowns, then histograms and the decisions' model-drift
-/// summary.
-fn print_profile_report(export: &ProfilesExport, decisions: &[DecisionRecord], top: usize) {
+/// Pretty-prints a profiler export: the counters' derived efficiencies, the
+/// top-N kernels by simulated time with their wall-time breakdowns, then
+/// histograms and the decisions' model-drift summary.
+fn print_profile_report(
+    metrics: &MetricsSnapshot,
+    export: &ProfilesExport,
+    decisions: &[DecisionRecord],
+    top: usize,
+) {
+    out!(
+        "counters: global-load efficiency {:.1}%  warp efficiency {:.1}%  reduction share {:.1}%  OOM retry rate {:.1}%",
+        100.0 * metrics.gmem_efficiency(),
+        100.0 * metrics.warp_efficiency(),
+        100.0 * metrics.reduction_share(),
+        100.0 * metrics.oom_retry_rate()
+    );
     out!("kernel launches: {}", export.kernels.len());
     let mut order: Vec<usize> = (0..export.kernels.len()).collect();
     order.sort_by(|&a, &b| {

@@ -116,8 +116,15 @@ fn unknown_flags_and_missing_data_fail_cleanly() {
         Some("error: --trees must be >= 1, got 0")
     );
 
-    // Zero counts are usage errors too, caught before any data loads.
-    for (command, flag) in [("infer", "--batch"), ("serve", "--requests"), ("serve", "--gpus")] {
+    // Zero counts are usage errors too, caught before any data loads or any
+    // telemetry dir is read.
+    for (command, flag) in [
+        ("infer", "--batch"),
+        ("serve", "--requests"),
+        ("serve", "--gpus"),
+        ("profile", "--top"),
+        ("explain", "--top"),
+    ] {
         let out = cli().args([command, flag, "0"]).output().unwrap();
         let what = format!("{command} {flag} 0");
         let stderr = no_panic(&out, &what);
@@ -234,6 +241,11 @@ fn profile_export_and_pretty_print() {
         .expect("run profile");
     assert!(out.status.success(), "profile failed: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout).to_string();
+    // The counter line comes from metrics.json.
+    assert!(
+        text.contains("counters: global-load efficiency "),
+        "counter line: {text}"
+    );
     assert!(text.contains("kernel launches:"), "report header: {text}");
     assert!(text.contains("occupancy"), "per-kernel lines: {text}");
     // The drift lines come from decisions.json: bench forces each feasible
@@ -299,6 +311,26 @@ fn serve_decisions_export_and_explain() {
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("serving latencies: 100 samples"), "histogram: {text}");
 
+    // A calibrated serve of 1000 requests at a 50 ns gap fills enough
+    // batches for the calibrator to refit, so explain prints the mean drift
+    // of both calibration generations.
+    let calibrated = temp_dir("calibrated_serve_telemetry");
+    let out = cli()
+        .args(["serve", "--data", "letter", "--scale", "smoke"])
+        .args(["--model", model.to_str().unwrap()])
+        .args(["--requests", "1000", "--interarrival", "50", "--calibrate"])
+        .args(["--telemetry", calibrated.to_str().unwrap()])
+        .output()
+        .expect("run calibrated serve");
+    assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .args(["explain", "--telemetry", calibrated.to_str().unwrap()])
+        .output()
+        .expect("run explain");
+    assert!(out.status.success(), "explain failed: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(text.contains("calibration: mean |drift| "), "calibration line: {text}");
+
     // The subcommand fails cleanly without a telemetry dir to read.
     let out = cli().args(["explain"]).output().unwrap();
     assert!(!out.status.success());
@@ -306,6 +338,7 @@ fn serve_decisions_export_and_explain() {
 
     std::fs::remove_file(&model).ok();
     std::fs::remove_dir_all(&telemetry).ok();
+    std::fs::remove_dir_all(&calibrated).ok();
 }
 
 #[test]

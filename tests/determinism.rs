@@ -205,8 +205,9 @@ fn cluster_serving_exports() -> (String, String, String, String, String) {
     ];
     let mut cluster =
         GpuCluster::with_telemetry(devices, &fx.forest, EngineOptions::tahoe(), sink.clone());
-    // A deadline exercises the windowed SLO path; it adds observability only
-    // and must not perturb the replay (pinned by `tests/timeseries_schema.rs`).
+    // A deadline tags the report with SLO attainment; it adds observability
+    // only and must not perturb the replay (pinned by
+    // `tests/timeseries_schema.rs`).
     let report = ClusterServingSim::new(&mut cluster, BatchingPolicy::new(32, 10_000.0))
         .run_uniform_trace_with_deadline(&fx.samples, 200, 50.0, Some(500_000.0));
     assert_eq!(report.report.n_requests(), 200);

@@ -401,6 +401,20 @@ impl Event {
         }
     }
 
+    /// Whether span `part` is the warp span of a warp that did no work
+    /// (zero serial time, e.g. a shared-data warp with no tree left). The
+    /// Chrome trace writes no span for it.
+    fn is_idle_warp(&self, part: usize) -> bool {
+        let Event::Span(SpanEvent {
+            name: SpanName::SampledBlock(b),
+            ..
+        }) = self
+        else {
+            return false;
+        };
+        part >= 1 && b.warp_serial_ns.get(part - 1) == Some(&0.0)
+    }
+
     /// Span `part` (below [`Self::span_count`]) as `((pid, tid), start,
     /// dur)`. A batch's parts come in record order: formation, the queue
     /// wait when there was one, then execution.
@@ -875,7 +889,9 @@ impl TelemetrySink {
     /// labels are rendered as they are written, so the export's memory is
     /// the output text itself. Sampled blocks and batches are expanded here,
     /// and the sort moves `(event, part)` index pairs, not copies of the
-    /// spans. `tests/telemetry_schema.rs` pins the bytes against a
+    /// spans. A warp that did no work (zero serial time) writes no span;
+    /// [`TelemetrySink::spans`] and the snapshot's `span_count` still count
+    /// it. `tests/telemetry_schema.rs` pins the bytes against a
     /// whole-document reference.
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
@@ -885,7 +901,11 @@ impl TelemetrySink {
                 Vec::with_capacity(log.iter().map(Event::span_count).sum());
             for (i, e) in log.iter().enumerate() {
                 let i = u32::try_from(i).expect("fewer than 2^32 recorded events");
-                order.extend((0..e.span_count() as u32).map(|part| (i, part)));
+                order.extend(
+                    (0..e.span_count() as u32)
+                        .filter(|&part| !e.is_idle_warp(part as usize))
+                        .map(|part| (i, part)),
+                );
             }
             let key = |&(i, part): &(u32, u32)| log[i as usize].span(part as usize);
             order.sort_by(|a, b| {

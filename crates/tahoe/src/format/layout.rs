@@ -62,7 +62,16 @@ impl LayoutPlan {
 /// of a tree under a swap assignment.
 #[must_use]
 pub fn heap_positions(tree: &Tree, swaps: &[bool]) -> Vec<u64> {
-    let mut pos = vec![0u64; tree.n_nodes()];
+    let mut pos = Vec::new();
+    heap_positions_into(tree, swaps, &mut pos);
+    pos
+}
+
+/// As [`heap_positions`], into a caller-owned buffer (cleared first), so a
+/// pass over a forest reuses one allocation.
+fn heap_positions_into(tree: &Tree, swaps: &[bool], pos: &mut Vec<u64>) {
+    pos.clear();
+    pos.resize(tree.n_nodes(), 0);
     for (id, node) in tree.nodes().iter().enumerate() {
         if let Some((l, r)) = node.children() {
             let (first, second) = if swaps[id] { (r, l) } else { (l, r) };
@@ -70,7 +79,6 @@ pub fn heap_positions(tree: &Tree, swaps: &[bool]) -> Vec<u64> {
             pos[second as usize] = 2 * pos[id] + 2;
         }
     }
-    pos
 }
 
 /// Depth level of a heap position.
@@ -98,8 +106,13 @@ pub enum StorageMode {
 /// [`SlotMap::dense_level`] and [`SlotMap::dense_children`]).
 #[derive(Clone, Debug)]
 pub struct SlotMap {
-    /// `slot_of[layout_tree_idx][node_id]` → device slot.
-    pub slot_of: Vec<Vec<u32>>,
+    /// Device slot of every node, tree-major in layout order and by node id
+    /// within a tree.
+    slots: Vec<u32>,
+    /// `first[t]..first[t + 1]` is layout tree `t`'s range of `slots`.
+    first: Vec<usize>,
+    /// Depth of each layout tree (its deepest heap level).
+    depths: Vec<u32>,
     /// Total slots (including NULL padding in dense mode).
     pub n_slots: usize,
     /// Storage mode used.
@@ -109,6 +122,24 @@ pub struct SlotMap {
 }
 
 impl SlotMap {
+    /// Device slot of each node of layout tree `layout_idx`, by node id.
+    #[must_use]
+    pub fn slot_of(&self, layout_idx: usize) -> &[u32] {
+        &self.slots[self.first[layout_idx]..self.first[layout_idx + 1]]
+    }
+
+    /// Every node's slot, tree-major in layout order.
+    #[must_use]
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    /// Depth of each tree, in layout order.
+    #[must_use]
+    pub fn tree_depths(&self) -> &[u32] {
+        &self.depths
+    }
+
     /// Dense-mode tree level of `slot`.
     ///
     /// # Panics
@@ -167,71 +198,61 @@ pub(crate) fn assign_slots_at_depth(
 ) -> SlotMap {
     plan.validate(forest);
     let n_trees = forest.n_trees();
-    // Per layout tree: heap positions after swaps.
-    let positions: Vec<Vec<u64>> = plan
-        .tree_order
-        .iter()
-        .map(|&orig| heap_positions(&forest.trees()[orig], &plan.swaps[orig]))
-        .collect();
-    match mode {
-        StorageMode::Dense => {
-            let depth = max_depth as u32;
-            assert!(depth < 26, "dense mode unusable at depth {depth}");
-            let n_levels = depth + 1;
-            let slots_per_tree = (1u64 << n_levels) - 1;
-            let n_slots = usize::try_from(slots_per_tree * n_trees as u64)
-                .expect("dense slot count fits usize");
+    let mut first = Vec::with_capacity(n_trees + 1);
+    first.push(0);
+    for &orig in &plan.tree_order {
+        first.push(first[first.len() - 1] + forest.trees()[orig].n_nodes());
+    }
+    let n_nodes = first[n_trees];
+    let dense_slots = (mode == StorageMode::Dense).then(|| {
+        let depth = max_depth as u32;
+        assert!(depth < 26, "dense mode unusable at depth {depth}");
+        let slots_per_tree = (1u64 << (depth + 1)) - 1;
+        usize::try_from(slots_per_tree * n_trees as u64).expect("dense slot count fits usize")
+    });
+    let mut slots = vec![0u32; n_nodes];
+    let mut depths = Vec::with_capacity(n_trees);
+    // Sparse mode orders nodes by (level, position, layout tree, node id).
+    let mut keyed: Vec<(u32, u64, u32, u32)> = Vec::new();
+    // One heap-position buffer (after swaps) serves every tree.
+    let mut pos = Vec::new();
+    for (layout_idx, &orig) in plan.tree_order.iter().enumerate() {
+        heap_positions_into(&forest.trees()[orig], &plan.swaps[orig], &mut pos);
+        // Heap levels occupy disjoint, ascending position ranges, so the
+        // largest position sits on the deepest level.
+        depths.push(level_of_position(pos.iter().copied().max().unwrap_or(0)));
+        match mode {
             // Heap position `p` of layout tree `t` lives in slot
             // `p·n_trees + t`: level by level, position by position, tree
             // by tree.
-            let slot_of = positions
-                .iter()
-                .enumerate()
-                .map(|(layout_idx, pos)| {
-                    pos.iter()
-                        .map(|&p| {
-                            u32::try_from(p * n_trees as u64 + layout_idx as u64)
-                                .expect("slot fits u32")
-                        })
-                        .collect()
-                })
-                .collect();
-            SlotMap {
-                slot_of,
-                n_slots,
-                mode,
-                n_trees,
-            }
-        }
-        StorageMode::Sparse => {
-            // Order nodes by (level, position, layout tree).
-            let mut keyed: Vec<(u32, u64, u32, u32)> = Vec::new();
-            for (layout_idx, pos) in positions.iter().enumerate() {
-                for (node_id, &p) in pos.iter().enumerate() {
-                    keyed.push((
-                        level_of_position(p),
-                        p,
-                        layout_idx as u32,
-                        node_id as u32,
-                    ));
+            StorageMode::Dense => {
+                let tree_slots = &mut slots[first[layout_idx]..first[layout_idx + 1]];
+                for (slot, &p) in tree_slots.iter_mut().zip(&pos) {
+                    *slot = u32::try_from(p * n_trees as u64 + layout_idx as u64)
+                        .expect("slot fits u32");
                 }
             }
-            keyed.sort_unstable();
-            let mut slot_of: Vec<Vec<u32>> = positions
-                .iter()
-                .map(|p| vec![0u32; p.len()])
-                .collect();
-            for (slot, &(_level, _p, layout_idx, node_id)) in keyed.iter().enumerate() {
-                slot_of[layout_idx as usize][node_id as usize] =
-                    u32::try_from(slot).expect("slot fits u32");
-            }
-            SlotMap {
-                slot_of,
-                n_slots: keyed.len(),
-                mode,
-                n_trees,
-            }
+            StorageMode::Sparse => keyed.extend(
+                pos.iter()
+                    .enumerate()
+                    .map(|(id, &p)| (level_of_position(p), p, layout_idx as u32, id as u32)),
+            ),
         }
+    }
+    if mode == StorageMode::Sparse {
+        keyed.sort_unstable();
+        for (slot, &(_level, _p, layout_idx, id)) in keyed.iter().enumerate() {
+            slots[first[layout_idx as usize] + id as usize] =
+                u32::try_from(slot).expect("slot fits u32");
+        }
+    }
+    SlotMap {
+        slots,
+        first,
+        depths,
+        n_slots: dense_slots.unwrap_or(n_nodes),
+        mode,
+        n_trees,
     }
 }
 
@@ -329,13 +350,13 @@ mod tests {
         // Depth 2 → 7 slots per tree x 3 trees.
         assert_eq!(map.n_slots, 21);
         // Roots of trees 0, 1, 2 at slots 0, 1, 2 (Fig. 1's root row).
-        assert_eq!(map.slot_of[0][0], 0);
-        assert_eq!(map.slot_of[1][0], 1);
-        assert_eq!(map.slot_of[2][0], 2);
+        assert_eq!(map.slot_of(0)[0], 0);
+        assert_eq!(map.slot_of(1)[0], 1);
+        assert_eq!(map.slot_of(2)[0], 2);
         // Left children at level 1: slots 3, 4, 5.
-        assert_eq!(map.slot_of[0][1], 3);
-        assert_eq!(map.slot_of[1][1], 4);
-        assert_eq!(map.slot_of[2][1], 5);
+        assert_eq!(map.slot_of(0)[1], 3);
+        assert_eq!(map.slot_of(1)[1], 4);
+        assert_eq!(map.slot_of(2)[1], 5);
         // Levels.
         assert_eq!(map.dense_level(0), 0);
         assert_eq!(map.dense_level(3), 1);
@@ -349,9 +370,9 @@ mod tests {
         let map = assign_slots(&f, &plan, StorageMode::Dense);
         // Tree 1's root (slot 1) has children at heap 1 and 2 → the slots
         // recorded for its child nodes.
-        let (l, r) = map.dense_children(map.slot_of[1][0]);
-        assert_eq!(l, map.slot_of[1][1]);
-        assert_eq!(r, map.slot_of[1][2]);
+        let (l, r) = map.dense_children(map.slot_of(1)[0]);
+        assert_eq!(l, map.slot_of(1)[1]);
+        assert_eq!(r, map.slot_of(1)[2]);
     }
 
     #[test]
@@ -366,16 +387,16 @@ mod tests {
         for (layout_idx, &orig) in plan.tree_order.iter().enumerate() {
             let tree = &f.trees()[orig];
             for (id, &p) in heap_positions(tree, &plan.swaps[orig]).iter().enumerate() {
-                levels[map.slot_of[layout_idx][id] as usize] = level_of_position(p);
+                levels[map.slot_of(layout_idx)[id] as usize] = level_of_position(p);
             }
         }
         for w in levels.windows(2) {
             assert!(w[0] <= w[1]);
         }
         // Roots first, in tree order.
-        assert_eq!(map.slot_of[0][0], 0);
-        assert_eq!(map.slot_of[1][0], 1);
-        assert_eq!(map.slot_of[2][0], 2);
+        assert_eq!(map.slot_of(0)[0], 0);
+        assert_eq!(map.slot_of(1)[0], 1);
+        assert_eq!(map.slot_of(2)[0], 2);
     }
 
     #[test]
@@ -387,9 +408,10 @@ mod tests {
         };
         let map = assign_slots(&f, &plan, StorageMode::Sparse);
         // Layout index 0 is original tree 2.
-        assert_eq!(map.slot_of[0][0], 0);
+        assert_eq!(map.slot_of(0)[0], 0);
         // slot_of is indexed by layout position, not original index.
-        assert_eq!(map.slot_of.len(), 3);
+        assert_eq!(map.n_trees, 3);
+        assert_eq!(map.slot_of(0).len(), 3);
     }
 
     #[test]

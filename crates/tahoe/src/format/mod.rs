@@ -114,6 +114,8 @@ pub struct DeviceForest {
     buffer: GlobalBuffer,
     /// Structural summary of the host forest, computed once per build.
     stats: ForestStats,
+    /// Warp-lockstep depth of the layout order (the models' `d_lockstep`).
+    lockstep_depth: f64,
     kind: ForestKind,
     base_score: f32,
     tree_order: Vec<usize>,
@@ -127,23 +129,19 @@ fn mirror_nodes(
     plan: &LayoutPlan,
     map: &SlotMap,
 ) -> (Vec<MirrorNode>, Vec<u32>) {
-    // `first[t]`: tree-major index of layout tree `t`'s root.
-    let mut n_nodes = 0;
-    let mut first = vec![0];
-    first.extend(map.slot_of.iter().map(|slots| {
-        n_nodes += slots.len();
-        n_nodes
-    }));
     let index_of = mirror_indices(map);
-    let mut nodes = vec![MirrorNode::default(); n_nodes];
+    let mut nodes = vec![MirrorNode::default(); index_of.len()];
     let mut nodes_per_tree = Vec::with_capacity(forest.n_trees());
+    let mut first = 0;
     for (layout_idx, &orig) in plan.tree_order.iter().enumerate() {
         let tree = &forest.trees()[orig];
         let swaps = &plan.swaps[orig];
-        let index = &index_of[first[layout_idx]..first[layout_idx + 1]];
+        let index = &index_of[first..first + tree.n_nodes()];
+        first += tree.n_nodes();
+        let tree_slots = map.slot_of(layout_idx);
         nodes_per_tree.push(tree.n_nodes() as u32);
         for (id, host) in tree.nodes().iter().enumerate() {
-            let slot = map.slot_of[layout_idx][id];
+            let slot = tree_slots[id];
             nodes[index[id] as usize] = match *host {
                 HostNode::Leaf { value } => MirrorNode {
                     slot,
@@ -181,16 +179,15 @@ fn mirror_nodes(
 /// Each node's mirror index (the rank of its slot among the occupied slots),
 /// tree-major in layout order.
 fn mirror_indices(map: &SlotMap) -> Vec<u32> {
-    let slots = map.slot_of.iter().flatten();
     match map.mode {
         // No padding: the slots are exactly the ranks.
-        StorageMode::Sparse => slots.copied().collect(),
+        StorageMode::Sparse => map.slots().to_vec(),
         // A dense slot is `position·n_trees + tree`. Count the nodes at each
         // heap position, then hand out ranks tree by tree in layout order,
         // which keeps each position's nodes in ascending slot order.
         StorageMode::Dense => {
             let n_trees = map.n_trees as u32;
-            let mut ranks: Vec<u32> = slots.map(|&slot| slot / n_trees).collect();
+            let mut ranks: Vec<u32> = map.slots().iter().map(|&slot| slot / n_trees).collect();
             let mut next = vec![0u32; map.n_slots / map.n_trees];
             for &pos in &ranks {
                 next[pos as usize] += 1;
@@ -267,7 +264,7 @@ impl DeviceForest {
         // (dense level 0 is full; sparse layouts have no padding), so each
         // root's slot is also its mirror index.
         let roots: Vec<u32> = (0..forest.n_trees())
-            .map(|layout_idx| map.slot_of[layout_idx][0])
+            .map(|layout_idx| map.slot_of(layout_idx)[0])
             .collect();
         debug_assert!(roots.iter().all(|&r| nodes[r as usize].slot == r));
         let buffer = mem.try_alloc((map.n_slots * node_bytes) as u64)?;
@@ -284,6 +281,7 @@ impl DeviceForest {
             base_score: forest.base_score(),
             tree_order: plan.tree_order.clone(),
             stats,
+            lockstep_depth: crate::perfmodel::lockstep_depth(map.tree_depths()),
         })
     }
 
@@ -441,6 +439,13 @@ impl DeviceForest {
     #[must_use]
     pub fn forest_stats(&self) -> &ForestStats {
         &self.stats
+    }
+
+    /// Warp-lockstep depth of the layout order (the models' `d_lockstep`,
+    /// see [`crate::perfmodel::lockstep_depth`]).
+    #[must_use]
+    pub fn lockstep_depth(&self) -> f64 {
+        self.lockstep_depth
     }
 
     /// Maximum tree depth.

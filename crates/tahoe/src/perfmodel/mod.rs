@@ -28,6 +28,15 @@
 //! any other block-serial work, amortized across concurrent blocks. The
 //! selection-accuracy experiment (§7.3) validates this extended model against
 //! the simulator.
+//!
+//! Shared data's chain is `ceil(N_trees / threads) × D_lockstep × (lat_gmem +
+//! lat_smem)`. A warp walks its lanes' trees in lockstep and ends each round
+//! with its deepest lane, so a round costs the depth of the deepest tree in
+//! its aligned group of 32 layout trees, not the mean depth `D_tree`
+//! ([`lockstep_depth`], [`ModelInputs::d_lockstep`]). This is what lets
+//! [`crate::tune::sweep`] rank block sizes: with the mean depth, the extra
+//! rounds of a small block looked almost free. The Eq. 4 bandwidth terms
+//! keep the mean depth.
 
 pub mod calibrate;
 
@@ -52,6 +61,11 @@ pub struct ModelInputs {
     pub n_batch: f64,
     /// Mean tree depth (`D_tree`).
     pub d_tree: f64,
+    /// Warp-lockstep depth: the depth a warp of tree-per-lane threads walks
+    /// per round, i.e. the depth of its deepest lane (see
+    /// [`lockstep_depth`]). At least `d_tree`; only shared data's serial
+    /// chain reads it.
+    pub d_lockstep: f64,
     /// Number of trees (`N_trees`).
     pub n_trees: f64,
     /// Encoded node size in bytes (`S_node`).
@@ -77,6 +91,7 @@ impl ModelInputs {
             s_sample: samples.sample_bytes() as f64,
             n_batch: samples.n_samples() as f64,
             d_tree: host_stats.avg_depth,
+            d_lockstep: forest.lockstep_depth(),
             n_trees: forest.n_trees() as f64,
             s_node: forest.node_bytes() as f64,
             s_att: 4.0,
@@ -84,6 +99,29 @@ impl ModelInputs {
             s_forest: forest.forest_smem_bytes() as f64,
         }
     }
+}
+
+/// Lanes per warp on every modelled device: shared data walks this many
+/// layout trees in lockstep per warp round.
+pub const WARP_LANES: usize = 32;
+
+/// The warp-lockstep depth of a forest from its tree depths in layout order.
+///
+/// Shared data assigns layout tree `t` to thread `t mod threads`, so each
+/// warp round walks one aligned group of [`WARP_LANES`] consecutive layout
+/// trees and ends when its deepest lane reaches a leaf. Each tree is charged
+/// its group's maximum depth; the result is the mean over trees, so it is
+/// never below the mean depth and equals it when every group is uniform.
+#[must_use]
+pub fn lockstep_depth(layout_depths: &[u32]) -> f64 {
+    if layout_depths.is_empty() {
+        return 0.0;
+    }
+    let charged: u64 = layout_depths
+        .chunks(WARP_LANES)
+        .map(|group| group.len() as u64 * u64::from(group.iter().copied().max().unwrap_or(0)))
+        .sum();
+    charged as f64 / layout_depths.len() as f64
 }
 
 /// A per-strategy cost prediction (per-sample ns).
@@ -169,7 +207,9 @@ pub fn predict(
         Strategy::SharedData => {
             let tree_rounds =
                 (i.n_trees / geometry.threads_per_block as f64).ceil().max(1.0);
-            let chain = tree_rounds * i.d_tree * (hw.lat_gmem + hw.lat_smem);
+            // A warp's lanes walk their trees in lockstep, so each round
+            // lasts as long as its deepest lane.
+            let chain = tree_rounds * i.d_lockstep * (hw.lat_gmem + hw.lat_smem);
             let reduce_values = (i.n_trees as usize).min(geometry.threads_per_block) as f64;
             let reduce = hw.b_base + hw.b_rate * reduce_values;
             Prediction {

@@ -282,4 +282,54 @@ mod tests {
             .iter()
             .all(|(s, _, _)| *s != Strategy::SharedForest));
     }
+
+    #[test]
+    fn shared_data_pick_is_the_simulated_fastest_rung() {
+        // 150 trees: a 64-thread block walks them in three rounds, a
+        // 256-thread block in one. Each warp round lasts as long as its
+        // deepest lane, so charging rounds at the mean depth undercosts the
+        // small blocks and ranks 64 threads first.
+        use crate::format::{DeviceForest, FormatConfig, LayoutPlan};
+        use tahoe_gpu_sim::memory::DeviceMemory;
+
+        let mut fx = Fixture::trained_with_batch("letter", 300);
+        let f = &fx.forest;
+        let trees = f.trees().iter().cycle().take(150).cloned().collect();
+        let forest = tahoe_forest::Forest::new(
+            trees,
+            f.n_attributes(),
+            f.kind(),
+            f.task(),
+            f.base_score(),
+        );
+        let mut mem = DeviceMemory::new();
+        fx.sample_buf = mem.alloc((fx.samples.n_samples() * fx.samples.sample_bytes()) as u64);
+        let plan = LayoutPlan::identity(&forest);
+        fx.device_forest = DeviceForest::build(&forest, &plan, FormatConfig::adaptive(), &mut mem);
+        fx.forest = forest;
+        assert!(fx.forest.n_trees() > 64);
+
+        let stats = fx.device_forest.forest_stats();
+        let inputs = ModelInputs::gather(&fx.device_forest, stats, &fx.samples);
+        let hw = measure(&fx.device);
+        let ctx = context(&fx, Detail::Full);
+        let (_, picked, _) = sweep(&ctx, &inputs, &hw)
+            .ranked(None)
+            .into_iter()
+            .find(|(s, _, _)| *s == Strategy::SharedData)
+            .expect("shared data is always feasible");
+        let simulated_ns = |threads: usize| {
+            let rung = LaunchContext { block_threads: threads, ..ctx };
+            strategy::run(Strategy::SharedData, &rung).expect("feasible").kernel.total_ns
+        };
+        let fastest = THREAD_CANDIDATES
+            .iter()
+            .map(|&t| simulated_ns(t))
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(
+            simulated_ns(picked),
+            fastest,
+            "the ladder picked {picked} threads, which is not the simulated-fastest rung"
+        );
+    }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use tahoe::perfmodel::{predict, ModelInputs};
+use tahoe::perfmodel::{lockstep_depth, predict, ModelInputs};
 use tahoe::strategy::{Geometry, Strategy};
 use tahoe_gpu_sim::device::DeviceSpec;
 use tahoe_gpu_sim::measure;
@@ -14,6 +14,7 @@ fn inputs(n_trees: f64, d_tree: f64, n_batch: f64, s_sample: f64) -> ModelInputs
         s_sample,
         n_batch,
         d_tree,
+        d_lockstep: d_tree,
         n_trees,
         s_node: 14.0,
         s_att: 4.0,
@@ -125,5 +126,33 @@ proptest! {
             &device,
         );
         prop_assert!(deep.total() >= shallow.total() * 0.999);
+    }
+
+    #[test]
+    fn lockstep_depth_bounds_the_mean_and_lengthens_the_chain(
+        depths in prop::collection::vec(0u32..20, 1..300),
+        threads in prop::sample::select(vec![64usize, 128, 256, 512, 1024]),
+        extra in 0.0f64..8.0,
+    ) {
+        // A warp round lasts as long as its deepest lane, so the lockstep
+        // depth is never below the mean depth.
+        let mean = depths.iter().map(|&d| f64::from(d)).sum::<f64>() / depths.len() as f64;
+        let lockstep = lockstep_depth(&depths);
+        prop_assert!(lockstep >= mean - 1e-9, "lockstep {} < mean {}", lockstep, mean);
+        prop_assert!(lockstep <= f64::from(*depths.iter().max().unwrap()) + 1e-9);
+        // Shared data's serial chain never shrinks as the lockstep depth
+        // grows, and nothing else moves with it.
+        let device = DeviceSpec::tesla_p100();
+        let hw = measure(&device);
+        let n_trees = depths.len() as f64;
+        let base = inputs(n_trees, mean.max(1.0), 1_000.0, 64.0);
+        let geo = geometry(threads, 16, 16 << 10, 1);
+        let at = |d: f64| {
+            predict(Strategy::SharedData, &ModelInputs { d_lockstep: d, ..base }, &hw, &geo, &device)
+        };
+        let (lo, hi) = (at(lockstep), at(lockstep + extra));
+        prop_assert!(hi.t_serial >= lo.t_serial);
+        prop_assert!(hi.total() >= lo.total());
+        prop_assert_eq!((hi.t_smem, hi.t_gmem, hi.t_b_redu), (lo.t_smem, lo.t_gmem, lo.t_b_redu));
     }
 }

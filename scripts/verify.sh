@@ -52,7 +52,7 @@ done
 # Regression gate: the committed results/ are the reference. Regenerate the
 # smoke suite and its digest into a scratch dir, then require every committed
 # record and SUMMARY.md to match byte for byte, with no file on only one
-# side (results/ci/ is not covered). Every recorded quantity is
+# side (results/ci/ is gated separately below). Every recorded quantity is
 # deterministic, so any change to a cost model, a strategy or the JSON
 # printer fails here. The run uses the default disabled telemetry sink, so
 # it also checks that telemetry-off runs end to end. To re-baseline after an
@@ -68,6 +68,22 @@ for f in results/*.json results/SUMMARY.md "$GATE_TMP"/*; do
         || { echo "results/ gate: $name differs (regenerated copy in $GATE_TMP)"; exit 1; }
 done
 rm -rf "$GATE_TMP"
+
+# The selection census at the scale of record: regenerate the §7.3
+# reduction record (which strategy Tahoe picks for every Table 2 dataset,
+# device and regime) at ci/detail 16 and require it to match
+# results/ci/sec73_reduction.json byte for byte, as the smoke gate does.
+# A change to the performance model or the tuner that flips a selection
+# fails here. It takes about 25 s on a 2-core host once the ci forests are
+# cached (the first run trains them into target/tahoe-forest-cache/). The
+# other results/ci/ records are not gated; regenerate them with the command
+# in EXPERIMENTS.md when they move.
+CENSUS_TMP=$(mktemp -d)
+TAHOE_RESULTS_DIR="$CENSUS_TMP" cargo run --release -p tahoe-bench --bin sec73_reduction -- \
+    --scale ci --detail 16
+cmp results/ci/sec73_reduction.json "$CENSUS_TMP/sec73_reduction.json" \
+    || { echo "results/ci gate: sec73_reduction.json differs (regenerated copy in $CENSUS_TMP)"; exit 1; }
+rm -rf "$CENSUS_TMP"
 
 # Byte-compares the five telemetry views (DESIGN.md §2.9) of two
 # `--telemetry <dir>` runs.

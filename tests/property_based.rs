@@ -209,11 +209,9 @@ proptest! {
         let mode = if sparse { StorageMode::Sparse } else { StorageMode::Dense };
         let map = assign_slots(&forest, &plan, mode);
         let mut seen = std::collections::HashSet::new();
-        for tree_slots in &map.slot_of {
-            for &s in tree_slots {
-                prop_assert!((s as usize) < map.n_slots, "slot {} out of range", s);
-                prop_assert!(seen.insert(s), "slot {} assigned twice", s);
-            }
+        for &s in map.slots() {
+            prop_assert!((s as usize) < map.n_slots, "slot {} out of range", s);
+            prop_assert!(seen.insert(s), "slot {} assigned twice", s);
         }
         if mode == StorageMode::Sparse {
             // Sparse assignment is compact: every slot is used.

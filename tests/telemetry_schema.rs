@@ -10,12 +10,13 @@ use serde_json::{Number, Value};
 use tahoe::cluster::GpuCluster;
 use tahoe::engine::{Engine, EngineOptions};
 use tahoe::serving::{BatchingPolicy, ClusterServingSim};
-use tahoe::strategy::testutil::Fixture;
-use tahoe::strategy::Strategy;
+use tahoe::strategy::testutil::{context, Fixture};
+use tahoe::strategy::{self, LaunchContext, Strategy};
 use tahoe::telemetry::{
-    device_pid, MetricsSnapshot, SpanName, TelemetrySink, PID_GPU, PID_SERVING,
+    device_pid, MetricsSnapshot, SpanName, TelemetryCtx, TelemetrySink, PID_GPU, PID_SERVING,
 };
 use tahoe_gpu_sim::device::DeviceSpec;
+use tahoe_gpu_sim::kernel::Detail;
 
 /// Runs one engine batch against a recording sink and returns it.
 fn recorded_run() -> TelemetrySink {
@@ -163,11 +164,13 @@ fn launch_spans_record_typed_block_warp_and_reduce_labels() {
 /// The trace built from one whole list of event `Value`s, each printed
 /// compactly on a line of its own: the byte-level reference for the
 /// streamed export, which expands sampled blocks and prints as it goes.
+/// A warp that did no work writes no span.
 fn whole_tree_trace(sink: &TelemetrySink) -> String {
     let timeseries = sink.timeseries();
     let decisions = sink.decisions();
     let names = sink.process_names();
     let mut spans = sink.spans();
+    spans.retain(|s| !(matches!(s.name, SpanName::Warp(..)) && s.dur_ns == 0.0));
     spans.sort_by(|a, b| {
         (a.pid, a.tid)
             .cmp(&(b.pid, b.tid))
@@ -345,4 +348,54 @@ fn streamed_trace_of_an_empty_sink_equals_the_whole_tree_document() {
         );
         assert_same_bytes(&streamed, &whole_tree_trace(&sink), what);
     }
+}
+
+#[test]
+fn idle_shared_data_warps_write_no_trace_span() {
+    // 40 trees on 256 threads: a block's traversal warps 0–1 walk 32 + 8
+    // trees and warps 2–7 have none.
+    let fx = Fixture::trained_with_trees("letter", 40);
+    let sink = TelemetrySink::recording();
+    let ctx = LaunchContext {
+        block_threads: 256,
+        telemetry: TelemetryCtx { sink: &sink, t0_ns: 0.0 },
+        ..context(&fx, Detail::Sampled(3))
+    };
+    let run = strategy::run(Strategy::SharedData, &ctx).expect("shared data always runs");
+    assert_eq!(run.geometry.threads_per_block, 256);
+    assert!(fx.forest.n_trees() < 256, "the launch must have idle warps");
+
+    // Every recorded warp, by its trace label, with its serial time.
+    let recorded: Vec<(String, f64)> = sink
+        .spans()
+        .into_iter()
+        .filter(|s| matches!(s.name, SpanName::Warp(..)))
+        .map(|s| (s.name.to_string(), s.dur_ns))
+        .collect();
+    let idle = recorded.iter().filter(|(_, dur)| *dur == 0.0).count();
+    assert!(idle > 0, "the log records the idle warps");
+    let mut worked: Vec<&str> = recorded
+        .iter()
+        .filter(|(_, dur)| *dur > 0.0)
+        .map(|(name, _)| name.as_str())
+        .collect();
+    worked.sort_unstable();
+
+    let trace: Value = serde_json::from_str(&sink.chrome_trace_json()).expect("trace parses");
+    let warp_spans: Vec<&Value> = trace["traceEvents"]
+        .as_array()
+        .expect("event list")
+        .iter()
+        .filter(|e| e["name"].as_str().is_some_and(|n| n.contains(" warp ")))
+        .collect();
+    assert!(
+        warp_spans.iter().all(|e| e["dur"].as_f64() > Some(0.0)),
+        "no zero-duration warp span"
+    );
+    let mut traced: Vec<&str> = warp_spans
+        .iter()
+        .filter_map(|e| e["name"].as_str())
+        .collect();
+    traced.sort_unstable();
+    assert_eq!(traced, worked, "exactly one span per warp that worked");
 }

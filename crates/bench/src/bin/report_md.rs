@@ -109,7 +109,7 @@ fn main() {
             }
         }
         // Table 3 comes from the same runs, so it digests the same record.
-        let _ = writeln!(out, "\n## Table 3 — A.C.V. (FIL -> Tahoe)");
+        let _ = writeln!(out, "\n## Table 3 — A.C.V. and lane wait (FIL -> Tahoe)");
         for device in ["Tesla K80", "Tesla P100", "Tesla V100"] {
             for high in [true, false] {
                 let s: Vec<&Value> = rows
@@ -127,10 +127,12 @@ fn main() {
                 };
                 let _ = writeln!(
                     out,
-                    "- {device} {}: {:.1}% -> {:.1}%",
+                    "- {device} {}: A.C.V. {:.1}% -> {:.1}%, lane wait {:.1}% -> {:.1}%",
                     if high { "high" } else { "low" },
                     100.0 * mean("fil_acv"),
                     100.0 * mean("tahoe_acv"),
+                    100.0 * mean("fil_lane_wait"),
+                    100.0 * mean("tahoe_lane_wait"),
                 );
             }
         }

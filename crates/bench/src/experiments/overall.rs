@@ -36,6 +36,12 @@ pub struct OverallRow {
     pub fil_acv: f64,
     /// Tahoe A.C.V. of per-thread busy time (Table 3).
     pub tahoe_acv: f64,
+    /// FIL lane wait: the share of warp lane-steps in which a lane idles
+    /// while its warp walks on (`1 − active_lane_steps / (steps × warp)`).
+    /// The busy A.C.V. cannot see this lockstep waste.
+    pub fil_lane_wait: f64,
+    /// Tahoe lane wait, as `fil_lane_wait`.
+    pub tahoe_lane_wait: f64,
 }
 
 /// Full Fig. 7 / Table 3 record.
@@ -71,18 +77,35 @@ impl OverallResult {
     /// Mean A.C.V. for one device/regime slice, `(fil, tahoe)`.
     #[must_use]
     pub fn mean_acv(&self, device: &str, high: bool) -> (f64, f64) {
-        let slice: Vec<&OverallRow> = self
+        self.mean_pair(device, high, |r| (r.fil_acv, r.tahoe_acv))
+    }
+
+    /// Mean lane wait for one device/regime slice, `(fil, tahoe)`.
+    #[must_use]
+    pub fn mean_lane_wait(&self, device: &str, high: bool) -> (f64, f64) {
+        self.mean_pair(device, high, |r| (r.fil_lane_wait, r.tahoe_lane_wait))
+    }
+
+    /// Mean of a `(fil, tahoe)` row pair over one device/regime slice.
+    fn mean_pair(
+        &self,
+        device: &str,
+        high: bool,
+        pair: impl Fn(&OverallRow) -> (f64, f64),
+    ) -> (f64, f64) {
+        let slice: Vec<(f64, f64)> = self
             .rows
             .iter()
             .filter(|r| r.device == device && r.high_parallelism == high)
+            .map(pair)
             .collect();
         if slice.is_empty() {
             return (0.0, 0.0);
         }
         let n = slice.len() as f64;
         (
-            slice.iter().map(|r| r.fil_acv).sum::<f64>() / n,
-            slice.iter().map(|r| r.tahoe_acv).sum::<f64>() / n,
+            slice.iter().map(|p| p.0).sum::<f64>() / n,
+            slice.iter().map(|p| p.1).sum::<f64>() / n,
         )
     }
 }
@@ -113,6 +136,8 @@ pub fn run(env: &Env) -> OverallResult {
                     tahoe_strategy: rt.strategy,
                     fil_acv: thread_acv_with_sink(&rf.run.kernel, &env.sink),
                     tahoe_acv: thread_acv_with_sink(&rt.run.kernel, &env.sink),
+                    fil_lane_wait: 1.0 - rf.run.kernel.simt_efficiency(),
+                    tahoe_lane_wait: 1.0 - rt.run.kernel.simt_efficiency(),
                 });
             }
         }
@@ -163,21 +188,35 @@ pub fn report_fig7(result: &OverallResult) {
 }
 
 /// Prints Table 3 from the same runs; its record is `fig7_overall`'s.
+///
+/// Two imbalance measures: the paper's A.C.V. of per-thread busy time, and
+/// the lane wait, the lockstep time a lane spends idle inside its warp.
 pub fn report_table3(result: &OverallResult) {
     let mut t = Table::new(
-        "Table 3 — average coefficient of variation of per-thread time",
-        &["device", "regime", "FIL A.C.V.", "Tahoe A.C.V.", "reduction"],
+        "Table 3 — average coefficient of variation of per-thread time, and lane wait",
+        &[
+            "device",
+            "regime",
+            "FIL A.C.V.",
+            "Tahoe A.C.V.",
+            "reduction",
+            "FIL lane wait",
+            "Tahoe lane wait",
+        ],
     );
     for d in devices() {
         for high in [true, false] {
             let (fil, tahoe) = result.mean_acv(d.name, high);
             let reduction = if fil > 0.0 { 1.0 - tahoe / fil } else { 0.0 };
+            let (fil_wait, tahoe_wait) = result.mean_lane_wait(d.name, high);
             t.row(vec![
                 d.name.to_string(),
                 if high { "high" } else { "low" }.to_string(),
                 pct(fil),
                 pct(tahoe),
                 pct(reduction),
+                pct(fil_wait),
+                pct(tahoe_wait),
             ]);
         }
     }

@@ -73,6 +73,38 @@ pub fn sample_plan(grid_blocks: usize, detail: Detail) -> Vec<usize> {
     }
 }
 
+/// As [`sample_plan`], for a grid whose block `b` does work class
+/// `b % classes` (splitting's forest parts, `grid = classes × tiles`).
+///
+/// A uniform stride that is a multiple of `classes` samples one class only,
+/// so a plan of at least `classes` blocks instead gives each class an equal
+/// share (±1) of the plan, evenly spaced over that class's blocks. A
+/// smaller plan keeps the uniform stride, and one class gives
+/// [`sample_plan`] itself. The plan is in grid order.
+///
+/// # Panics
+///
+/// Panics if `classes` does not divide `grid_blocks`.
+#[must_use]
+pub fn sample_plan_by_class(grid_blocks: usize, classes: usize, detail: Detail) -> Vec<usize> {
+    let classes = classes.max(1);
+    assert_eq!(grid_blocks % classes, 0, "{classes} classes do not tile {grid_blocks} blocks");
+    let cap = match detail {
+        Detail::Sampled(cap) if cap.max(1) >= classes && cap < grid_blocks => cap,
+        _ => return sample_plan(grid_blocks, detail),
+    };
+    let per_class = grid_blocks / classes;
+    let mut plan: Vec<usize> = (0..cap)
+        .map(|i| {
+            let (class, j) = (i % classes, i / classes);
+            let share = cap / classes + usize::from(class < cap % classes);
+            j * per_class / share * classes + class
+        })
+        .collect();
+    plan.sort_unstable();
+    plan
+}
+
 /// Telemetry attachment of one traced launch (absent when telemetry is
 /// disabled, so the untraced path carries no extra state).
 struct TraceConfig {
@@ -533,6 +565,42 @@ mod tests {
         assert_eq!(plan, vec![0, 25, 50, 75]);
         let small = sample_plan(3, Detail::Sampled(10));
         assert_eq!(small, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn class_plan_covers_every_class_when_the_stride_aliases() {
+        // 4 classes × 16 tiles, 16 samples: the uniform stride is 4, a
+        // multiple of the class count, so it samples class 0 only.
+        let uniform = sample_plan(64, Detail::Sampled(16));
+        assert!(uniform.iter().all(|b| b % 4 == 0));
+        let plan = sample_plan_by_class(64, 4, Detail::Sampled(16));
+        assert_eq!(plan.len(), 16);
+        assert!(plan.windows(2).all(|w| w[0] < w[1]));
+        for class in 0..4 {
+            assert_eq!(plan.iter().filter(|&&b| b % 4 == class).count(), 4, "class {class}");
+        }
+        // Uneven shares: 3 classes × 10 tiles, 7 samples give 3/2/2.
+        let plan = sample_plan_by_class(30, 3, Detail::Sampled(7));
+        let shares: Vec<usize> =
+            (0..3).map(|c| plan.iter().filter(|&&b| b % 3 == c).count()).collect();
+        assert_eq!(shares, [3, 2, 2]);
+        assert!(plan.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn class_plan_falls_back_to_the_uniform_stride() {
+        for (grid, classes, detail) in [
+            (64, 1, Detail::Sampled(16)),
+            (60, 20, Detail::Sampled(8)),
+            (12, 4, Detail::Sampled(16)),
+            (12, 4, Detail::Full),
+        ] {
+            assert_eq!(
+                sample_plan_by_class(grid, classes, detail),
+                sample_plan(grid, detail),
+                "{grid} blocks, {classes} classes, {detail:?}"
+            );
+        }
     }
 
     fn run_kernel(device: &DeviceSpec, grid: usize, detail: Detail) -> KernelResult {

@@ -81,7 +81,7 @@ pub use block::{BlockResult, BlockSim};
 pub use coalesce::AccessStats;
 pub use decision::{DecisionCandidate, DecisionRecord, DecisionsExport, RequestPathRecord};
 pub use device::{Arch, DeviceSpec};
-pub use kernel::{sample_plan, Detail, KernelResult, KernelSim};
+pub use kernel::{sample_plan, sample_plan_by_class, Detail, KernelResult, KernelSim};
 pub use memory::{DeviceMemory, GlobalBuffer, OomError, ALLOC_ALIGN};
 pub use microbench::{measure, MeasuredParams};
 pub use parallel::{parallel_map, set_sim_threads, sim_threads};

@@ -322,7 +322,7 @@ impl Engine {
                 (LayoutPlan { tree_order, swaps }, report)
             }
             (false, true) => {
-                let (tree_order, report) = rearrange::similarity_order_timed(forest, similarity);
+                let (tree_order, report) = rearrange::tree_order_timed(forest, similarity);
                 let swaps = LayoutPlan::identity(forest).swaps;
                 (LayoutPlan { tree_order, swaps }, report)
             }

@@ -114,8 +114,8 @@ pub struct DeviceForest {
     buffer: GlobalBuffer,
     /// Structural summary of the host forest, computed once per build.
     stats: ForestStats,
-    /// Warp-lockstep depth of the layout order (the models' `d_lockstep`).
-    lockstep_depth: f64,
+    /// Depth of each tree, in layout order.
+    tree_depths: Vec<u32>,
     kind: ForestKind,
     base_score: f32,
     tree_order: Vec<usize>,
@@ -281,7 +281,7 @@ impl DeviceForest {
             base_score: forest.base_score(),
             tree_order: plan.tree_order.clone(),
             stats,
-            lockstep_depth: crate::perfmodel::lockstep_depth(map.tree_depths()),
+            tree_depths: map.tree_depths().to_vec(),
         })
     }
 
@@ -445,7 +445,13 @@ impl DeviceForest {
     /// see [`crate::perfmodel::lockstep_depth`]).
     #[must_use]
     pub fn lockstep_depth(&self) -> f64 {
-        self.lockstep_depth
+        crate::perfmodel::lockstep_depth(&self.tree_depths)
+    }
+
+    /// Depth of each tree, in layout order (splitting's per-part walk work).
+    #[must_use]
+    pub fn tree_depths(&self) -> &[u32] {
+        &self.tree_depths
     }
 
     /// Maximum tree depth.

@@ -3,10 +3,12 @@
 //! - [`node_swap`] — probability-based node rearrangement (§4.1).
 //! - [`tokenize`] → [`simhash`] → [`lsh`] → [`order`] — the similarity-based
 //!   tree rearrangement pipeline (§4.2, Fig. 3).
+//! - [`warp_group`] — regroups that order into aligned warps of equal tree
+//!   depth, so a warp's lockstep lanes finish together.
 //! - [`pairwise`] — the exact O(N²) baseline used for cost and quality
 //!   comparisons (§4.2/§7.4).
 //!
-//! [`adaptive_plan`] combines both into the [`LayoutPlan`] consumed by the
+//! [`adaptive_plan`] combines them into the [`LayoutPlan`] consumed by the
 //! adaptive forest format, and [`RearrangeReport`] records the per-stage CPU
 //! cost for the paper's §7.4 overhead analysis.
 
@@ -17,10 +19,11 @@ pub mod pairwise;
 pub mod sha1;
 pub mod simhash;
 pub mod tokenize;
+pub mod warp_group;
 
 use std::time::Instant;
 
-use tahoe_forest::Forest;
+use tahoe_forest::{Forest, Tree};
 use tahoe_gpu_sim::parallel::parallel_map;
 
 use crate::format::LayoutPlan;
@@ -61,7 +64,7 @@ pub struct RearrangeReport {
     pub simhash_ns: u64,
     /// LSH collision-counting time (§7.4 part 3, "detecting similarity").
     pub lsh_ns: u64,
-    /// Tree-ordering time over the collision counts.
+    /// Tree-ordering time over the collision counts, warp grouping included.
     pub order_ns: u64,
 }
 
@@ -98,6 +101,20 @@ pub fn similarity_order_timed(
     (order, report)
 }
 
+/// The layout tree order: the similarity order ([`similarity_order`])
+/// regrouped into aligned warps of equal depth
+/// ([`warp_group::group_by_depth`]), with stage timings. The regrouping
+/// counts as tree ordering.
+#[must_use]
+pub fn tree_order_timed(forest: &Forest, params: &SimilarityParams) -> (Vec<usize>, RearrangeReport) {
+    let (lsh_order, mut report) = similarity_order_timed(forest, params);
+    let t0 = Instant::now();
+    let depths: Vec<usize> = forest.trees().iter().map(Tree::depth).collect();
+    let order = warp_group::group_by_depth(&lsh_order, &depths);
+    report.order_ns += t0.elapsed().as_nanos() as u64;
+    (order, report)
+}
+
 /// Every tree's normalized SimHash checksum, one tree per parallel item.
 /// Each token is hashed as the walk emits it, straight into its tree's
 /// sums, in token order.
@@ -111,8 +128,9 @@ fn checksums(forest: &Forest, params: &SimilarityParams) -> Vec<simhash::Checksu
     })
 }
 
-/// Builds the full adaptive layout plan: similarity tree order plus
-/// probability child swaps (§4.3, "adaptive forest format").
+/// Builds the full adaptive layout plan: the warp-grouped similarity tree
+/// order ([`tree_order_timed`]) plus probability child swaps (§4.3,
+/// "adaptive forest format").
 #[must_use]
 pub fn adaptive_plan(forest: &Forest, params: &SimilarityParams) -> LayoutPlan {
     adaptive_plan_timed(forest, params).0
@@ -124,7 +142,7 @@ pub fn adaptive_plan_timed(
     forest: &Forest,
     params: &SimilarityParams,
 ) -> (LayoutPlan, RearrangeReport) {
-    let (tree_order, mut report) = similarity_order_timed(forest, params);
+    let (tree_order, mut report) = tree_order_timed(forest, params);
     let t0 = Instant::now();
     let swaps = node_swap::forest_swaps(forest);
     report.node_swap_ns = t0.elapsed().as_nanos() as u64;
@@ -379,6 +397,29 @@ mod tests {
         // At least one swap is expected on real data (skewed probabilities).
         let any_swap = plan.swaps.iter().flatten().any(|&s| s);
         assert!(any_swap, "trained forests should have sub-0.5 left probs somewhere");
+    }
+
+    #[test]
+    fn adaptive_plan_groups_the_lsh_order_into_warps() {
+        for spec in DatasetSpec::table2() {
+            let forest = trained(spec.name);
+            let params = SimilarityParams::default();
+            let lsh = similarity_order(&forest, &params);
+            let plan = adaptive_plan(&forest, &params);
+            let lockstep = |order: &[usize]| {
+                let depths: Vec<u32> =
+                    order.iter().map(|&t| forest.trees()[t].depth() as u32).collect();
+                crate::perfmodel::lockstep_depth(&depths)
+            };
+            if forest.n_trees() <= crate::perfmodel::WARP_LANES {
+                assert_eq!(plan.tree_order, lsh, "{}", spec.name);
+            }
+            assert!(
+                lockstep(&plan.tree_order) <= lockstep(&lsh),
+                "{}: grouping raised the lockstep depth",
+                spec.name
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! idle most of the device; the extra restaging traffic is charged honestly
 //! and appears in the performance model (Eq. 7's staging term scales by `T`).
 
-use tahoe_gpu_sim::kernel::sample_plan;
+use tahoe_gpu_sim::kernel::{sample_plan_by_class, Detail};
 use tahoe_gpu_sim::occupancy::concurrent_blocks;
 
 use super::common::{
@@ -22,7 +22,15 @@ use super::common::{
 };
 use crate::format::DeviceForest;
 
-/// Splits layout trees into consecutive parts each fitting `budget` bytes.
+/// Splits layout trees into consecutive parts each fitting `budget` bytes
+/// and a walk-work cap.
+///
+/// A part's work is the sum of its tree depths, which is what each of its
+/// samples walks. A greedy byte split alone gives parts of very uneven work
+/// once the layout groups trees by depth (deep trees first), and the
+/// deepest part sets the launch's time. So each part also stays under
+/// `max(ceil(total work / greedy part count), deepest tree)`, which may add
+/// parts.
 ///
 /// Returns `None` if a single tree exceeds the budget.
 #[must_use]
@@ -30,21 +38,39 @@ pub fn partition_trees(
     forest: &DeviceForest,
     budget: usize,
 ) -> Option<Vec<std::ops::Range<usize>>> {
+    let greedy = split_trees(forest, budget, u64::MAX)?;
+    let depths = forest.tree_depths();
+    let total: u64 = depths.iter().map(|&d| u64::from(d)).sum();
+    let deepest = depths.iter().copied().max().map_or(0, u64::from);
+    let cap = total.div_ceil(greedy.len().max(1) as u64).max(deepest);
+    split_trees(forest, budget, cap)
+}
+
+/// Greedily splits layout trees into consecutive parts of at most `budget`
+/// bytes and `work_cap` summed depth; `None` if a tree exceeds the budget.
+fn split_trees(
+    forest: &DeviceForest,
+    budget: usize,
+    work_cap: u64,
+) -> Option<Vec<std::ops::Range<usize>>> {
     let n = forest.n_trees();
+    let depths = forest.tree_depths();
     let mut parts = Vec::new();
     let mut start = 0usize;
     while start < n {
         let mut end = start;
-        let mut bytes = 0usize;
+        let (mut bytes, mut work) = (0usize, 0u64);
         while end < n {
             let tree_bytes = forest.trees_smem_bytes(end, end + 1);
+            let tree_work = u64::from(depths[end]);
             if tree_bytes > budget {
                 return None;
             }
-            if bytes + tree_bytes > budget {
+            if end > start && (bytes + tree_bytes > budget || work + tree_work > work_cap) {
                 break;
             }
             bytes += tree_bytes;
+            work += tree_work;
             end += 1;
         }
         parts.push(start..end);
@@ -84,6 +110,12 @@ pub fn geometry(ctx: &LaunchContext<'_>) -> Option<Geometry> {
     shape(ctx).map(|(_, geo)| geo)
 }
 
+/// The sampled blocks: block `b` stages part `b % P`, so a plan of at least
+/// `P` blocks covers every part.
+fn block_plan(geo: &Geometry, detail: Detail) -> Vec<usize> {
+    sample_plan_by_class(geo.grid_blocks, geo.parts, detail)
+}
+
 /// Runs the strategy; `None` when infeasible.
 ///
 /// Unlike the thread-per-sample body, it pushes every warp of the block,
@@ -115,7 +147,7 @@ pub fn run(ctx: &LaunchContext<'_>) -> Option<StrategyRun> {
         threads,
         geo.smem_per_block,
     );
-    let plan = sample_plan(geo.grid_blocks, ctx.detail);
+    let plan = block_plan(&geo, ctx.detail);
     kernel.simulate_blocks(&plan, |block_idx, mut block| {
         let part = parts[block_idx % n_parts].clone();
         let tile = block_idx / n_parts;
@@ -156,23 +188,74 @@ pub fn run(ctx: &LaunchContext<'_>) -> Option<StrategyRun> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::FormatConfig;
+    use crate::rearrange::{adaptive_plan, SimilarityParams};
     use crate::strategy::testutil::{context, Fixture};
-    use tahoe_gpu_sim::kernel::Detail;
+    use tahoe_gpu_sim::kernel::sample_plan;
+    use tahoe_gpu_sim::memory::DeviceMemory;
+
+    /// The fixture's forest rebuilt under the warp-grouped §4 plan.
+    fn grouped(mut fx: Fixture) -> Fixture {
+        let mut mem = DeviceMemory::new();
+        let plan = adaptive_plan(&fx.forest, &SimilarityParams::default());
+        fx.device_forest = DeviceForest::build(&fx.forest, &plan, FormatConfig::adaptive(), &mut mem);
+        fx
+    }
 
     #[test]
-    fn partition_covers_all_trees_consecutively() {
-        let fx = Fixture::trained("higgs");
-        let ctx = context(&fx, Detail::Full);
-        let parts = partition_trees(ctx.forest, 4 * 1024).unwrap();
-        assert!(parts.len() > 1, "small budget must force multiple parts");
-        let mut next = 0;
-        for p in &parts {
-            assert_eq!(p.start, next);
-            assert!(p.end > p.start);
-            assert!(ctx.forest.trees_smem_bytes(p.start, p.end) <= 4 * 1024);
-            next = p.end;
+    fn parts_are_contiguous_fit_the_budget_and_cap_their_work() {
+        for fx in [Fixture::trained("higgs"), grouped(Fixture::trained("higgs"))] {
+            let forest = &fx.device_forest;
+            let depths = forest.tree_depths();
+            let work = |p: &std::ops::Range<usize>| -> u64 {
+                depths[p.clone()].iter().map(|&d| u64::from(d)).sum()
+            };
+            for budget in [2 * 1024, 3 * 1024, 4 * 1024] {
+                let greedy = split_trees(forest, budget, u64::MAX).unwrap();
+                let total = work(&(0..forest.n_trees()));
+                let deepest = u64::from(*depths.iter().max().unwrap());
+                let cap = total.div_ceil(greedy.len() as u64).max(deepest);
+                let parts = partition_trees(forest, budget).unwrap();
+                assert!(parts.len() > 1, "small budget must force multiple parts");
+                assert!(parts.len() >= greedy.len());
+                let mut next = 0;
+                for p in &parts {
+                    assert_eq!(p.start, next);
+                    assert!(p.end > p.start);
+                    assert!(forest.trees_smem_bytes(p.start, p.end) <= budget);
+                    assert!(work(p) <= cap || p.len() == 1, "part {p:?} over the work cap {cap}");
+                    next = p.end;
+                }
+                assert_eq!(next, forest.n_trees());
+            }
         }
-        assert_eq!(next, ctx.forest.n_trees());
+    }
+
+    #[test]
+    fn one_greedy_part_is_not_split_for_work() {
+        let fx = Fixture::trained("letter");
+        let budget = fx.device_forest.forest_smem_bytes();
+        let parts = partition_trees(&fx.device_forest, budget).unwrap();
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0], 0..fx.forest.n_trees());
+    }
+
+    #[test]
+    fn sampled_blocks_cover_every_part_when_the_stride_is_a_multiple_of_p() {
+        let mut fx = Fixture::trained("higgs");
+        fx.device.shared_mem_per_block = 4 * 1024;
+        let geo = geometry(&context(&fx, Detail::Full)).unwrap();
+        let (parts, tiles) = (geo.parts, geo.tiles());
+        assert!(parts > 1 && tiles >= parts, "{parts} parts, {tiles} tiles");
+        // `tiles` samples over `parts × tiles` blocks: a uniform stride of P.
+        let detail = Detail::Sampled(tiles);
+        assert!(sample_plan(geo.grid_blocks, detail).iter().all(|b| b % parts == 0));
+        let plan = block_plan(&geo, detail);
+        assert_eq!(plan.len(), tiles);
+        for part in 0..parts {
+            assert!(plan.iter().any(|b| b % parts == part), "part {part} never sampled");
+        }
+        assert!(run(&context(&fx, detail)).is_some());
     }
 
     #[test]

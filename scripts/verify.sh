@@ -69,20 +69,24 @@ for f in results/*.json results/SUMMARY.md "$GATE_TMP"/*; do
 done
 rm -rf "$GATE_TMP"
 
-# The selection census at the scale of record: regenerate the §7.3
-# reduction record (which strategy Tahoe picks for every Table 2 dataset,
-# device and regime) at ci/detail 16 and require it to match
-# results/ci/sec73_reduction.json byte for byte, as the smoke gate does.
-# A change to the performance model or the tuner that flips a selection
-# fails here. It takes about 25 s on a 2-core host once the ci forests are
-# cached (the first run trains them into target/tahoe-forest-cache/). The
-# other results/ci/ records are not gated; regenerate them with the command
-# in EXPERIMENTS.md when they move.
+# The selection census and the Fig. 7 / Table 3 record at the scale of
+# record: regenerate the §7.3 reduction record (which strategy Tahoe picks
+# for every Table 2 dataset, device and regime) and the Fig. 7 record (every
+# Tahoe-vs-FIL speedup, with Table 3's A.C.V. and lane wait) at ci/detail 16,
+# and require each to match its results/ci/ copy byte for byte, as the smoke
+# gate does. A change to the performance model, the tuner, the layout or a
+# strategy that moves a selection or a speedup fails here. The two take
+# about 25 s and 30 s on a 2-core host once the ci forests are cached (the
+# first run trains them into target/tahoe-forest-cache/). The other
+# results/ci/ records are not gated; regenerate them with the command in
+# EXPERIMENTS.md when they move.
 CENSUS_TMP=$(mktemp -d)
-TAHOE_RESULTS_DIR="$CENSUS_TMP" cargo run --release -p tahoe-bench --bin sec73_reduction -- \
-    --scale ci --detail 16
-cmp results/ci/sec73_reduction.json "$CENSUS_TMP/sec73_reduction.json" \
-    || { echo "results/ci gate: sec73_reduction.json differs (regenerated copy in $CENSUS_TMP)"; exit 1; }
+for record in sec73_reduction fig7_overall; do
+    TAHOE_RESULTS_DIR="$CENSUS_TMP" cargo run --release -p tahoe-bench --bin "$record" -- \
+        --scale ci --detail 16
+    cmp "results/ci/$record.json" "$CENSUS_TMP/$record.json" \
+        || { echo "results/ci gate: $record.json differs (regenerated copy in $CENSUS_TMP)"; exit 1; }
+done
 rm -rf "$CENSUS_TMP"
 
 # Byte-compares the five telemetry views (DESIGN.md §2.9) of two

@@ -90,9 +90,12 @@ pub fn sample_plan_by_class(grid_blocks: usize, classes: usize, detail: Detail) 
     let classes = classes.max(1);
     assert_eq!(grid_blocks % classes, 0, "{classes} classes do not tile {grid_blocks} blocks");
     let cap = match detail {
-        Detail::Sampled(cap) if cap.max(1) >= classes && cap < grid_blocks => cap,
-        _ => return sample_plan(grid_blocks, detail),
+        Detail::Sampled(cap) => cap.max(1),
+        Detail::Full => grid_blocks,
     };
+    if cap < classes || cap >= grid_blocks {
+        return sample_plan(grid_blocks, detail);
+    }
     let per_class = grid_blocks / classes;
     let mut plan: Vec<usize> = (0..cap)
         .map(|i| {
@@ -591,6 +594,7 @@ mod tests {
     fn class_plan_falls_back_to_the_uniform_stride() {
         for (grid, classes, detail) in [
             (64, 1, Detail::Sampled(16)),
+            (64, 1, Detail::Sampled(0)),
             (60, 20, Detail::Sampled(8)),
             (12, 4, Detail::Sampled(16)),
             (12, 4, Detail::Full),

@@ -106,7 +106,10 @@ pub fn similarity_order_timed(
 /// ([`warp_group::group_by_depth`]), with stage timings. The regrouping
 /// counts as tree ordering.
 #[must_use]
-pub fn tree_order_timed(forest: &Forest, params: &SimilarityParams) -> (Vec<usize>, RearrangeReport) {
+pub fn tree_order_timed(
+    forest: &Forest,
+    params: &SimilarityParams,
+) -> (Vec<usize>, RearrangeReport) {
     let (lsh_order, mut report) = similarity_order_timed(forest, params);
     let t0 = Instant::now();
     let depths: Vec<usize> = forest.trees().iter().map(Tree::depth).collect();

@@ -100,12 +100,12 @@ mod tests {
         for g in &groups {
             assert!(g.windows(2).all(|w| w[0] < w[1]), "group out of LSH order: {g:?}");
         }
-        let full = &groups[..groups.len() - 1];
-        assert!(full.windows(2).all(|w| w[0][0] < w[1][0]));
+        let full_groups = &groups[..groups.len() - 1];
+        assert!(full_groups.windows(2).all(|w| w[0][0] < w[1][0]));
         // The partial group holds the shallowest trees.
-        let shallowest = order[order.len() - n % WARP_LANES..].iter().map(|&t| depths[t]).max();
-        let deepest_of_rest = order[..order.len() - n % WARP_LANES].iter().map(|&t| depths[t]).min();
-        assert!(shallowest <= deepest_of_rest);
+        let (full, partial) = order.split_at(n - n % WARP_LANES);
+        let depth_of = |t: &usize| depths[*t];
+        assert!(partial.iter().map(depth_of).max() <= full.iter().map(depth_of).min());
     }
 
     #[test]
@@ -122,7 +122,7 @@ mod tests {
                 (d.clone().min().unwrap(), d.max().unwrap())
             })
             .collect();
-        bands.sort_by_key(|&(_, max)| std::cmp::Reverse(max));
+        bands.sort_by_key(|&(min, max)| std::cmp::Reverse((max, min)));
         assert!(bands.windows(2).all(|w| w[0].0 >= w[1].1), "{bands:?}");
     }
 

@@ -198,7 +198,8 @@ mod tests {
     fn grouped(mut fx: Fixture) -> Fixture {
         let mut mem = DeviceMemory::new();
         let plan = adaptive_plan(&fx.forest, &SimilarityParams::default());
-        fx.device_forest = DeviceForest::build(&fx.forest, &plan, FormatConfig::adaptive(), &mut mem);
+        fx.device_forest =
+            DeviceForest::build(&fx.forest, &plan, FormatConfig::adaptive(), &mut mem);
         fx
     }
 

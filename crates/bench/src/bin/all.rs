@@ -10,15 +10,11 @@ fn main() {
     let motivation = exp::motivation::run(&env);
     exp::motivation::report(&motivation);
 
-    let fig5 = exp::strategies::run_fig5(&env);
-    exp::strategies::report_fig5(&fig5);
-
     let fig6 = exp::strategies::run_fig6(&env);
     exp::strategies::report_fig6(&fig6);
 
-    let overall = exp::overall::run(&env);
-    exp::overall::report_fig7(&overall);
-    exp::overall::report_table3(&overall);
+    let matrix = exp::matrix::run(&env);
+    exp::matrix::report(&matrix);
 
     let breakdown = exp::breakdown::run(&env);
     exp::breakdown::report(&breakdown);
@@ -28,12 +24,6 @@ fn main() {
 
     let coalescing = exp::coalescing::run(&env);
     exp::coalescing::report(&coalescing);
-
-    let census = exp::reduction_census::run(&env);
-    exp::reduction_census::report(&census);
-
-    let accuracy = exp::model_accuracy::run(&env);
-    exp::model_accuracy::report(&accuracy);
 
     let (overhead, host) = exp::overhead::run(&env);
     exp::overhead::report(&overhead, &host);

@@ -1,8 +1,10 @@
-//! Regenerates the paper's Fig. 7 (Tahoe vs FIL, 15 datasets x 3 GPUs x 2
-//! batch regimes).
+//! Runs the §7.2–7.3 matrix (15 datasets x 3 GPUs x 2 batch regimes) and
+//! regenerates the paper's Fig. 7, Table 3, Fig. 5 and the §7.3 reduction
+//! census and model-accuracy count from it.
 
 fn main() {
     let env = tahoe_bench::Env::from_args();
-    let result = tahoe_bench::experiments::overall::run(&env);
-    tahoe_bench::experiments::overall::report_fig7(&result);
+    let result = tahoe_bench::experiments::matrix::run(&env);
+    tahoe_bench::experiments::matrix::report(&result);
+    env.export_telemetry();
 }

@@ -33,53 +33,57 @@ impl Default for Env {
 }
 
 impl Env {
-    /// Parses process arguments; unknown flags abort with usage.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with usage) on malformed flags.
+    /// Parses process arguments; a malformed flag exits with status 2 and
+    /// usage.
     #[must_use]
     pub fn from_args() -> Self {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// Parses an explicit argument list (testable).
-    ///
-    /// # Panics
-    ///
-    /// Panics (with usage) on malformed flags.
+    /// Parses an explicit argument list; a malformed flag exits with status
+    /// 2 and usage.
     #[must_use]
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+        Self::try_parse(args).unwrap_or_else(|msg| usage(&msg))
+    }
+
+    /// As [`Env::parse`], returning a malformed flag's message instead of
+    /// exiting (`--help` returns an empty one).
+    ///
+    /// # Errors
+    ///
+    /// A missing or malformed value, `--detail 0`, or an unknown flag.
+    pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut env = Env::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("missing value for {arg}"));
             match arg.as_str() {
                 "--scale" => {
-                    let v = it.next().unwrap_or_else(|| usage("missing value for --scale"));
-                    env.scale = Scale::parse(&v)
-                        .unwrap_or_else(|| usage(&format!("unknown scale '{v}'")));
+                    let v = value()?;
+                    env.scale = Scale::parse(&v).ok_or_else(|| format!("unknown scale '{v}'"))?;
                 }
                 "--detail" => {
-                    let v = it.next().unwrap_or_else(|| usage("missing value for --detail"));
+                    let v = value()?;
                     env.detail = if v.eq_ignore_ascii_case("full") {
                         Detail::Full
                     } else {
-                        let n: usize = v
-                            .parse()
-                            .unwrap_or_else(|_| usage(&format!("bad detail '{v}'")));
-                        Detail::Sampled(n.max(1))
+                        match v.parse() {
+                            Ok(0) => return Err("--detail must be >= 1, got 0".to_string()),
+                            Ok(n) => Detail::Sampled(n),
+                            Err(_) => return Err(format!("bad detail '{v}'")),
+                        }
                     };
                 }
                 "--telemetry" => {
-                    let v = it.next().unwrap_or_else(|| usage("missing value for --telemetry"));
-                    env.telemetry = Some(PathBuf::from(v));
+                    env.telemetry = Some(PathBuf::from(value()?));
                     env.sink = TelemetrySink::recording();
                 }
-                "--help" | "-h" => usage("usage"),
-                other => usage(&format!("unknown flag '{other}'")),
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unknown flag '{other}'")),
             }
         }
-        env
+        Ok(env)
     }
 
     /// Writes the five telemetry views into the `--telemetry` dir. Nothing
@@ -99,7 +103,9 @@ impl Env {
 }
 
 fn usage(msg: &str) -> ! {
-    eprintln!("{msg}");
+    if !msg.is_empty() {
+        eprintln!("error: {msg}");
+    }
     eprintln!(
         "usage: <experiment> [--scale paper|ci|smoke] [--detail N|full] \
          [--telemetry <dir>]"
@@ -132,6 +138,16 @@ mod tests {
         assert_eq!(e.detail, Detail::Sampled(8));
         let e = parse(&["--detail", "full"]);
         assert_eq!(e.detail, Detail::Full);
+    }
+
+    #[test]
+    fn malformed_flags_are_errors() {
+        let err = |args: &[&str]| Env::try_parse(args.iter().map(ToString::to_string)).unwrap_err();
+        assert_eq!(err(&["--detail", "0"]), "--detail must be >= 1, got 0");
+        assert_eq!(err(&["--detail", "x"]), "bad detail 'x'");
+        assert_eq!(err(&["--detail"]), "missing value for --detail");
+        assert_eq!(err(&["--scale", "huge"]), "unknown scale 'huge'");
+        assert_eq!(err(&["--bogus"]), "unknown flag '--bogus'");
     }
 
     /// Files in `dir`, sorted.

@@ -3,6 +3,7 @@
 pub mod ablations;
 pub mod breakdown;
 pub mod coalescing;
+pub mod matrix;
 pub mod model_accuracy;
 pub mod motivation;
 pub mod overall;

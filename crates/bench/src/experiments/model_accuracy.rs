@@ -1,16 +1,13 @@
 //! §7.3 "Quantifying the effectiveness of performance models" — does the
 //! model pick the strategy the simulator says is fastest, and how much is
-//! lost when it does not?
+//! lost when it does not? The run matrix ([`crate::experiments::matrix`])
+//! simulates every feasible strategy of each cell.
 
 use serde::Serialize;
 
-use tahoe::engine::Engine;
 use tahoe::strategy::Strategy;
 use tahoe_gpu_sim::metrics::geomean;
 
-use crate::data::{batch_of, prepare_all};
-use crate::env::Env;
-use crate::experiments::{devices, tahoe_opts, HIGH_BATCH, LOW_BATCH};
 use crate::report::{f2, write_json, Table};
 
 /// One (dataset, device, regime) comparison.
@@ -72,53 +69,6 @@ impl AccuracyResult {
             geomean(&ratios)
         }
     }
-}
-
-/// Runs the model-accuracy matrix.
-#[must_use]
-pub fn run(env: &Env) -> AccuracyResult {
-    let prepared = prepare_all(env.scale);
-    let mut rows = Vec::new();
-    for p in &prepared {
-        for device in devices() {
-            let mut engine = Engine::new(device.clone(), p.forest.clone(), tahoe_opts(env));
-            for (high, size) in [(true, HIGH_BATCH), (false, LOW_BATCH)] {
-                let batch = batch_of(&p.infer, size);
-                // Model choice (and its simulated time).
-                let chosen = engine.infer(&batch);
-                // True optimum: simulate every feasible strategy.
-                let mut best: Option<(f64, Strategy)> = None;
-                let mut chosen_ns = chosen.run.kernel.total_ns;
-                for s in Strategy::ALL {
-                    if !engine.feasible(s, &batch) {
-                        continue;
-                    }
-                    let ns = if s == chosen.strategy {
-                        chosen.run.kernel.total_ns
-                    } else {
-                        engine.infer_with(&batch, Some(s)).run.kernel.total_ns
-                    };
-                    if s == chosen.strategy {
-                        chosen_ns = ns;
-                    }
-                    if best.is_none_or(|(bn, _)| ns < bn) {
-                        best = Some((ns, s));
-                    }
-                }
-                let (optimal_ns, actual_best) = best.expect("some strategy always runs");
-                rows.push(AccuracyRow {
-                    dataset: p.spec.name.to_string(),
-                    device: device.name.to_string(),
-                    high_parallelism: high,
-                    predicted_best: chosen.strategy,
-                    actual_best,
-                    chosen_ns,
-                    optimal_ns,
-                });
-            }
-        }
-    }
-    AccuracyResult { rows }
 }
 
 /// Prints the accuracy tables and writes the record.

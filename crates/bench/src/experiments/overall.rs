@@ -1,16 +1,13 @@
 //! Fig. 7 (Tahoe vs FIL across 15 datasets × 3 GPUs × 2 batch regimes) and
-//! Table 3 (A.C.V. thread imbalance) — both come from the same runs.
+//! Table 3 (A.C.V. thread imbalance) — both read the run matrix
+//! ([`crate::experiments::matrix`]).
 
 use serde::Serialize;
 
-use tahoe::engine::Engine;
-use tahoe::metrics::thread_acv_with_sink;
 use tahoe::strategy::Strategy;
 use tahoe_gpu_sim::metrics::geomean;
 
-use crate::data::{batch_of, prepare_all};
-use crate::env::Env;
-use crate::experiments::{devices, fil_opts, tahoe_opts, HIGH_BATCH, LOW_BATCH};
+use crate::experiments::devices;
 use crate::report::{f2, f3, pct, write_json, Table};
 
 /// One (dataset, device, regime) measurement.
@@ -108,41 +105,6 @@ impl OverallResult {
             slice.iter().map(|p| p.1).sum::<f64>() / n,
         )
     }
-}
-
-/// Runs the full Fig. 7 matrix.
-#[must_use]
-pub fn run(env: &Env) -> OverallResult {
-    let prepared = prepare_all(env.scale);
-    let mut rows = Vec::new();
-    for p in &prepared {
-        for device in devices() {
-            let mut fil =
-                Engine::with_telemetry(device.clone(), p.forest.clone(), fil_opts(env), env.sink.clone());
-            let mut tahoe =
-                Engine::with_telemetry(device.clone(), p.forest.clone(), tahoe_opts(env), env.sink.clone());
-            for (high, size) in [(true, HIGH_BATCH), (false, LOW_BATCH)] {
-                let batch = batch_of(&p.infer, size);
-                let rf = fil.infer(&batch);
-                let rt = tahoe.infer(&batch);
-                rows.push(OverallRow {
-                    dataset: p.spec.name.to_string(),
-                    dataset_id: p.spec.id,
-                    device: device.name.to_string(),
-                    high_parallelism: high,
-                    fil_throughput: rf.run.throughput_samples_per_us(),
-                    tahoe_throughput: rt.run.throughput_samples_per_us(),
-                    speedup: rf.run.kernel.total_ns / rt.run.kernel.total_ns,
-                    tahoe_strategy: rt.strategy,
-                    fil_acv: thread_acv_with_sink(&rf.run.kernel, &env.sink),
-                    tahoe_acv: thread_acv_with_sink(&rt.run.kernel, &env.sink),
-                    fil_lane_wait: 1.0 - rf.run.kernel.simt_efficiency(),
-                    tahoe_lane_wait: 1.0 - rt.run.kernel.simt_efficiency(),
-                });
-            }
-        }
-    }
-    OverallResult { rows }
 }
 
 /// Prints the Fig. 7 tables and writes the record.

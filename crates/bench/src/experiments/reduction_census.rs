@@ -1,15 +1,12 @@
 //! §7.3 "Quantifying effectiveness of removing blockwise reduction" — in how
 //! many of the 45 (dataset × device) cases per regime does Tahoe's selected
-//! strategy drop the block-wide reduction?
+//! strategy drop the block-wide reduction? The rows are the run matrix's
+//! selections ([`crate::experiments::matrix`]).
 
 use serde::Serialize;
 
-use tahoe::engine::Engine;
 use tahoe::strategy::Strategy;
 
-use crate::data::{batch_of, prepare_all};
-use crate::env::Env;
-use crate::experiments::{devices, tahoe_opts, HIGH_BATCH, LOW_BATCH};
 use crate::report::{write_json, Table};
 
 /// One (dataset, device, regime) selection.
@@ -47,29 +44,6 @@ impl CensusResult {
             .count();
         (removed, slice.len())
     }
-}
-
-/// Runs the census.
-#[must_use]
-pub fn run(env: &Env) -> CensusResult {
-    let prepared = prepare_all(env.scale);
-    let mut rows = Vec::new();
-    for p in &prepared {
-        for device in devices() {
-            let mut engine = Engine::new(device.clone(), p.forest.clone(), tahoe_opts(env));
-            for (high, size) in [(true, HIGH_BATCH), (false, LOW_BATCH)] {
-                let batch = batch_of(&p.infer, size);
-                let r = engine.infer(&batch);
-                rows.push(CensusRow {
-                    dataset: p.spec.name.to_string(),
-                    device: device.name.to_string(),
-                    high_parallelism: high,
-                    strategy: r.strategy,
-                });
-            }
-        }
-    }
-    CensusResult { rows }
 }
 
 /// Prints the census and writes the record.

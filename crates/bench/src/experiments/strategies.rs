@@ -1,17 +1,112 @@
 //! Fig. 5 (four strategies × 15 datasets on P100) and Fig. 6 (strategy
-//! crossover vs batch size on Higgs and SVHN).
+//! crossover vs batch size on Higgs and SVHN), and the strategy sweep both
+//! read.
 
 use serde::Serialize;
 
-use tahoe::engine::Engine;
+use tahoe::engine::{Engine, InferenceResult};
 use tahoe::strategy::Strategy;
-use tahoe_datasets::Scale;
+use tahoe_datasets::{SampleMatrix, Scale};
 use tahoe_gpu_sim::device::DeviceSpec;
 
-use crate::data::{batch_of, prepare, prepare_all, Prepared};
+use crate::data::{batch_of, prepare, Prepared};
 use crate::env::Env;
-use crate::experiments::{tahoe_opts, HIGH_BATCH};
+use crate::experiments::tahoe_opts;
 use crate::report::{f3, mib, write_json, Table};
+
+/// One strategy's launch within a [`Sweep`].
+#[derive(Clone, Copy, Debug)]
+pub struct Launch {
+    /// Simulated kernel time (ns).
+    pub ns: f64,
+    /// Simulated throughput (samples/µs).
+    pub throughput: f64,
+    /// Chunks the batch was split into to fit DRAM (1 = unsplit).
+    pub chunks: usize,
+}
+
+impl Launch {
+    fn of(r: &InferenceResult) -> Self {
+        Self {
+            ns: r.run.kernel.total_ns,
+            throughput: r.run.throughput_samples_per_us(),
+            chunks: r.chunks,
+        }
+    }
+}
+
+/// One batch through every feasible strategy: the model's pick, launched as
+/// [`Engine::infer`] launches it, then every other feasible strategy forced.
+/// A forced launch runs at the same tuned block size as an auto launch of
+/// the same strategy, so each strategy is simulated once.
+#[derive(Clone, Debug)]
+pub struct Sweep {
+    /// The model's launch.
+    pub chosen: InferenceResult,
+    /// Per-strategy launches in [`Strategy::ALL`] order (`None` =
+    /// infeasible).
+    pub launches: Vec<Option<Launch>>,
+    /// The engine's high-water device-memory footprint after the sweep
+    /// (bytes).
+    pub mem_high_water_bytes: u64,
+}
+
+impl Sweep {
+    /// Runs the sweep on `engine`.
+    pub fn run(engine: &mut Engine, batch: &SampleMatrix) -> Self {
+        let chosen = engine.infer(batch);
+        let launches = Strategy::ALL
+            .iter()
+            .map(|&s| {
+                if s == chosen.strategy {
+                    Some(Launch::of(&chosen))
+                } else {
+                    engine
+                        .feasible(s, batch)
+                        .then(|| Launch::of(&engine.infer_with(batch, Some(s))))
+                }
+            })
+            .collect();
+        Self {
+            chosen,
+            launches,
+            mem_high_water_bytes: engine.memory().high_water_bytes(),
+        }
+    }
+
+    /// The fastest strategy and its simulated time (ns); the first in
+    /// [`Strategy::ALL`] order wins a tie.
+    #[must_use]
+    pub fn fastest(&self) -> (f64, Strategy) {
+        let (l, s) = self
+            .launched()
+            .min_by(|a, b| a.0.ns.total_cmp(&b.0.ns))
+            .expect("the chosen strategy ran");
+        (l.ns, s)
+    }
+
+    /// The Fig. 5/6 row of this sweep; the winner is the first
+    /// highest-throughput strategy in [`Strategy::ALL`] order.
+    #[must_use]
+    pub fn row(&self, dataset: &str) -> StrategyRow {
+        StrategyRow {
+            dataset: dataset.to_string(),
+            throughput: self.launches.iter().map(|l| l.map(|l| l.throughput)).collect(),
+            winner: self
+                .launched()
+                .min_by(|a, b| b.0.throughput.total_cmp(&a.0.throughput))
+                .expect("the chosen strategy ran")
+                .1,
+            mem_high_water_bytes: self.mem_high_water_bytes,
+            max_chunks: self.launched().map(|(l, _)| l.chunks).fold(1, usize::max),
+        }
+    }
+
+    /// The feasible strategies' launches, in [`Strategy::ALL`] order.
+    fn launched(&self) -> impl Iterator<Item = (Launch, Strategy)> + '_ {
+        self.launches.iter().zip(Strategy::ALL).filter_map(|(l, s)| l.map(|l| (l, s)))
+    }
+}
 
 /// Throughput of each strategy on one dataset (samples/µs; `None` =
 /// infeasible).
@@ -29,14 +124,16 @@ pub struct StrategyRow {
     pub max_chunks: usize,
 }
 
-/// Fig. 5 record.
+/// Fig. 5 record: the P100 high-parallelism cells of the run matrix
+/// ([`crate::experiments::matrix`]).
 #[derive(Clone, Debug, Serialize)]
 pub struct Fig5Result {
     /// One row per dataset.
     pub rows: Vec<StrategyRow>,
 }
 
-/// Measures all feasible strategies for one prepared dataset and batch size.
+/// Sweeps all feasible strategies for one prepared dataset and batch size
+/// on a fresh P100 engine.
 #[must_use]
 pub fn strategy_row(env: &Env, p: &Prepared, batch_size: usize) -> StrategyRow {
     let batch = batch_of(&p.infer, batch_size);
@@ -46,40 +143,7 @@ pub fn strategy_row(env: &Env, p: &Prepared, batch_size: usize) -> StrategyRow {
         tahoe_opts(env),
         env.sink.clone(),
     );
-    let mut throughput = Vec::with_capacity(Strategy::ALL.len());
-    let mut best: Option<(f64, Strategy)> = None;
-    let mut max_chunks = 1usize;
-    for s in Strategy::ALL {
-        if !engine.feasible(s, &batch) {
-            throughput.push(None);
-            continue;
-        }
-        let r = engine.infer_with(&batch, Some(s));
-        let t = r.run.throughput_samples_per_us();
-        if best.is_none_or(|(bt, _)| t > bt) {
-            best = Some((t, s));
-        }
-        max_chunks = max_chunks.max(r.chunks);
-        throughput.push(Some(t));
-    }
-    StrategyRow {
-        dataset: p.spec.name.to_string(),
-        throughput,
-        winner: best.expect("at least shared data ran").1,
-        mem_high_water_bytes: engine.memory().high_water_bytes(),
-        max_chunks,
-    }
-}
-
-/// Runs Fig. 5: high-parallelism batch, all 15 datasets, P100.
-#[must_use]
-pub fn run_fig5(env: &Env) -> Fig5Result {
-    let prepared = prepare_all(env.scale);
-    let rows = prepared
-        .iter()
-        .map(|p| strategy_row(env, p, HIGH_BATCH))
-        .collect();
-    Fig5Result { rows }
+    Sweep::run(&mut engine, &batch).row(p.spec.name)
 }
 
 /// Prints Fig. 5 and writes its record.

@@ -4,20 +4,16 @@
 //! Each experiment lives in [`experiments`] as a library function returning a
 //! serializable result; the `src/bin/` binaries are thin wrappers that parse
 //! `--scale` / `--detail`, run the experiment, print its table(s), and write
-//! a JSON record under `results/`. `src/bin/all.rs` runs the full suite.
+//! its JSON record(s) under `results/`. `src/bin/all.rs` runs the full suite.
 //!
 //! | Binary | Paper result |
 //! |---|---|
 //! | `fig2_motivation` | Fig. 2a/2b/2c — coalescing decay, reduction share, thread imbalance |
-//! | `fig5_strategies` | Fig. 5 — four strategies × 15 datasets on P100 |
 //! | `fig6_batch_size` | Fig. 6 — strategy crossover vs batch size |
-//! | `fig7_overall` | Fig. 7 — Tahoe vs FIL, 15 datasets × 3 GPUs × 2 batch regimes |
+//! | `fig7_overall` | the §7.2–7.3 run matrix: Fig. 7 and Table 3, Fig. 5, and the §7.3 reduction census and model accuracy |
 //! | `fig8_breakdown` | Fig. 8 — per-technique contribution breakdown |
 //! | `fig9_scaling` | Fig. 9 — strong (and §7.5 weak) scaling on 1–128 V100s |
-//! | `table3_imbalance` | Table 3 — A.C.V. of FIL vs Tahoe (prints only; record in `fig7_overall`) |
 //! | `sec73_coalescing` | §7.3 — memory-efficiency and throughput improvements |
-//! | `sec73_reduction` | §7.3 — block-reduction removal census |
-//! | `sec73_model_accuracy` | §7.3 — performance-model ordering accuracy |
 //! | `sec74_overhead` | §7.4 — CPU-part and model-evaluation overheads |
 //! | `all` | everything above |
 

@@ -3,6 +3,7 @@
 //! `all` binary and recorded in EXPERIMENTS.md.)
 
 use tahoe_bench::env::Env;
+use tahoe::strategy::Strategy;
 use tahoe_bench::experiments;
 use tahoe_datasets::Scale;
 use tahoe_gpu_sim::kernel::Detail;
@@ -41,6 +42,56 @@ fn strategy_row_covers_feasible_strategies() {
     assert!(row.throughput.iter().all(Option::is_some));
     for t in row.throughput.iter().flatten() {
         assert!(*t > 0.0);
+    }
+}
+
+/// The run matrix's four records are projections of one set of launches:
+/// the census and the accuracy row read Fig. 7's selection, the chosen time
+/// is what a fresh engine's auto launch simulates, and Fig. 5's winner on
+/// P100 at high parallelism runs at the optimum's throughput.
+#[test]
+fn matrix_records_project_one_set_of_launches() {
+    let env = smoke_env();
+    let prepared: Vec<_> = ["letter", "higgs"]
+        .iter()
+        .map(|name| {
+            let spec = tahoe_datasets::DatasetSpec::by_name(name).unwrap();
+            tahoe_bench::prepare(&spec, Scale::Smoke)
+        })
+        .collect();
+    let m = experiments::matrix::run_for(&env, &prepared);
+    assert_eq!(m.overall.rows.len(), 2 * 3 * 2);
+    assert_eq!(m.census.rows.len(), m.overall.rows.len());
+    assert_eq!(m.accuracy.rows.len(), m.overall.rows.len());
+    let mut cells = m.overall.rows.iter().zip(&m.census.rows).zip(&m.accuracy.rows);
+    for p in &prepared {
+        for device in experiments::devices() {
+            let mut engine =
+                tahoe::engine::Engine::new(device.clone(), p.forest.clone(), experiments::tahoe_opts(&env));
+            for size in [experiments::HIGH_BATCH, experiments::LOW_BATCH] {
+                let ((fig7, census), accuracy) = cells.next().unwrap();
+                assert_eq!((fig7.dataset.as_str(), fig7.device.as_str()), (p.spec.name, device.name));
+                assert_eq!(census.strategy, fig7.tahoe_strategy);
+                assert_eq!(accuracy.predicted_best, fig7.tahoe_strategy);
+                assert!(accuracy.optimal_ns <= accuracy.chosen_ns);
+                let r = engine.infer(&tahoe_bench::batch_of(&p.infer, size));
+                assert_eq!(r.strategy, fig7.tahoe_strategy);
+                assert_eq!(accuracy.chosen_ns.to_bits(), r.run.kernel.total_ns.to_bits());
+            }
+        }
+    }
+    assert_eq!(m.fig5.rows.len(), prepared.len());
+    let p100_high = m
+        .accuracy
+        .rows
+        .iter()
+        .filter(|r| r.device == "Tesla P100" && r.high_parallelism);
+    for ((row, accuracy), p) in m.fig5.rows.iter().zip(p100_high).zip(&prepared) {
+        assert_eq!(row.dataset, accuracy.dataset);
+        let n = tahoe_bench::batch_of(&p.infer, experiments::HIGH_BATCH).n_samples() as f64;
+        let winner = Strategy::ALL.iter().position(|&s| s == row.winner).unwrap();
+        assert_eq!(row.throughput[winner], Some(n / (accuracy.optimal_ns / 1_000.0)));
+        assert_eq!(row.winner, accuracy.actual_best);
     }
 }
 

@@ -10,7 +10,6 @@
 use std::time::Instant;
 
 use tahoe_datasets::SampleMatrix;
-use tahoe_forest::probability::EdgeCounter;
 use tahoe_forest::Forest;
 use tahoe_gpu_sim::device::DeviceSpec;
 use tahoe_gpu_sim::kernel::Detail;
@@ -48,11 +47,6 @@ pub struct EngineOptions {
     /// comes from the trace simulator either way, and correctness is covered
     /// by the (always-functional) validation tests.
     pub functional: bool,
-    /// Count edge probabilities during inference (Algorithm 1 line 16).
-    /// Accumulated counts feed [`Engine::refresh_probabilities`], which
-    /// re-annotates the forest and rebuilds the layout. Off by default: it
-    /// costs an extra traversal pass per batch.
-    pub track_probabilities: bool,
     /// Online recalibration of the §6 constants from the engine's own drift
     /// stream (DESIGN.md §2.16). Off in the presets so their selections and
     /// exports stay bit-identical to the historical engine; `tahoe-cli`
@@ -74,7 +68,6 @@ impl EngineOptions {
             detail: Detail::DEFAULT_SAMPLED,
             similarity: SimilarityParams::default(),
             functional: true,
-            track_probabilities: false,
             calibration: false,
         }
     }
@@ -91,7 +84,6 @@ impl EngineOptions {
             detail: Detail::DEFAULT_SAMPLED,
             similarity: SimilarityParams::default(),
             functional: true,
-            track_probabilities: false,
             calibration: false,
         }
     }
@@ -155,7 +147,6 @@ pub struct Engine {
     /// Cached per-batch staging buffer, reused (or grown) across batches.
     sample_buf: Option<GlobalBuffer>,
     conversion: ConversionReport,
-    counter: Option<EdgeCounter>,
     /// Telemetry recording handle ([`TelemetrySink::Disabled`] via
     /// [`Engine::new`]; a live sink via [`Engine::with_telemetry`]).
     sink: TelemetrySink,
@@ -228,7 +219,6 @@ impl Engine {
         let mut mem = DeviceMemory::for_device(&device);
         mem.attach_telemetry(&sink);
         Self {
-            counter: options.track_probabilities.then(|| EdgeCounter::new(&forest)),
             device,
             hw,
             options,
@@ -278,7 +268,6 @@ impl Engine {
             forest_buf: self.forest_buf,
             sample_buf: self.sample_buf,
             conversion: self.conversion,
-            counter: self.counter.clone(),
             sink,
             clock_ns: 0.0,
             host_cursor_ns: 0.0,
@@ -340,7 +329,7 @@ impl Engine {
         };
         let t0 = Instant::now();
         // Release the previous image before building the replacement —
-        // without this, every `update_forest`/`refresh_probabilities` cycle
+        // without this, every `update_forest` cycle
         // leaked a full forest image of simulated DRAM.
         if let Some(old) = self.forest_buf.take() {
             self.mem.free(old);
@@ -573,10 +562,6 @@ impl Engine {
         } else {
             Vec::new()
         };
-        // Algorithm 1 line 16: count edge probabilities during inference.
-        if let Some(counter) = self.counter.as_mut() {
-            counter.observe(&self.forest, samples);
-        }
         InferenceResult {
             predictions,
             strategy,
@@ -705,8 +690,7 @@ impl Engine {
 
     /// Replaces the forest (incremental learning, §4.2/§6.2): re-measures
     /// edge probabilities on `recount` when given, then reconverts the
-    /// format. Any probability-tracking counts are reset (the structure
-    /// changed).
+    /// format.
     pub fn update_forest(&mut self, forest: Forest, recount: Option<&SampleMatrix>) {
         self.forest = match recount {
             Some(samples) => tahoe_forest::probability::annotate_edge_probabilities(
@@ -714,31 +698,6 @@ impl Engine {
             ),
             None => forest,
         };
-        if self.options.track_probabilities {
-            self.counter = Some(EdgeCounter::new(&self.forest));
-        }
-        self.convert();
-    }
-
-    /// Samples observed by the inference-time probability counter (0 when
-    /// tracking is off).
-    #[must_use]
-    pub fn observed_samples(&self) -> u64 {
-        self.counter.as_ref().map_or(0, EdgeCounter::observations)
-    }
-
-    /// Re-annotates the forest from the probabilities observed during
-    /// inference and rebuilds the adaptive layout (the refresh step of the
-    /// paper's incremental-learning workflow). No-op without tracked
-    /// observations.
-    pub fn refresh_probabilities(&mut self) {
-        let Some(counter) = self.counter.as_ref() else {
-            return;
-        };
-        if counter.observations() == 0 {
-            return;
-        }
-        self.forest = counter.annotate(&self.forest);
         self.convert();
     }
 
@@ -969,38 +928,6 @@ mod tests {
         for (a, b) in after.predictions.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn probability_tracking_accumulates_and_refreshes() {
-        let (forest, samples) = setup("letter");
-        let options = EngineOptions {
-            track_probabilities: true,
-            ..EngineOptions::tahoe()
-        };
-        let mut engine = Engine::new(DeviceSpec::tesla_p100(), forest, options);
-        assert_eq!(engine.observed_samples(), 0);
-        let before = engine.infer(&samples);
-        assert_eq!(engine.observed_samples(), samples.n_samples() as u64);
-        let _ = engine.infer(&samples);
-        assert_eq!(engine.observed_samples(), 2 * samples.n_samples() as u64);
-        engine.refresh_probabilities();
-        // Predictions are invariant under the probability refresh.
-        let after = engine.infer(&samples);
-        for (a, b) in before.predictions.iter().zip(&after.predictions) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn refresh_without_tracking_is_a_noop() {
-        let (forest, samples) = setup("letter");
-        let mut engine = Engine::tahoe(DeviceSpec::tesla_p100(), forest);
-        let _ = engine.infer(&samples);
-        assert_eq!(engine.observed_samples(), 0);
-        let image_before = engine.device_forest().image_bytes();
-        engine.refresh_probabilities();
-        assert_eq!(engine.device_forest().image_bytes(), image_before);
     }
 
     #[test]

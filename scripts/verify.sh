@@ -69,25 +69,25 @@ for f in results/*.json results/SUMMARY.md "$GATE_TMP"/*; do
 done
 rm -rf "$GATE_TMP"
 
-# The selection census and the Fig. 7 / Table 3 record at the scale of
-# record: regenerate the §7.3 reduction record (which strategy Tahoe picks
-# for every Table 2 dataset, device and regime) and the Fig. 7 record (every
-# Tahoe-vs-FIL speedup, with Table 3's A.C.V. and lane wait) at ci/detail 16,
-# and require each to match its results/ci/ copy byte for byte, as the smoke
-# gate does. A change to the performance model, the tuner, the layout or a
-# strategy that moves a selection or a speedup fails here. The two take
-# about 25 s and 30 s on a 2-core host once the ci forests are cached (the
+# The run matrix at the scale of record: regenerate, at ci/detail 16, the
+# four records it projects (the Fig. 7 record with Table 3's A.C.V. and lane
+# wait, Fig. 5's per-strategy throughputs on P100, the §7.3 reduction census
+# of Tahoe's selections and the §7.3 model-accuracy record), and require
+# each to match its results/ci/ copy byte for byte, as the smoke gate does.
+# A change to the performance model, the tuner, the layout or a strategy
+# that moves a selection, a speedup or a strategy's time fails here. The
+# run takes about 40 s on a 2-core host once the ci forests are cached (the
 # first run trains them into target/tahoe-forest-cache/). The other
 # results/ci/ records are not gated; regenerate them with the command in
 # EXPERIMENTS.md when they move.
-CENSUS_TMP=$(mktemp -d)
-for record in sec73_reduction fig7_overall; do
-    TAHOE_RESULTS_DIR="$CENSUS_TMP" cargo run --release -p tahoe-bench --bin "$record" -- \
-        --scale ci --detail 16
-    cmp "results/ci/$record.json" "$CENSUS_TMP/$record.json" \
-        || { echo "results/ci gate: $record.json differs (regenerated copy in $CENSUS_TMP)"; exit 1; }
+MATRIX_TMP=$(mktemp -d)
+TAHOE_RESULTS_DIR="$MATRIX_TMP" cargo run --release -p tahoe-bench --bin fig7_overall -- \
+    --scale ci --detail 16
+for record in fig7_overall fig5_strategies sec73_reduction sec73_model_accuracy; do
+    cmp "results/ci/$record.json" "$MATRIX_TMP/$record.json" \
+        || { echo "results/ci gate: $record.json differs (regenerated copy in $MATRIX_TMP)"; exit 1; }
 done
-rm -rf "$CENSUS_TMP"
+rm -rf "$MATRIX_TMP"
 
 # Byte-compares the five telemetry views (DESIGN.md §2.9) of two
 # `--telemetry <dir>` runs.
@@ -101,17 +101,18 @@ cmp_views() {
 # byte-identical views at 1 and 4 workers, and `tahoe-cli profile` must
 # digest the recorded profiles.json into per-kernel lines. `grep -q` closes
 # the pipe at its first match and the pipeline's status is grep's, so a CLI
-# panic is caught from its stderr instead. fig5 runs bare engines, whose
-# trace keeps the engine's wall-clock host track (pid 2, tid 0:
-# rearrange/convert/tune), so the trace is compared without those lines;
-# the cluster runs below drop that track and compare all five files whole.
+# panic is caught from its stderr instead. The run matrix runs bare
+# engines, whose trace keeps the engine's wall-clock host track (pid 2,
+# tid 0: rearrange/convert/tune), so the trace is compared without those
+# lines; the cluster runs below drop that track and compare all five files
+# whole.
 PROFILE_W1=$(mktemp -d)
 PROFILE_W4=$(mktemp -d)
 TAHOE_SIM_THREADS=1 TAHOE_RESULTS_DIR="$PROFILE_W1" \
-    cargo run --release -p tahoe-bench --bin fig5_strategies -- \
+    cargo run --release -p tahoe-bench --bin fig7_overall -- \
     --scale smoke --detail 4 --telemetry "$PROFILE_W1"
 TAHOE_SIM_THREADS=4 TAHOE_RESULTS_DIR="$PROFILE_W4" \
-    cargo run --release -p tahoe-bench --bin fig5_strategies -- \
+    cargo run --release -p tahoe-bench --bin fig7_overall -- \
     --scale smoke --detail 4 --telemetry "$PROFILE_W4"
 for view in metrics profiles timeseries decisions; do
     cmp "$PROFILE_W1/$view.json" "$PROFILE_W4/$view.json"

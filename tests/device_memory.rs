@@ -84,7 +84,6 @@ fn update_forest_releases_the_old_image() {
     let (forest, samples) = setup("letter");
     let options = EngineOptions {
         functional: false,
-        track_probabilities: true,
         ..EngineOptions::tahoe()
     };
     let mut engine = Engine::new(DeviceSpec::tesla_p100(), forest.clone(), options);
@@ -93,7 +92,6 @@ fn update_forest_releases_the_old_image() {
     for _ in 0..10 {
         engine.update_forest(forest.clone(), Some(&samples));
         let _ = engine.infer(&samples);
-        engine.refresh_probabilities();
         assert_eq!(
             engine.memory().in_use_bytes(),
             settled,

@@ -6,29 +6,23 @@ use tahoe_bench::experiments as exp;
 fn main() {
     let env = tahoe_bench::Env::from_args();
     println!("[all] running with {env:?}");
+    // Fig. 6, the run matrix, Fig. 9 and the ablations read their datasets
+    // from this one set.
+    let prepared = tahoe_bench::prepare_all(env.scale);
 
     let motivation = exp::motivation::run(&env);
     exp::motivation::report(&motivation);
 
-    let fig6 = exp::strategies::run_fig6(&env);
+    let fig6 = exp::strategies::run_fig6(&env, &prepared);
     exp::strategies::report_fig6(&fig6);
 
-    let matrix = exp::matrix::run(&env);
+    let matrix = exp::matrix::run(&env, &prepared);
     exp::matrix::report(&matrix);
 
-    let breakdown = exp::breakdown::run(&env);
-    exp::breakdown::report(&breakdown);
-
-    let scaling = exp::scaling::run(&env);
+    let scaling = exp::scaling::run(&env, &prepared);
     exp::scaling::report(&scaling);
 
-    let coalescing = exp::coalescing::run(&env);
-    exp::coalescing::report(&coalescing);
-
-    let (overhead, host) = exp::overhead::run(&env);
-    exp::overhead::report(&overhead, &host);
-
-    let ablations = exp::ablations::run(&env);
+    let ablations = exp::ablations::run(&env, tahoe_bench::named(&prepared, "higgs"));
     exp::ablations::report(&ablations);
 
     env.export_telemetry();

@@ -1,7 +1,10 @@
 //! Regenerates the paper's Fig. 6 (strategy crossover vs batch size).
 
+use tahoe_bench::experiments::strategies;
+
 fn main() {
     let env = tahoe_bench::Env::from_args();
-    let result = tahoe_bench::experiments::strategies::run_fig6(&env);
-    tahoe_bench::experiments::strategies::report_fig6(&result);
+    let prepared = tahoe_bench::prepare_named(&strategies::FIG6_DATASETS, env.scale);
+    let result = strategies::run_fig6(&env, &prepared);
+    strategies::report_fig6(&result);
 }

@@ -3,7 +3,8 @@
 
 fn main() {
     let env = tahoe_bench::Env::from_args();
-    let result = tahoe_bench::experiments::scaling::run(&env);
+    let prepared = tahoe_bench::prepare_all(env.scale);
+    let result = tahoe_bench::experiments::scaling::run(&env, &prepared);
     tahoe_bench::experiments::scaling::report(&result);
     env.export_telemetry();
 }

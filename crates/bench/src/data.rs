@@ -96,6 +96,35 @@ pub fn prepare_all(scale: Scale) -> Vec<Prepared> {
     parallel_map(specs.len(), |i| prepare(&specs[i], scale))
 }
 
+/// Prepares the named Table 2 datasets, in order.
+///
+/// # Panics
+///
+/// Panics on a name outside Table 2, or as [`prepare`] does.
+#[must_use]
+pub fn prepare_named(names: &[&str], scale: Scale) -> Vec<Prepared> {
+    names
+        .iter()
+        .map(|name| {
+            let spec = DatasetSpec::by_name(name).expect("a Table 2 dataset");
+            prepare(&spec, scale)
+        })
+        .collect()
+}
+
+/// The dataset named `name` in `prepared`.
+///
+/// # Panics
+///
+/// Panics when `prepared` holds no such dataset.
+#[must_use]
+pub fn named<'a>(prepared: &'a [Prepared], name: &str) -> &'a Prepared {
+    prepared
+        .iter()
+        .find(|p| p.spec.name == name)
+        .unwrap_or_else(|| panic!("{name} was not prepared"))
+}
+
 /// Upper bound on a tiled batch's memory so mega-batches of wide samples
 /// stay addressable (≈ 400 MiB of f32s).
 const MAX_BATCH_BYTES: usize = 400 << 20;

@@ -33,27 +33,37 @@ impl Default for Env {
 }
 
 impl Env {
-    /// Parses process arguments; a malformed flag exits with status 2 and
-    /// usage.
+    /// Parses process arguments; `--help` prints usage to stdout and exits
+    /// 0, a malformed flag prints it to stderr and exits 2.
     #[must_use]
     pub fn from_args() -> Self {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// Parses an explicit argument list; a malformed flag exits with status
-    /// 2 and usage.
+    /// Parses an explicit argument list, exiting as [`Env::from_args`] does
+    /// on `--help` or a malformed flag.
     #[must_use]
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        Self::try_parse(args).unwrap_or_else(|msg| usage(&msg))
+        match Self::try_parse(args) {
+            Ok(Some(env)) => env,
+            Ok(None) => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
+            Err(msg) => {
+                eprintln!("error: {msg}\n{USAGE}");
+                std::process::exit(2)
+            }
+        }
     }
 
-    /// As [`Env::parse`], returning a malformed flag's message instead of
-    /// exiting (`--help` returns an empty one).
+    /// As [`Env::parse`], without exiting: `Ok(None)` when `--help` or `-h`
+    /// asks for usage.
     ///
     /// # Errors
     ///
     /// A missing or malformed value, `--detail 0`, or an unknown flag.
-    pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    pub fn try_parse<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Self>, String> {
         let mut env = Env::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -79,11 +89,11 @@ impl Env {
                     env.telemetry = Some(PathBuf::from(value()?));
                     env.sink = TelemetrySink::recording();
                 }
-                "--help" | "-h" => return Err(String::new()),
+                "--help" | "-h" => return Ok(None),
                 other => return Err(format!("unknown flag '{other}'")),
             }
         }
-        Ok(env)
+        Ok(Some(env))
     }
 
     /// Writes the five telemetry views into the `--telemetry` dir. Nothing
@@ -102,16 +112,8 @@ impl Env {
     }
 }
 
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!(
-        "usage: <experiment> [--scale paper|ci|smoke] [--detail N|full] \
-         [--telemetry <dir>]"
-    );
-    std::process::exit(2)
-}
+const USAGE: &str =
+    "usage: <experiment> [--scale paper|ci|smoke] [--detail N|full] [--telemetry <dir>]";
 
 #[cfg(test)]
 mod tests {
@@ -148,6 +150,14 @@ mod tests {
         assert_eq!(err(&["--detail"]), "missing value for --detail");
         assert_eq!(err(&["--scale", "huge"]), "unknown scale 'huge'");
         assert_eq!(err(&["--bogus"]), "unknown flag '--bogus'");
+    }
+
+    #[test]
+    fn help_asks_for_usage_not_an_error() {
+        for flag in ["--help", "-h"] {
+            let parsed = Env::try_parse(["--scale", "smoke", flag].map(String::from));
+            assert!(matches!(parsed, Ok(None)), "{flag}: {parsed:?}");
+        }
     }
 
     /// Files in `dir`, sorted.

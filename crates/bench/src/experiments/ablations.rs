@@ -16,12 +16,11 @@ use serde::Serialize;
 
 use tahoe::engine::{Engine, EngineOptions};
 use tahoe::rearrange::{pairwise, similarity_order, SimilarityParams};
-use tahoe_datasets::DatasetSpec;
 use tahoe_forest::probability::annotate_edge_probabilities;
 use tahoe_gpu_sim::device::DeviceSpec;
 use tahoe_gpu_sim::kernel::Detail;
 
-use crate::data::{batch_of, prepare};
+use crate::data::{batch_of, Prepared};
 use crate::env::Env;
 use crate::experiments::{fil_opts, tahoe_opts};
 use crate::report::{f2, f3, pct, write_json, Table};
@@ -48,12 +47,10 @@ pub struct AblationResult {
     pub varlen_speedup: f64,
 }
 
-/// Runs all four ablations on a representative dataset (Higgs: many trees,
-/// jittered depths — every mechanism is active).
+/// Runs all four ablations on a representative dataset, `p` (Higgs: many
+/// trees, jittered depths — every mechanism is active).
 #[must_use]
-pub fn run(env: &Env) -> AblationResult {
-    let spec = DatasetSpec::by_name("higgs").expect("higgs exists");
-    let p = prepare(&spec, env.scale);
+pub fn run(env: &Env, p: &Prepared) -> AblationResult {
     let batch = batch_of(&p.infer, 20_000);
 
     // 1. SimHash weighting.

@@ -4,15 +4,11 @@
 //! similarity-based tree rearrangement on top, then (c) model-guided strategy
 //! selection on top of both, measuring the speedup over FIL after each step;
 //! a technique's contribution is its speedup delta normalized by the total.
+//! Each step is one of the run matrix's P100 engines: node rearrangement
+//! alone, Tahoe's layout without model selection, and full Tahoe.
 
 use serde::Serialize;
 
-use tahoe::engine::{Engine, EngineOptions};
-use tahoe_gpu_sim::device::DeviceSpec;
-
-use crate::data::{batch_of, prepare_all};
-use crate::env::Env;
-use crate::experiments::{fil_opts, tahoe_opts, HIGH_BATCH, LOW_BATCH};
 use crate::report::{pct, write_json, Table};
 
 /// One dataset's breakdown.
@@ -51,51 +47,12 @@ impl BreakdownRow {
     }
 }
 
-/// Fig. 8 record.
-#[derive(Clone, Debug, Serialize)]
+/// Fig. 8 record: the P100 cells of the run matrix
+/// ([`crate::experiments::matrix`]).
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct BreakdownResult {
     /// One row per (dataset, regime).
     pub rows: Vec<BreakdownRow>,
-}
-
-/// Runs the breakdown on the P100 (the paper's Fig. 8 per-dataset study).
-#[must_use]
-pub fn run(env: &Env) -> BreakdownResult {
-    let prepared = prepare_all(env.scale);
-    let device = DeviceSpec::tesla_p100();
-    let step_a = EngineOptions {
-        tree_rearrange: false,
-        model_selection: false,
-        ..tahoe_opts(env)
-    };
-    let step_ab = EngineOptions {
-        model_selection: false,
-        ..tahoe_opts(env)
-    };
-    let step_abc = tahoe_opts(env);
-    let mut rows = Vec::new();
-    for p in &prepared {
-        let mut fil = Engine::new(device.clone(), p.forest.clone(), fil_opts(env));
-        let mut ea = Engine::new(device.clone(), p.forest.clone(), step_a);
-        let mut eab = Engine::new(device.clone(), p.forest.clone(), step_ab);
-        let mut eabc = Engine::new(device.clone(), p.forest.clone(), step_abc);
-        for (high, size) in [(true, HIGH_BATCH), (false, LOW_BATCH)] {
-            let batch = batch_of(&p.infer, size);
-            let base = fil.infer(&batch).run.kernel.total_ns;
-            let ta = ea.infer(&batch).run.kernel.total_ns;
-            let tab = eab.infer(&batch).run.kernel.total_ns;
-            let tabc = eabc.infer(&batch).run.kernel.total_ns;
-            rows.push(BreakdownRow {
-                dataset: p.spec.name.to_string(),
-                dataset_id: p.spec.id,
-                high_parallelism: high,
-                speedup_a: base / ta,
-                speedup_ab: base / tab,
-                speedup_abc: base / tabc,
-            });
-        }
-    }
-    BreakdownResult { rows }
 }
 
 /// Prints Fig. 8 and writes the record.

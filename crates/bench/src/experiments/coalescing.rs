@@ -2,18 +2,15 @@
 //! global-memory throughput, FIL format vs Tahoe's adaptive format.
 //!
 //! To isolate the *format* effect (what §7.3 measures), both engines run the
-//! same shared-data strategy; only the node/tree layout and node encoding
-//! differ. Efficiency is computed over the level-tagged forest reads — the
-//! paper's metric is specifically about "accessing forests".
+//! same shared-data strategy (the run matrix's FIL engine and its Tahoe
+//! engine without model selection); only the node/tree layout and node
+//! encoding differ. Efficiency is computed over the level-tagged forest
+//! reads — the paper's metric is specifically about "accessing forests".
 
 use serde::Serialize;
 
-use tahoe::engine::{Engine, EngineOptions};
 use tahoe_gpu_sim::kernel::KernelResult;
 
-use crate::data::{batch_of, prepare_all};
-use crate::env::Env;
-use crate::experiments::{devices, fil_opts, tahoe_opts, HIGH_BATCH};
 use crate::report::{f2, pct, write_json, Table};
 
 /// Requested/fetched efficiency over the level-tagged (forest) reads.
@@ -51,55 +48,46 @@ pub struct CoalescingRow {
     pub tahoe_simt: f64,
 }
 
-/// §7.3 coalescing record.
-#[derive(Clone, Debug, Serialize)]
+impl CoalescingRow {
+    /// One dataset's comparison on `device`, from FIL's and Tahoe's
+    /// layout-only kernels at the high-parallelism batch.
+    #[must_use]
+    pub fn of(device: &str, fil: &KernelResult, tahoe: &KernelResult) -> Self {
+        Self {
+            device: device.to_string(),
+            fil_efficiency: forest_read_efficiency(fil),
+            tahoe_efficiency: forest_read_efficiency(tahoe),
+            fil_throughput: fil.gmem_throughput(),
+            tahoe_throughput: tahoe.gmem_throughput(),
+            fil_simt: fil.simt_efficiency(),
+            tahoe_simt: tahoe.simt_efficiency(),
+        }
+    }
+
+    /// The field-wise mean of one device's per-dataset rows, summed in row
+    /// order.
+    #[must_use]
+    pub fn mean(device: &str, rows: &[Self]) -> Self {
+        let mean =
+            |field: fn(&Self) -> f64| rows.iter().map(field).sum::<f64>() / rows.len() as f64;
+        Self {
+            device: device.to_string(),
+            fil_efficiency: mean(|r| r.fil_efficiency),
+            tahoe_efficiency: mean(|r| r.tahoe_efficiency),
+            fil_throughput: mean(|r| r.fil_throughput),
+            tahoe_throughput: mean(|r| r.tahoe_throughput),
+            fil_simt: mean(|r| r.fil_simt),
+            tahoe_simt: mean(|r| r.tahoe_simt),
+        }
+    }
+}
+
+/// §7.3 coalescing record: the high-parallelism cells of the run matrix
+/// ([`crate::experiments::matrix`]), averaged per device.
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct CoalescingResult {
     /// One row per device.
     pub rows: Vec<CoalescingRow>,
-}
-
-/// Runs the comparison over all 15 datasets at the high-parallelism batch.
-#[must_use]
-pub fn run(env: &Env) -> CoalescingResult {
-    let prepared = prepare_all(env.scale);
-    // Tahoe's format, FIL's strategy: isolates the layout effect.
-    let tahoe_format_only = EngineOptions {
-        model_selection: false,
-        ..tahoe_opts(env)
-    };
-    let mut rows = Vec::new();
-    for device in devices() {
-        let mut fil_eff = Vec::new();
-        let mut tahoe_eff = Vec::new();
-        let mut fil_thpt = Vec::new();
-        let mut tahoe_thpt = Vec::new();
-        let mut fil_simt = Vec::new();
-        let mut tahoe_simt = Vec::new();
-        for p in &prepared {
-            let batch = batch_of(&p.infer, HIGH_BATCH);
-            let mut fil = Engine::new(device.clone(), p.forest.clone(), fil_opts(env));
-            let mut tahoe = Engine::new(device.clone(), p.forest.clone(), tahoe_format_only);
-            let rf = fil.infer(&batch);
-            let rt = tahoe.infer(&batch);
-            fil_eff.push(forest_read_efficiency(&rf.run.kernel));
-            tahoe_eff.push(forest_read_efficiency(&rt.run.kernel));
-            fil_thpt.push(rf.run.kernel.gmem_throughput());
-            tahoe_thpt.push(rt.run.kernel.gmem_throughput());
-            fil_simt.push(rf.run.kernel.simt_efficiency());
-            tahoe_simt.push(rt.run.kernel.simt_efficiency());
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        rows.push(CoalescingRow {
-            device: device.name.to_string(),
-            fil_efficiency: mean(&fil_eff),
-            tahoe_efficiency: mean(&tahoe_eff),
-            fil_throughput: mean(&fil_thpt),
-            tahoe_throughput: mean(&tahoe_thpt),
-            fil_simt: mean(&fil_simt),
-            tahoe_simt: mean(&tahoe_simt),
-        });
-    }
-    CoalescingResult { rows }
 }
 
 /// Prints the §7.3 coalescing table and writes the record.

@@ -38,7 +38,7 @@ impl AccuracyRow {
 }
 
 /// §7.3 model-accuracy record.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct AccuracyResult {
     /// Every comparison.
     pub rows: Vec<AccuracyRow>,

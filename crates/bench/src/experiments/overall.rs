@@ -42,7 +42,7 @@ pub struct OverallRow {
 }
 
 /// Full Fig. 7 / Table 3 record.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct OverallResult {
     /// Every (dataset, device, regime) measurement.
     pub rows: Vec<OverallRow>,

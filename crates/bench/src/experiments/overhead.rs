@@ -8,14 +8,12 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use tahoe::engine::Engine;
+use tahoe::engine::{ConversionReport, InferenceResult};
 use tahoe::format::{DeviceForest, FormatConfig, LayoutPlan};
-use tahoe::rearrange::{pairwise, similarity_order_timed, RearrangeReport, SimilarityParams};
+use tahoe::rearrange::{pairwise, similarity_order_timed, SimilarityParams};
 use tahoe_gpu_sim::memory::DeviceMemory;
 
-use crate::data::{batch_of, prepare_all};
-use crate::env::Env;
-use crate::experiments::{tahoe_opts, HIGH_BATCH};
+use crate::data::Prepared;
 use crate::report::{f2, pct, write_json, Table};
 
 /// One dataset's §7.4 record: simulated time and image sizes only, so the
@@ -44,10 +42,9 @@ impl OverheadRow {
 /// to run, so they are printed but never written to the record.
 #[derive(Clone, Copy, Debug)]
 pub struct HostCost {
-    /// The engine's rearrangement, stage by stage.
-    pub rearrange: RearrangeReport,
-    /// Format conversion after the rearrangement (ns).
-    pub convert_ns: u64,
+    /// The engine's CPU part: rearrangement stage by stage, then format
+    /// conversion.
+    pub conversion: ConversionReport,
     /// Exact pairwise ordering (ns).
     pub pairwise_ns: u64,
     /// SimHash+LSH ordering (ns).
@@ -57,12 +54,6 @@ pub struct HostCost {
 }
 
 impl HostCost {
-    /// Whole CPU part: every rearrangement stage + format conversion (ns).
-    #[must_use]
-    pub fn conversion_ns(&self) -> u64 {
-        self.rearrange.total_ns() + self.convert_ns
-    }
-
     /// Pairwise-over-LSH host-time ratio (paper: > 37×).
     #[must_use]
     pub fn pairwise_speedup(&self) -> f64 {
@@ -70,65 +61,57 @@ impl HostCost {
     }
 }
 
-/// §7.4 record.
-#[derive(Clone, Debug, Serialize)]
+/// §7.4 record: one row per dataset, beside the run matrix's P100 Tahoe
+/// engine ([`crate::experiments::matrix`]).
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct OverheadResult {
     /// One row per dataset.
     pub rows: Vec<OverheadRow>,
 }
 
-/// Runs the overhead analysis across the 15 datasets: the record, plus the
-/// host costs measured beside each row.
+/// Measures one dataset's row beside the run matrix's P100 Tahoe engine:
+/// `conversion` is that engine's CPU part and `chosen` its auto launch of
+/// the high-parallelism batch. Times the pairwise and SimHash+LSH orderings
+/// and builds the adaptive and traditional images.
 #[must_use]
-pub fn run(env: &Env) -> (OverheadResult, Vec<HostCost>) {
-    let prepared = prepare_all(env.scale);
-    let mut rows = Vec::new();
-    let mut host = Vec::new();
-    for p in &prepared {
-        let device = tahoe_gpu_sim::device::DeviceSpec::tesla_p100();
-        let mut engine = Engine::new(device, p.forest.clone(), tahoe_opts(env));
-        let conversion = *engine.conversion();
-        let batch = batch_of(&p.infer, HIGH_BATCH);
-        let result = engine.infer(&batch);
+pub fn measure(
+    p: &Prepared,
+    conversion: ConversionReport,
+    chosen: &InferenceResult,
+) -> (OverheadRow, HostCost) {
+    // Brute-force pairwise vs SimHash+LSH ordering cost. The brute-force
+    // method (the paper's 19-minute baseline) is O(N² · n²); cap it at 200
+    // trees so the suite stays responsive — the ratio is already decisive
+    // at this size and only grows with N.
+    let pairwise_forest = if p.forest.n_trees() > 200 {
+        p.forest.truncated(200)
+    } else {
+        p.forest.clone()
+    };
+    let t0 = Instant::now();
+    let _ = pairwise::brute_force_order(&pairwise_forest);
+    let pairwise_ns = t0.elapsed().as_nanos() as u64;
+    let (_, lsh_report) = similarity_order_timed(&pairwise_forest, &SimilarityParams::default());
 
-        // Brute-force pairwise vs SimHash+LSH ordering cost. The brute-force
-        // method (the paper's 19-minute baseline) is O(N² · n²); cap it at
-        // 200 trees so the suite stays responsive — the ratio is already
-        // decisive at this size and only grows with N.
-        let pairwise_forest = if p.forest.n_trees() > 200 {
-            p.forest.truncated(200)
-        } else {
-            p.forest.clone()
-        };
-        let t0 = Instant::now();
-        let _ = pairwise::brute_force_order(&pairwise_forest);
-        let pairwise_ns = t0.elapsed().as_nanos() as u64;
-        let (_, lsh_report) =
-            similarity_order_timed(&pairwise_forest, &SimilarityParams::default());
+    // Storage: adaptive vs traditional encoding of the same layout.
+    let plan = LayoutPlan::identity(&p.forest);
+    let mut mem = DeviceMemory::new();
+    let adaptive = DeviceForest::build(&p.forest, &plan, FormatConfig::adaptive(), &mut mem);
+    let traditional = DeviceForest::build(&p.forest, &plan, FormatConfig::traditional(), &mut mem);
 
-        // Storage: adaptive vs traditional encoding of the same layout.
-        let plan = LayoutPlan::identity(&p.forest);
-        let mut mem = DeviceMemory::new();
-        let adaptive =
-            DeviceForest::build(&p.forest, &plan, FormatConfig::adaptive(), &mut mem);
-        let traditional =
-            DeviceForest::build(&p.forest, &plan, FormatConfig::traditional(), &mut mem);
-
-        rows.push(OverheadRow {
-            dataset: p.spec.name.to_string(),
-            inference_ns: result.run.kernel.total_ns,
-            adaptive_bytes: adaptive.image_bytes(),
-            traditional_bytes: traditional.image_bytes(),
-        });
-        host.push(HostCost {
-            rearrange: conversion.rearrange,
-            convert_ns: conversion.convert_ns,
-            pairwise_ns,
-            lsh_total_ns: lsh_report.total_ns(),
-            model_eval_ns: result.model_eval_ns,
-        });
-    }
-    (OverheadResult { rows }, host)
+    let row = OverheadRow {
+        dataset: p.spec.name.to_string(),
+        inference_ns: chosen.run.kernel.total_ns,
+        adaptive_bytes: adaptive.image_bytes(),
+        traditional_bytes: traditional.image_bytes(),
+    };
+    let host = HostCost {
+        conversion,
+        pairwise_ns,
+        lsh_total_ns: lsh_report.total_ns(),
+        model_eval_ns: chosen.model_eval_ns,
+    };
+    (row, host)
 }
 
 /// Prints the §7.4 tables and writes the record; `host` pairs with
@@ -141,7 +124,7 @@ pub fn report(result: &OverheadResult, host: &[HostCost]) {
     for (r, h) in result.rows.iter().zip(host) {
         t.row(vec![
             r.dataset.clone(),
-            format!("{:.1}x", h.conversion_ns() as f64 / r.inference_ns),
+            format!("{:.1}x", h.conversion.total_ns() as f64 / r.inference_ns),
             format!("{:.0}x", h.pairwise_speedup()),
             pct(r.storage_saving()),
             h.model_eval_ns.to_string(),
@@ -156,12 +139,12 @@ pub fn report(result: &OverheadResult, host: &[HostCost]) {
     for (r, h) in result.rows.iter().zip(host) {
         stages.row(vec![
             r.dataset.clone(),
-            ms(h.rearrange.node_swap_ns),
-            ms(h.rearrange.simhash_ns),
-            ms(h.rearrange.lsh_ns),
-            ms(h.rearrange.order_ns),
-            ms(h.convert_ns),
-            ms(h.conversion_ns()),
+            ms(h.conversion.rearrange.node_swap_ns),
+            ms(h.conversion.rearrange.simhash_ns),
+            ms(h.conversion.rearrange.lsh_ns),
+            ms(h.conversion.rearrange.order_ns),
+            ms(h.conversion.convert_ns),
+            ms(h.conversion.total_ns()),
         ]);
     }
     stages.print();

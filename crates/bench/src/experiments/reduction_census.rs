@@ -23,7 +23,7 @@ pub struct CensusRow {
 }
 
 /// §7.3 reduction-removal record.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct CensusResult {
     /// Every selection.
     pub rows: Vec<CensusRow>,

@@ -27,7 +27,7 @@ use tahoe::cluster::{DeviceRun, GpuCluster};
 use tahoe_datasets::SampleMatrix;
 use tahoe_gpu_sim::device::DeviceSpec;
 
-use crate::data::{batch_of, prepare_all, Prepared};
+use crate::data::{batch_of, Prepared};
 use crate::env::Env;
 use crate::experiments::{tahoe_opts, HIGH_BATCH};
 use crate::report::{f2, pct, write_json, Table};
@@ -148,14 +148,14 @@ fn offset_window(
     pool.select(&rows)
 }
 
-/// Runs strong + weak scaling on simulated V100s over all Table 2 datasets.
+/// Runs strong + weak scaling on simulated V100s over `prepared`, at every
+/// [`GPU_COUNTS`] entry.
 #[must_use]
-pub fn run(env: &Env) -> ScalingResult {
-    let prepared = prepare_all(env.scale);
-    run_for(env, &prepared, &GPU_COUNTS)
+pub fn run(env: &Env, prepared: &[Prepared]) -> ScalingResult {
+    run_for(env, prepared, &GPU_COUNTS)
 }
 
-/// As [`run`], over explicit datasets and device counts (testable).
+/// As [`run`], over explicit device counts (testable).
 ///
 /// # Panics
 ///

@@ -9,7 +9,7 @@ use tahoe::strategy::Strategy;
 use tahoe_datasets::{SampleMatrix, Scale};
 use tahoe_gpu_sim::device::DeviceSpec;
 
-use crate::data::{batch_of, prepare, Prepared};
+use crate::data::{batch_of, named, Prepared};
 use crate::env::Env;
 use crate::experiments::tahoe_opts;
 use crate::report::{f3, mib, write_json, Table};
@@ -126,7 +126,7 @@ pub struct StrategyRow {
 
 /// Fig. 5 record: the P100 high-parallelism cells of the run matrix
 /// ([`crate::experiments::matrix`]).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct Fig5Result {
     /// One row per dataset.
     pub rows: Vec<StrategyRow>,
@@ -203,19 +203,25 @@ pub struct Fig6Result {
     pub rows: Vec<Fig6Row>,
 }
 
-/// Runs Fig. 6: batch-size sweep on Higgs and SVHN.
+/// The datasets Fig. 6 sweeps.
+pub const FIG6_DATASETS: [&str; 2] = ["higgs", "svhn"];
+
+/// Runs Fig. 6: batch-size sweep on the [`FIG6_DATASETS`] of `prepared`.
+///
+/// # Panics
+///
+/// Panics when `prepared` lacks one of them.
 #[must_use]
-pub fn run_fig6(env: &Env) -> Fig6Result {
+pub fn run_fig6(env: &Env, prepared: &[Prepared]) -> Fig6Result {
     let mut rows = Vec::new();
-    for name in ["higgs", "svhn"] {
-        let spec = tahoe_datasets::DatasetSpec::by_name(name).expect("known dataset");
-        let p = prepare(&spec, env.scale);
+    for name in FIG6_DATASETS {
+        let p = named(prepared, name);
         for batch in [100usize, 1_000, 10_000, 100_000, 1_000_000] {
             // Smoke scale keeps mega-batches affordable by capping memory.
             if env.scale == Scale::Smoke && batch > 10_000 {
                 continue;
             }
-            let row = strategy_row(env, &p, batch);
+            let row = strategy_row(env, p, batch);
             rows.push(Fig6Row {
                 dataset: row.dataset,
                 batch,

@@ -10,11 +10,8 @@
 //! |---|---|
 //! | `fig2_motivation` | Fig. 2a/2b/2c — coalescing decay, reduction share, thread imbalance |
 //! | `fig6_batch_size` | Fig. 6 — strategy crossover vs batch size |
-//! | `fig7_overall` | the §7.2–7.3 run matrix: Fig. 7 and Table 3, Fig. 5, and the §7.3 reduction census and model accuracy |
-//! | `fig8_breakdown` | Fig. 8 — per-technique contribution breakdown |
+//! | `fig7_overall` | the §7.2–7.4 run matrix: Fig. 7 and Table 3, Fig. 5, Fig. 8, the §7.3 reduction census, model accuracy and memory coalescing, and the §7.4 overheads |
 //! | `fig9_scaling` | Fig. 9 — strong (and §7.5 weak) scaling on 1–128 V100s |
-//! | `sec73_coalescing` | §7.3 — memory-efficiency and throughput improvements |
-//! | `sec74_overhead` | §7.4 — CPU-part and model-evaluation overheads |
 //! | `all` | everything above |
 
 pub mod data;
@@ -22,6 +19,6 @@ pub mod env;
 pub mod experiments;
 pub mod report;
 
-pub use data::{batch_of, prepare, prepare_all, Prepared};
+pub use data::{batch_of, named, prepare, prepare_all, prepare_named, Prepared};
 pub use env::Env;
 pub use report::Table;

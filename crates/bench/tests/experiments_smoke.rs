@@ -45,40 +45,72 @@ fn strategy_row_covers_feasible_strategies() {
     }
 }
 
-/// The run matrix's four records are projections of one set of launches:
+/// The run matrix's seven records are projections of one set of launches:
 /// the census and the accuracy row read Fig. 7's selection, the chosen time
-/// is what a fresh engine's auto launch simulates, and Fig. 5's winner on
-/// P100 at high parallelism runs at the optimum's throughput.
+/// is what a fresh engine's auto launch simulates (and §7.4's inference
+/// time is the P100 high-parallelism one), Fig. 8's full-Tahoe speedup is
+/// Fig. 7's P100 speedup, the coalescing means average fresh FIL launches,
+/// and Fig. 5's winner on P100 at high parallelism runs at the optimum's
+/// throughput.
 #[test]
 fn matrix_records_project_one_set_of_launches() {
     let env = smoke_env();
-    let prepared: Vec<_> = ["letter", "higgs"]
-        .iter()
-        .map(|name| {
-            let spec = tahoe_datasets::DatasetSpec::by_name(name).unwrap();
-            tahoe_bench::prepare(&spec, Scale::Smoke)
-        })
-        .collect();
-    let m = experiments::matrix::run_for(&env, &prepared);
+    let prepared = tahoe_bench::prepare_named(&["letter", "higgs"], Scale::Smoke);
+    let m = experiments::matrix::run(&env, &prepared);
     assert_eq!(m.overall.rows.len(), 2 * 3 * 2);
     assert_eq!(m.census.rows.len(), m.overall.rows.len());
     assert_eq!(m.accuracy.rows.len(), m.overall.rows.len());
+    assert_eq!(m.breakdown.rows.len(), 2 * 2);
+    assert_eq!(m.overhead.rows.len(), prepared.len());
     let mut cells = m.overall.rows.iter().zip(&m.census.rows).zip(&m.accuracy.rows);
+    let mut breakdown = m.breakdown.rows.iter();
+    let mut overhead = m.overhead.rows.iter();
+    // Per device, the summed FIL forest-read and SIMT efficiencies of the
+    // high-parallelism launches, in dataset order.
+    let mut fil_sums = vec![(0.0, 0.0); experiments::devices().len()];
     for p in &prepared {
-        for device in experiments::devices() {
-            let mut engine =
-                tahoe::engine::Engine::new(device.clone(), p.forest.clone(), experiments::tahoe_opts(&env));
+        for (device, sums) in experiments::devices().iter().zip(&mut fil_sums) {
+            let engine = |opts| tahoe::engine::Engine::new(device.clone(), p.forest.clone(), opts);
+            let mut tahoe = engine(experiments::tahoe_opts(&env));
+            let high = engine(experiments::fil_opts(&env))
+                .infer(&tahoe_bench::batch_of(&p.infer, experiments::HIGH_BATCH));
+            sums.0 += experiments::coalescing::forest_read_efficiency(&high.run.kernel);
+            sums.1 += high.run.kernel.simt_efficiency();
             for size in [experiments::HIGH_BATCH, experiments::LOW_BATCH] {
                 let ((fig7, census), accuracy) = cells.next().unwrap();
                 assert_eq!((fig7.dataset.as_str(), fig7.device.as_str()), (p.spec.name, device.name));
                 assert_eq!(census.strategy, fig7.tahoe_strategy);
                 assert_eq!(accuracy.predicted_best, fig7.tahoe_strategy);
                 assert!(accuracy.optimal_ns <= accuracy.chosen_ns);
-                let r = engine.infer(&tahoe_bench::batch_of(&p.infer, size));
+                let r = tahoe.infer(&tahoe_bench::batch_of(&p.infer, size));
                 assert_eq!(r.strategy, fig7.tahoe_strategy);
                 assert_eq!(accuracy.chosen_ns.to_bits(), r.run.kernel.total_ns.to_bits());
+                if device.name != "Tesla P100" {
+                    continue;
+                }
+                let fig8 = breakdown.next().unwrap();
+                assert_eq!(
+                    (fig8.dataset.as_str(), fig8.high_parallelism),
+                    (p.spec.name, fig7.high_parallelism)
+                );
+                assert_eq!(fig8.speedup_abc.to_bits(), fig7.speedup.to_bits());
+                if size == experiments::HIGH_BATCH {
+                    let sec74 = overhead.next().unwrap();
+                    assert_eq!(sec74.dataset, p.spec.name);
+                    assert_eq!(
+                        sec74.inference_ns.to_bits(),
+                        r.run.kernel.total_ns.to_bits()
+                    );
+                }
             }
         }
+    }
+    let n = prepared.len() as f64;
+    assert_eq!(m.coalescing.rows.len(), fil_sums.len());
+    for (row, (eff, simt)) in m.coalescing.rows.iter().zip(fil_sums) {
+        let (device, fil_eff) = (&row.device, row.fil_efficiency);
+        assert_eq!(fil_eff.to_bits(), (eff / n).to_bits(), "{device}");
+        assert_eq!(row.fil_simt.to_bits(), (simt / n).to_bits(), "{device}");
     }
     assert_eq!(m.fig5.rows.len(), prepared.len());
     let p100_high = m
@@ -97,7 +129,8 @@ fn matrix_records_project_one_set_of_launches() {
 
 #[test]
 fn ablations_run_at_smoke_scale() {
-    let r = experiments::ablations::run(&smoke_env());
+    let higgs = tahoe_bench::prepare_named(&["higgs"], Scale::Smoke);
+    let r = experiments::ablations::run(&smoke_env(), &higgs[0]);
     assert!(r.weighted_order_score >= 0.0);
     assert!(r.training_prob_speedup > 0.0);
     assert!(r.oracle_prob_speedup > 0.0);

@@ -70,23 +70,34 @@ done
 rm -rf "$GATE_TMP"
 
 # The run matrix at the scale of record: regenerate, at ci/detail 16, the
-# four records it projects (the Fig. 7 record with Table 3's A.C.V. and lane
-# wait, Fig. 5's per-strategy throughputs on P100, the §7.3 reduction census
-# of Tahoe's selections and the §7.3 model-accuracy record), and require
-# each to match its results/ci/ copy byte for byte, as the smoke gate does.
-# A change to the performance model, the tuner, the layout or a strategy
-# that moves a selection, a speedup or a strategy's time fails here. The
-# run takes about 40 s on a 2-core host once the ci forests are cached (the
-# first run trains them into target/tahoe-forest-cache/). The other
-# results/ci/ records are not gated; regenerate them with the command in
-# EXPERIMENTS.md when they move.
+# seven records it projects (the Fig. 7 record with Table 3's A.C.V. and
+# lane wait, Fig. 5's per-strategy throughputs on P100, the §7.3 reduction
+# census of Tahoe's selections, the §7.3 model-accuracy record, Fig. 8's
+# per-technique speedups, the §7.3 coalescing means and the §7.4 overheads)
+# and require each to match its results/ci/ copy byte for byte, as the smoke
+# gate does. A change to the performance model, the tuner, the layout or a
+# strategy that moves a selection, a speedup or a strategy's time fails
+# here. Then digest the whole ci record: the regenerated seven beside the
+# committed rest (Fig. 2, Fig. 6, Fig. 9, ablations), through report_md,
+# must reproduce results/ci/SUMMARY.md, so every committed ci record
+# parses. The run takes about 45 s on a 2-core host once the ci forests are
+# cached (the first run trains them into target/tahoe-forest-cache/).
+# Regenerate the other four records with the command in EXPERIMENTS.md
+# when they move.
 MATRIX_TMP=$(mktemp -d)
 TAHOE_RESULTS_DIR="$MATRIX_TMP" cargo run --release -p tahoe-bench --bin fig7_overall -- \
     --scale ci --detail 16
-for record in fig7_overall fig5_strategies sec73_reduction sec73_model_accuracy; do
+for record in fig7_overall fig5_strategies sec73_reduction sec73_model_accuracy \
+    fig8_breakdown sec73_coalescing sec74_overhead; do
     cmp "results/ci/$record.json" "$MATRIX_TMP/$record.json" \
         || { echo "results/ci gate: $record.json differs (regenerated copy in $MATRIX_TMP)"; exit 1; }
 done
+for f in results/ci/*.json; do
+    [ -e "$MATRIX_TMP/$(basename "$f")" ] || cp "$f" "$MATRIX_TMP/"
+done
+TAHOE_RESULTS_DIR="$MATRIX_TMP" cargo run --release -p tahoe-bench --bin report_md
+cmp results/ci/SUMMARY.md "$MATRIX_TMP/SUMMARY.md" \
+    || { echo "results/ci gate: SUMMARY.md differs (regenerated copy in $MATRIX_TMP)"; exit 1; }
 rm -rf "$MATRIX_TMP"
 
 # Byte-compares the five telemetry views (DESIGN.md §2.9) of two

@@ -211,7 +211,6 @@ pub fn run_for(env: &Env, prepared: &[Prepared], counts: &[usize]) -> ScalingRes
             .map(|t| (t - mean) * (t - mean))
             .sum::<f64>()
             / weak_times.len() as f64;
-        cluster.flush_telemetry();
         rows.push(ScalingRow {
             dataset: p.spec.name.to_string(),
             dataset_id: p.spec.id,

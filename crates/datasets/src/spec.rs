@@ -172,12 +172,6 @@ impl DatasetSpec {
         Self::table2().into_iter().find(|s| s.name == lower)
     }
 
-    /// Looks up a Table 2 spec by 1-based id.
-    #[must_use]
-    pub fn by_id(id: usize) -> Option<DatasetSpec> {
-        Self::table2().into_iter().find(|s| s.id == id)
-    }
-
     /// Number of samples after applying `scale`.
     #[must_use]
     pub fn scaled_samples(&self, scale: Scale) -> usize {
@@ -217,10 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_name_and_id_agree() {
+    fn lookup_by_name_is_case_insensitive() {
         let a = DatasetSpec::by_name("Higgs").unwrap();
-        let b = DatasetSpec::by_id(2).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(a.id, 2);
         assert_eq!(a.n_trees, 3_000);
         assert_eq!(a.max_depth, 8);
     }

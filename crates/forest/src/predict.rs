@@ -23,12 +23,6 @@ pub fn predict_dataset(forest: &Forest, samples: &SampleMatrix) -> Vec<f32> {
         .collect()
 }
 
-/// Per-tree raw outputs for one sample (used to validate reductions).
-#[must_use]
-pub fn per_tree_outputs(forest: &Forest, sample: &[f32]) -> Vec<f32> {
-    forest.trees().iter().map(|t| t.predict(sample)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,14 +61,6 @@ mod tests {
     fn rf_averages() {
         let f = stub_forest(ForestKind::RandomForest);
         assert!((predict_sample(&f, &[0.0]) - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn per_tree_outputs_sum_to_prediction() {
-        let f = stub_forest(ForestKind::Gbdt);
-        let outs = per_tree_outputs(&f, &[0.0]);
-        let agg = f.aggregate(outs.iter().sum());
-        assert!((agg - predict_sample(&f, &[0.0])).abs() < 1e-6);
     }
 
     #[test]

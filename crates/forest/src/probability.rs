@@ -148,19 +148,6 @@ pub fn annotate_edge_probabilities(forest: &Forest, samples: &SampleMatrix) -> F
     counter.annotate(forest)
 }
 
-/// Coefficient of variation of tree depths — a cheap structural-imbalance
-/// indicator used in reports.
-#[must_use]
-pub fn depth_cv(forest: &Forest) -> f64 {
-    let depths: Vec<f64> = forest.trees().iter().map(|t| t.depth() as f64).collect();
-    let mean = depths.iter().sum::<f64>() / depths.len() as f64;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = depths.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / depths.len() as f64;
-    var.sqrt() / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,11 +240,5 @@ mod tests {
             0.0,
         );
         let _ = counter.annotate(&bigger);
-    }
-
-    #[test]
-    fn depth_cv_zero_for_identical_trees() {
-        let f = skewed_forest();
-        assert!(depth_cv(&f).abs() < 1e-12);
     }
 }

@@ -47,8 +47,8 @@ pub struct DecisionCandidate {
 /// the realized (simulated) cost of the launch it produced.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DecisionRecord {
-    /// Cluster device index the batch ran on (0 for a bare engine; re-tagged
-    /// when a cluster absorbs a device sink).
+    /// Cluster device index the batch ran on (0 for a bare engine; set by
+    /// the device's [`TelemetrySink::for_device`] handle).
     pub device: u32,
     /// Engine batch ordinal on its device (1-based launch order).
     pub batch: u64,
@@ -346,8 +346,15 @@ mod tests {
         assert_eq!(sink.next_decision_batch(), 1);
         let mut d = decision(0);
         d.batch = 7;
-        sink.push_decision(d);
+        sink.push_decision(d.clone());
         sink.span("after", crate::telemetry::PID_GPU, 0, 0.0, 1.0);
+        assert_eq!(sink.next_decision_batch(), 8);
+        // A device handle counts its own device's decisions only.
+        let dev = sink.for_device(1, "test");
+        assert_eq!(dev.next_decision_batch(), 1);
+        d.batch = 3;
+        dev.push_decision(d);
+        assert_eq!(dev.next_decision_batch(), 4);
         assert_eq!(sink.next_decision_batch(), 8);
     }
 }

@@ -219,12 +219,6 @@ impl DeviceSpec {
         self.gmem_bytes_per_ns / f64::from(self.num_sms)
     }
 
-    /// Per-SM share of shared-memory bandwidth (bytes/ns).
-    #[must_use]
-    pub fn smem_bytes_per_ns_per_sm(&self) -> f64 {
-        self.smem_bytes_per_ns / f64::from(self.num_sms)
-    }
-
     /// Validates internal consistency; returns a description of the first
     /// violated invariant.
     ///

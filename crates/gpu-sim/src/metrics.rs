@@ -17,31 +17,6 @@ pub fn coefficient_of_variation(values: &[f64]) -> f64 {
     var.sqrt() / mean
 }
 
-/// Average coefficient of variation over groups (the paper's "A.C.V." of
-/// Table 3: CV is computed per thread block, then averaged).
-#[must_use]
-pub fn average_cv<I>(groups: I) -> f64
-where
-    I: IntoIterator,
-    I::Item: AsRef<[f64]>,
-{
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for g in groups {
-        let g = g.as_ref();
-        if g.is_empty() {
-            continue;
-        }
-        sum += coefficient_of_variation(g);
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
 /// Arithmetic mean (0 for empty input).
 #[must_use]
 pub fn mean(values: &[f64]) -> f64 {
@@ -92,13 +67,6 @@ mod tests {
     fn cv_handles_degenerate_input() {
         assert_eq!(coefficient_of_variation(&[]), 0.0);
         assert_eq!(coefficient_of_variation(&[0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn average_cv_averages_groups() {
-        let groups = vec![vec![1.0, 3.0], vec![2.0, 2.0]];
-        let acv = average_cv(&groups);
-        assert!((acv - 0.25).abs() < 1e-12);
     }
 
     #[test]

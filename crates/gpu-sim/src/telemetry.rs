@@ -30,12 +30,13 @@
 //! Simulated work is recorded in `KernelSim::finish`, *after*
 //! `simulate_blocks` has merged per-block results in plan order, and
 //! everything else from the engine's and the serving simulator's caller
-//! thread — worker threads never touch the sink. A cluster absorbs its
-//! device logs in device order on the caller thread ([`TelemetrySink::absorb`]).
-//! The views read nothing but the log, so every export is byte-identical at
-//! any `TAHOE_SIM_THREADS` (pinned by `tests/determinism.rs`). Host-measured
-//! engine phases (convert/rearrange/tune) are wall-clock timed and vary run
-//! to run; they live on their own track, which the cluster absorb drops.
+//! thread — worker threads never touch the sink. A cluster device records
+//! through a [`TelemetrySink::for_device`] handle on the cluster's own sink,
+//! so its events land in the one log at the moment they are recorded, in
+//! dispatch order. Every field derives from the simulated clock and the
+//! performance model, and the views read nothing but the log, so every
+//! export is byte-identical at any `TAHOE_SIM_THREADS` (pinned by
+//! `tests/determinism.rs`).
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,7 +53,8 @@ use crate::profile::KernelProfile;
 
 /// Chrome-trace process id for simulated-GPU spans (kernel/block/warp).
 pub const PID_GPU: u32 = 1;
-/// Chrome-trace process id for host-side engine spans (convert/tune/infer).
+/// Chrome-trace process id for engine spans (a batch's inference and its
+/// chunked-OOM-retry wrapper, on the simulated clock).
 pub const PID_ENGINE: u32 = 2;
 /// Chrome-trace process id for serving-simulation spans (queue/execute).
 pub const PID_SERVING: u32 = 3;
@@ -192,7 +194,7 @@ impl Counter {
 /// allocation each.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpanName {
-    /// A free-form label (host phases, serving spans, a kernel's own span).
+    /// A free-form label (engine and serving spans, a kernel's own span).
     Text(String),
     /// Block `g` of a launch: `"block {g}"`.
     Block(u32),
@@ -233,7 +235,7 @@ pub struct BlockRecord {
     pub reduction_ns: f64,
 }
 
-/// One completed span on the simulated (or host) timeline.
+/// One completed span on the simulated timeline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanEvent {
     /// Span label; its [`Display`](fmt::Display) form is the Chrome trace
@@ -290,8 +292,8 @@ impl SpanEvent {
 /// profile does not carry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LaunchRecord {
-    /// Cluster device index (0 for a bare engine; retagged by
-    /// [`TelemetrySink::absorb`]).
+    /// Cluster device index (0 for a bare engine; set by a
+    /// [`TelemetrySink::for_device`] handle).
     pub device: u32,
     /// Launch start on the simulated clock (ns).
     pub start_ns: f64,
@@ -459,24 +461,20 @@ impl Event {
         }
     }
 
-    /// Moves this event from a device's own log to cluster device
-    /// `device`; `false` for events the cluster log drops (host-track
-    /// spans, which are wall-clock measured, and process names, which the
-    /// absorb re-emits tagged with the device).
-    fn retag(&mut self, device: usize) -> bool {
+    /// Moves this event from device-local index 0 to cluster device
+    /// `device` (spans through [`device_pid`]). Process names are left to
+    /// [`DeviceTag::record`], which relabels them.
+    fn retag(&mut self, device: usize) {
         let d = device as u32;
         match self {
-            Event::ProcessName { .. } => return false,
-            Event::Span(s) if s.pid == PID_ENGINE && s.tid == 0 => return false,
             Event::Span(s) => s.pid = device_pid(s.pid, device),
             Event::Launch(l) => l.device += d,
             Event::Memory { device, .. } | Event::Gauge { device, .. } => *device += d,
             Event::Batch(b) => b.device += d,
             Event::Request(r) => r.device += d,
             Event::Decision(r) => r.device += d,
-            Event::Count { .. } => {}
+            Event::ProcessName { .. } | Event::Count { .. } => {}
         }
-        true
     }
 }
 
@@ -574,10 +572,44 @@ impl SinkInner {
     }
 }
 
+/// What a cluster device's handle stamps on every event it records.
+#[derive(Debug)]
+pub struct DeviceTag {
+    /// Cluster device index.
+    device: usize,
+    /// Device model name, shown in the device's process labels.
+    model: String,
+    /// Process tracks this device has named, so each is named once.
+    named: Mutex<BTreeSet<u32>>,
+}
+
+impl DeviceTag {
+    /// Appends `event` to `log` as cluster device `device` records it:
+    /// retagged from device-local index 0 ([`Event::retag`]), and preceded,
+    /// the first time it names a process track, by that track's name
+    /// `"<name> [gpu<d>: <model>]"` — which then wins over the plain name.
+    fn record(&self, mut event: Event, log: &mut Vec<Event>) {
+        if let Some((pid, name)) = event.process_name() {
+            let first = self.named.lock().unwrap_or_else(PoisonError::into_inner).insert(pid);
+            if first {
+                let d = self.device;
+                log.push(Event::ProcessName {
+                    pid: device_pid(pid, d),
+                    name: Cow::Owned(format!("{name} [gpu{d}: {}]", self.model)),
+                });
+            }
+        }
+        if !matches!(event, Event::ProcessName { .. }) {
+            event.retag(self.device);
+            log.push(event);
+        }
+    }
+}
+
 /// Telemetry recording handle.
 ///
-/// Cloning is cheap (`Disabled` is a unit; `Recording` clones an [`Arc`]),
-/// so every layer holds its own handle to one shared recording. All methods
+/// Cloning is cheap (`Disabled` is a unit; the others clone [`Arc`]s), so
+/// every layer holds its own handle to one shared recording. All methods
 /// are no-ops on [`TelemetrySink::Disabled`].
 #[derive(Clone, Debug, Default)]
 pub enum TelemetrySink {
@@ -586,6 +618,9 @@ pub enum TelemetrySink {
     Disabled,
     /// Record into shared state.
     Recording(Arc<SinkInner>),
+    /// Record into shared state as one cluster device
+    /// ([`TelemetrySink::for_device`]).
+    Device(Arc<SinkInner>, Arc<DeviceTag>),
 }
 
 impl TelemetrySink {
@@ -595,17 +630,46 @@ impl TelemetrySink {
         TelemetrySink::Recording(Arc::new(SinkInner::default()))
     }
 
+    /// A handle on this sink's log for cluster device `device`, a `model`
+    /// board: everything recorded through it lands in the one log at once,
+    /// retagged from device-local index 0 to `device` (spans onto its
+    /// [`device_pid`] tracks), each process track it names labelled
+    /// `"<name> [gpu<d>: <model>]"`. Disabled when this sink is.
+    #[must_use]
+    pub fn for_device(&self, device: usize, model: &str) -> Self {
+        match self {
+            TelemetrySink::Disabled => TelemetrySink::Disabled,
+            TelemetrySink::Recording(inner) | TelemetrySink::Device(inner, _) => {
+                TelemetrySink::Device(
+                    Arc::clone(inner),
+                    Arc::new(DeviceTag {
+                        device,
+                        model: model.to_string(),
+                        named: Mutex::default(),
+                    }),
+                )
+            }
+        }
+    }
+
     /// Whether this sink records anything. Layers use this to skip building
     /// event data entirely when telemetry is off.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        matches!(self, TelemetrySink::Recording(_))
+        !matches!(self, TelemetrySink::Disabled)
     }
 
     /// Appends events to the log under one lock acquisition.
     pub(crate) fn push(&self, events: impl IntoIterator<Item = Event>) {
-        if let TelemetrySink::Recording(inner) = self {
-            inner.log().extend(events);
+        match self {
+            TelemetrySink::Disabled => {}
+            TelemetrySink::Recording(inner) => inner.log().extend(events),
+            TelemetrySink::Device(inner, tag) => {
+                let mut log = inner.log();
+                for event in events {
+                    tag.record(event, &mut log);
+                }
+            }
         }
     }
 
@@ -613,7 +677,9 @@ impl TelemetrySink {
     pub(crate) fn view<R>(&self, view: impl FnOnce(&[Event]) -> R) -> R {
         match self {
             TelemetrySink::Disabled => view(&[]),
-            TelemetrySink::Recording(inner) => view(&inner.log()),
+            TelemetrySink::Recording(inner) | TelemetrySink::Device(inner, _) => {
+                view(&inner.log())
+            }
         }
     }
 
@@ -696,54 +762,20 @@ impl TelemetrySink {
         }
     }
 
-    /// Drains a cluster device's private sink into this (cluster-wide) one:
-    /// one ordered append of the device's log, each event retagged from the
-    /// device-local index 0 to `device_idx` (spans through [`device_pid`]),
-    /// every process track it names renamed `"<name> [gpu<d>: <label>]"`,
-    /// and the engine's host-track spans ([`PID_ENGINE`] tid 0:
-    /// rearrange/convert/tune) dropped — they are wall-clock measured, and
-    /// dropping them keeps cluster exports byte-identical at any
-    /// `TAHOE_SIM_THREADS`. The caller must invoke this in device-index
-    /// order, from one thread, after all per-device simulation finished.
-    ///
-    /// No-op when either sink is disabled or both share one recording.
-    pub fn absorb(&self, source: &TelemetrySink, device_idx: usize, device_label: &str) {
-        let (TelemetrySink::Recording(dst), TelemetrySink::Recording(src)) = (self, source)
-        else {
-            return;
-        };
-        if Arc::ptr_eq(dst, src) {
-            return;
-        }
-        let drained = std::mem::take(&mut *src.log());
-        let mut log = dst.log();
-        log.reserve(drained.len());
-        let mut named = BTreeSet::new();
-        for mut event in drained {
-            if let Some((pid, name)) = event.process_name() {
-                if named.insert(pid) {
-                    log.push(Event::ProcessName {
-                        pid: device_pid(pid, device_idx),
-                        name: Cow::Owned(format!("{name} [gpu{device_idx}: {device_label}]")),
-                    });
-                }
-            }
-            if event.retag(device_idx) {
-                log.push(event);
-            }
-        }
-    }
-
-    /// The ordinal the next tuning decision gets: one past the latest
-    /// recorded decision's, or 1 when the log holds none (a cluster device's
-    /// log restarts at 1 after each absorb).
+    /// The ordinal the next tuning decision of this handle's device gets:
+    /// one past that device's latest recorded decision, or 1 when the log
+    /// holds none.
     #[must_use]
     pub fn next_decision_batch(&self) -> u64 {
+        let device = match self {
+            TelemetrySink::Device(_, tag) => tag.device as u32,
+            _ => 0,
+        };
         self.view(|log| {
             log.iter()
                 .rev()
                 .find_map(|e| match e {
-                    Event::Decision(d) => Some(d.batch + 1),
+                    Event::Decision(d) if d.device == device => Some(d.batch + 1),
                     _ => None,
                 })
                 .unwrap_or(1)
@@ -1066,10 +1098,9 @@ mod tests {
     fn footprints_sum_each_devices_latest_and_highest() {
         let cluster = TelemetrySink::recording();
         for (d, (in_use, high_water)) in [(300, 500), (100, 400)].into_iter().enumerate() {
-            let dev = TelemetrySink::recording();
+            let dev = cluster.for_device(d, "test");
             dev.record_memory(MemoryOp::Alloc, high_water, high_water);
             dev.record_memory(MemoryOp::Free, in_use, high_water);
-            cluster.absorb(&dev, d, "test");
         }
         let snap = cluster.snapshot();
         assert_eq!(snap.counters["alloc_in_use_bytes"], 400);
@@ -1079,18 +1110,17 @@ mod tests {
 
     #[test]
     fn the_high_water_peaks_over_allocator_generations() {
-        // Two clusters of two devices absorbed one after the other: the
+        // Two clusters of two devices recorded one after the other: the
         // peak is the larger cluster total (400 + 100), not the sum of the
         // per-device peaks (400 + 300); in-use bytes are the latest
         // cluster's.
         let sink = TelemetrySink::recording();
         for footprints in [[(400, 300), (100, 100)], [(100, 50), (300, 50)]] {
             for (d, (high_water, in_use)) in footprints.into_iter().enumerate() {
-                let dev = TelemetrySink::recording();
+                let dev = sink.for_device(d, "test");
                 dev.record_memory(MemoryOp::Attach, 0, 0);
                 dev.record_memory(MemoryOp::Alloc, high_water, high_water);
                 dev.record_memory(MemoryOp::Free, in_use, high_water);
-                sink.absorb(&dev, d, "test");
             }
         }
         let snap = sink.snapshot();
@@ -1223,30 +1253,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_retags_names_and_drops_host_spans() {
-        let cluster = TelemetrySink::recording();
-        let dev = TelemetrySink::recording();
-        dev.name_process(PID_ENGINE, "engine");
-        dev.span("convert", PID_ENGINE, 0, 0.0, 5.0);
-        dev.span("infer", PID_ENGINE, 1, 0.0, 5.0);
-        dev.ts_gauge(0, crate::timeseries::QUEUE_DEPTH, 0.0, 1.0);
-        cluster.absorb(&dev, 2, "Tesla P100");
-        let pid = device_pid(PID_ENGINE, 2);
-        assert_eq!(
-            cluster.process_names(),
-            BTreeMap::from([(pid, "engine [gpu2: Tesla P100]".to_string())])
-        );
-        let spans = cluster.spans();
-        assert_eq!(spans.len(), 1, "the host track stays behind");
-        assert_eq!((spans[0].pid, spans[0].tid), (pid, 1));
-        assert!(cluster.timeseries().series(2, crate::timeseries::QUEUE_DEPTH, "gauge").is_some());
-        // The device log is drained: absorbing again adds nothing.
-        assert!(dev.spans().is_empty());
-        cluster.absorb(&dev, 2, "Tesla P100");
-        assert_eq!(cluster.spans().len(), 1);
-    }
-
-    #[test]
     fn span_names_render_the_trace_labels() {
         assert_eq!(SpanName::Block(7).to_string(), "block 7");
         assert_eq!(SpanName::Warp(7, 3).to_string(), "block 7 warp 3");
@@ -1270,7 +1276,7 @@ mod tests {
     fn metrics_snapshot_round_trips_through_serde() {
         let sink = TelemetrySink::recording();
         sink.add(Counter::EngineBatches, 3);
-        sink.span("s", PID_ENGINE, 0, 1.0, 2.0);
+        sink.span("s", PID_ENGINE, 1, 1.0, 2.0);
         let snap = sink.snapshot();
         let text = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&text).unwrap();

@@ -4,21 +4,21 @@
 //! inter-device communication; end-to-end time is the slowest device's time.
 //! [`GpuCluster`] reproduces that with *real* per-device state — each device
 //! slot owns an engine with its own capacity-modeled `DeviceMemory`, its own
-//! simulated clock, and its own telemetry sink — so per-device memory
-//! pressure, strategy selection, and kernel profiles are all observable, and
-//! heterogeneous mixes (K80 + P100 + V100) fall out naturally.
+//! simulated clock, and its own device-tagged handle on the cluster's
+//! telemetry sink — so per-device memory pressure, strategy selection, and
+//! kernel profiles are all observable, and heterogeneous mixes
+//! (K80 + P100 + V100) fall out naturally.
 //!
 //! # Determinism
 //!
 //! Devices simulate sequentially on the caller thread (each engine's kernel
-//! still fans its sampled blocks across `TAHOE_SIM_THREADS` workers), and
-//! per-device telemetry is held in private sinks that
-//! [`GpuCluster::flush_telemetry`] absorbs into the cluster sink in
-//! device-index order. Every span's pid is remapped with
-//! [`crate::telemetry::device_pid`] so each device keeps its own process
-//! group in the exported trace, and the absorb drops the engines'
-//! wall-clock-measured host spans — the merged exports are therefore
-//! byte-identical at any worker count (pinned by `tests/determinism.rs`).
+//! still fans its sampled blocks across `TAHOE_SIM_THREADS` workers). Each
+//! engine records through a [`TelemetrySink::for_device`] handle on the
+//! cluster's own sink, which tags every event with the device (pids through
+//! [`crate::telemetry::device_pid`], so each device keeps its own process
+//! group in the exported trace) as it lands in the one log, in dispatch
+//! order. The exports are therefore byte-identical at any worker count
+//! (pinned by `tests/determinism.rs`).
 
 use tahoe_datasets::SampleMatrix;
 use tahoe_gpu_sim::device::DeviceSpec;
@@ -62,9 +62,8 @@ pub struct ClusterRun {
 
 /// N per-device engines over one replicated forest image.
 pub struct GpuCluster {
-    /// One engine per device, each recording into a private sink (all
-    /// `Disabled` when the cluster sink is disabled) that
-    /// [`GpuCluster::flush_telemetry`] drains.
+    /// One engine per device, each recording through its device's handle
+    /// on `sink` (all `Disabled` when the cluster sink is disabled).
     engines: Vec<Engine>,
     /// The cluster-wide sink exports are read from.
     sink: TelemetrySink,
@@ -119,10 +118,8 @@ impl GpuCluster {
         Self::new(vec![device.clone(); n], forest, options)
     }
 
-    /// As [`GpuCluster::new`], recording into `sink`. Each device gets a
-    /// private recording sink so worker scheduling can never interleave
-    /// devices' telemetry; [`GpuCluster::flush_telemetry`] merges them into
-    /// `sink` in device-index order.
+    /// As [`GpuCluster::new`], recording into `sink`: each device's engine
+    /// records through its [`TelemetrySink::for_device`] handle on it.
     ///
     /// # Panics
     ///
@@ -138,11 +135,7 @@ impl GpuCluster {
         let mut engines: Vec<Engine> = Vec::with_capacity(devices.len());
         let mut nominal: Vec<DeviceSpec> = Vec::with_capacity(devices.len());
         for (d, spec) in devices.into_iter().enumerate() {
-            let dsink = if sink.is_enabled() {
-                TelemetrySink::recording()
-            } else {
-                TelemetrySink::Disabled
-            };
+            let dsink = sink.for_device(d, spec.name);
             // A repeated model copies its twin and runs on its
             // lottery-perturbed spec, as a real fleet calibrates once per
             // SKU and lives with per-board clock spread. A new model reuses
@@ -192,8 +185,7 @@ impl GpuCluster {
         &mut self.engines
     }
 
-    /// The cluster-wide sink. Call [`GpuCluster::flush_telemetry`] before
-    /// exporting: per-device activity sits in private sinks until merged.
+    /// The cluster-wide sink: every device's activity, in record order.
     #[must_use]
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.sink
@@ -276,17 +268,6 @@ impl GpuCluster {
             elapsed_ns: result.run.kernel.total_ns,
             mem_high_water_bytes: result.mem_high_water_bytes,
             strategy: result.strategy,
-        }
-    }
-
-    /// Appends every device's private telemetry log to the cluster sink's,
-    /// in device-index order ([`TelemetrySink::absorb`]).
-    ///
-    /// Idempotent between runs: device logs are drained, so flushing twice
-    /// adds nothing new. Call after simulation, before exporting.
-    pub fn flush_telemetry(&self) {
-        for (d, engine) in self.engines.iter().enumerate() {
-            self.sink.absorb(engine.telemetry(), d, engine.device().name);
         }
     }
 }
@@ -422,31 +403,39 @@ mod tests {
     }
 
     #[test]
-    fn flush_merges_device_telemetry_with_per_device_pids() {
-        use crate::telemetry::{device_pid, PID_GPU};
+    fn device_handles_tag_events_into_the_cluster_log() {
+        use crate::telemetry::{device_pid, PID_ENGINE, PID_GPU};
         let (forest, samples) = setup("letter");
         let sink = TelemetrySink::recording();
         let devices = vec![DeviceSpec::tesla_p100(), DeviceSpec::tesla_v100()];
         let mut cluster =
             GpuCluster::with_telemetry(devices, &forest, EngineOptions::tahoe(), sink.clone());
         let _ = cluster.infer_partitioned(&samples);
-        assert_eq!(sink.snapshot().span_count, 0, "activity stays in device sinks until flushed");
-        cluster.flush_telemetry();
+        // Every event is in the cluster log as soon as it is recorded.
         let snap = sink.snapshot();
         assert!(snap.span_count > 0);
         assert_eq!(snap.counters["kernel_launches"], 2);
-        let trace = sink.chrome_trace_json();
-        assert!(trace.contains(&format!("\"pid\":{},", device_pid(PID_GPU, 1))));
-        assert!(trace.contains("[gpu1: Tesla V100]"));
-        // Cluster high-water gauge sums both devices' forest images.
+        let decisions = sink.decisions().decisions;
+        let tags: Vec<(u32, u64)> = decisions.iter().map(|d| (d.device, d.batch)).collect();
+        assert_eq!(tags, [(0, 1), (1, 1)], "device index and per-device ordinal");
+        // Device 1's tracks sit at its device pids, under its label.
+        let names = sink.process_names();
+        for (base, name) in [(PID_GPU, "gpu-sim"), (PID_ENGINE, "engine")] {
+            assert_eq!(names[&base], format!("{name} [gpu0: Tesla P100]"));
+            assert_eq!(names[&device_pid(base, 1)], format!("{name} [gpu1: Tesla V100]"));
+        }
+        let infer_pids: Vec<u32> = sink
+            .spans()
+            .iter()
+            .filter(|s| s.name.to_string().starts_with("infer: "))
+            .map(|s| s.pid)
+            .collect();
+        assert_eq!(infer_pids, [PID_ENGINE, device_pid(PID_ENGINE, 1)]);
+        // The cluster high water sums both devices' images.
         let per_device_sum: u64 = (0..2)
             .map(|d| cluster.engine(d).memory().high_water_bytes())
             .sum();
         assert_eq!(snap.counters["alloc_high_water_bytes"], per_device_sum);
-        // Idempotent: a second flush adds nothing.
-        cluster.flush_telemetry();
-        assert_eq!(sink.snapshot().span_count, snap.span_count);
-        assert_eq!(sink.snapshot().counters["kernel_launches"], 2);
     }
 
     #[test]

@@ -155,9 +155,6 @@ pub struct Engine {
     /// batches lay out end to end in the exported trace. The serving
     /// simulator overrides it per dispatch via [`Engine::set_sim_clock_ns`].
     clock_ns: f64,
-    /// Host-phase cursor for the engine track's wall-clock-measured spans
-    /// (rearrange/convert/tune), laid out sequentially.
-    host_cursor_ns: f64,
     /// Online §6-constant recalibration state (DESIGN.md §2.16). Always
     /// present; folded into and applied to selections only when
     /// `options.calibration` is on.
@@ -234,7 +231,6 @@ impl Engine {
             conversion: ConversionReport::default(),
             sink,
             clock_ns: 0.0,
-            host_cursor_ns: 0.0,
             calibrator: Calibrator::new(),
         }
     }
@@ -270,7 +266,6 @@ impl Engine {
             conversion: self.conversion,
             sink,
             clock_ns: 0.0,
-            host_cursor_ns: 0.0,
             // Fitted scales carry over with the rest of the calibration.
             calibrator: self.calibrator.clone(),
         }
@@ -337,27 +332,11 @@ impl Engine {
         self.device_forest = DeviceForest::try_build(&self.forest, &plan, config, &mut self.mem)
             .unwrap_or_else(|e| panic!("forest image exceeds device DRAM: {e}"));
         self.forest_buf = Some(self.device_forest.buffer());
-        let report = ConversionReport {
+        self.conversion = ConversionReport {
             rearrange,
             convert_ns: t0.elapsed().as_nanos() as u64,
         };
-        if self.sink.is_enabled() {
-            self.sink.name_process(PID_ENGINE, "engine");
-            let rearrange_ns = report.rearrange.total_ns() as f64;
-            if rearrange_ns > 0.0 {
-                self.host_span("rearrange", rearrange_ns);
-            }
-            self.host_span("convert", report.convert_ns as f64);
-        }
-        self.conversion = report;
         self.plan = plan;
-    }
-
-    /// Emits one wall-clock-measured engine-phase span and advances the host
-    /// cursor so phases tile the engine track in execution order.
-    fn host_span(&mut self, name: &str, dur_ns: f64) {
-        self.sink.span(name, PID_ENGINE, 0, self.host_cursor_ns, dur_ns);
-        self.host_cursor_ns += dur_ns;
     }
 
     /// Runs inference on a batch, selecting the strategy via the performance
@@ -504,7 +483,6 @@ impl Engine {
                     rejection: r.outcome.err().map(str::to_string),
                 })
                 .collect();
-            self.host_span("tune", model_eval_ns as f64);
             self.sink.span(
                 format!("infer: {} ({} samples)", strategy.name(), samples.n_samples()),
                 PID_ENGINE,
@@ -672,13 +650,6 @@ impl Engine {
     #[must_use]
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.sink
-    }
-
-    /// Current position on the simulated timeline (ns): the sum of every
-    /// inferred batch's simulated kernel time, unless overridden.
-    #[must_use]
-    pub fn sim_clock_ns(&self) -> f64 {
-        self.clock_ns
     }
 
     /// Repositions the simulated-timeline cursor. The serving simulator sets

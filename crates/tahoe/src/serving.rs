@@ -11,6 +11,12 @@
 //! simulated clock: requests queue until the batch fills or the oldest
 //! request times out, the batch runs on the simulated GPU, and per-request
 //! latency statistics accumulate. Everything is deterministic.
+//!
+//! [`ClusterServingSim`] runs the same loop over a [`GpuCluster`]'s
+//! engines. Telemetry is recorded in place: each batch, launch and decision
+//! lands in the one log as it happens, tagged with the executing device, so
+//! a cluster's exports follow dispatch order and a 1-device cluster's views
+//! equal a bare engine's.
 
 use std::sync::OnceLock;
 
@@ -431,9 +437,8 @@ impl<'c> ClusterServingSim<'c> {
     /// Replays a constant-rate request trace across the cluster (the
     /// multi-GPU analogue of [`ServingSim::run_uniform_trace`]).
     ///
-    /// Telemetry for each batch lands in the executing device's private
-    /// sink; the cluster's telemetry is flushed (device-index order) before
-    /// returning, so the caller can export immediately.
+    /// Telemetry for each batch lands in the cluster's sink, tagged with the
+    /// executing device, as the batch runs.
     ///
     /// # Panics
     ///
@@ -452,9 +457,8 @@ impl<'c> ClusterServingSim<'c> {
     /// [`ClusterServingSim::run_uniform_trace`] with every request tagged
     /// with a latency deadline (the cluster analogue of
     /// [`ServingSim::run_uniform_trace_with_deadline`]). Request paths are
-    /// cluster-level records logged in the cluster sink; per-device series
-    /// land in each device's private sink and are absorbed in device-index
-    /// order by the flush.
+    /// cluster-level records logged with an explicit device index; per-device
+    /// series are logged through the executing device's handle.
     ///
     /// # Panics
     ///
@@ -469,7 +473,7 @@ impl<'c> ClusterServingSim<'c> {
         deadline_ns: Option<f64>,
     ) -> ClusterServingReport {
         let sink = self.cluster.telemetry().clone();
-        let report = dispatch(
+        dispatch(
             self.cluster.engines_mut(),
             &sink,
             &self.policy,
@@ -477,9 +481,7 @@ impl<'c> ClusterServingSim<'c> {
             n_requests,
             interarrival_ns,
             deadline_ns,
-        );
-        self.cluster.flush_telemetry();
-        report
+        )
     }
 }
 
@@ -487,12 +489,14 @@ impl<'c> ClusterServingSim<'c> {
 /// [`ClusterServingSim`] (N engines): one batching queue feeding `engines`.
 ///
 /// Each ready batch goes to the engine that frees up earliest, the lowest
-/// index winning ties. Each dispatched batch is logged in the executing
-/// engine's sink (its spans, dispatch series and serving counters derive
-/// from that one event); the queue depth and the request paths (and the
-/// serving-latency histogram they feed) are logged in `queue_sink`. A bare engine passes its own sink as `queue_sink`, so
-/// every event lands in one log in dispatch order, and a 1-device cluster
-/// reproduces a bare engine's floats bit-for-bit.
+/// index winning ties. Each dispatched batch is logged through the
+/// executing engine's handle (its spans, dispatch series and serving
+/// counters derive from that one event); the queue depth and the request
+/// paths (and the serving-latency histogram they feed) are logged in
+/// `queue_sink`. A bare engine passes its own sink as `queue_sink`, and a
+/// cluster engine's handle writes into the cluster's `queue_sink`, so
+/// every event lands in one log in dispatch order either way, and a
+/// 1-device cluster reproduces a bare engine's views.
 ///
 /// # Panics
 ///

@@ -112,11 +112,8 @@ cmp_views() {
 # byte-identical views at 1 and 4 workers, and `tahoe-cli profile` must
 # digest the recorded profiles.json into per-kernel lines. `grep -q` closes
 # the pipe at its first match and the pipeline's status is grep's, so a CLI
-# panic is caught from its stderr instead. The run matrix runs bare
-# engines, whose trace keeps the engine's wall-clock host track (pid 2,
-# tid 0: rearrange/convert/tune), so the trace is compared without those
-# lines; the cluster runs below drop that track and compare all five files
-# whole.
+# panic is caught from its stderr instead. Like the cluster runs below,
+# all five files are compared whole.
 PROFILE_W1=$(mktemp -d)
 PROFILE_W4=$(mktemp -d)
 TAHOE_SIM_THREADS=1 TAHOE_RESULTS_DIR="$PROFILE_W1" \
@@ -125,12 +122,7 @@ TAHOE_SIM_THREADS=1 TAHOE_RESULTS_DIR="$PROFILE_W1" \
 TAHOE_SIM_THREADS=4 TAHOE_RESULTS_DIR="$PROFILE_W4" \
     cargo run --release -p tahoe-bench --bin fig7_overall -- \
     --scale smoke --detail 4 --telemetry "$PROFILE_W4"
-for view in metrics profiles timeseries decisions; do
-    cmp "$PROFILE_W1/$view.json" "$PROFILE_W4/$view.json"
-done
-grep -v '"pid":2,"tid":0,' "$PROFILE_W4/trace.json" > "$PROFILE_W4/simulated_trace"
-grep -v '"pid":2,"tid":0,' "$PROFILE_W1/trace.json" \
-    | cmp - "$PROFILE_W4/simulated_trace"
+cmp_views "$PROFILE_W1" "$PROFILE_W4"
 cargo run --release --bin tahoe-cli -- profile \
     --telemetry "$PROFILE_W1" 2>"$PROFILE_W4/profile.stderr" \
     | grep -q "limited by"

@@ -177,9 +177,10 @@ fn parallel_simulation_is_bit_identical_to_one_thread() {
             assert_eq!(base.timeseries, other.timeseries, "{what}: timeseries differ");
         }
     }
-    // Multi-GPU cluster serving rides on the same guarantee: per-device
-    // sinks are absorbed in device-index order on the caller thread, so the
-    // merged exports must also be byte-identical at any worker count.
+    // Multi-GPU cluster serving rides on the same guarantee: every device
+    // records into the cluster's one log from the caller thread, in
+    // dispatch order, so its exports must also be byte-identical at any
+    // worker count.
     set_sim_threads(Some(1));
     let seq = cluster_serving_exports();
     set_sim_threads(Some(4));

@@ -140,11 +140,68 @@ fn one_device_cluster_reproduces_single_engine_serving_exactly() {
         "memory high water"
     );
     assert!(clustered.batch_devices.iter().all(|&d| d == 0));
-    // Both run one serving loop, so the flushed 1-device cluster's flight
-    // recorder is byte-identical to the bare engine's.
+    // Both run one serving loop and record in place, so the 1-device
+    // cluster's views are byte-identical to the bare engine's. Only the
+    // trace's process-name lines differ, by the cluster's `[gpu0: …]` label.
     let decisions = engine_sink.decisions_json();
     assert!(decisions.contains("\"chosen_strategy\""), "decisions were recorded");
     assert_eq!(cluster_sink.decisions_json(), decisions, "decisions export");
+    assert_eq!(cluster_sink.metrics_json(), engine_sink.metrics_json(), "metrics export");
+    assert_eq!(cluster_sink.profiles_json(), engine_sink.profiles_json(), "profiles export");
+    assert_eq!(
+        cluster_sink.timeseries_json(),
+        engine_sink.timeseries_json(),
+        "timeseries export"
+    );
+    let unnamed = |trace: String| -> Vec<String> {
+        trace
+            .lines()
+            .filter(|l| !l.contains("\"process_name\""))
+            .map(str::to_string)
+            .collect()
+    };
+    let cluster_trace = cluster_sink.chrome_trace_json();
+    assert!(cluster_trace.contains("[gpu0: Tesla P100]"), "the cluster labels its tracks");
+    assert_eq!(
+        unnamed(cluster_trace),
+        unnamed(engine_sink.chrome_trace_json()),
+        "trace export"
+    );
+}
+
+/// A cluster records every decision in its one log as it is made: two
+/// serving runs in a row leave the decisions in dispatch order across both
+/// runs, and each device's batch ordinals count on from its previous run.
+#[test]
+fn cluster_decisions_follow_dispatch_order_across_runs() {
+    let fx = Fixture::trained("letter");
+    let sink = TelemetrySink::recording();
+    let devices = vec![
+        DeviceSpec::tesla_k80(),
+        DeviceSpec::tesla_p100(),
+        DeviceSpec::tesla_v100(),
+    ];
+    let mut cluster =
+        GpuCluster::with_telemetry(devices, &fx.forest, EngineOptions::tahoe(), sink.clone());
+    let mut dispatched = Vec::new();
+    for _ in 0..2 {
+        let report = ClusterServingSim::new(&mut cluster, BatchingPolicy::new(32, 20_000.0))
+            .run_uniform_trace(&fx.samples, 300, 50.0);
+        dispatched.extend(report.batch_devices);
+    }
+    let mut used = dispatched.clone();
+    used.sort_unstable();
+    used.dedup();
+    assert_eq!(used, [0, 1, 2], "the trace spreads over every device");
+    let decisions = sink.decisions().decisions;
+    let recorded: Vec<usize> = decisions.iter().map(|d| d.device as usize).collect();
+    assert_eq!(recorded, dispatched, "decisions are recorded in dispatch order");
+    let mut next = [1u64; 3];
+    for d in &decisions {
+        let ordinal = &mut next[d.device as usize];
+        assert_eq!(d.batch, *ordinal, "device {} counts its batches on", d.device);
+        *ordinal += 1;
+    }
 }
 
 /// Device assignment is a pure function of the trace: replaying the same

@@ -1,5 +1,4 @@
-//! Regenerates the paper's Fig. 9 (strong scaling on 1-128 V100s) and the
-//! Sec. 7.5 weak-scaling check.
+//! Regenerates the paper's Fig. 9 (strong scaling on 1-128 V100s).
 
 fn main() {
     let env = tahoe_bench::Env::from_args();

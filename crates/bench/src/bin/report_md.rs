@@ -206,7 +206,6 @@ fn main() {
     section("fig9_scaling", &|v, out| {
         let _ = writeln!(out, "\n## Fig. 9 — multi-GPU scaling (V100s)");
         let rows = v["rows"].as_array().cloned().unwrap_or_default();
-        let mut max_weak = 0.0f64;
         for r in &rows {
             let strong = r["strong"].as_array().cloned().unwrap_or_default();
             // `speedup` is null for counts with empty partitions (more
@@ -219,18 +218,14 @@ fn main() {
                 .iter()
                 .filter_map(|s| s["per_device"].as_array().map(Vec::len))
                 .sum();
-            let wv = r["weak_variance"].as_f64().unwrap_or(0.0);
-            max_weak = max_weak.max(wv);
             if let Some((n, s)) = best {
                 let _ = writeln!(
                     out,
-                    "- {}: best strong speedup {s:.2}x at {n} GPUs ({devices} partitions simulated); weak variance {:.2}%",
+                    "- {}: best strong speedup {s:.2}x at {n} GPUs ({devices} partitions simulated)",
                     r["dataset"].as_str().unwrap_or("?"),
-                    100.0 * wv,
                 );
             }
         }
-        let _ = writeln!(out, "- max weak-scaling variance: {:.2}% (paper <5%)", 100.0 * max_weak);
     });
 
     if !missing.is_empty() {

@@ -11,7 +11,7 @@
 //! | `fig2_motivation` | Fig. 2a/2b/2c — coalescing decay, reduction share, thread imbalance |
 //! | `fig6_batch_size` | Fig. 6 — strategy crossover vs batch size |
 //! | `fig7_overall` | the §7.2–7.4 run matrix: Fig. 7 and Table 3, Fig. 5, Fig. 8, the §7.3 reduction census, model accuracy and memory coalescing, and the §7.4 overheads |
-//! | `fig9_scaling` | Fig. 9 — strong (and §7.5 weak) scaling on 1–128 V100s |
+//! | `fig9_scaling` | Fig. 9 — strong scaling on 1–128 V100s |
 //! | `all` | everything above |
 
 pub mod data;

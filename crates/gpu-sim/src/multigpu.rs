@@ -2,12 +2,15 @@
 //!
 //! The paper partitions the inference dataset across GPUs with no
 //! inter-device communication during inference; total time is the slowest
-//! device's time (strong scaling) and weak scaling duplicates the dataset.
+//! device's time (strong scaling). The simulator models no inter-device
+//! coupling either, so the paper's weak-scaling check (< 5 % variance as
+//! devices are added) holds by construction and is not swept.
 //!
 //! This module holds only the partitioning arithmetic. Actual multi-device
 //! execution lives in `tahoe::cluster::GpuCluster`, which runs one full
-//! `Engine` (own `DeviceMemory`, own simulated clock, own telemetry sink)
-//! per device and merges results in device-index order.
+//! `Engine` (own `DeviceMemory`, own simulated clock, own device handle on
+//! the cluster's telemetry sink) per device and merges results in
+//! device-index order.
 
 use std::ops::Range;
 

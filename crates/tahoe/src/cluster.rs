@@ -232,43 +232,20 @@ impl GpuCluster {
                 continue;
             }
             let rows: Vec<usize> = range.collect();
-            let share = samples.select(&rows);
-            let run = self.infer_on(d, &share, &mut predictions);
-            total_ns = total_ns.max(run.elapsed_ns);
-            per_device.push(run);
+            let engine = &mut self.engines[d];
+            let result = engine.infer(&samples.select(&rows));
+            predictions.extend_from_slice(&result.predictions);
+            total_ns = total_ns.max(result.run.kernel.total_ns);
+            per_device.push(DeviceRun {
+                device: d,
+                device_name: engine.device().name.to_string(),
+                n_samples: rows.len(),
+                elapsed_ns: result.run.kernel.total_ns,
+                mem_high_water_bytes: result.mem_high_water_bytes,
+                strategy: result.strategy,
+            });
         }
         ClusterRun { per_device, total_ns, predictions }
-    }
-
-    /// Infers a full batch on one device (the weak-scaling path: every
-    /// device gets its own perturbed copy of the dataset).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty batch, attribute mismatch, or an out-of-range
-    /// device index.
-    pub fn infer_one(&mut self, device: usize, samples: &SampleMatrix) -> DeviceRun {
-        let mut predictions = Vec::new();
-        self.infer_on(device, samples, &mut predictions)
-    }
-
-    fn infer_on(
-        &mut self,
-        device: usize,
-        samples: &SampleMatrix,
-        predictions: &mut Vec<f32>,
-    ) -> DeviceRun {
-        let engine = &mut self.engines[device];
-        let result = engine.infer(samples);
-        predictions.extend_from_slice(&result.predictions);
-        DeviceRun {
-            device,
-            device_name: engine.device().name.to_string(),
-            n_samples: samples.n_samples(),
-            elapsed_ns: result.run.kernel.total_ns,
-            mem_high_water_bytes: result.mem_high_water_bytes,
-            strategy: result.strategy,
-        }
     }
 }
 
@@ -335,8 +312,8 @@ mod tests {
         // high-water must pull ahead, proving the allocators are not shared.
         let big: Vec<usize> = (0..samples.n_samples()).collect();
         let small = vec![0usize];
-        let r0 = cluster.infer_one(0, &samples.select(&big));
-        let r1 = cluster.infer_one(1, &samples.select(&small));
+        let r0 = cluster.engine_mut(0).infer(&samples.select(&big));
+        let r1 = cluster.engine_mut(1).infer(&samples.select(&small));
         assert!(r0.mem_high_water_bytes > r1.mem_high_water_bytes);
         // And both converted images came from one conversion pass.
         assert_eq!(
@@ -451,9 +428,8 @@ mod tests {
         let (forest, samples) = setup("letter");
         let mut cluster =
             GpuCluster::homogeneous(&DeviceSpec::tesla_p100(), 3, &forest, EngineOptions::tahoe());
-        let t0 = cluster.infer_one(0, &samples).elapsed_ns;
-        let t1 = cluster.infer_one(1, &samples).elapsed_ns;
-        let t2 = cluster.infer_one(2, &samples).elapsed_ns;
+        let mut time = |d| cluster.engine_mut(d).infer(&samples).run.kernel.total_ns;
+        let (t0, t1, t2) = (time(0), time(1), time(2));
         assert!(t1 > t0, "slot 1 must trail the nominal slot ({t1} vs {t0})");
         assert!(t2 > t0, "slot 2 must trail the nominal slot ({t2} vs {t0})");
         assert_ne!(t1.to_bits(), t2.to_bits(), "distinct slots draw distinct clocks");

@@ -1,10 +1,11 @@
 //! Cross-crate integration tests for the multi-GPU cluster layer (§7.5):
 //! functional equivalence with the CPU reference, request conservation in
 //! cluster serving, exact 1-device equivalence with the single-engine
-//! serving path, and deterministic heterogeneous dispatch. The heterogeneous
-//! tests run two mixes: three distinct models, and a mix that repeats one
-//! model, so a single cluster builds slots both by reusing the first
-//! engine's layout plan (a new model) and by replicating a twin (a repeat).
+//! serving path, deterministic heterogeneous dispatch, and the absence of
+//! inter-device coupling. The heterogeneous tests run two mixes: three
+//! distinct models, and a mix that repeats one model, so a single cluster
+//! builds slots both by reusing the first engine's layout plan (a new model)
+//! and by replicating a twin (a repeat).
 
 use tahoe::cluster::GpuCluster;
 use tahoe::engine::{Engine, EngineOptions};
@@ -54,6 +55,40 @@ fn heterogeneous_partitioned_inference_matches_cpu_reference() {
         for d in &run.per_device {
             assert!(d.elapsed_ns.is_finite() && d.elapsed_ns > 0.0);
             assert!(run.total_ns >= d.elapsed_ns, "end-to-end is the slowest device");
+        }
+    }
+}
+
+/// No inter-device coupling is modelled: the same batch on slot `d` takes
+/// bit-identical simulated time and gives bit-identical predictions in a 4-
+/// and in an 8-device V100 cluster, whether or not the other slots ran
+/// first. §7.5's weak-scaling check holds by construction on this premise
+/// (EXPERIMENTS.md, Fig. 9); a failure here means devices now share a
+/// resource, and weak scaling has something to measure again.
+#[test]
+fn a_slot_runs_alike_whatever_the_cluster_size_or_history() {
+    let fx = Fixture::trained("letter");
+    let device = DeviceSpec::tesla_v100();
+    let run_slot = |n_devices: usize, others_first: bool, d: usize| {
+        let mut cluster =
+            GpuCluster::homogeneous(&device, n_devices, &fx.forest, EngineOptions::tahoe());
+        if others_first {
+            for other in (0..n_devices).filter(|&o| o != d) {
+                let _ = cluster.engine_mut(other).infer(&fx.samples);
+            }
+        }
+        let r = cluster.engine_mut(d).infer(&fx.samples);
+        let bits: Vec<u32> = r.predictions.iter().map(|p| p.to_bits()).collect();
+        (r.run.kernel.total_ns.to_bits(), bits)
+    };
+    for d in 0..4 {
+        let alone = run_slot(4, false, d);
+        for (n_devices, others_first) in [(4, true), (8, false), (8, true)] {
+            assert_eq!(
+                run_slot(n_devices, others_first, d),
+                alone,
+                "slot {d} of {n_devices} (others ran first: {others_first})"
+            );
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Runs the full experiment suite: every table and figure of the paper's
-//! evaluation, plus the reproduction's ablations.
+//! evaluation, plus the reproduction's ablations, then digests them into
+//! `SUMMARY.md` ([`tahoe_bench::digest`]).
 
 use tahoe_bench::experiments as exp;
 
@@ -25,6 +26,7 @@ fn main() {
     let ablations = exp::ablations::run(&env, tahoe_bench::named(&prepared, "higgs"));
     exp::ablations::report(&ablations);
 
+    tahoe_bench::digest::write(&motivation, &matrix, &scaling, &ablations);
     env.export_telemetry();
-    println!("\n[all] done — JSON records in results/");
+    println!("\n[all] done — JSON records and SUMMARY.md in results/");
 }

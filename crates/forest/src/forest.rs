@@ -138,33 +138,6 @@ impl Forest {
         self.base_score
     }
 
-    /// Returns a new forest containing the same trees in `order`.
-    ///
-    /// This is the operation similarity-based tree rearrangement performs
-    /// (paper §4.2). Aggregation is order-independent, so predictions are
-    /// unchanged — property-tested in the `tahoe` crate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of `0..n_trees`.
-    #[must_use]
-    pub fn reordered(&self, order: &[usize]) -> Forest {
-        assert_eq!(order.len(), self.n_trees(), "order must cover every tree");
-        let mut seen = vec![false; self.n_trees()];
-        for &i in order {
-            assert!(!seen[i], "order must be a permutation (duplicate {i})");
-            seen[i] = true;
-        }
-        let trees = order.iter().map(|&i| self.trees[i].clone()).collect();
-        Forest {
-            trees,
-            n_attributes: self.n_attributes,
-            kind: self.kind,
-            task: self.task,
-            base_score: self.base_score,
-        }
-    }
-
     /// Returns a forest truncated to the first `n` trees (used by the
     /// tree-count sweeps of Fig. 2b).
     ///
@@ -315,21 +288,6 @@ mod tests {
             0.0,
         );
         assert!((f.aggregate(6.0) - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reordered_permutes_trees() {
-        let f = forest();
-        let r = f.reordered(&[2, 0, 1]);
-        assert_eq!(r.trees()[0], f.trees()[2]);
-        assert_eq!(r.trees()[1], f.trees()[0]);
-        assert_eq!(r.n_trees(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be a permutation")]
-    fn reordered_rejects_duplicates() {
-        let _ = forest().reordered(&[0, 0, 1]);
     }
 
     #[test]

@@ -149,18 +149,6 @@ impl Tree {
         }
     }
 
-    /// Predicts one sample, returning the full root-to-leaf path of node ids.
-    #[must_use]
-    pub fn predict_path(&self, sample: &[f32]) -> Vec<NodeId> {
-        let mut id: NodeId = 0;
-        let mut path = vec![0];
-        while let Some(next) = self.node(id).route(sample) {
-            path.push(next);
-            id = next;
-        }
-        path
-    }
-
     /// Probability that each node is visited (paper §2, "node probability").
     ///
     /// Computed as the product of edge probabilities along the path from the
@@ -244,13 +232,6 @@ mod tests {
         assert_eq!(t.predict(&[-1.0, 0.5]), 1.0);
         assert_eq!(t.predict(&[-1.0, 2.0]), 2.0);
         assert_eq!(t.predict(&[1.0, 0.0]), 5.0);
-    }
-
-    #[test]
-    fn predict_path_includes_root_and_leaf() {
-        let t = sample_tree();
-        assert_eq!(t.predict_path(&[-1.0, 0.5]), vec![0, 1, 3]);
-        assert_eq!(t.predict_path(&[1.0, 0.0]), vec![0, 2]);
     }
 
     #[test]

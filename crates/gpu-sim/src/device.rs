@@ -213,12 +213,6 @@ impl DeviceSpec {
         }
     }
 
-    /// Per-SM share of global-memory bandwidth (bytes/ns).
-    #[must_use]
-    pub fn gmem_bytes_per_ns_per_sm(&self) -> f64 {
-        self.gmem_bytes_per_ns / f64::from(self.num_sms)
-    }
-
     /// Validates internal consistency; returns a description of the first
     /// violated invariant.
     ///
@@ -289,13 +283,6 @@ mod tests {
         assert!(devs[0].gmem_bytes_per_ns < devs[1].gmem_bytes_per_ns);
         assert!(devs[1].gmem_bytes_per_ns < devs[2].gmem_bytes_per_ns);
         assert!(devs[0].gmem_latency_ns > devs[2].gmem_latency_ns);
-    }
-
-    #[test]
-    fn per_sm_bandwidth_divides_total() {
-        let d = DeviceSpec::tesla_p100();
-        let per_sm = d.gmem_bytes_per_ns_per_sm();
-        assert!((per_sm * f64::from(d.num_sms) - d.gmem_bytes_per_ns).abs() < 1e-9);
     }
 
     #[test]

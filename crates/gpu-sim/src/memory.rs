@@ -64,9 +64,6 @@ pub struct DeviceMemory {
     /// Bump frontier: every address at or above this is virgin. Always a
     /// multiple of [`ALLOC_ALIGN`].
     next: u64,
-    /// Cumulative requested bytes over the allocator's lifetime (never
-    /// decremented by `free`) — a traffic counter, not a footprint.
-    allocated: u64,
     /// Aligned bytes currently live.
     in_use: u64,
     /// Largest value `in_use` has reached.
@@ -102,7 +99,6 @@ impl DeviceMemory {
     pub fn with_capacity(capacity: u64) -> Self {
         Self {
             next: GLOBAL_BASE,
-            allocated: 0,
             in_use: 0,
             high_water: 0,
             capacity,
@@ -180,7 +176,6 @@ impl DeviceMemory {
         self.live.insert(base, span);
         self.in_use += span;
         self.high_water = self.high_water.max(self.in_use);
-        self.allocated += bytes;
         self.record(MemoryOp::Alloc);
         Ok(GlobalBuffer { base, bytes })
     }
@@ -234,13 +229,6 @@ impl DeviceMemory {
         } else {
             self.free_list.insert(base, size);
         }
-    }
-
-    /// Cumulative bytes requested over the allocator's lifetime (a traffic
-    /// counter — `free` never decrements it).
-    #[must_use]
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated
     }
 
     /// Aligned bytes currently live.
@@ -337,7 +325,6 @@ mod tests {
         assert_eq!(a.base % 256, 0);
         assert_eq!(b.base % 256, 0);
         assert!(b.base >= a.base + a.bytes);
-        assert_eq!(mem.allocated_bytes(), 200);
     }
 
     #[test]
@@ -376,8 +363,6 @@ mod tests {
         assert_eq!(mem.in_use_bytes(), 0);
         assert_eq!(mem.live_allocations(), 0);
         assert_eq!(mem.high_water_bytes(), 1024 + 2048);
-        // Cumulative traffic is unaffected by frees.
-        assert_eq!(mem.allocated_bytes(), 3000);
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub struct EngineOptions {
     pub varlen_attr: bool,
     /// Simulation detail (sampled blocks per kernel).
     pub detail: Detail,
-    /// Similarity-pipeline parameters.
-    pub similarity: SimilarityParams,
     /// Compute functional predictions on [`Engine::infer`]. Throughput
     /// sweeps over tiled mega-batches disable this: the simulated timing
     /// comes from the trace simulator either way, and correctness is covered
@@ -66,7 +64,6 @@ impl EngineOptions {
             model_selection: true,
             varlen_attr: true,
             detail: Detail::DEFAULT_SAMPLED,
-            similarity: SimilarityParams::default(),
             functional: true,
             calibration: false,
         }
@@ -82,7 +79,6 @@ impl EngineOptions {
             model_selection: false,
             varlen_attr: false,
             detail: Detail::DEFAULT_SAMPLED,
-            similarity: SimilarityParams::default(),
             functional: true,
             calibration: false,
         }
@@ -142,8 +138,6 @@ pub struct Engine {
     /// device models instead of rearranging again.
     plan: LayoutPlan,
     mem: DeviceMemory,
-    /// Live allocation holding the forest image; freed on reconversion.
-    forest_buf: Option<GlobalBuffer>,
     /// Cached per-batch staging buffer, reused (or grown) across batches.
     sample_buf: Option<GlobalBuffer>,
     conversion: ConversionReport,
@@ -186,9 +180,7 @@ impl Engine {
         options: EngineOptions,
         sink: TelemetrySink,
     ) -> Self {
-        let mut engine = Self::assemble(device, forest, options, sink);
-        engine.convert();
-        engine
+        Self::assemble(device, forest, options, sink, None)
     }
 
     /// Builds an engine for another device model from this one's forest,
@@ -198,37 +190,39 @@ impl Engine {
     /// an [`Engine::with_telemetry`] built on `device` except that its
     /// [`Engine::conversion`] reports no rearrangement time.
     pub(crate) fn retarget(&self, device: DeviceSpec, sink: TelemetrySink) -> Self {
-        let mut engine = Self::assemble(device, self.forest.clone(), self.options, sink);
-        engine.build_image(self.plan.clone(), RearrangeReport::default());
-        engine
+        Self::assemble(device, self.forest.clone(), self.options, sink, Some(&self.plan))
     }
 
-    /// An engine with measured hardware parameters and an empty device
-    /// memory, awaiting its first image build.
+    /// Measures the device's hardware parameters, then builds the forest
+    /// image in a fresh device memory from `plan` (reused, so no
+    /// rearrangement time is reported) or, when `None`, from the layout the
+    /// options ask for.
     fn assemble(
         device: DeviceSpec,
         forest: Forest,
         options: EngineOptions,
         sink: TelemetrySink,
+        plan: Option<&LayoutPlan>,
     ) -> Self {
         device.validate().expect("valid device spec");
         let hw = measure(&device);
         let mut mem = DeviceMemory::for_device(&device);
         mem.attach_telemetry(&sink);
+        let (plan, rearrange) = match plan {
+            Some(plan) => (plan.clone(), RearrangeReport::default()),
+            None => plan_layout(&forest, options),
+        };
+        let (device_forest, conversion) = build_image(&forest, &plan, options, &mut mem, rearrange);
         Self {
             device,
             hw,
             options,
             forest,
-            device_forest: placeholder_device_forest(),
-            plan: LayoutPlan {
-                tree_order: Vec::new(),
-                swaps: Vec::new(),
-            },
+            device_forest,
+            plan,
             mem,
-            forest_buf: None,
             sample_buf: None,
-            conversion: ConversionReport::default(),
+            conversion,
             sink,
             clock_ns: 0.0,
             calibrator: Calibrator::new(),
@@ -261,7 +255,6 @@ impl Engine {
             device_forest: self.device_forest.clone(),
             plan: self.plan.clone(),
             mem,
-            forest_buf: self.forest_buf,
             sample_buf: self.sample_buf,
             conversion: self.conversion,
             sink,
@@ -283,59 +276,14 @@ impl Engine {
         Self::new(device, forest, EngineOptions::fil())
     }
 
-    /// (Re)plans the layout and rebuilds the device forest from the current
-    /// host forest.
+    /// Re-plans the layout and rebuilds the device forest from the current
+    /// host forest. The previous image is released first, so an update does
+    /// not leak a forest image of simulated DRAM.
     fn convert(&mut self) {
-        let (plan, rearrange) = self.plan_layout();
-        self.build_image(plan, rearrange);
-    }
-
-    /// The §4 rearrangement the options ask for, with its stage timings.
-    fn plan_layout(&self) -> (LayoutPlan, RearrangeReport) {
-        let (forest, similarity) = (&self.forest, &self.options.similarity);
-        match (self.options.node_rearrange, self.options.tree_rearrange) {
-            (true, true) => rearrange::adaptive_plan_timed(forest, similarity),
-            (true, false) => {
-                let t0 = Instant::now();
-                let swaps = rearrange::node_swap::forest_swaps(forest);
-                let report = RearrangeReport {
-                    node_swap_ns: t0.elapsed().as_nanos() as u64,
-                    ..RearrangeReport::default()
-                };
-                let tree_order = (0..forest.n_trees()).collect();
-                (LayoutPlan { tree_order, swaps }, report)
-            }
-            (false, true) => {
-                let (tree_order, report) = rearrange::tree_order_timed(forest, similarity);
-                let swaps = LayoutPlan::identity(forest).swaps;
-                (LayoutPlan { tree_order, swaps }, report)
-            }
-            (false, false) => (LayoutPlan::identity(forest), RearrangeReport::default()),
-        }
-    }
-
-    /// Replaces the device image with one built from the host forest and
-    /// `plan`, recording `rearrange` (the planning cost, zero when the plan
-    /// was reused) alongside the build time.
-    fn build_image(&mut self, plan: LayoutPlan, rearrange: RearrangeReport) {
-        let config = FormatConfig {
-            varlen_attr: self.options.varlen_attr,
-            mode: None,
-        };
-        let t0 = Instant::now();
-        // Release the previous image before building the replacement —
-        // without this, every `update_forest` cycle
-        // leaked a full forest image of simulated DRAM.
-        if let Some(old) = self.forest_buf.take() {
-            self.mem.free(old);
-        }
-        self.device_forest = DeviceForest::try_build(&self.forest, &plan, config, &mut self.mem)
-            .unwrap_or_else(|e| panic!("forest image exceeds device DRAM: {e}"));
-        self.forest_buf = Some(self.device_forest.buffer());
-        self.conversion = ConversionReport {
-            rearrange,
-            convert_ns: t0.elapsed().as_nanos() as u64,
-        };
+        let (plan, rearrange) = plan_layout(&self.forest, self.options);
+        self.mem.free(self.device_forest.buffer());
+        (self.device_forest, self.conversion) =
+            build_image(&self.forest, &plan, self.options, &mut self.mem, rearrange);
         self.plan = plan;
     }
 
@@ -787,19 +735,52 @@ fn merge_runs(mut acc: StrategyRun, next: StrategyRun) -> StrategyRun {
     acc
 }
 
-/// A 1-tree placeholder replaced by `convert()` during construction.
-fn placeholder_device_forest() -> DeviceForest {
-    use tahoe_datasets::{ForestKind, Task};
-    use tahoe_forest::Tree;
-    let forest = Forest::new(
-        vec![Tree::leaf(0.0)],
-        1,
-        ForestKind::Gbdt,
-        Task::Regression,
-        0.0,
-    );
-    let plan = LayoutPlan::identity(&forest);
-    DeviceForest::build(&forest, &plan, FormatConfig::adaptive(), &mut DeviceMemory::new())
+/// The §4 rearrangement `options` ask for, with its stage timings.
+fn plan_layout(forest: &Forest, options: EngineOptions) -> (LayoutPlan, RearrangeReport) {
+    let similarity = &SimilarityParams::default();
+    match (options.node_rearrange, options.tree_rearrange) {
+        (true, true) => rearrange::adaptive_plan_timed(forest, similarity),
+        (true, false) => {
+            let t0 = Instant::now();
+            let swaps = rearrange::node_swap::forest_swaps(forest);
+            let report = RearrangeReport {
+                node_swap_ns: t0.elapsed().as_nanos() as u64,
+                ..RearrangeReport::default()
+            };
+            let tree_order = (0..forest.n_trees()).collect();
+            (LayoutPlan { tree_order, swaps }, report)
+        }
+        (false, true) => {
+            let (tree_order, report) = rearrange::tree_order_timed(forest, similarity);
+            let swaps = LayoutPlan::identity(forest).swaps;
+            (LayoutPlan { tree_order, swaps }, report)
+        }
+        (false, false) => (LayoutPlan::identity(forest), RearrangeReport::default()),
+    }
+}
+
+/// Builds the device image of `forest` under `plan` in `mem`, reporting
+/// `rearrange` (the planning cost, zero when the plan was reused) beside
+/// the build time.
+fn build_image(
+    forest: &Forest,
+    plan: &LayoutPlan,
+    options: EngineOptions,
+    mem: &mut DeviceMemory,
+    rearrange: RearrangeReport,
+) -> (DeviceForest, ConversionReport) {
+    let config = FormatConfig {
+        varlen_attr: options.varlen_attr,
+        mode: None,
+    };
+    let t0 = Instant::now();
+    let image = DeviceForest::try_build(forest, plan, config, mem)
+        .unwrap_or_else(|e| panic!("forest image exceeds device DRAM: {e}"));
+    let conversion = ConversionReport {
+        rearrange,
+        convert_ns: t0.elapsed().as_nanos() as u64,
+    };
+    (image, conversion)
 }
 
 #[cfg(test)]

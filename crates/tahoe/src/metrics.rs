@@ -44,16 +44,6 @@ pub fn thread_acv_with_sink(kernel: &KernelResult, sink: &TelemetrySink) -> f64 
     }
 }
 
-/// Speedup of `fast` over `slow` given their simulated times.
-#[must_use]
-pub fn speedup(slow_ns: f64, fast_ns: f64) -> f64 {
-    if fast_ns == 0.0 {
-        0.0
-    } else {
-        slow_ns / fast_ns
-    }
-}
-
 /// One row of the Fig. 2a-style per-level report.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LevelRow {
@@ -111,12 +101,6 @@ mod tests {
             "every sampled block is either counted or skipped"
         );
         assert!(counted > 0, "traversal blocks have busy threads");
-    }
-
-    #[test]
-    fn speedup_math() {
-        assert!((speedup(10.0, 5.0) - 2.0).abs() < 1e-12);
-        assert_eq!(speedup(10.0, 0.0), 0.0);
     }
 
     #[test]

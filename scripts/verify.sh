@@ -51,8 +51,9 @@ done
 
 # Regression gate: the committed results/ (smoke scale, detail 4) and
 # results/ci/ (the scale of record, detail 16) are the reference.
-# gate_results <dir> <all args> regenerates the whole suite with `all` and
-# its digest with report_md into a scratch dir, then requires every file of
+# gate_results <dir> <all args> regenerates the whole suite with `all`,
+# which also writes the SUMMARY.md digest from its typed results, into a
+# scratch dir, then requires every file of
 # <dir> and of the regenerated copy to match byte for byte, so a file on
 # only one side fails too (subdirectories, such as results/ci/ inside
 # results/, are gated by their own call). Every recorded quantity is
@@ -69,7 +70,6 @@ gate_results() {
     shift
     regen=$(mktemp -d)
     TAHOE_RESULTS_DIR="$regen" cargo run --release -p tahoe-bench --bin all -- "$@"
-    TAHOE_RESULTS_DIR="$regen" cargo run --release -p tahoe-bench --bin report_md
     for f in "$committed"/* "$regen"/*; do
         if [ -d "$f" ]; then
             continue

@@ -2,8 +2,8 @@
 //!
 //! `decisions_json()` is a public payload (`decisions.json` in every
 //! `--telemetry <dir>` of the bench binaries and `tahoe-cli
-//! infer|bench|serve`, read by `tahoe-cli explain|profile` and `report_md`'s
-//! worst-p99 attribution): every decision record must carry
+//! infer|bench|serve`, read by `tahoe-cli explain|profile`): every decision
+//! record must carry
 //! the pinned keys and the complete ladder `tune::sweep` costed; every
 //! request-path record's components must sum bitwise to the request's
 //! end-to-end latency; the export must survive a serde round-trip unchanged;

@@ -1,7 +1,7 @@
 //! Golden-schema gate for the per-kernel profiler export (DESIGN.md §2.9).
 //!
 //! `profiles_json()` is a public payload (`profiles.json` in every
-//! `--telemetry <dir>`, read by `tahoe-cli profile` and `report_md`): every kernel profile must carry the pinned keys,
+//! `--telemetry <dir>`, read by `tahoe-cli profile`): every kernel profile must carry the pinned keys,
 //! its wall-time breakdown must sum to `total_ns`, roofline utilization must
 //! stay within [0, 1], and the latency histograms must keep their fixed
 //! power-of-two bucket edges. The export must also survive a serde

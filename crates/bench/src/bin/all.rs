@@ -7,18 +7,19 @@ use tahoe_bench::experiments as exp;
 fn main() {
     let env = tahoe_bench::Env::from_args();
     println!("[all] running with {env:?}");
-    // Fig. 6, the run matrix, Fig. 9 and the ablations read their datasets
+    // The run matrix, Fig. 6, Fig. 9 and the ablations read their datasets
     // from this one set.
     let prepared = tahoe_bench::prepare_all(env.scale);
 
     let motivation = exp::motivation::run(&env);
     exp::motivation::report(&motivation);
 
-    let fig6 = exp::strategies::run_fig6(&env, &prepared);
-    exp::strategies::report_fig6(&fig6);
-
     let matrix = exp::matrix::run(&env, &prepared);
     exp::matrix::report(&matrix);
+
+    // Fig. 6's batch-100 K rows are the matrix's Fig. 5 launches.
+    let fig6 = exp::strategies::run_fig6(&env, &prepared, &matrix.fig5);
+    exp::strategies::report_fig6(&fig6);
 
     let scaling = exp::scaling::run(&env, &prepared);
     exp::scaling::report(&scaling);

@@ -11,7 +11,7 @@ use tahoe_gpu_sim::device::DeviceSpec;
 
 use crate::data::{batch_of, named, Prepared};
 use crate::env::Env;
-use crate::experiments::tahoe_opts;
+use crate::experiments::{tahoe_opts, HIGH_BATCH};
 use crate::report::{f3, mib, write_json, Table};
 
 /// One strategy's launch within a [`Sweep`].
@@ -208,11 +208,16 @@ pub const FIG6_DATASETS: [&str; 2] = ["higgs", "svhn"];
 
 /// Runs Fig. 6: batch-size sweep on the [`FIG6_DATASETS`] of `prepared`.
 ///
+/// A [`HIGH_BATCH`] row is the run matrix's Fig. 5 launch (a fresh P100
+/// engine's sweep of the same batch), so a dataset with a row in `fig5` is
+/// projected from it instead of simulated again; pass an empty record to
+/// simulate every row.
+///
 /// # Panics
 ///
 /// Panics when `prepared` lacks one of them.
 #[must_use]
-pub fn run_fig6(env: &Env, prepared: &[Prepared]) -> Fig6Result {
+pub fn run_fig6(env: &Env, prepared: &[Prepared], fig5: &Fig5Result) -> Fig6Result {
     let mut rows = Vec::new();
     for name in FIG6_DATASETS {
         let p = named(prepared, name);
@@ -221,7 +226,8 @@ pub fn run_fig6(env: &Env, prepared: &[Prepared]) -> Fig6Result {
             if env.scale == Scale::Smoke && batch > 10_000 {
                 continue;
             }
-            let row = strategy_row(env, p, batch);
+            let projected = fig5.rows.iter().find(|r| batch == HIGH_BATCH && r.dataset == name);
+            let row = projected.cloned().unwrap_or_else(|| strategy_row(env, p, batch));
             rows.push(Fig6Row {
                 dataset: row.dataset,
                 batch,

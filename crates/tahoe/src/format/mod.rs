@@ -441,14 +441,9 @@ impl DeviceForest {
         &self.stats
     }
 
-    /// Warp-lockstep depth of the layout order (the models' `d_lockstep`,
-    /// see [`crate::perfmodel::lockstep_depth`]).
-    #[must_use]
-    pub fn lockstep_depth(&self) -> f64 {
-        crate::perfmodel::lockstep_depth(&self.tree_depths)
-    }
-
-    /// Depth of each tree, in layout order (splitting's per-part walk work).
+    /// Depth of each tree, in layout order (shared data's serial chain,
+    /// [`crate::perfmodel::shared_data_chain`], and splitting's per-part
+    /// walk work).
     #[must_use]
     pub fn tree_depths(&self) -> &[u32] {
         &self.tree_depths

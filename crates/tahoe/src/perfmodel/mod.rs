@@ -29,14 +29,24 @@
 //! selection-accuracy experiment (§7.3) validates this extended model against
 //! the simulator.
 //!
-//! Shared data's chain is `ceil(N_trees / threads) × D_lockstep × (lat_gmem +
-//! lat_smem)`. A warp walks its lanes' trees in lockstep and ends each round
-//! with its deepest lane, so a round costs the depth of the deepest tree in
-//! its aligned group of 32 layout trees, not the mean depth `D_tree`
-//! ([`lockstep_depth`], [`ModelInputs::d_lockstep`]). This is what lets
-//! [`crate::tune::sweep`] rank block sizes: with the mean depth, the extra
-//! rounds of a small block looked almost free. The Eq. 4 bandwidth terms
-//! keep the mean depth.
+//! Shared data's chain counts the dependent reads of the block's critical
+//! warp ([`shared_data_chain`]). Layout tree `t` goes to thread `t mod
+//! threads`, so warp `w` of a `W`-warp block walks the aligned 32-tree
+//! layout groups `w, w + W, w + 2W, …` in lockstep, and the block waits for
+//! its slowest warp. Each group lasts as long as its deepest lane: `D_g`
+//! levels of a node read plus a staged attribute read, then the leaf read
+//! that ends the walk. So the chain is
+//!
+//! ```text
+//! C = max over warps w of  Σ_{g ∈ w} (D_g × (lat_gmem + lat_smem) + lat_gmem)
+//! ```
+//!
+//! with `D_g` the deepest tree of group `g` in layout order
+//! ([`crate::format::DeviceForest::tree_depths`]). This is what lets
+//! [`crate::tune::sweep`] rank block sizes: rounds charged at the forest's
+//! mean group depth miss which warp draws the deep groups at a given block
+//! size, and the leaf read that ends every walk. The Eq. 4 bandwidth terms
+//! keep the mean depth `D_tree`.
 
 pub mod calibrate;
 
@@ -61,11 +71,6 @@ pub struct ModelInputs {
     pub n_batch: f64,
     /// Mean tree depth (`D_tree`).
     pub d_tree: f64,
-    /// Warp-lockstep depth: the depth a warp of tree-per-lane threads walks
-    /// per round, i.e. the depth of its deepest lane (see
-    /// [`lockstep_depth`]). At least `d_tree`; only shared data's serial
-    /// chain reads it.
-    pub d_lockstep: f64,
     /// Number of trees (`N_trees`).
     pub n_trees: f64,
     /// Encoded node size in bytes (`S_node`).
@@ -91,7 +96,6 @@ impl ModelInputs {
             s_sample: samples.sample_bytes() as f64,
             n_batch: samples.n_samples() as f64,
             d_tree: host_stats.avg_depth,
-            d_lockstep: forest.lockstep_depth(),
             n_trees: forest.n_trees() as f64,
             s_node: forest.node_bytes() as f64,
             s_att: 4.0,
@@ -105,23 +109,30 @@ impl ModelInputs {
 /// layout trees in lockstep per warp round.
 pub const WARP_LANES: usize = 32;
 
-/// The warp-lockstep depth of a forest from its tree depths in layout order.
+/// Shared data's per-sample serial chain in a block of `threads` threads:
+/// the dependent reads of its slowest warp, from the tree depths in layout
+/// order.
 ///
-/// Shared data assigns layout tree `t` to thread `t mod threads`, so each
-/// warp round walks one aligned group of [`WARP_LANES`] consecutive layout
-/// trees and ends when its deepest lane reaches a leaf. Each tree is charged
-/// its group's maximum depth; the result is the mean over trees, so it is
-/// never below the mean depth and equals it when every group is uniform.
+/// Warp `w` of the block's `W` warps walks the aligned [`WARP_LANES`]-tree
+/// layout groups `w, w + W, w + 2W, …`. A group costs its deepest tree's
+/// `D_g` levels of a node read (`lat_gmem`) plus a staged attribute read
+/// (`lat_smem`), then one leaf read (`lat_gmem`). With equal depths `D` this
+/// is `ceil(N_trees / threads) × (D × (lat_gmem + lat_smem) + lat_gmem)`.
 #[must_use]
-pub fn lockstep_depth(layout_depths: &[u32]) -> f64 {
-    if layout_depths.is_empty() {
-        return 0.0;
+pub fn shared_data_chain(layout_depths: &[u32], threads: usize, hw: &MeasuredParams) -> f64 {
+    let warps = threads.div_ceil(WARP_LANES).max(1);
+    // Per warp: summed group depth and group count.
+    let mut work = vec![(0u64, 0u64); warps];
+    for (g, group) in layout_depths.chunks(WARP_LANES).enumerate() {
+        let w = &mut work[g % warps];
+        w.0 += u64::from(group.iter().copied().max().unwrap_or(0));
+        w.1 += 1;
     }
-    let charged: u64 = layout_depths
-        .chunks(WARP_LANES)
-        .map(|group| group.len() as u64 * u64::from(group.iter().copied().max().unwrap_or(0)))
-        .sum();
-    charged as f64 / layout_depths.len() as f64
+    work.iter()
+        .map(|&(depth, groups)| {
+            depth as f64 * (hw.lat_gmem + hw.lat_smem) + groups as f64 * hw.lat_gmem
+        })
+        .fold(0.0, f64::max)
 }
 
 /// A per-strategy cost prediction (per-sample ns).
@@ -189,10 +200,13 @@ fn serial_per_sample(
 }
 
 /// Predicts one strategy's per-sample cost (Eq. 4–7 + latency extension).
+/// `layout_depths` are the tree depths in layout order (shared data's
+/// chain, [`shared_data_chain`]).
 #[must_use]
 pub fn predict(
     strategy: Strategy,
     inputs: &ModelInputs,
+    layout_depths: &[u32],
     hw: &MeasuredParams,
     geometry: &Geometry,
     device: &DeviceSpec,
@@ -205,11 +219,7 @@ pub fn predict(
         // Eq. 4: samples staged in shared memory, forest from global memory
         // with "improved memory coalescence using half of bandwidth".
         Strategy::SharedData => {
-            let tree_rounds =
-                (i.n_trees / geometry.threads_per_block as f64).ceil().max(1.0);
-            // A warp's lanes walk their trees in lockstep, so each round
-            // lasts as long as its deepest lane.
-            let chain = tree_rounds * i.d_lockstep * (hw.lat_gmem + hw.lat_smem);
+            let chain = shared_data_chain(layout_depths, geometry.threads_per_block, hw);
             let reduce_values = (i.n_trees as usize).min(geometry.threads_per_block) as f64;
             let reduce = hw.b_base + hw.b_rate * reduce_values;
             Prediction {
@@ -299,7 +309,7 @@ mod tests {
         let ctx = context(&fx, Detail::Sampled(1));
         for s in Strategy::ALL {
             let geo = crate::strategy::geometry(s, &ctx).unwrap();
-            let p = predict(s, &inputs, &hw, &geo, ctx.device);
+            let p = predict(s, &inputs, fx.device_forest.tree_depths(), &hw, &geo, ctx.device);
             assert!(p.total() > 0.0, "{s}");
             assert!(p.t_smem >= 0.0 && p.t_gmem >= 0.0 && p.t_serial > 0.0, "{s}");
         }
@@ -311,7 +321,7 @@ mod tests {
         let ctx = context(&fx, Detail::Sampled(1));
         for s in Strategy::ALL {
             let geo = crate::strategy::geometry(s, &ctx).unwrap();
-            let p = predict(s, &inputs, &hw, &geo, ctx.device);
+            let p = predict(s, &inputs, fx.device_forest.tree_depths(), &hw, &geo, ctx.device);
             assert_eq!(p.t_b_redu > 0.0, s.has_block_reduction(), "{s}");
             assert_eq!(p.t_g_redu > 0.0, s.has_global_reduction(), "{s}");
         }
@@ -330,8 +340,9 @@ mod tests {
             n_batch: 100_000.0,
             ..inputs
         };
-        let ps = predict(Strategy::SplittingSharedForest, &small, &hw, &geo, ctx.device);
-        let pl = predict(Strategy::SplittingSharedForest, &large, &hw, &geo, ctx.device);
+        let depths = fx.device_forest.tree_depths();
+        let ps = predict(Strategy::SplittingSharedForest, &small, depths, &hw, &geo, ctx.device);
+        let pl = predict(Strategy::SplittingSharedForest, &large, depths, &hw, &geo, ctx.device);
         assert!(pl.t_g_redu < ps.t_g_redu);
         assert!(pl.t_smem < ps.t_smem);
     }
@@ -347,17 +358,19 @@ mod tests {
             grid_blocks: 1,
             ..geo
         };
+        let depths = fx.device_forest.tree_depths();
         let small = predict(
             Strategy::SharedForest,
             &ModelInputs {
                 n_batch: 64.0,
                 ..inputs
             },
+            depths,
             &hw,
             &small_geo,
             ctx.device,
         );
-        let large = predict(Strategy::SharedForest, &inputs, &hw, &geo, ctx.device);
+        let large = predict(Strategy::SharedForest, &inputs, depths, &hw, &geo, ctx.device);
         assert!(large.t_serial < small.t_serial);
     }
 }

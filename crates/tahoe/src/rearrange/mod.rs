@@ -412,7 +412,7 @@ mod tests {
             let lockstep = |order: &[usize]| {
                 let depths: Vec<u32> =
                     order.iter().map(|&t| forest.trees()[t].depth() as u32).collect();
-                crate::perfmodel::lockstep_depth(&depths)
+                warp_group::lockstep_depth(&depths)
             };
             if forest.n_trees() <= crate::perfmodel::WARP_LANES {
                 assert_eq!(plan.tree_order, lsh, "{}", spec.name);

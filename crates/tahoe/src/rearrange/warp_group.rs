@@ -4,7 +4,7 @@
 //! Shared data hands layout tree `t` to thread `t mod threads`, so a warp
 //! walks an aligned group of [`WARP_LANES`] consecutive layout trees in
 //! lockstep, and each round lasts as long as its deepest lane
-//! ([`crate::perfmodel::lockstep_depth`]). The LSH order puts similar trees
+//! ([`crate::perfmodel::shared_data_chain`]). The LSH order puts similar trees
 //! next to each other but does not group them by depth, so one deep tree
 //! holds up a warp of shallow ones. This stage keeps the LSH order's
 //! neighbourhoods and fixes the depths:
@@ -49,10 +49,25 @@ pub fn group_by_depth(lsh_order: &[usize], depths: &[usize]) -> Vec<usize> {
         .collect()
 }
 
+/// The grouping-quality measure of the tests: each layout tree is charged
+/// the largest depth of its aligned [`WARP_LANES`]-tree group, averaged over
+/// trees. It is never below the mean depth and equals it when every group
+/// is uniform.
+#[cfg(test)]
+pub(crate) fn lockstep_depth(layout_depths: &[u32]) -> f64 {
+    if layout_depths.is_empty() {
+        return 0.0;
+    }
+    let charged: u64 = layout_depths
+        .chunks(WARP_LANES)
+        .map(|group| group.len() as u64 * u64::from(group.iter().copied().max().unwrap_or(0)))
+        .sum();
+    charged as f64 / layout_depths.len() as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perfmodel::lockstep_depth;
 
     /// A deterministic mixed-depth forest's depths (depths 2–11).
     fn depths(n: usize) -> Vec<usize> {

@@ -99,7 +99,9 @@ pub fn sweep(ctx: &LaunchContext<'_>, inputs: &ModelInputs, hw: &MeasuredParams)
                     ..*ctx
                 };
                 strategy::geometry(strategy, &candidate)
-                    .map(|geometry| predict(strategy, inputs, hw, &geometry, ctx.device))
+                    .map(|geometry| {
+                        predict(strategy, inputs, ctx.forest.tree_depths(), hw, &geometry, ctx.device)
+                    })
                     .ok_or("geometry infeasible")
             };
             rungs.push(Rung { strategy, block_threads: threads, outcome });
@@ -151,7 +153,8 @@ mod tests {
         let ctx = context(&fx, Detail::Sampled(1));
         for (s, _, tuned) in sweep(&ctx, &inputs, &hw).ranked(None) {
             let default_geo = strategy::geometry(s, &ctx).expect("feasible");
-            let default = predict(s, &inputs, &hw, &default_geo, ctx.device);
+            let depths = fx.device_forest.tree_depths();
+            let default = predict(s, &inputs, depths, &hw, &default_geo, ctx.device);
             assert!(
                 tuned.total() <= default.total() * 1.000_001,
                 "{s}: tuned {} > default {}",
@@ -283,18 +286,15 @@ mod tests {
             .all(|(s, _, _)| *s != Strategy::SharedForest));
     }
 
-    #[test]
-    fn shared_data_pick_is_the_simulated_fastest_rung() {
-        // 150 trees: a 64-thread block walks them in three rounds, a
-        // 256-thread block in one. Each warp round lasts as long as its
-        // deepest lane, so charging rounds at the mean depth undercosts the
-        // small blocks and ranks 64 threads first.
+    /// Rebuilds `fx` on its forest's trees cycled to `n_trees`, in the
+    /// identity layout or the depth-grouped one.
+    fn cycled(mut fx: Fixture, n_trees: usize, grouped: bool) -> Fixture {
         use crate::format::{DeviceForest, FormatConfig, LayoutPlan};
+        use crate::rearrange::{tree_order_timed, SimilarityParams};
         use tahoe_gpu_sim::memory::DeviceMemory;
 
-        let mut fx = Fixture::trained_with_batch("letter", 300);
         let f = &fx.forest;
-        let trees = f.trees().iter().cycle().take(150).cloned().collect();
+        let trees = f.trees().iter().cycle().take(n_trees).cloned().collect();
         let forest = tahoe_forest::Forest::new(
             trees,
             f.n_attributes(),
@@ -304,15 +304,22 @@ mod tests {
         );
         let mut mem = DeviceMemory::new();
         fx.sample_buf = mem.alloc((fx.samples.n_samples() * fx.samples.sample_bytes()) as u64);
-        let plan = LayoutPlan::identity(&forest);
+        let mut plan = LayoutPlan::identity(&forest);
+        if grouped {
+            plan.tree_order = tree_order_timed(&forest, &SimilarityParams::default()).0;
+        }
         fx.device_forest = DeviceForest::build(&forest, &plan, FormatConfig::adaptive(), &mut mem);
         fx.forest = forest;
-        assert!(fx.forest.n_trees() > 64);
+        fx
+    }
 
+    /// Asserts that the ladder's shared-data rung simulates as fast as the
+    /// fastest rung.
+    fn assert_shared_data_pick_is_fastest(fx: &Fixture) {
         let stats = fx.device_forest.forest_stats();
         let inputs = ModelInputs::gather(&fx.device_forest, stats, &fx.samples);
         let hw = measure(&fx.device);
-        let ctx = context(&fx, Detail::Full);
+        let ctx = context(fx, Detail::Full);
         let (_, picked, _) = sweep(&ctx, &inputs, &hw)
             .ranked(None)
             .into_iter()
@@ -331,5 +338,31 @@ mod tests {
             fastest,
             "the ladder picked {picked} threads, which is not the simulated-fastest rung"
         );
+    }
+
+    #[test]
+    fn shared_data_pick_is_the_simulated_fastest_rung() {
+        // 150 trees: a 64-thread block walks them in three rounds, a
+        // 256-thread block in one. Each warp round lasts as long as its
+        // deepest lane, so charging rounds at the mean depth undercosts the
+        // small blocks and ranks 64 threads first.
+        let fx = cycled(Fixture::trained_with_batch("letter", 300), 150, false);
+        assert!(fx.forest.n_trees() > 64);
+        assert_shared_data_pick_is_fastest(&fx);
+        // 400 trees in the depth-grouped layout: 13 warp groups, of depths
+        // 5 6 5 8 8 6 7 4 7 4 5 7 2. At 256 threads, warps 0-4 each walk two
+        // groups and the block waits for warp 3's 8 + 7 levels; at 128,
+        // for warp 0's 5 + 8 + 7 + 2. Rounds at the mean group depth (5.84)
+        // undercount the first and overcount the second, so they rank 256
+        // threads first; the simulator runs 128 faster.
+        let fx = cycled(Fixture::trained_with_batch("susy", 100), 400, true);
+        let groups: Vec<u32> = fx
+            .device_forest
+            .tree_depths()
+            .chunks(crate::perfmodel::WARP_LANES)
+            .map(|g| g.iter().copied().max().unwrap_or(0))
+            .collect();
+        assert_eq!(groups, [5, 6, 5, 8, 8, 6, 7, 4, 7, 4, 5, 7, 2]);
+        assert_shared_data_pick_is_fastest(&fx);
     }
 }

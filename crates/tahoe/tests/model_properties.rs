@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use tahoe::perfmodel::{lockstep_depth, predict, ModelInputs};
+use tahoe::perfmodel::{predict, shared_data_chain, ModelInputs, WARP_LANES};
 use tahoe::strategy::{Geometry, Strategy};
 use tahoe_gpu_sim::device::DeviceSpec;
 use tahoe_gpu_sim::measure;
@@ -14,13 +14,17 @@ fn inputs(n_trees: f64, d_tree: f64, n_batch: f64, s_sample: f64) -> ModelInputs
         s_sample,
         n_batch,
         d_tree,
-        d_lockstep: d_tree,
         n_trees,
         s_node: 14.0,
         s_att: 4.0,
         n_nodes: (2.0f64).powf(d_tree + 1.0) - 1.0,
         s_forest: n_trees * ((2.0f64).powf(d_tree + 1.0) - 1.0) * 14.0,
     }
+}
+
+/// `n_trees` layout trees of depth `d_tree`, both rounded.
+fn uniform_depths(n_trees: f64, d_tree: f64) -> Vec<u32> {
+    vec![d_tree.round() as u32; (n_trees.round() as usize).max(1)]
 }
 
 fn geometry(threads: usize, grid: usize, smem: usize, parts: usize) -> Geometry {
@@ -54,7 +58,8 @@ proptest! {
                 Strategy::SharedForest => geometry(threads, grid, 32 << 10, 1),
                 _ => geometry(threads, grid, 0, 1),
             };
-            let p = predict(s, &i, &hw, &geo, &device);
+            let depths = uniform_depths(n_trees, d_tree);
+            let p = predict(s, &i, &depths, &hw, &geo, &device);
             prop_assert!(p.total().is_finite(), "{s}: total not finite");
             prop_assert!(p.total() > 0.0, "{s}: total {} <= 0", p.total());
             prop_assert!(p.t_smem >= 0.0 && p.t_gmem >= 0.0 && p.t_serial >= 0.0);
@@ -72,10 +77,18 @@ proptest! {
         let hw = measure(&device);
         let geo = geometry(256, 64, 0, 1);
         for s in [Strategy::SharedData, Strategy::Direct] {
-            let small = predict(s, &inputs(n_trees, d_tree, 10_000.0, 256.0), &hw, &geo, &device);
+            let small = predict(
+                s,
+                &inputs(n_trees, d_tree, 10_000.0, 256.0),
+                &uniform_depths(n_trees, d_tree),
+                &hw,
+                &geo,
+                &device,
+            );
             let big = predict(
                 s,
                 &inputs(n_trees * factor, d_tree, 10_000.0, 256.0),
+                &uniform_depths(n_trees * factor, d_tree),
                 &hw,
                 &geo,
                 &device,
@@ -98,8 +111,9 @@ proptest! {
         let geo = geometry(256, 32, 32 << 10, 8);
         let i_small = inputs(500.0, 8.0, n_batch, 112.0);
         let i_large = inputs(500.0, 8.0, n_batch * factor, 112.0);
-        let small = predict(Strategy::SplittingSharedForest, &i_small, &hw, &geo, &device);
-        let large = predict(Strategy::SplittingSharedForest, &i_large, &hw, &geo, &device);
+        let depths = uniform_depths(500.0, 8.0);
+        let small = predict(Strategy::SplittingSharedForest, &i_small, &depths, &hw, &geo, &device);
+        let large = predict(Strategy::SplittingSharedForest, &i_large, &depths, &hw, &geo, &device);
         prop_assert!(large.t_g_redu <= small.t_g_redu * 1.0001);
     }
 
@@ -114,6 +128,7 @@ proptest! {
         let shallow = predict(
             Strategy::Direct,
             &inputs(200.0, d_tree, 50_000.0, 112.0),
+            &uniform_depths(200.0, d_tree),
             &hw,
             &geo,
             &device,
@@ -121,6 +136,7 @@ proptest! {
         let deep = predict(
             Strategy::Direct,
             &inputs(200.0, d_tree + extra, 50_000.0, 112.0),
+            &uniform_depths(200.0, d_tree + extra),
             &hw,
             &geo,
             &device,
@@ -129,30 +145,53 @@ proptest! {
     }
 
     #[test]
-    fn lockstep_depth_bounds_the_mean_and_lengthens_the_chain(
-        depths in prop::collection::vec(0u32..20, 1..300),
+    fn shared_data_chain_is_the_critical_warps_walk(
+        depths in prop::collection::vec(0u32..20, 1..600),
         threads in prop::sample::select(vec![64usize, 128, 256, 512, 1024]),
-        extra in 0.0f64..8.0,
+        deepen in 0usize..10_000,
+        extra in 1u32..8,
+        uniform in 0u32..20,
     ) {
-        // A warp round lasts as long as its deepest lane, so the lockstep
-        // depth is never below the mean depth.
-        let mean = depths.iter().map(|&d| f64::from(d)).sum::<f64>() / depths.len() as f64;
-        let lockstep = lockstep_depth(&depths);
-        prop_assert!(lockstep >= mean - 1e-9, "lockstep {} < mean {}", lockstep, mean);
-        prop_assert!(lockstep <= f64::from(*depths.iter().max().unwrap()) + 1e-9);
-        // Shared data's serial chain never shrinks as the lockstep depth
-        // grows, and nothing else moves with it.
         let device = DeviceSpec::tesla_p100();
         let hw = measure(&device);
+        let (node, attr) = (hw.lat_gmem, hw.lat_smem);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+        // By hand, as the kernel walks: thread `t mod threads` takes layout
+        // tree `t`, so warp `w` walks trees `round × threads + w × 32 ..` in
+        // lockstep, each round as deep as its deepest lane plus the leaf
+        // read; the block waits for its slowest warp.
+        let rounds = depths.len().div_ceil(threads);
+        let by_hand = (0..threads / WARP_LANES)
+            .map(|w| {
+                (0..rounds)
+                    .filter_map(|round| {
+                        let first = round * threads + w * WARP_LANES;
+                        let lanes = depths.get(first..depths.len().min(first + WARP_LANES))?;
+                        let deepest = lanes.iter().copied().max()?;
+                        Some(f64::from(deepest) * (node + attr) + node)
+                    })
+                    .sum::<f64>()
+            })
+            .fold(0.0, f64::max);
+        let chain = shared_data_chain(&depths, threads, &hw);
+        prop_assert!(close(chain, by_hand), "chain {} != by hand {}", chain, by_hand);
+        // A deeper group never shortens the chain, and only the chain moves
+        // with it.
+        let mut deeper = depths.clone();
+        deeper[deepen % depths.len()] += extra;
+        prop_assert!(shared_data_chain(&deeper, threads, &hw) >= chain);
         let n_trees = depths.len() as f64;
-        let base = inputs(n_trees, mean.max(1.0), 1_000.0, 64.0);
+        let base = inputs(n_trees, 4.0, 1_000.0, 64.0);
         let geo = geometry(threads, 16, 16 << 10, 1);
-        let at = |d: f64| {
-            predict(Strategy::SharedData, &ModelInputs { d_lockstep: d, ..base }, &hw, &geo, &device)
-        };
-        let (lo, hi) = (at(lockstep), at(lockstep + extra));
+        let at = |d: &[u32]| predict(Strategy::SharedData, &base, d, &hw, &geo, &device);
+        let (lo, hi) = (at(&depths), at(&deeper));
         prop_assert!(hi.t_serial >= lo.t_serial);
         prop_assert!(hi.total() >= lo.total());
         prop_assert_eq!((hi.t_smem, hi.t_gmem, hi.t_b_redu), (lo.t_smem, lo.t_gmem, lo.t_b_redu));
+        // Equal depths: every round of the busiest warp costs the same.
+        let equal = vec![uniform; depths.len()];
+        let expected = rounds as f64 * (f64::from(uniform) * (node + attr) + node);
+        let got = shared_data_chain(&equal, threads, &hw);
+        prop_assert!(close(got, expected), "equal depths: {} != {}", got, expected);
     }
 }

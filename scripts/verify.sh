@@ -39,7 +39,8 @@ rm -rf "$STUB_TARGET"
 # the functional equivalence proofs (every format/plan/strategy vs the CPU
 # reference) hold at both worker counts.
 # The rearrange unit tests pin the §4.2 tree orders and checksums, whose
-# SimHash stage runs on the worker pool.
+# SimHash stage runs on the worker pool; the tune unit tests compare the
+# ladder's shared-data pick with every rung's simulated time exactly.
 for workers in 1 4; do
     TAHOE_SIM_THREADS=$workers \
         cargo test --release --test determinism --test telemetry_schema \
@@ -47,6 +48,7 @@ for workers in 1 4; do
         --test decision_schema \
         --test drift_audit --test property_based
     TAHOE_SIM_THREADS=$workers cargo test --release -p tahoe --lib rearrange
+    TAHOE_SIM_THREADS=$workers cargo test --release -p tahoe --lib tune
 done
 
 # Regression gate: the committed results/ (smoke scale, detail 4) and
